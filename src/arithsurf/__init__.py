@@ -29,7 +29,6 @@ from .centext import (
     argl_scalar,
     auto_window,
     beta_map,
-    commutator_log,
     commutator_pairing,
     contract,
     gamma_discrepancy,

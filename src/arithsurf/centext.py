@@ -295,18 +295,14 @@ def quotient_det(modulus_rows, reps_from, reps_to):
 def _bottom_reps(L, I_rows):
     """Representatives of L/(span I) chosen greedily from L's own basis in
     its given order (window lattices list generators by ascending degree,
-    so these have low support and survive multiplication operators)."""
-    working = list(I_rows)
-    base_rank = rank(working)
-    reps = []
-    for v in L.basis:
-        cand = working + [v]
-        r = rank(cand)
-        if r > base_rank + len(reps):
-            working.append(v)
-            reps.append(v)
-    assert len(reps) + base_rank == L.dim or rank(working) == L.dim
-    return tuple(reps)
+    so these have low support and survive multiplication operators): the
+    basis vectors whose columns are pivots of (I_rows + L.basis) as columns."""
+    k = len(I_rows)
+    vectors = tuple(I_rows) + L.basis
+    _, pivots = rref(tuple(zip(*vectors)))
+    reps = tuple(vectors[c] for c in pivots if c >= k)
+    assert k + len(reps) == L.dim
+    return reps
 
 
 # -- relative determinant lines ------------------------------------------------
@@ -332,7 +328,10 @@ def line_norm(line):
     """Norm of the wedge-basis element of (A|B): Gram volume of the B-side
     representatives over Gram volume of the A-side representatives, both
     projected orthogonally off A cap B."""
-    pd, bA, bB = line.resolved()
+    return _quotient_norm(*line.resolved())
+
+
+def _quotient_norm(pd, bA, bB):
     volA2 = gram_det([project_off(v, pd.I_rows) for v in bA]) if bA else Fraction(1)
     volB2 = gram_det([project_off(v, pd.I_rows) for v in bB]) if bB else Fraction(1)
     if volA2 == 0 or volB2 == 0:
@@ -381,49 +380,53 @@ def line_element(A, B, coord=1, repsA=None, repsB=None):
     return LineElement(A, B, coord * Fraction(dB) / dA)
 
 
-def contract(x, y, metrized=False, rigid=False):
+def contract(x, y, metrized=False):
     """The contraction (A|B) tensor (B|C) -> (A|C).
 
     Algebraic: canonical wedge bookkeeping through the common sublattice
     D = A cap B cap C.  metrized=True rescales by the volume discrepancy
     gamma = (|x| |y|) / |alpha(x tensor y)| so the result has norm
-    |x| |y|.  rigid=True asserts the discrepancy is 1.
+    |x| |y|.
     """
     if not x.B.same_span(y.A):
         raise NotExact("middle lattices of the contraction disagree")
-    A, B, C = x.A, x.B, y.B
+    pds, k = _contraction_scalar(x.A, x.B, y.B)
+    coord = x.coord * y.coord * k
+    if metrized:
+        coord = coord * _gamma(pds, k)
+    return LineElement(x.A, y.B, coord)
+
+
+def _contraction_scalar(A, B, C):
+    """The pair data of (A, B), (B, C), (A, C) and the scalar k with
+    alpha(unit of (A|B) tensor unit of (B|C)) = k * unit of (A|C)."""
     pdAB = pair_data(A, B)
     pdBC = pair_data(B, C)
     pdAC = pair_data(A, C)
     D_rows = intersection(pdAB.I_rows, C.rref_basis)
     D_pivots = set(rref(D_rows)[1] if D_rows else ())
-    J_AB = _complement_rows(pdAB.I_rows, rref(pdAB.I_rows)[1] if pdAB.I_rows else (), D_pivots)
-    J_BC = _complement_rows(pdBC.I_rows, rref(pdBC.I_rows)[1] if pdBC.I_rows else (), D_pivots)
-    J_AC = _complement_rows(pdAC.I_rows, rref(pdAC.I_rows)[1] if pdAC.I_rows else (), D_pivots)
+    J_AB = _complement_rows(pdAB.I_rows, pdAB.I_pivots, D_pivots)
+    J_BC = _complement_rows(pdBC.I_rows, pdBC.I_pivots, D_pivots)
+    J_AC = _complement_rows(pdAC.I_rows, pdAC.I_pivots, D_pivots)
     # pair x's B-side wedge against y's dual B-side wedge, all relative to D
     s = quotient_det(D_rows, pdAB.canon_second + J_AB, pdBC.canon_first + J_BC)
     dA = quotient_det(D_rows, pdAB.canon_first + J_AB, pdAC.canon_first + J_AC)
     dC = quotient_det(D_rows, pdBC.canon_second + J_BC, pdAC.canon_second + J_AC)
-    coord = x.coord * y.coord * (Fraction(s) * dC / dA)
-    out = LineElement(A, C, coord)
-    if metrized or rigid:
-        g = gamma_discrepancy(A, B, C)
-        if rigid and g != ONE:
-            raise NotExact(f"contraction discrepancy {g} != 1 under rigid flag")
-        if metrized:
-            out = out.scale(g)
-    return out
+    return (pdAB, pdBC, pdAC), Fraction(s) * dC / dA
+
+
+def _gamma(pds, k):
+    """|unit of (A|B)| |unit of (B|C)| / (|k| |unit of (A|C)|)."""
+    if k == 0:
+        raise DegeneratePosition("algebraic contraction of unit elements vanished")
+    norms = [_quotient_norm(pd, pd.canon_first, pd.canon_second) for pd in pds]
+    return norms[0] * norms[1] / (abs(QSqrt(k)) * norms[2])
 
 
 def gamma_discrepancy(A, B, C):
     """gamma(alpha_{A,B,C}) = (|x| |y|) / |alpha(x tensor y)| for any nonzero
     x in (A|B), y in (B|C); independent of the choice."""
-    x = LineElement(A, B, ONE)
-    y = LineElement(B, C, ONE)
-    z = contract(x, y, metrized=False)
-    if z.coord.is_zero:
-        raise DegeneratePosition("algebraic contraction of unit elements vanished")
-    return x.norm() * y.norm() / z.norm()
+    return _gamma(*_contraction_scalar(A, B, C))
 
 
 # -- the beta comparison map ---------------------------------------------------
@@ -723,10 +726,6 @@ def commutator_pairing(g, h, A, a_coord=1, b_coord=1):
     if g.compose(h) != h.compose(g):
         raise NonCommuting("maps do not commute; the pairing needs gh = hg")
     return _commutator_chain(h, g, A, b_coord, a_coord)
-
-
-def commutator_log(g, h, A, prec=128):
-    return commutator_pairing(g, h, A).log_abs(prec)
 
 
 # -- volume discrepancy of a short exact sequence --------------------------------

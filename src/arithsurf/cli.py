@@ -179,9 +179,8 @@ def cmd_pairing(args):
     cfg = default_config()
     f = parse_laurent(args.f)
     g = parse_laurent(args.g)
-    window = args.window if args.window is not None else None
     with mp.workprec(cfg.prec_bits):
-        oracle = nu_arch_oracle(f, g, window=window, prec=cfg.prec_bits)
+        oracle = nu_arch_oracle(f, g, window=args.window, prec=cfg.prec_bits)
         closed = nu_arch_closed(f, g, prec=cfg.prec_bits)
         doc = {
             "f": str(f),

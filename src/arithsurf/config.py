@@ -12,7 +12,6 @@ class RunConfig:
     start_precision: int = 20  # initial p-adic digit count for the ladder
     tolerance: float = 1e-6  # pass threshold for numeric law sums
     seed: int = 0  # seeds mod-p factorization tie-breaking and sampling
-    window: int = 24  # default lattice window size for pairings
 
 
 def default_config(**overrides):

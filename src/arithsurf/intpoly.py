@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ZeroPolynomial
 from .primes import factor_integer
+from .qlinalg import det
 
 
 class IntPoly:
@@ -289,31 +290,6 @@ def sylvester_matrix(a, b):
     return rows
 
 
-def det_bareiss(rows):
-    """Exact integer determinant via Bareiss fraction-free elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def resultant_sylvester(a, b):
     """Resultant as the Sylvester determinant; the independent slow route."""
     if a.is_zero or b.is_zero:
@@ -322,7 +298,7 @@ def resultant_sylvester(a, b):
         return a.lc**b.degree
     if b.degree == 0:
         return b.lc**a.degree
-    return det_bareiss(sylvester_matrix(a, b))
+    return int(det(sylvester_matrix(a, b)))  # integral: an integer matrix
 
 
 def discriminant(h):

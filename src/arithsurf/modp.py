@@ -7,12 +7,21 @@ splitting (trace construction for p = 2).
 """
 
 import random
+from itertools import zip_longest
 
 from .errors import ZeroPolynomial
 from .intpoly import IntPoly
+from .primes import factor_integer
 
 
 class ModPPoly:
+    """Polynomial with coefficients mod p, or mod p^k for Hensel lifting.
+
+    Ring operations hold for any modulus; division needs a unit leading
+    coefficient of the divisor (a monic one mod p^k), and the gcd and
+    factorization functions below need the modulus to be a prime p.
+    """
+
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs=()):
@@ -69,13 +78,13 @@ class ModPPoly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPPoly(self.p, [self[i] + other[i] for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return ModPPoly(self.p, [a + b for a, b in pairs])
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPPoly(self.p, [self[i] - other[i] for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return ModPPoly(self.p, [a - b for a, b in pairs])
 
     def __neg__(self):
         return ModPPoly(self.p, [-c for c in self.coeffs])
@@ -296,18 +305,7 @@ def is_irreducible_modp(f):
         return True
     f = f.monic()
     x = x_poly(p)
-    primes = set()
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.add(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.add(m)
-    for q in primes:
+    for q, _ in factor_integer(n)[1]:
         hq = x
         for _ in range(n // q):
             hq = pow_mod(hq, p, f)

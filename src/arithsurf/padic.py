@@ -70,15 +70,6 @@ class PadicPoly:
     def to_intpoly(self):
         return IntPoly(self.coeffs)
 
-    def reduce_mod_p(self):
-        return ModPPoly(self.p, self.coeffs)
-
-    def at_precision(self, M):
-        """Forget down to precision M <= N."""
-        assert M <= self.N
-        q = self.p**M
-        return PadicPoly(self.p, M, tuple(c % q for c in self.coeffs))
-
     def __str__(self):
         return f"{self.to_intpoly()} (mod {self.p}^{self.N})"
 
@@ -103,90 +94,38 @@ class PadicFactorization:
         assert sum(f.e * f.f for f in self.factors) == self.h.degree
 
 
-# -- modular polynomial helpers (coefficient lists mod m) -------------------
-
-
-def _trim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _mul_mod(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _trim(out)
-
-
-def _add_mod(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _trim(out)
-
-
-def _sub_mod(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _trim(out)
-
-
-def _divmod_monic(a, b, m):
-    """Divide by a monic b, coefficients mod m."""
-    assert b and b[-1] == 1
-    rem = [c % m for c in a]
-    d = len(b) - 1
-    quo = [0] * max(0, len(rem) - d)
-    for k in range(len(rem) - d - 1, -1, -1):
-        q = rem[k + d] % m
-        if q:
-            quo[k] = q
-            for i, bc in enumerate(b):
-                rem[k + i] = (rem[k + i] - q * bc) % m
-    return _trim(quo), _trim(rem[:d])
-
-
-def hensel_lift_pair(f, g0, h0, a0, b0, p, target_N):
-    """Quadratic Hensel: from f = g0*h0 and a0*g0 + b0*h0 = 1 (mod p),
-    lift to f = g*h (mod p^target_N) with g, h monic.  All inputs are
-    coefficient lists; f has integer coefficients, g0, h0, a0, b0 mod p.
+def hensel_lift_pair(f, g, h, a, b, p, target_N):
+    """Quadratic Hensel: from f = g*h and a*g + b*h = 1 (mod p), lift to
+    f = g*h (mod p^target_N) with g, h monic.  f is an IntPoly; g, h, a, b
+    are ModPPoly mod p, and the lifts of g, h come back mod p^target_N.
     """
     k = 1
-    g, h, a, b = list(g0), list(h0), list(a0), list(b0)
     while k < target_N:
         k = min(2 * k, target_N)
         m = p**k
-        fk = [c % m for c in f]
-        e = _sub_mod(fk, _mul_mod(g, h, m), m)
+        g, h, a, b = (ModPPoly(m, x.coeffs) for x in (g, h, a, b))
+        fk = ModPPoly.from_intpoly(f, m)
+        e = fk - g * h
         # delta_g = (b*e) mod g ; delta_h = a*e + (b*e div g)*h
-        q, r = _divmod_monic(_mul_mod(b, e, m), g, m)
-        g_new = _add_mod(g, r, m)
-        dh = _add_mod(_mul_mod(a, e, m), _mul_mod(q, h, m), m)
-        h_new = _add_mod(h, dh, m)
-        assert _sub_mod(fk, _mul_mod(g_new, h_new, m), m) == []
-        g, h = g_new, h_new
+        q, r = divmod(b * e, g)
+        g, h = g + r, h + (a * e + q * h)
+        assert g * h == fk
+        if k == target_N:
+            break  # the Bezout pair is not needed past the last step
         # refresh Bezout: (a, b) <- (a, b) * (1 + r) with r = 1 - a g - b h,
         # then reduce a mod h to control degrees.
-        r1 = _sub_mod([1], _add_mod(_mul_mod(a, g, m), _mul_mod(b, h, m), m), m)
-        one_plus = _add_mod([1], r1, m)
-        a = _mul_mod(a, one_plus, m)
-        b = _mul_mod(b, one_plus, m)
-        qa, ra = _divmod_monic(a, h, m)
-        a = ra
-        b = _add_mod(b, _mul_mod(qa, g, m), m)
-        assert _sub_mod([1], _add_mod(_mul_mod(a, g, m), _mul_mod(b, h, m), m), m) == []
+        one = ModPPoly(m, (1,))
+        one_plus = one + (one - (a * g + b * h))
+        qa, a = divmod(a * one_plus, h)
+        b = b * one_plus + qa * g
+        assert a * g + b * h == one
     return g, h
 
 
-def _bezout_modp(g, h, p):
+def _bezout_modp(g, h):
     """a, b with a*g + b*h = 1 in F_p[t] for coprime g, h."""
-    G = ModPPoly(p, g)
-    H = ModPPoly(p, h)
-    r0, r1 = G, H
+    p = g.p
+    r0, r1 = g, h
     s0, s1 = one_poly(p), ModPPoly(p)
     t0, t1 = ModPPoly(p), one_poly(p)
     while not r1.is_zero:
@@ -196,7 +135,7 @@ def _bezout_modp(g, h, p):
         t0, t1 = t1, t0 - q * t1
     assert r0.degree == 0, "factors not coprime"
     inv = pow(r0.lc, -1, p)
-    return list((s0 * inv).coeffs), list((t0 * inv).coeffs)
+    return s0 * inv, t0 * inv
 
 
 def hensel_lift_list(h, parts, p, N):
@@ -205,21 +144,16 @@ def hensel_lift_list(h, parts, p, N):
     parts: list of monic ModPPoly with product = h mod p.  Returns
     coefficient lists mod p^N in the same order.
     """
-    f = list(h.coeffs)
     if len(parts) == 1:
         m = p**N
-        return [[c % m for c in f]]
-    first = list(parts[0].coeffs)
+        return [[c % m for c in h.coeffs]]
     rest = parts[1]
     for q in parts[2:]:
         rest = rest * q
-    a, b = _bezout_modp(first, list(rest.coeffs), p)
-    g_lift, h_lift = hensel_lift_pair(f, first, list(rest.coeffs), a, b, p, N)
-    out = [g_lift]
-    # recurse on the cofactor, which is h_lift as an integer-coefficient poly
-    sub = hensel_lift_list(IntPoly(h_lift), parts[1:], p, N)
-    out.extend(sub)
-    return out
+    a, b = _bezout_modp(parts[0], rest)
+    g_lift, h_lift = hensel_lift_pair(h, parts[0], rest, a, b, p, N)
+    # recurse on the cofactor, as an integer-coefficient poly
+    return [list(g_lift.coeffs)] + hensel_lift_list(h_lift.to_intpoly(), parts[1:], p, N)
 
 
 # -- p-adic square roots ----------------------------------------------------

@@ -115,45 +115,18 @@ def solve_coords(basis, targets):
 
     basis: independent rows; targets: rows inside their span.  Raises
     NotExact when a target falls outside the span (the exact analogue of
-    a failed least-squares fit)."""
-    basis = tuple(tuple(map(Fraction, b)) for b in basis)
+    a failed least-squares fit).  One rref of the columns (basis | targets):
+    the basis columns are the pivots and the target columns read off the
+    coordinates."""
+    basis = tuple(basis)
+    targets = tuple(targets)
     k = len(basis)
-    out = []
-    for v in targets:
-        v = tuple(map(Fraction, v))
-        if k == 0:
-            if not is_zero_vec(v):
-                raise NotExact("target outside span of empty basis")
-            out.append(())
-            continue
-        # eliminate on the augmented system (basis columns | v)
-        aug = [list(col) + [x] for col, x in zip(zip(*basis), v)]
-        coeffs = [Fraction(0)] * k
-        row = 0
-        pivot_of_col = {}
-        for c in range(k):
-            sel = next((i for i in range(row, len(aug)) if aug[i][c] != 0), None)
-            if sel is None:
-                continue
-            aug[row], aug[sel] = aug[sel], aug[row]
-            inv = 1 / aug[row][c]
-            aug[row] = [x * inv for x in aug[row]]
-            for i in range(len(aug)):
-                if i != row and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-            pivot_of_col[c] = row
-            row += 1
-        for i in range(row, len(aug)):
-            if aug[i][-1] != 0:
-                raise NotExact("target vector outside span of basis")
-        for c, r in pivot_of_col.items():
-            coeffs[c] = aug[r][-1]
-        # independence of the basis means every column has a pivot
-        if len(pivot_of_col) != k:
-            raise NotExact("dependent basis passed to solve_coords")
-        out.append(tuple(coeffs))
-    return tuple(out)
+    red, pivots = rref(tuple(zip(*(basis + targets))))
+    if any(c >= k for c in pivots):
+        raise NotExact("target vector outside span of basis")
+    if len(pivots) != k:
+        raise NotExact("dependent basis passed to solve_coords")
+    return tuple(tuple(red[j][k + i] for j in range(k)) for i in range(len(targets)))
 
 
 def intersection(a_rows, b_rows):

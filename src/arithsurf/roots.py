@@ -68,11 +68,3 @@ def archimedean_places(h, prec=DEFAULT_PREC_BITS):
         places.extend(ArchimedeanPlace(z, 2, False) for z in uppers)
         return places
 
-
-def evaluate_poly(h, z, prec=DEFAULT_PREC_BITS):
-    """h(z) by Horner at the given working precision."""
-    with mp.workprec(prec + 32):
-        acc = mp.mpf(0)
-        for c in reversed(h.coeffs):
-            acc = acc * z + c
-        return acc

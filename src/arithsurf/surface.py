@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIrreducibleBase, ParseError, ZeroPolynomial
+from .errors import NonIrreducibleBase, ParseError, UnsupportedOrder, ZeroPolynomial
 from .intpoly import (
     IntPoly,
     T,
@@ -31,6 +31,7 @@ from .intpoly import (
     spot_check_irreducible,
 )
 from .modp import ModPPoly, factor_mod_p, is_irreducible_modp
+from .padic import vp
 from .primes import factor_integer, is_prime
 
 PRIME_COORD_BOUND = 2**63
@@ -297,22 +298,9 @@ def parse_point(text):
 # -- orders and incidence -----------------------------------------------------
 
 
-def vp_fraction(x, p):
-    """p-adic valuation of a nonzero Fraction."""
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def vertical_order(f, p):
     """Order of vanishing of f along the fiber over p (= v_p of the unit)."""
-    return vp_fraction(f.unit, p)
+    return vp(f.unit, p)
 
 
 def horizontal_order(f, curve):
@@ -475,13 +463,18 @@ def prime_support_on_horizontal(curve, f, g):
 
 
 def points_on_horizontal(curve, f, g, seed=0):
-    """Closed points of a horizontal curve in the support of f or g."""
+    """Closed points of a horizontal curve in the support of f or g.
+
+    Raises UnsupportedOrder when the support holds a prime beyond the
+    closed-point coordinates (>= 2^63)."""
     if curve.kind == INFINITY_SECTION:
         inner = Curve.horizontal(T)
         return points_on_horizontal(inner, chart_swap(f), chart_swap(g), seed=seed)
     h = curve.h
     points = []
     for p in prime_support_on_horizontal(curve, f, g):
+        if p >= PRIME_COORD_BOUND:
+            raise UnsupportedOrder(f"support prime {p} is not below 2^63")
         hbar = ModPPoly.from_intpoly(h, p)
         if hbar.degree >= 1:
             _, fs = factor_mod_p(hbar, p, seed=seed)

@@ -25,6 +25,7 @@ from mpmath import mp
 from .errors import (
     EvaluationAtZero,
     InsufficientPrecision,
+    NonIrreducibleBase,
     UnsupportedOrder,
 )
 from .intpoly import IntPoly, T, resultant
@@ -47,7 +48,6 @@ from .surface import (
     horizontal_order,
     incident,
     vertical_order,
-    vp_fraction,
 )
 
 
@@ -126,7 +126,7 @@ def _restriction_valuation(fn, h, factor, N):
     p = factor.poly.p
     lc = h.lc
     lift = factor.poly.to_intpoly()
-    total = Fraction(factor.e) * vp_fraction(fn.unit, p)
+    total = Fraction(factor.e) * vp(fn.unit, p)
     v_lc = vp(lc, p) if lc % p == 0 else 0
     for b, e in fn.factors:
         if b == h:
@@ -160,11 +160,14 @@ def _linear_flag_branch(h, point, f, g):
 
     def nu2(fn):
         fn0 = _strip(fn, h)
-        total = vp_fraction(fn0.unit, p)
+        total = vp(fn0.unit, p)
         for b, e in fn0.factors:
             val = b.evaluate(theta)
-            assert val != 0, "only h vanishes at the root of h"
-            total += e * vp_fraction(Fraction(val), p)
+            if val == 0:
+                raise NonIrreducibleBase(
+                    f"base {b} vanishes at the root of {h}, so it is reducible"
+                )
+            total += e * vp(val, p)
         return total
 
     return BranchData(e=1, f=1, weight=1, nu2_f=nu2(f), nu2_g=nu2(g))
@@ -261,20 +264,13 @@ def _abs_value(fn, h, theta, prec):
         for b, e in fn.factors:
             if b == h:
                 continue
-            val = abs(evaluate_mp(b, theta))
+            val = abs(b.evaluate(theta))
             if val < floor:
                 raise EvaluationAtZero(
                     f"|{b}({theta})| below resolution at {prec} bits"
                 )
             acc *= val**e
         return acc
-
-
-def evaluate_mp(b, z):
-    acc = mp.mpf(0)
-    for c in reversed(b.coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def archimedean_symbol(h, theta, f, g, prec=128):

@@ -1,9 +1,14 @@
 import json
 import random
+import subprocess
+import sys
 
+import pytest
 from mpmath import mp
 
+from arithsurf.cli import main
 from arithsurf.config import default_config
+from arithsurf.errors import NonIrreducibleBase
 from arithsurf.laws import (
     verify_horizontal_law,
     verify_point_law,
@@ -112,3 +117,26 @@ def test_swap_f_g_still_sums_to_zero():
         b = verify_point_law(pt, g, f)
         if a.verdict == "pass" and b.verdict == "pass":
             assert a.exact_sum == 0 and b.exact_sum == 0
+
+
+def test_horizontal_law_support_prime_beyond_point_coordinates():
+    # 2^63 + 29 is prime: it lies in the support of f but cannot be a
+    # closed-point coordinate, so the law is inconclusive, not a usage error
+    big = 2**63 + 29
+    r = verify_horizontal_law(parse_curve("H:t+1"), F(str(big)), F("1*(t)^1"))
+    assert r.verdict == "inconclusive" and r.reason.startswith("UnsupportedOrder")
+    code = main(["verify", "horizontal", "--curve", "H:t+1", "--f", str(big),
+                 "--g", "1*(t)^1"])
+    assert code == 4
+
+
+def test_point_law_reducible_base_at_linear_flag():
+    # t^5-1 passes the degree <= 4 spot check but vanishes at the root of t-1
+    point, f, g = parse_point("5:t+4"), F("1*(t-1)^1"), F("1*(t^5-1)^1")
+    with pytest.raises(NonIrreducibleBase):
+        verify_point_law(point, f, g)
+    # without asserts (python -O) the same input must still fail fast
+    cmd = [sys.executable, "-O", "-m", "arithsurf.cli", "verify", "point",
+           "--point", "5:t+4", "--f", "1*(t-1)^1", "--g", "1*(t^5-1)^1"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and "NonIrreducibleBase" in done.stderr

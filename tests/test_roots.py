@@ -1,7 +1,7 @@
 from mpmath import mp
 
 from arithsurf.intpoly import parse_intpoly
-from arithsurf.roots import all_roots, archimedean_places, evaluate_poly
+from arithsurf.roots import all_roots, archimedean_places
 
 
 def test_all_roots_quadratic():
@@ -46,5 +46,5 @@ def test_places_ordering_deterministic():
 
 def test_evaluate_poly():
     with mp.workprec(96):
-        v = evaluate_poly(parse_intpoly("t^2+1"), mp.mpc(0, 1), prec=96)
+        v = parse_intpoly("t^2+1").evaluate(mp.mpc(0, 1))
         assert abs(v) < mp.mpf(2) ** -80

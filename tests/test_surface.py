@@ -23,7 +23,6 @@ from arithsurf.surface import (
     points_on_horizontal,
     points_on_vertical,
     vertical_order,
-    vp_fraction,
 )
 
 BASES = tuple(
@@ -99,12 +98,6 @@ def test_point_parse_and_labels():
     assert inf.residue is None and inf.degree == 1
     with pytest.raises(NonIrreducibleBase):
         parse_point("5:t^2-1")  # reducible residue
-
-
-def test_vp_fraction():
-    assert vp_fraction(Fraction(12), 2) == 2
-    assert vp_fraction(Fraction(1, 8), 2) == -3
-    assert vp_fraction(Fraction(9, 5), 5) == -1
 
 
 def test_orders():
