@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithsurf.errors import NonIrreducibleBase, ParseError
+from arithsurf.errors import NonIrreducibleBase, ParseError, ZeroPolynomial
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.modp import ModPPoly, random_monic_irreducible
+from arithsurf.padic import vp
 from arithsurf.surface import (
     ClosedPoint,
     Curve,
@@ -98,6 +99,15 @@ def test_point_parse_and_labels():
     assert inf.residue is None and inf.degree == 1
     with pytest.raises(NonIrreducibleBase):
         parse_point("5:t^2-1")  # reducible residue
+
+
+def test_vp_fraction():
+    # vertical_order takes the valuation of a function's rational unit
+    assert vp(Fraction(12), 2) == 2
+    assert vp(Fraction(1, 8), 2) == -3
+    assert vp(Fraction(9, 5), 5) == -1
+    with pytest.raises(ZeroPolynomial):
+        vp(Fraction(0), 5)
 
 
 def test_orders():
