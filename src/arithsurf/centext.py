@@ -17,6 +17,19 @@ The group of pairs (g, a) with a a nonzero element of (A|gA) multiplies
 by (g, a)(g', a') = (gg', a o g(a')) via pushforward and metrized
 contraction; the commutator pairing of commuting g, h is the scalar of
 the four-term chain a o g(b) o h(a^-1) o b^-1 in (A|A) = R.
+
+Coordinate subspaces take a shortcut chosen from the input alone: a row set
+whose rows are c * e_i with distinct indices i (qlinalg.coordinate_support)
+spans the coordinate subspace on those indices.  For such rows
+intersections and sums are intersections and unions of index sets, the
+rref basis is the unit vectors at the sorted indices, a vector's
+coordinate on c * e_i is its i-th entry over c, and rows on indices outside
+span(I) are already orthogonal to it, so a Gram volume is the product of
+the c^2.  Each of these is the value the general elimination returns, as a
+Fraction, so every QSqrt downstream is the same.  The window oracle only
+ever builds such lattices (tails span{t^a .. t^M}); multiplication images
+of quotient representatives stay dense and still go through det.  Any
+other input takes the general Gaussian-elimination path.
 """
 
 import math
@@ -34,6 +47,7 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .qlinalg import (
+    coordinate_support,
     det,
     dot,
     frac_vec,
@@ -49,6 +63,7 @@ from .qlinalg import (
     rref,
     solve_coords,
     sum_space,
+    unit_rows,
     vscale,
 )
 
@@ -209,15 +224,25 @@ def _as_qsqrt(x):
 
 
 class Lattice:
-    """Subspace of Q^n with a chosen (ordered, independent) basis."""
+    """Subspace of Q^n with a chosen (ordered, independent) basis.
 
-    __slots__ = ("n", "basis", "rref_basis", "pivots")
+    coords is coordinate_support(basis): the (index, scale) of each basis
+    vector when the basis is a rescaled subset of the standard basis, else
+    None.  Such a lattice is its index set: rref_basis is the unit vectors
+    at the sorted indices, with no elimination run."""
+
+    __slots__ = ("n", "basis", "rref_basis", "pivots", "coords")
 
     def __init__(self, n, basis):
         self.n = n
         self.basis = tuple(frac_vec(v) for v in basis)
-        for v in self.basis:
-            assert len(v) == n
+        if any(len(v) != n for v in self.basis):
+            raise NotExact(f"lattice basis vector of length other than {n}")
+        self.coords = coordinate_support(self.basis)
+        if self.coords is not None:
+            self.pivots = tuple(sorted(i for i, _ in self.coords))
+            self.rref_basis = unit_rows(self.pivots, n)
+            return
         self.rref_basis, self.pivots = rref(self.basis)
         if len(self.rref_basis) != len(self.basis):
             raise NotExact("lattice basis is linearly dependent")
@@ -243,12 +268,18 @@ def zero_lattice(n):
     return Lattice(n, ())
 
 
+def _both_coordinate(*lattices):
+    return all(L.coords is not None for L in lattices)
+
+
 def lattice_sum(A, B):
+    if _both_coordinate(A, B):
+        return Lattice(A.n, unit_rows(sorted(set(A.pivots).union(B.pivots)), A.n))
     return Lattice(A.n, sum_space(A.rref_basis, B.rref_basis))
 
 
 def lattice_intersection(A, B):
-    return Lattice(A.n, intersection(A.rref_basis, B.rref_basis))
+    return Lattice(A.n, pair_data(A, B).I_rows)
 
 
 def _complement_rows(rows, pivots, excluded_pivots):
@@ -271,8 +302,12 @@ class PairData:
 
 
 def pair_data(A, B):
-    I_rows = intersection(A.rref_basis, B.rref_basis)
-    I_pivots = rref(I_rows)[1] if I_rows else ()
+    if _both_coordinate(A, B):
+        I_pivots = tuple(sorted(set(A.pivots).intersection(B.pivots)))
+        I_rows = unit_rows(I_pivots, A.n)
+    else:
+        I_rows = intersection(A.rref_basis, B.rref_basis)
+        I_pivots = rref(I_rows)[1] if I_rows else ()
     ipiv = set(I_pivots)
     canon_first = _complement_rows(A.rref_basis, A.pivots, ipiv)
     canon_second = _complement_rows(B.rref_basis, B.pivots, ipiv)
@@ -281,27 +316,46 @@ def pair_data(A, B):
 
 def quotient_det(modulus_rows, reps_from, reps_to):
     """det of the matrix expressing reps_from in the basis reps_to of the
-    quotient by span(modulus_rows)."""
+    quotient by span(modulus_rows).
+
+    When modulus_rows + reps_to are c_j * e_{i_j} with distinct i_j, the
+    coordinate of a vector v on reps_to[j] is v[i_j] / c_j, so no system
+    is solved; v must still vanish off the indices i_j."""
     reps_from = tuple(reps_from)
     reps_to = tuple(reps_to)
-    assert len(reps_from) == len(reps_to)
+    if len(reps_from) != len(reps_to):
+        raise NotExact("quotient_det needs as many representatives as basis vectors")
     if not reps_from:
         return Fraction(1)
-    coords = solve_coords(tuple(modulus_rows) + reps_to, reps_from)
     k = len(modulus_rows)
-    return det(tuple(row[k:] for row in coords))
+    basis = tuple(modulus_rows) + reps_to
+    coords = coordinate_support(basis)
+    if coords is None:
+        return det(tuple(row[k:] for row in solve_coords(basis, reps_from)))
+    span = {i for i, _ in coords}
+    if any(x and i not in span for v in reps_from for i, x in enumerate(v)):
+        raise NotExact("target vector outside span of basis")
+    return det(tuple(tuple(Fraction(v[i]) / c for i, c in coords[k:]) for v in reps_from))
 
 
 def _bottom_reps(L, I_rows):
     """Representatives of L/(span I) chosen greedily from L's own basis in
     its given order (window lattices list generators by ascending degree,
     so these have low support and survive multiplication operators): the
-    basis vectors whose columns are pivots of (I_rows + L.basis) as columns."""
+    basis vectors whose columns are pivots of (I_rows + L.basis) as columns.
+    For coordinate I_rows and basis these are the basis vectors whose index
+    I does not already take."""
     k = len(I_rows)
-    vectors = tuple(I_rows) + L.basis
-    _, pivots = rref(tuple(zip(*vectors)))
-    reps = tuple(vectors[c] for c in pivots if c >= k)
-    assert k + len(reps) == L.dim
+    I_coords = coordinate_support(I_rows)
+    if I_coords is not None and L.coords is not None:
+        taken = {i for i, _ in I_coords}
+        reps = tuple(v for v, (i, _) in zip(L.basis, L.coords) if i not in taken)
+    else:
+        vectors = tuple(I_rows) + L.basis
+        _, pivots = rref(tuple(zip(*vectors)))
+        reps = tuple(vectors[c] for c in pivots if c >= k)
+    if k + len(reps) != L.dim:
+        raise NotExact("the rows to quotient by do not lie in the lattice")
     return reps
 
 
@@ -332,11 +386,23 @@ def line_norm(line):
 
 
 def _quotient_norm(pd, bA, bB):
-    volA2 = gram_det([project_off(v, pd.I_rows) for v in bA]) if bA else Fraction(1)
-    volB2 = gram_det([project_off(v, pd.I_rows) for v in bB]) if bB else Fraction(1)
+    volA2 = _quotient_volume2(pd.I_rows, bA)
+    volB2 = _quotient_volume2(pd.I_rows, bB)
     if volA2 == 0 or volB2 == 0:
         raise DegeneratePosition("representatives do not span the quotients")
     return QSqrt.sqrt(volB2) / QSqrt.sqrt(volA2)
+
+
+def _quotient_volume2(I_rows, reps):
+    """Squared Gram volume of reps projected orthogonally off span(I_rows).
+    Coordinate rows c * e_i with indices distinct from I's are orthogonal to
+    I and to each other, so the volume is the product of the c^2."""
+    if not reps:
+        return Fraction(1)
+    coords = coordinate_support(tuple(I_rows) + tuple(reps))
+    if coords is None:
+        return gram_det([project_off(v, I_rows) for v in reps])
+    return math.prod((c * c for _, c in coords[len(I_rows):]), start=Fraction(1))
 
 
 @dataclass
@@ -403,8 +469,12 @@ def _contraction_scalar(A, B, C):
     pdAB = pair_data(A, B)
     pdBC = pair_data(B, C)
     pdAC = pair_data(A, C)
-    D_rows = intersection(pdAB.I_rows, C.rref_basis)
-    D_pivots = set(rref(D_rows)[1] if D_rows else ())
+    if _both_coordinate(A, B, C):
+        D_pivots = set(pdAB.I_pivots).intersection(C.pivots)
+        D_rows = unit_rows(sorted(D_pivots), C.n)
+    else:
+        D_rows = intersection(pdAB.I_rows, C.rref_basis)
+        D_pivots = set(rref(D_rows)[1] if D_rows else ())
     J_AB = _complement_rows(pdAB.I_rows, pdAB.I_pivots, D_pivots)
     J_BC = _complement_rows(pdBC.I_rows, pdBC.I_pivots, D_pivots)
     J_AC = _complement_rows(pdAC.I_rows, pdAC.I_pivots, D_pivots)
@@ -555,7 +625,8 @@ class LaurentMultOperator:
         return self._to_vec(self.f * self._to_laurent(v))
 
     def compose(self, other):
-        assert isinstance(other, LaurentMultOperator) and other.window == self.window
+        if not isinstance(other, LaurentMultOperator) or other.window != self.window:
+            raise NotExact("only multiplications on the same window compose")
         return LaurentMultOperator(self.f * other.f, self.window)
 
     def inverse(self):
@@ -575,20 +646,6 @@ class LaurentMultOperator:
         )
 
 
-def _monomial_tail_start(L):
-    """If L is span{t^a .. t^M} (a coordinate tail reaching the window top),
-    return the index of a; else None."""
-    n = L.n
-    d = L.dim
-    if L.pivots != tuple(range(n - d, n)):
-        return None
-    expected = tuple(
-        tuple(Fraction(1) if j == n - d + i else Fraction(0) for j in range(n))
-        for i in range(d)
-    )
-    return n - d if L.rref_basis == expected else None
-
-
 def apply_lattice(op, L):
     """Image lattice op(L) as a subspace.
 
@@ -598,26 +655,22 @@ def apply_lattice(op, L):
     induced maps on quotients, never in the subspace itself.  (Mapping the
     generators one by one and truncating would instead build a strictly
     smaller subspace whose phantom top quotient cancels the unit's
-    contribution to every pairing.)  Other lattices are mapped vector by
-    vector, with WindowTooSmall raised on any overflow."""
-    if isinstance(op, LaurentMultOperator):
-        start = _monomial_tail_start(L)
-        if start is not None:
-            m, M = op.window
-            shift = op.f.nu
-            new_start = start + shift
-            if new_start < 0:
-                raise WindowTooSmall(
-                    f"shifted tail t^{m + new_start} below window bottom {m}",
-                    minimal_window=(m + new_start, M),
-                )
-            n = L.n
-            basis = [
-                tuple(Fraction(1) if j == k else Fraction(0) for j in range(n))
-                for k in range(new_start, n)
-            ]
-            return Lattice(n, basis)
-    return Lattice(L.n, [op.apply(v) for v in L.basis])
+    contribution to every pairing.)  L is such a tail exactly when its
+    rref pivots, i.e. its coordinate indices, are range(n - dim, n).  Other
+    lattices are mapped vector by vector, with WindowTooSmall raised on any
+    overflow."""
+    n = L.n
+    start = n - L.dim
+    if isinstance(op, LaurentMultOperator) and L.pivots == tuple(range(start, n)):
+        m, M = op.window
+        new_start = start + op.f.nu
+        if new_start < 0:
+            raise WindowTooSmall(
+                f"shifted tail t^{m + new_start} below window bottom {m}",
+                minimal_window=(m + new_start, M),
+            )
+        return Lattice(n, unit_rows(range(new_start, n), n))
+    return Lattice(n, [op.apply(v) for v in L.basis])
 
 
 def pushforward(op, x):
@@ -663,7 +716,8 @@ class ArGLElement:
     elem: LineElement  # element of (A | op A)
 
     def __post_init__(self):
-        assert self.elem.A.same_span(self.A)
+        if not self.elem.A.same_span(self.A):
+            raise NotExact("the line element does not start at the reference lattice")
         if self.elem.coord.is_zero:
             raise ZeroDivisionError("group elements need nonzero line coordinates")
 
@@ -685,7 +739,8 @@ def argl_scalar(op_like, A, c):
 
 def group_mul(u, v):
     """(g, a)(g', a') = (gg', a o g(a')), metrized contraction."""
-    assert u.A.same_span(v.A)
+    if not u.A.same_span(v.A):
+        raise NotExact("group elements over different reference lattices")
     op = u.op.compose(v.op)
     pushed = pushforward(u.op, v.elem)  # in (gA | gg'A)
     elem = contract(u.elem, pushed, metrized=True)
@@ -708,8 +763,7 @@ def _commutator_chain(g, h, A, a_coord, b_coord):
     gb = pushforward(g, b)  # (gA | ghA)
     ha_inv = pushforward(h, a.inverse())  # (hgA | hA) = (ghA | hA)
     z = contract(contract(contract(a, gb, metrized=True), ha_inv, metrized=True),
-                 b.inverse(), metrized=True)
-    assert z.A.same_span(z.B)
+                 b.inverse(), metrized=True)  # in (A|A): its ends are a.A and b.A
     return z.coord
 
 
@@ -816,8 +870,8 @@ def gamma_sequence(seq, basis1=None, basis3=None, lifts=None):
 def prop_b_check(g, h, A, B, prec=128):
     """<g,h>_A <g,h>_B = <g,h>_{A cap B} <g,h>_{A+B} for commuting g, h.
 
-    Returns (lhs, rhs, passed) as floats at prec bits; the comparison
-    itself is done exactly on the QSqrt values.
+    Returns (lhs, rhs, passed): lhs and rhs as floats at prec bits for
+    printing, passed the exact comparison of the QSqrt values.
     """
     pA = commutator_pairing(g, h, A)
     pB = commutator_pairing(g, h, B)
@@ -825,11 +879,7 @@ def prop_b_check(g, h, A, B, prec=128):
     pS = commutator_pairing(g, h, lattice_sum(A, B))
     lhs = pA * pB
     rhs = pI * pS
-    with mp.workprec(prec):
-        lf = lhs.to_mpf(prec)
-        rf = rhs.to_mpf(prec)
-        passed = lhs == rhs or abs(lf - rf) <= 1e-9 * max(1, abs(lf))
-        return lf, rf, passed
+    return lhs.to_mpf(prec), rhs.to_mpf(prec), lhs == rhs
 
 
 # -- Laurent window model ---------------------------------------------------------

@@ -104,7 +104,7 @@ def factor_integer(n, budget=2_000_000):
             factors[p] = factors.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    rng = random.Random(0x5EED)
+    rng = None  # seeded on first use: most inputs never reach rho
     while stack:
         m = stack.pop()
         if m == 1:
@@ -112,6 +112,8 @@ def factor_integer(n, budget=2_000_000):
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
+        if rng is None:
+            rng = random.Random(0x5EED)
         d = None
         for _ in range(32):
             d = _brent_rho(m, rng, budget)

@@ -12,7 +12,7 @@ from .errors import NotExact
 
 
 def frac_vec(xs):
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def vadd(u, v):
@@ -48,11 +48,33 @@ def transpose(m):
     return tuple(zip(*m))
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def unit_rows(indices, n):
+    """The standard basis vectors e_i of Q^n for i in indices, as rows."""
+    return tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1) for i in indices)
+
+
 def identity_matrix(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    return unit_rows(range(n), n)
+
+
+def coordinate_support(rows):
+    """[(i, c), ...] in row order when every row is c * e_i with c != 0 and
+    the indices i are distinct (a rescaled subset of the standard basis,
+    so the rows are independent and span a coordinate subspace); None for
+    any other row set."""
+    out = []
+    seen = set()
+    for row in rows:
+        nonzero = [(i, x) for i, x in enumerate(row) if x]
+        if len(nonzero) != 1 or nonzero[0][0] in seen:
+            return None
+        seen.add(nonzero[0][0])
+        out.append(nonzero[0])
+    return out
 
 
 def rref(rows):

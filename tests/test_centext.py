@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from arithsurf import centext
 from arithsurf.centext import (
     ArGLElement,
     DenseOperator,
@@ -11,6 +12,7 @@ from arithsurf.centext import (
     Lattice,
     LineElement,
     MetrizedSpace,
+    PairData,
     QSqrt,
     apply_lattice,
     argl_identity,
@@ -32,6 +34,7 @@ from arithsurf.centext import (
     nu_arch_oracle,
     prop_b_check,
     pushforward,
+    quotient_det,
     standard_lattice,
     window_lattice,
     zero_lattice,
@@ -440,3 +443,164 @@ def test_prop_b_nested_tails():
     assert lattice_sum(A, B).same_span(A)
     lhs, rhs, ok = prop_b_check(g, h, A, B)
     assert ok
+
+
+def test_prop_b_gate_is_exact(monkeypatch):
+    # lhs and rhs 1e-12 apart in float would have passed the old 1e-9 fallback
+    w = (0, 8)
+    g = mult_operator(parse_laurent("t"), w)
+    h = mult_operator(parse_laurent("2"), w)
+    A = standard_lattice(w)
+    pairings = iter([QSqrt(Q(1)), QSqrt(Q(1)), QSqrt(Q(1)), QSqrt(1 + Q(1, 10**12))])
+    monkeypatch.setattr(centext, "commutator_pairing", lambda *args: next(pairings))
+    lhs, rhs, ok = prop_b_check(g, h, A, A)
+    assert not ok and abs(lhs - rhs) < 1e-9
+
+
+# -- coordinate subspaces against the general path -------------------------------
+
+
+def rand_laurent(rng, nu_range=(-2, 2)):
+    nu = rng.randint(*nu_range)
+    coeffs = {nu: Q(rng.choice([1, 2, 3, -2, 5]), rng.randint(1, 3))}
+    for _ in range(rng.randint(0, 2)):
+        coeffs[nu + rng.randint(1, 3)] = Q(rng.randint(-9, 9), rng.randint(1, 3))
+    return LaurentPoly(coeffs)
+
+
+def force_general_path(monkeypatch):
+    """Make every coordinate test report "not coordinate"."""
+    monkeypatch.setattr(centext, "coordinate_support", lambda rows: None)
+
+
+def test_coordinate_path_matches_general_path(monkeypatch):
+    rng = random.Random(20)
+    cases = []
+    for i in range(20):
+        f, g = rand_laurent(rng), rand_laurent(rng)
+        lo, hi = auto_window(f, g)
+        window = (lo, hi) if i % 2 else (lo - 1, hi + 2)
+        a = Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        b = Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        cases.append((f, g, window, a, b))
+
+    def pairings():
+        out = []
+        for f, g, window, a, b in cases:
+            p = commutator_pairing(mult_operator(f, window), mult_operator(g, window),
+                                   standard_lattice(window), a_coord=a, b_coord=b)
+            out.append((p.q, p.r))
+        return out
+
+    fast = pairings()
+    force_general_path(monkeypatch)
+    assert pairings() == fast
+
+
+def scaled_unit_rows(rng, indices, n):
+    scales = (Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(5, 3))
+    return tuple(tuple(rng.choice(scales) if j == i else Q(0) for j in range(n))
+                 for i in indices)
+
+
+def rand_combination(rng, rows, n):
+    out = [Q(0)] * n
+    for row in rows:
+        c = Q(rng.randint(-4, 4))
+        out = [x + c * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def test_coordinate_helpers_match_general_path(monkeypatch):
+    rng = random.Random(21)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        order = rng.sample(range(n), n)
+        k = rng.randint(0, n - 1)
+        q = rng.randint(1, n - k)
+        extra = rng.randint(0, n - k - q)
+        I_rows = scaled_unit_rows(rng, order[:k], n)
+        bA = scaled_unit_rows(rng, order[k:k + q], n)
+        bB = scaled_unit_rows(rng, order[k + q:k + q + extra], n)
+        reps_from = tuple(rand_combination(rng, I_rows + bA, n) for _ in range(q))
+        L_rows = list(I_rows + bA)
+        rng.shuffle(L_rows)
+        outside = reps_from[:-1] + (tuple(Q(1) for _ in range(n)),)
+        cases.append((n, I_rows, bA, bB, reps_from, L_rows, outside))
+
+    def results():
+        out = []
+        for n, I_rows, bA, bB, reps_from, L_rows, outside in cases:
+            pd = PairData(I_rows, (), bA, bB)
+            norm = centext._quotient_norm(pd, bA, bB)
+            bottom = centext._bottom_reps(Lattice(n, L_rows), I_rows)
+            refused = False
+            try:
+                quotient_det(I_rows, outside, bA)
+            except NotExact:
+                refused = True
+            out.append(((norm.q, norm.r), quotient_det(I_rows, reps_from, bA), bottom,
+                        refused))
+        return out
+
+    fast = results()
+    assert all(refused == (n > len(I_rows) + len(bA))
+               for (n, I_rows, bA, *_), (*_, refused) in zip(cases, fast))
+    force_general_path(monkeypatch)
+    assert results() == fast
+
+
+def test_oracle_takes_the_coordinate_path(monkeypatch):
+    def general_path(*args, **kwargs):
+        raise AssertionError("the window oracle left the coordinate path")
+
+    for name in ("gram_det", "project_off", "solve_coords"):
+        monkeypatch.setattr(centext, name, general_path)
+    rng = random.Random(22)
+    pairs = [(parse_laurent("t*(3+t)"), parse_laurent("5*t^2"), None),
+             (parse_laurent("2*t^-1 + 3 + t"), parse_laurent("1/3 + 2*t"), 10)]
+    pairs += [(rand_laurent(rng, (-3, 3)), rand_laurent(rng, (-3, 3)), None) for _ in range(3)]
+    with mp.workprec(128):
+        for f, g, window in pairs:
+            assert abs(nu_arch_oracle(f, g, window=window) - nu_arch_closed(f, g)) < 1e-9
+
+
+# -- typed errors in place of asserts --------------------------------------------
+
+
+def test_lattice_rejects_malformed_bases():
+    with pytest.raises(NotExact):
+        Lattice(3, [(1, 2)])
+    for dependent in ([e(0, 3), (Q(2), Q(0), Q(0))], [e(0, 3), (Q(0),) * 3]):
+        with pytest.raises(NotExact):
+            Lattice(3, dependent)
+
+
+def test_quotient_det_rejects_count_mismatch():
+    with pytest.raises(NotExact):
+        quotient_det((), [e(0, 2)], [])
+
+
+def test_bottom_reps_rejects_rows_outside_lattice():
+    with pytest.raises(NotExact):
+        centext._bottom_reps(Lattice(3, [e(0, 3)]), (e(1, 3),))
+    with pytest.raises(NotExact):
+        centext._bottom_reps(Lattice(3, [(Q(1), Q(1), Q(0))]), (e(2, 3),))
+
+
+def test_group_checks_reference_lattices():
+    n = 3
+    op = DenseOperator(tuple(e(i, n) for i in range(n)))
+    A = Lattice(n, [e(0, n)])
+    B = Lattice(n, [e(1, n)])
+    with pytest.raises(NotExact):
+        ArGLElement(op, A, LineElement(B, B, 1))
+    with pytest.raises(NotExact):
+        group_mul(argl_lift(op, A), argl_lift(op, B))
+
+
+def test_laurent_compose_needs_same_window():
+    f = parse_laurent("t")
+    with pytest.raises(NotExact):
+        mult_operator(f, (0, 6)).compose(mult_operator(f, (0, 7)))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithsurf import primes
 from arithsurf.primes import factor_integer, is_prime
 
 
@@ -43,3 +44,13 @@ def test_factor_sign_and_one():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor_integer(0)
+
+
+def test_factor_integer_seeds_rho_only_when_needed(monkeypatch):
+    def no_rng(*args):
+        raise AssertionError("factor_integer built a generator it did not use")
+
+    monkeypatch.setattr(primes.random, "Random", no_rng)
+    assert factor_integer(4) == (1, [(2, 2)])
+    assert factor_integer(2 * 10007) == (1, [(2, 1), (10007, 1)])
+    assert factor_integer(10**12 + 39) == (1, [(10**12 + 39, 1)])

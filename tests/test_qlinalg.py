@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from arithsurf.errors import NotExact
 from arithsurf.qlinalg import (
+    coordinate_support,
     det,
     frac_vec,
     gram_det,
@@ -18,6 +19,7 @@ from arithsurf.qlinalg import (
     rref,
     solve_coords,
     sum_space,
+    unit_rows,
     vsub,
 )
 
@@ -120,3 +122,12 @@ def test_project_off_is_orthogonal():
 def test_matvec_matches_manual():
     m = [frac_vec([1, 2]), frac_vec([3, 4])]
     assert matvec(m, frac_vec([5, 6])) == (Q(17), Q(39))
+
+
+def test_coordinate_support():
+    rows = frac_vec((0, 2, 0)), frac_vec((Q(-1, 2), 0, 0))
+    assert coordinate_support(rows) == [(1, 2), (0, Q(-1, 2))]
+    assert coordinate_support(()) == []
+    assert coordinate_support(unit_rows((2, 0), 3)) == [(2, 1), (0, 1)]
+    for bad in ([(0, 0, 0)], [(1, 1, 0)], [(0, 1, 0), (0, 3, 0)]):
+        assert coordinate_support([frac_vec(r) for r in bad]) is None
