@@ -56,7 +56,8 @@ class EvaluationAtZero(ArithsurfError):
 
 
 class NotExact(ArithsurfError):
-    """Data that must be exact (sequence not exact, map not volume-compatible)."""
+    """Data that must be exact (sequence not exact, map not volume-compatible),
+    or an exact identity that a computation must keep (a Hensel lift)."""
 
 
 class DegeneratePosition(ArithsurfError):

@@ -362,11 +362,20 @@ def rational_roots(h):
         h = IntPoly(h.coeffs[k:])
     if h.degree == 0:
         return roots
-    for p in _divisors(h.coeffs[0]):
-        for q in _divisors(h.lc):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and h.evaluate(cand) == 0:
-                    roots.append(cand)
+    d = h.degree
+    tops = _divisors(h.coeffs[0])
+    for q in _divisors(h.lc):
+        # s/q is a root iff q^d h(s/q) = sum c_i s^i q^(d-i) vanishes.
+        terms = [c * q ** (d - i) for i, c in enumerate(h.coeffs)][::-1]
+        for s in tops:
+            if math.gcd(s, q) > 1:
+                continue
+            for x in (s, -s):
+                acc = 0
+                for t in terms:
+                    acc = acc * x + t
+                if acc == 0:
+                    roots.append(Fraction(x, q))
     return sorted(roots)
 
 

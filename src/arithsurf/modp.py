@@ -4,12 +4,17 @@ Coefficients live in [0, p) low-to-high with no trailing zeros.  The
 factorization pipeline is squarefree decomposition (char-p aware),
 distinct-degree splitting, then seeded Cantor-Zassenhaus equal-degree
 splitting (trace construction for p = 2).
+
+Division, `pow_mod` and `gcd_modp` run on plain coefficient lists (`_mul`,
+`_rem`), which reduce each coefficient once at the end of a product or
+division rather than at every elimination step, and build a single
+ModPPoly for the result.
 """
 
 import random
 from itertools import zip_longest
 
-from .errors import ZeroPolynomial
+from .errors import NotExact, ZeroPolynomial
 from .intpoly import IntPoly
 from .primes import factor_integer
 
@@ -30,6 +35,16 @@ class ModPPoly:
             cs.pop()
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _reduced(cls, p, cs):
+        """Build from a list cs already in [0, p), trimming trailing zeros."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", tuple(cs))
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("ModPPoly is immutable")
@@ -93,14 +108,7 @@ class ModPPoly:
         if isinstance(other, int):
             return ModPPoly(self.p, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return ModPPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ModPPoly(self.p, out)
+        return ModPPoly(self.p, _mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -110,25 +118,23 @@ class ModPPoly:
         inv = pow(self.lc, -1, self.p)
         return self * inv
 
-    def __divmod__(self, other):
+    def _divisor(self, other):
+        """Checked (coefficients, inverse of the leading one) of a divisor."""
         if other.is_zero:
             raise ZeroPolynomial("division by zero polynomial")
         self._check(other)
+        return other.coeffs, pow(other.coeffs[-1], -1, self.p)
+
+    def __divmod__(self, other):
+        mod, inv = self._divisor(other)
         p = self.p
-        rem = list(self.coeffs)
-        d = other.degree
-        inv = pow(other.lc, -1, p)
-        quo = [0] * max(0, len(rem) - d)
-        for k in range(len(rem) - d - 1, -1, -1):
-            q = rem[k + d] * inv % p
-            if q:
-                quo[k] = q
-                for i, bc in enumerate(other.coeffs):
-                    rem[k + i] = (rem[k + i] - q * bc) % p
-        return ModPPoly(p, quo), ModPPoly(p, rem[:d])
+        quo = [0] * max(0, len(self.coeffs) - len(mod) + 1)
+        rem = _rem(list(self.coeffs), mod, inv, p, quo)
+        return ModPPoly._reduced(p, quo), ModPPoly._reduced(p, rem)
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        mod, inv = self._divisor(other)
+        return ModPPoly._reduced(self.p, _rem(list(self.coeffs), mod, inv, self.p))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -155,29 +161,74 @@ def one_poly(p):
 
 
 def gcd_modp(a, b):
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a._check(b)
+    p = a.p
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        x, y = y, _rem(x, y, pow(y[-1], -1, p), p)
+    return ModPPoly._reduced(p, x).monic()
+
+
+def _rem(rem, mod, inv, m, quo=None):
+    """The list rem reduced modulo the coefficient tuple mod, in place.
+
+    inv is the inverse mod m of mod's leading coefficient.  Entries of rem
+    may lie outside [0, m); the result is reduced and trimmed.  A list quo
+    of the quotient's length receives the quotient.
+    """
+    d = len(mod) - 1
+    for k in range(len(rem) - d - 1, -1, -1):
+        q = rem[k + d] * inv % m
+        if q:
+            if quo is not None:
+                quo[k] = q
+            for i in range(d):
+                rem[k + i] -= q * mod[i]
+    del rem[d:]
+    rem = [c % m for c in rem]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _mul(a, b):
+    """Product of two coefficient sequences, as an unreduced list."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _mulmod(a, b, mod, inv, m):
+    """a*b modulo mod, on coefficient sequences mod m (see _rem)."""
+    return _rem(_mul(a, b), mod, inv, m)
 
 
 def pow_mod(base, e, mod):
     """base^e modulo mod, by square and multiply."""
-    result = one_poly(base.p)
-    base = base % mod
+    mc, inv = base._divisor(mod)
+    m = base.p
+    result, b = [1], _rem(list(base.coeffs), mc, inv, m)
     while e:
         if e & 1:
-            result = result * base % mod
-        base = base * base % mod
+            result = _mulmod(result, b, mc, inv, m)
         e >>= 1
-    return result
+        if e:
+            b = _mulmod(b, b, mc, inv, m)
+    return ModPPoly._reduced(m, result)
 
 
 def _pth_root(f):
     """For f with f' = 0 (so f = g(t^p)), return g; over F_p coefficients
     are their own p-th roots."""
     p = f.p
-    assert all(c == 0 for i, c in enumerate(f.coeffs) if i % p)
-    return ModPPoly(p, f.coeffs[::p])
+    if any(c for i, c in enumerate(f.coeffs) if i % p):
+        raise NotExact(f"{f} is not a polynomial in t^{p}")
+    return ModPPoly._reduced(p, list(f.coeffs[::p]))
 
 
 def squarefree_decomposition(f):

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import (
     InsufficientPrecision,
+    NotExact,
     UnsupportedFactorization,
     ZeroPolynomial,
 )
@@ -109,7 +110,8 @@ def hensel_lift_pair(f, g, h, a, b, p, target_N):
         # delta_g = (b*e) mod g ; delta_h = a*e + (b*e div g)*h
         q, r = divmod(b * e, g)
         g, h = g + r, h + (a * e + q * h)
-        assert g * h == fk
+        if g * h != fk:
+            raise NotExact(f"Hensel lift lost f = g*h mod {p}^{k}")
         if k == target_N:
             break  # the Bezout pair is not needed past the last step
         # refresh Bezout: (a, b) <- (a, b) * (1 + r) with r = 1 - a g - b h,
@@ -118,7 +120,8 @@ def hensel_lift_pair(f, g, h, a, b, p, target_N):
         one_plus = one + (one - (a * g + b * h))
         qa, a = divmod(a * one_plus, h)
         b = b * one_plus + qa * g
-        assert a * g + b * h == one
+        if a * g + b * h != one:
+            raise NotExact(f"Bezout refresh lost a*g + b*h = 1 mod {p}^{k}")
     return g, h
 
 
@@ -133,7 +136,8 @@ def _bezout_modp(g, h):
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    assert r0.degree == 0, "factors not coprime"
+    if r0.degree != 0:
+        raise NotExact(f"factors not coprime mod {p}")
     inv = pow(r0.lc, -1, p)
     return s0 * inv, t0 * inv
 

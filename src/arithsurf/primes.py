@@ -1,8 +1,10 @@
 """Integer primality and factorization at desk scale.
 
-Trial division up to a fixed bound, then Brent's variant of Pollard rho
-with a step budget.  Primality: deterministic Miller-Rabin below 2^64
-(known witness set), 64 pseudorandom rounds above.
+Division by the primes below SMALL_PRIME_BOUND; a cofactor below its square
+is then prime.  Any larger cofactor is tested with Miller-Rabin and, when
+composite, split by Brent's variant of Pollard rho (Brent 1980) with a
+step budget.  Primality: deterministic Miller-Rabin below 2^64 (known
+witness set), 64 pseudorandom rounds above.
 """
 
 import math
@@ -10,7 +12,10 @@ import random
 
 from .errors import FactorizationTimeout
 
-TRIAL_BOUND = 10**6
+SMALL_PRIME_BOUND = 1000
+_SMALL_PRIMES = tuple(
+    p for p in range(2, SMALL_PRIME_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 # Witnesses making Miller-Rabin deterministic for n < 2^64 (Sinclair set).
 _MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -97,12 +102,17 @@ def factor_integer(n, budget=2_000_000):
     sign = -1 if n < 0 else 1
     n = abs(n)
     factors = {}
-    for p in range(2, TRIAL_BOUND + 1):
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+    if 1 < n < SMALL_PRIME_BOUND**2:
+        # No prime below SMALL_PRIME_BOUND divides n, so n has no factor
+        # up to its square root.
+        factors[n] = 1
+        n = 1
     stack = [n] if n > 1 else []
     rng = None  # seeded on first use: most inputs never reach rho
     while stack:

@@ -24,6 +24,11 @@ CASES = {
                         "--g", "1*(t^2+2)^1"],
     "verify_horizontal": ["verify", "horizontal", "--curve", "H:t", "--f", "1*(t)^1",
                           "--g", "2"],
+    # Res(h, g) = 1093 * 1566121636913: a prime above 10^12 and one that
+    # small-prime division leaves to rho.
+    "verify_horizontal_tall": ["verify", "horizontal", "--curve", "H:t^3-2",
+                               "--f", "1*(t^3-2)^1",
+                               "--g", "1*(15100*t^3-83400*t^2-65476*t-67493)^1"],
     "selftest": ["selftest", "--seed", "42", "--cases", "2"],
 }
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,38 @@ def test_squarefree_part():
 def test_rational_roots():
     h = parse_intpoly("2*t-1") * parse_intpoly("t+3") * parse_intpoly("t^2+1")
     assert set(rational_roots(h)) == {Fraction(1, 2), Fraction(-3)}
+
+
+def _fraction_rational_roots(h):
+    """Every candidate +-s/q built as a Fraction and evaluated."""
+    roots = []
+    k = 0
+    while h[k] == 0:
+        k += 1
+    if k > 0:
+        roots.append(Fraction(0))
+        h = IntPoly(h.coeffs[k:])
+    if h.degree == 0:
+        return roots
+    tops = [s for s in range(1, abs(h[0]) + 1) if h[0] % s == 0]
+    bottoms = [q for q in range(1, abs(h.lc) + 1) if h.lc % q == 0]
+    for s in tops:
+        for q in bottoms:
+            for cand in (Fraction(s, q), Fraction(-s, q)):
+                if cand not in roots and h.evaluate(cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def test_rational_roots_match_fraction_evaluation():
+    rng = random.Random(11)
+    for _ in range(200):
+        h = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 6)])
+        for _ in range(rng.randint(0, 3)):  # planted roots s/q, some repeated
+            h = h * IntPoly([-rng.randint(-8, 8), rng.randint(1, 8)])
+        if h.is_zero:
+            continue
+        assert rational_roots(h) == _fraction_rational_roots(h), h
 
 
 def test_spot_check_irreducible():

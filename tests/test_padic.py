@@ -1,11 +1,16 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from arithsurf.errors import ZeroPolynomial
+from arithsurf.errors import NotExact, ZeroPolynomial
 from arithsurf.intpoly import parse_intpoly
+from arithsurf.modp import ModPPoly
 from arithsurf.padic import (
+    _bezout_modp,
     dedekind_p_maximal,
+    hensel_lift_pair,
     newton_slopes,
     padic_factor,
     padic_square_class,
@@ -103,3 +108,49 @@ def test_non_maximal_quadratic_still_resolved():
     non-square unit), giving the inert extension (e,f) = (1,2)."""
     fac = padic_factor(parse_intpoly("t^2-5"), 2)
     assert [(fct.e, fct.f) for fct in fac.factors] == [(1, 2)]
+
+
+# -- answer guards of the Hensel lift, typed so that python -O keeps them ------
+
+T, T1 = ModPPoly(3, [0, 1]), ModPPoly(3, [1, 1])  # t and t+1 over F_3
+
+
+def test_hensel_lift_refuses_a_wrong_factorization():
+    # t^2+1 is not t*(t+1) mod 3, so no lift can keep f = g*h
+    with pytest.raises(NotExact, match="f = g\\*h"):
+        hensel_lift_pair(parse_intpoly("t^2+1"), T, T1, ModPPoly(3, [2]), ModPPoly(3, [1]), 3, 4)
+
+
+def test_hensel_lift_refuses_a_wrong_bezout_pair():
+    # f = g*h holds exactly, but a = b = 0 is no Bezout pair
+    with pytest.raises(NotExact, match="Bezout"):
+        hensel_lift_pair(parse_intpoly("t^2+t"), T, T1, ModPPoly(3), ModPPoly(3), 3, 4)
+
+
+def test_bezout_refuses_common_factors():
+    a, b = _bezout_modp(T, T1)
+    assert a * T + b * T1 == ModPPoly(3, [1])
+    with pytest.raises(NotExact, match="not coprime"):
+        _bezout_modp(T1 * T, T1)
+
+
+def test_hensel_guards_survive_python_O():
+    script = (
+        "from arithsurf.errors import NotExact\n"
+        "from arithsurf.intpoly import parse_intpoly as P\n"
+        "from arithsurf.modp import ModPPoly as M, _pth_root\n"
+        "from arithsurf.padic import _bezout_modp, hensel_lift_pair as lift\n"
+        "t, t1, z = M(3, [0, 1]), M(3, [1, 1]), M(3)\n"
+        "calls = [lambda: lift(P('t^2+1'), t, t1, M(3, [2]), M(3, [1]), 3, 4),\n"
+        "         lambda: lift(P('t^2+t'), t, t1, z, z, 3, 4),\n"
+        "         lambda: _bezout_modp(t, t), lambda: _pth_root(t1)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except NotExact:\n"
+        "        continue\n"
+        "    raise SystemExit('unguarded')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

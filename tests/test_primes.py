@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,3 +56,38 @@ def test_factor_integer_seeds_rho_only_when_needed(monkeypatch):
     assert factor_integer(4) == (1, [(2, 2)])
     assert factor_integer(2 * 10007) == (1, [(2, 1), (10007, 1)])
     assert factor_integer(10**12 + 39) == (1, [(10**12 + 39, 1)])
+
+
+# -- differential against sympy.factorint (test-only dependency) ------------
+
+def _reference(n):
+    sympy = pytest.importorskip("sympy")
+    return 1, sorted(sympy.factorint(n).items())
+
+
+def test_factor_integer_matches_sympy_on_random_inputs():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.randrange(2, 10**22)
+        assert factor_integer(n) == _reference(n), n
+
+
+def test_factor_integer_matches_sympy_on_mid_size_factors():
+    # one factor between the small-prime bound and 10^6, which only rho finds
+    rng = random.Random(7)
+    mids = [q for q in (rng.randrange(10**3, 10**6) for _ in range(400)) if is_prime(q)]
+    for q in mids[:25]:
+        r = rng.randrange(2, 10**12)
+        assert factor_integer(q * r) == _reference(q * r), (q, r)
+
+
+@pytest.mark.parametrize("n", [
+    999983**2,
+    2 * 999983**3,
+    65537**4,
+    1009 * 1013 * 999983,
+    *(2**64 + k for k in range(-6, 7)),
+])
+def test_factor_integer_matches_sympy_on_fixed_inputs(n):
+    assert factor_integer(n) == _reference(n)
+    assert factor_integer(-n) == (-1, _reference(n)[1])
