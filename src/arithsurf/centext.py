@@ -19,17 +19,33 @@ contraction; the commutator pairing of commuting g, h is the scalar of
 the four-term chain a o g(b) o h(a^-1) o b^-1 in (A|A) = R.
 
 Coordinate subspaces take a shortcut chosen from the input alone: a row set
-whose rows are c * e_i with distinct indices i (qlinalg.coordinate_support)
-spans the coordinate subspace on those indices.  For such rows
-intersections and sums are intersections and unions of index sets, the
-rref basis is the unit vectors at the sorted indices, a vector's
-coordinate on c * e_i is its i-th entry over c, and rows on indices outside
-span(I) are already orthogonal to it, so a Gram volume is the product of
-the c^2.  Each of these is the value the general elimination returns, as a
-Fraction, so every QSqrt downstream is the same.  The window oracle only
-ever builds such lattices (tails span{t^a .. t^M}); multiplication images
-of quotient representatives stay dense and still go through det.  Any
-other input takes the general Gaussian-elimination path.
+whose rows are c * e_i with distinct indices i spans the coordinate
+subspace on those indices.  For such rows intersections and sums are
+intersections and unions of index sets, the rref basis is the unit vectors
+at the sorted indices, a vector's coordinate on c * e_i is its i-th entry
+over c, and rows on indices outside span(I) are already orthogonal to it,
+so a Gram volume is the product of the c^2 (exactly 1 for the canonical
+quotient bases of a coordinate pair).  Each of these is the value the
+general elimination returns, as a Fraction, so every QSqrt downstream is
+the same.  Every shortcut is gated by the one test _indexed; any other
+input takes the general Gaussian-elimination path.
+
+Index sets are carried rather than rediscovered.  Lattice.on_indices builds
+a coordinate lattice from its indices: the reference lattice
+span{t^0 .. t^M} of standard_lattice, the shifted tails of apply_lattice,
+and coordinate sums and intersections.  pair_data of two coordinate
+lattices records the indices of the intersection and of both canonical
+quotient bases, and pushforward, line_element, _bottom_reps, the
+contraction scalar and gamma take them from there.  Only rows of unknown
+shape are scanned (qlinalg.coordinate_support): bases given to
+Lattice(n, rows), images of non-tail lattices under an operator, and rows
+handed to quotient_det, _bottom_reps or the Gram volume without their
+indices (user-chosen representatives, the beta map).  quotient_det still
+checks that reps_from vanish off the known indices, since in pushforward
+they are dense images under the operator.  The window oracle only ever
+builds tails span{t^a .. t^M}, so it runs no elimination and scans no row;
+what it still pays for is det on the images of the quotient
+representatives.
 """
 
 import math
@@ -223,13 +239,31 @@ def _as_qsqrt(x):
 # -- lattices ------------------------------------------------------------------
 
 
+_UNIT = Fraction(1)
+
+
+def _indexed(*coords):
+    """Are all these (index, scale) lists known, i.e. are the row sets they
+    describe coordinate?  Every index-set shortcut of this module is taken
+    through this one test, so a false one runs the general elimination path
+    on the same input."""
+    return all(c is not None for c in coords)
+
+
+def _unit_coords(indices):
+    """The (index, scale) list of the unit rows e_i, i in indices."""
+    return tuple((i, _UNIT) for i in indices)
+
+
 class Lattice:
     """Subspace of Q^n with a chosen (ordered, independent) basis.
 
-    coords is coordinate_support(basis): the (index, scale) of each basis
-    vector when the basis is a rescaled subset of the standard basis, else
-    None.  Such a lattice is its index set: rref_basis is the unit vectors
-    at the sorted indices, with no elimination run."""
+    coords is the (index, scale) of each basis vector when the basis is a
+    rescaled subset of the standard basis, else None.  Such a lattice is its
+    index set: rref_basis is the unit vectors at the sorted indices, with no
+    elimination run.  A basis given as rows is scanned for that shape
+    (coordinate_support); Lattice.on_indices builds the lattice from its
+    indices and scans nothing."""
 
     __slots__ = ("n", "basis", "rref_basis", "pivots", "coords")
 
@@ -239,13 +273,27 @@ class Lattice:
         if any(len(v) != n for v in self.basis):
             raise NotExact(f"lattice basis vector of length other than {n}")
         self.coords = coordinate_support(self.basis)
-        if self.coords is not None:
+        if _indexed(self.coords):
             self.pivots = tuple(sorted(i for i, _ in self.coords))
             self.rref_basis = unit_rows(self.pivots, n)
             return
+        self.coords = None
         self.rref_basis, self.pivots = rref(self.basis)
         if len(self.rref_basis) != len(self.basis):
             raise NotExact("lattice basis is linearly dependent")
+
+    @classmethod
+    def on_indices(cls, n, indices):
+        """span{e_i : i in indices} with basis the unit rows in the given
+        order, which must be ascending and free of repeats."""
+        indices = tuple(indices)
+        coords = _unit_coords(indices)
+        if not _indexed(coords):
+            return cls(n, unit_rows(indices, n))
+        L = cls.__new__(cls)
+        L.n, L.coords, L.pivots = n, coords, indices
+        L.basis = L.rref_basis = unit_rows(L.pivots, n)
+        return L
 
     @property
     def dim(self):
@@ -268,59 +316,80 @@ def zero_lattice(n):
     return Lattice(n, ())
 
 
-def _both_coordinate(*lattices):
-    return all(L.coords is not None for L in lattices)
-
-
 def lattice_sum(A, B):
-    if _both_coordinate(A, B):
-        return Lattice(A.n, unit_rows(sorted(set(A.pivots).union(B.pivots)), A.n))
+    if _indexed(A.coords, B.coords):
+        return Lattice.on_indices(A.n, sorted(set(A.pivots).union(B.pivots)))
     return Lattice(A.n, sum_space(A.rref_basis, B.rref_basis))
 
 
 def lattice_intersection(A, B):
-    return Lattice(A.n, pair_data(A, B).I_rows)
+    pd = pair_data(A, B)
+    if pd.coordinate:
+        return Lattice.on_indices(A.n, pd.I_pivots)
+    return Lattice(A.n, pd.I_rows)
 
 
-def _complement_rows(rows, pivots, excluded_pivots):
-    out = []
-    for row, piv in zip(rows, pivots):
-        if piv not in excluded_pivots:
-            out.append(row)
-    return tuple(out)
+def _complement(rows, pivots, excluded_pivots):
+    """The rows whose pivot is not excluded, and their pivots."""
+    kept = [(row, piv) for row, piv in zip(rows, pivots) if piv not in excluded_pivots]
+    return tuple(row for row, _ in kept), tuple(piv for _, piv in kept)
 
 
 @dataclass
 class PairData:
     """Intersection and canonical quotient bases for an ordered pair;
-    canon_first spans first/(first cap second) etc., both made of rref rows."""
+    canon_first spans first/(first cap second) etc., both made of rref rows
+    with pivots first_pivots and second_pivots.  coordinate records that
+    both lattices are coordinate: every row here is then the unit row at its
+    pivot, and I_coords, first_coords and second_coords give the coordinate
+    support of I_rows, I_rows + canon_first and I_rows + canon_second
+    without a scan (None otherwise)."""
 
     I_rows: tuple
     I_pivots: tuple
     canon_first: tuple
     canon_second: tuple
+    first_pivots: tuple = ()
+    second_pivots: tuple = ()
+    coordinate: bool = False
+
+    @property
+    def I_coords(self):
+        return _unit_coords(self.I_pivots) if self.coordinate else None
+
+    @property
+    def first_coords(self):
+        return _unit_coords(self.I_pivots + self.first_pivots) if self.coordinate else None
+
+    @property
+    def second_coords(self):
+        return _unit_coords(self.I_pivots + self.second_pivots) if self.coordinate else None
 
 
 def pair_data(A, B):
-    if _both_coordinate(A, B):
+    coordinate = _indexed(A.coords, B.coords)
+    if coordinate:
         I_pivots = tuple(sorted(set(A.pivots).intersection(B.pivots)))
         I_rows = unit_rows(I_pivots, A.n)
     else:
         I_rows = intersection(A.rref_basis, B.rref_basis)
         I_pivots = rref(I_rows)[1] if I_rows else ()
     ipiv = set(I_pivots)
-    canon_first = _complement_rows(A.rref_basis, A.pivots, ipiv)
-    canon_second = _complement_rows(B.rref_basis, B.pivots, ipiv)
-    return PairData(I_rows, I_pivots, canon_first, canon_second)
+    canon_first, first_pivots = _complement(A.rref_basis, A.pivots, ipiv)
+    canon_second, second_pivots = _complement(B.rref_basis, B.pivots, ipiv)
+    return PairData(I_rows, I_pivots, canon_first, canon_second,
+                    first_pivots, second_pivots, coordinate)
 
 
-def quotient_det(modulus_rows, reps_from, reps_to):
+def quotient_det(modulus_rows, reps_from, reps_to, coords=None):
     """det of the matrix expressing reps_from in the basis reps_to of the
     quotient by span(modulus_rows).
 
     When modulus_rows + reps_to are c_j * e_{i_j} with distinct i_j, the
     coordinate of a vector v on reps_to[j] is v[i_j] / c_j, so no system
-    is solved; v must still vanish off the indices i_j."""
+    is solved; v must still vanish off the indices i_j.  coords is that list
+    of (i_j, c_j) when the caller knows it; without it the rows are
+    scanned."""
     reps_from = tuple(reps_from)
     reps_to = tuple(reps_to)
     if len(reps_from) != len(reps_to):
@@ -328,9 +397,10 @@ def quotient_det(modulus_rows, reps_from, reps_to):
     if not reps_from:
         return Fraction(1)
     k = len(modulus_rows)
-    basis = tuple(modulus_rows) + reps_to
-    coords = coordinate_support(basis)
     if coords is None:
+        coords = coordinate_support(tuple(modulus_rows) + reps_to)
+    if not _indexed(coords):
+        basis = tuple(modulus_rows) + reps_to
         return det(tuple(row[k:] for row in solve_coords(basis, reps_from)))
     span = {i for i, _ in coords}
     if any(x and i not in span for v in reps_from for i, x in enumerate(v)):
@@ -338,16 +408,18 @@ def quotient_det(modulus_rows, reps_from, reps_to):
     return det(tuple(tuple(Fraction(v[i]) / c for i, c in coords[k:]) for v in reps_from))
 
 
-def _bottom_reps(L, I_rows):
+def _bottom_reps(L, I_rows, I_coords=None):
     """Representatives of L/(span I) chosen greedily from L's own basis in
     its given order (window lattices list generators by ascending degree,
     so these have low support and survive multiplication operators): the
     basis vectors whose columns are pivots of (I_rows + L.basis) as columns.
     For coordinate I_rows and basis these are the basis vectors whose index
-    I does not already take."""
+    I does not already take.  I_coords is the coordinate support of I_rows
+    when the caller knows it; without it the rows are scanned."""
     k = len(I_rows)
-    I_coords = coordinate_support(I_rows)
-    if I_coords is not None and L.coords is not None:
+    if I_coords is None:
+        I_coords = coordinate_support(I_rows)
+    if _indexed(I_coords, L.coords):
         taken = {i for i, _ in I_coords}
         reps = tuple(v for v, (i, _) in zip(L.basis, L.coords) if i not in taken)
     else:
@@ -382,7 +454,17 @@ def line_norm(line):
     """Norm of the wedge-basis element of (A|B): Gram volume of the B-side
     representatives over Gram volume of the A-side representatives, both
     projected orthogonally off A cap B."""
+    if line.basisA is None and line.basisB is None:
+        return _canonical_norm(pair_data(line.A, line.B))
     return _quotient_norm(*line.resolved())
+
+
+def _canonical_norm(pd):
+    """Norm of the unit of (A|B).  For a coordinate pair the canonical
+    quotient bases are unit rows on indices outside I, so it is exactly 1."""
+    if pd.coordinate:
+        return ONE
+    return _quotient_norm(pd, pd.canon_first, pd.canon_second)
 
 
 def _quotient_norm(pd, bA, bB):
@@ -400,7 +482,7 @@ def _quotient_volume2(I_rows, reps):
     if not reps:
         return Fraction(1)
     coords = coordinate_support(tuple(I_rows) + tuple(reps))
-    if coords is None:
+    if not _indexed(coords):
         return gram_det([project_off(v, I_rows) for v in reps])
     return math.prod((c * c for _, c in coords[len(I_rows):]), start=Fraction(1))
 
@@ -438,8 +520,8 @@ def line_element(A, B, coord=1, repsA=None, repsB=None):
     pd = pair_data(A, B)
     repsA = tuple(frac_vec(v) for v in repsA) if repsA is not None else pd.canon_first
     repsB = tuple(frac_vec(v) for v in repsB) if repsB is not None else pd.canon_second
-    dA = quotient_det(pd.I_rows, repsA, pd.canon_first)
-    dB = quotient_det(pd.I_rows, repsB, pd.canon_second)
+    dA = quotient_det(pd.I_rows, repsA, pd.canon_first, pd.first_coords)
+    dB = quotient_det(pd.I_rows, repsB, pd.canon_second, pd.second_coords)
     if dA == 0 or dB == 0:
         raise DegeneratePosition("representatives do not span the quotients")
     # wedge(repsA)^* = (1/dA) wedge(canonA)^*, wedge(repsB) = dB wedge(canonB)
@@ -469,19 +551,29 @@ def _contraction_scalar(A, B, C):
     pdAB = pair_data(A, B)
     pdBC = pair_data(B, C)
     pdAC = pair_data(A, C)
-    if _both_coordinate(A, B, C):
-        D_pivots = set(pdAB.I_pivots).intersection(C.pivots)
-        D_rows = unit_rows(sorted(D_pivots), C.n)
+    coordinate = pdAB.coordinate and pdBC.coordinate
+    if coordinate:
+        D_pivots = tuple(sorted(set(pdAB.I_pivots).intersection(C.pivots)))
+        D_rows = unit_rows(D_pivots, C.n)
     else:
         D_rows = intersection(pdAB.I_rows, C.rref_basis)
-        D_pivots = set(rref(D_rows)[1] if D_rows else ())
-    J_AB = _complement_rows(pdAB.I_rows, pdAB.I_pivots, D_pivots)
-    J_BC = _complement_rows(pdBC.I_rows, pdBC.I_pivots, D_pivots)
-    J_AC = _complement_rows(pdAC.I_rows, pdAC.I_pivots, D_pivots)
+        D_pivots = rref(D_rows)[1] if D_rows else ()
+    D_set = set(D_pivots)
+    J_AB, _ = _complement(pdAB.I_rows, pdAB.I_pivots, D_set)
+    J_BC, jBC = _complement(pdBC.I_rows, pdBC.I_pivots, D_set)
+    J_AC, jAC = _complement(pdAC.I_rows, pdAC.I_pivots, D_set)
+
+    def det_over_D(reps_from, reps_to, to_pivots):
+        coords = _unit_coords(D_pivots + to_pivots) if coordinate else None
+        return quotient_det(D_rows, reps_from, reps_to, coords)
+
     # pair x's B-side wedge against y's dual B-side wedge, all relative to D
-    s = quotient_det(D_rows, pdAB.canon_second + J_AB, pdBC.canon_first + J_BC)
-    dA = quotient_det(D_rows, pdAB.canon_first + J_AB, pdAC.canon_first + J_AC)
-    dC = quotient_det(D_rows, pdBC.canon_second + J_BC, pdAC.canon_second + J_AC)
+    s = det_over_D(pdAB.canon_second + J_AB, pdBC.canon_first + J_BC,
+                   pdBC.first_pivots + jBC)
+    dA = det_over_D(pdAB.canon_first + J_AB, pdAC.canon_first + J_AC,
+                    pdAC.first_pivots + jAC)
+    dC = det_over_D(pdBC.canon_second + J_BC, pdAC.canon_second + J_AC,
+                    pdAC.second_pivots + jAC)
     return (pdAB, pdBC, pdAC), Fraction(s) * dC / dA
 
 
@@ -489,7 +581,7 @@ def _gamma(pds, k):
     """|unit of (A|B)| |unit of (B|C)| / (|k| |unit of (A|C)|)."""
     if k == 0:
         raise DegeneratePosition("algebraic contraction of unit elements vanished")
-    norms = [_quotient_norm(pd, pd.canon_first, pd.canon_second) for pd in pds]
+    norms = [_canonical_norm(pd) for pd in pds]
     return norms[0] * norms[1] / (abs(QSqrt(k)) * norms[2])
 
 
@@ -538,8 +630,8 @@ def beta_map(x, y, metrized=True):
         # X-family only, relative to D_X = X cap Xp.
         Dr = IX.rref_basis
         Dp = set(IX.pivots)
-        uX = _complement_rows(X.rref_basis, X.pivots, Dp)
-        uXp = _complement_rows(Xp.rref_basis, Xp.pivots, Dp)
+        uX, _ = _complement(X.rref_basis, X.pivots, Dp)
+        uXp, _ = _complement(Xp.rref_basis, Xp.pivots, Dp)
         # wedge(rref X) = aX wedge(K ++ uX) with K = rref basis of IX
         aX = quotient_det((), X.rref_basis, Dr + uX)
         aXp = quotient_det((), Xp.rref_basis, Dr + uXp)
@@ -669,7 +761,7 @@ def apply_lattice(op, L):
                 f"shifted tail t^{m + new_start} below window bottom {m}",
                 minimal_window=(m + new_start, M),
             )
-        return Lattice(n, unit_rows(range(new_start, n), n))
+        return Lattice.on_indices(n, range(new_start, n))
     return Lattice(n, [op.apply(v) for v in L.basis])
 
 
@@ -683,10 +775,10 @@ def pushforward(op, x):
     """
     A, B = x.A, x.B
     pd = pair_data(A, B)
-    botA = _bottom_reps(A, pd.I_rows)
-    botB = _bottom_reps(B, pd.I_rows)
-    eA = quotient_det(pd.I_rows, botA, pd.canon_first)
-    eB = quotient_det(pd.I_rows, botB, pd.canon_second)
+    botA = _bottom_reps(A, pd.I_rows, pd.I_coords)
+    botB = _bottom_reps(B, pd.I_rows, pd.I_coords)
+    eA = quotient_det(pd.I_rows, botA, pd.canon_first, pd.first_coords)
+    eB = quotient_det(pd.I_rows, botB, pd.canon_second, pd.second_coords)
     # x = coord (canonA)^* (canonB) = c_bot (botA)^* (botB): c_bot = coord * eA / eB
     c_bot = x.coord * (Fraction(eA) / eB)
     A2 = apply_lattice(op, A)
@@ -698,8 +790,8 @@ def pushforward(op, x):
         raise WindowTooSmall(
             "quotient dimensions changed under truncation; enlarge the window"
         )
-    fA = quotient_det(pd2.I_rows, gA, pd2.canon_first)
-    fB = quotient_det(pd2.I_rows, gB, pd2.canon_second)
+    fA = quotient_det(pd2.I_rows, gA, pd2.canon_first, pd2.first_coords)
+    fB = quotient_det(pd2.I_rows, gB, pd2.canon_second, pd2.second_coords)
     coord = c_bot * (Fraction(fB) / fA)
     return LineElement(A2, B2, coord)
 
@@ -911,7 +1003,16 @@ def window_lattice(f, window):
 
 
 def standard_lattice(window):
-    return window_lattice(LaurentPoly.constant(1), window)[0]
+    """The reference lattice A = span(t^0 .. t^M) of the window [m, M],
+    built from its indices."""
+    m, M = window
+    if m > 0 or M < 0:
+        raise WindowTooSmall(
+            f"support of f = [0, 0] outside window [{m}, {M}]",
+            minimal_window=(min(0, m), max(0, M)),
+        )
+    n = M - m + 1
+    return Lattice.on_indices(n, range(-m, n))
 
 
 def mult_operator(f, window):

@@ -172,7 +172,8 @@ def verify_horizontal_law(curve, f, g, config=None):
         curve = Curve.horizontal(T)
         f, g = chart_swap(f), chart_swap(g)
         report.note = "second chart: curve H:t, functions swapped"
-    assert curve.kind == HORIZONTAL
+    if curve.kind != HORIZONTAL:
+        raise UnsupportedOrder(f"the horizontal law needs a horizontal curve, got {curve.label()}")
     h = curve.h
 
     c_p = {}

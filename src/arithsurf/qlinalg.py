@@ -113,7 +113,8 @@ def det(m):
     n = len(m)
     if n == 0:
         return Fraction(1)
-    assert all(len(r) == n for r in m)
+    if any(len(r) != n for r in m):
+        raise NotExact(f"determinant of a non-square matrix with {n} rows")
     a = [list(map(Fraction, r)) for r in m]
     out = Fraction(1)
     for c in range(n):

@@ -62,7 +62,10 @@ def archimedean_places(h, prec=DEFAULT_PREC_BITS):
             raise RootFindingDivergence(
                 f"could not split roots of {h} into conjugate pairs at {prec} bits"
             )
-        assert len(reals) + 2 * len(uppers) == h.degree
+        if len(reals) + 2 * len(uppers) != h.degree:
+            raise RootFindingDivergence(
+                f"found {len(reals) + 2 * len(uppers)} roots of {h}, of degree {h.degree}"
+            )
         places = [ArchimedeanPlace(t, 1, True) for t in sorted(reals)]
         uppers.sort(key=lambda z: (mp.re(z), mp.im(z)))
         places.extend(ArchimedeanPlace(z, 2, False) for z in uppers)

@@ -26,6 +26,7 @@ from .errors import (
     EvaluationAtZero,
     InsufficientPrecision,
     NonIrreducibleBase,
+    NotExact,
     UnsupportedOrder,
 )
 from .intpoly import IntPoly, T, resultant
@@ -72,7 +73,8 @@ def rank2_vertical(f, p, point):
     nu2 = 0
     for b, e in f.factors:
         bbar = ModPPoly.from_intpoly(b, p)
-        assert not bbar.is_zero, "primitive polynomial cannot vanish mod p"
+        if bbar.is_zero:
+            raise NotExact(f"base {b} vanishes mod {p}, but a primitive polynomial cannot")
         if bbar.degree >= 1:
             nu2 += e * multiplicity(bbar, pi)
     return nu1, nu2
@@ -105,7 +107,8 @@ def _monic_point_residue(h, point):
     pi_hat(y) = cbar^deg(pi) * pi(y / cbar) mod p.  Requires p not | lc."""
     p = point.p
     cbar = h.lc % p
-    assert cbar != 0
+    if cbar == 0:
+        raise UnsupportedOrder(f"p = {p} divides the leading coefficient of {h}")
     pi = point.residue
     d = pi.degree
     coeffs = tuple(
@@ -138,9 +141,11 @@ def _restriction_valuation(fn, h, factor, N):
                 f"resultant valuation not resolved at precision {N}"
             )
         w_num = vp(res, p)
-        assert w_num % factor.f == 0, "norm valuation must be divisible by f"
+        if w_num % factor.f:
+            raise NotExact(f"norm valuation {w_num} is not divisible by f = {factor.f}")
         total += e * (Fraction(w_num, factor.f) - b.degree * factor.e * v_lc)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise NotExact(f"branch valuation {total} is not an integer")
     return int(total)
 
 
@@ -182,7 +187,10 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
     """
     h = curve.h
     p = point.p
-    assert incident(curve, point) and not point.at_infinity
+    if point.at_infinity:
+        raise UnsupportedOrder("branch data at a fiber-infinity point needs the second chart")
+    if not incident(curve, point):
+        raise NotExact(f"point {point.label()} does not lie on curve {curve.label()}")
     if h.degree == 1:
         return [_linear_flag_branch(h, point, f, g)]
     if h.lc % p == 0:
@@ -203,7 +211,11 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
             for factor in fac.factors:
                 if factor.residue != pi_hat:
                     continue
-                assert factor.f % point.degree == 0
+                if factor.f % point.degree:
+                    raise NotExact(
+                        f"branch residue degree {factor.f} is not a multiple of "
+                        f"deg(x) = {point.degree}"
+                    )
                 branches.append(
                     BranchData(
                         e=factor.e,
@@ -213,7 +225,8 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
                         nu2_g=_restriction_valuation(g, h, factor, factor.poly.N),
                     )
                 )
-            assert branches, "incident point must carry at least one branch"
+            if not branches:
+                raise NotExact(f"incident point {point.label()} carries no branch")
             return branches
         except InsufficientPrecision:
             if N >= PRECISION_CAP:

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from arithsurf import centext
+from arithsurf import centext, qlinalg
 from arithsurf.centext import (
     ArGLElement,
     DenseOperator,
@@ -469,8 +470,22 @@ def rand_laurent(rng, nu_range=(-2, 2)):
 
 
 def force_general_path(monkeypatch):
-    """Make every coordinate test report "not coordinate"."""
-    monkeypatch.setattr(centext, "coordinate_support", lambda rows: None)
+    """Switch off the one test every index-set shortcut goes through."""
+    monkeypatch.setattr(centext, "_indexed", lambda *coords: False)
+
+
+def count_rref(monkeypatch):
+    """A list that gets one entry per rref call, under either name."""
+    calls = []
+    original = qlinalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(qlinalg, "rref", counted)
+    monkeypatch.setattr(centext, "rref", counted)
+    return calls
 
 
 def test_coordinate_path_matches_general_path(monkeypatch):
@@ -492,9 +507,12 @@ def test_coordinate_path_matches_general_path(monkeypatch):
             out.append((p.q, p.r))
         return out
 
+    rref_calls = count_rref(monkeypatch)
     fast = pairings()
+    assert not rref_calls
     force_general_path(monkeypatch)
     assert pairings() == fast
+    assert rref_calls
 
 
 def scaled_unit_rows(rng, indices, n):
@@ -544,11 +562,23 @@ def test_coordinate_helpers_match_general_path(monkeypatch):
                         refused))
         return out
 
+    rref_calls = count_rref(monkeypatch)
     fast = results()
+    assert not rref_calls
     assert all(refused == (n > len(I_rows) + len(bA))
                for (n, I_rows, bA, *_), (*_, refused) in zip(cases, fast))
     force_general_path(monkeypatch)
     assert results() == fast
+    assert rref_calls
+
+
+def oracle_pairs():
+    """The two golden pairs and three seeded ones, as (f, g, window)."""
+    rng = random.Random(22)
+    pairs = [(parse_laurent("t*(3+t)"), parse_laurent("5*t^2"), None),
+             (parse_laurent("2*t^-1 + 3 + t"), parse_laurent("1/3 + 2*t"), 10)]
+    return pairs + [(rand_laurent(rng, (-3, 3)), rand_laurent(rng, (-3, 3)), None)
+                    for _ in range(3)]
 
 
 def test_oracle_takes_the_coordinate_path(monkeypatch):
@@ -557,13 +587,47 @@ def test_oracle_takes_the_coordinate_path(monkeypatch):
 
     for name in ("gram_det", "project_off", "solve_coords"):
         monkeypatch.setattr(centext, name, general_path)
-    rng = random.Random(22)
-    pairs = [(parse_laurent("t*(3+t)"), parse_laurent("5*t^2"), None),
-             (parse_laurent("2*t^-1 + 3 + t"), parse_laurent("1/3 + 2*t"), 10)]
-    pairs += [(rand_laurent(rng, (-3, 3)), rand_laurent(rng, (-3, 3)), None) for _ in range(3)]
     with mp.workprec(128):
-        for f, g, window in pairs:
+        for f, g, window in oracle_pairs():
             assert abs(nu_arch_oracle(f, g, window=window) - nu_arch_closed(f, g)) < 1e-9
+
+
+def test_oracle_rescans_no_rows_of_known_shape(monkeypatch):
+    """Intersections, canonical quotient bases, the reference lattice and
+    shifted tails all come with their index sets; none is scanned again."""
+    scans = []
+    original = centext.coordinate_support
+
+    def recorded(rows):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        scans.append(callers)
+        return original(rows)
+
+    monkeypatch.setattr(centext, "coordinate_support", recorded)
+    for f, g, window in oracle_pairs():
+        nu_arch_oracle(f, g, window=window)
+    known_shape = {"quotient_det", "_quotient_volume2", "_bottom_reps",
+                   "standard_lattice", "apply_lattice"}
+    assert [sorted(callers & known_shape) for callers in scans
+            if callers & known_shape] == []
+
+
+def test_lattices_on_indices_match_scanned_ones():
+    for n, indices in ((5, ()), (5, (0, 2, 3)), (7, tuple(range(2, 7)))):
+        built = Lattice.on_indices(n, indices)
+        scanned = Lattice(n, [e(i, n) for i in indices])
+        for attr in ("basis", "rref_basis", "pivots"):
+            assert getattr(built, attr) == getattr(scanned, attr)
+        assert list(built.coords) == list(scanned.coords)
+    A = standard_lattice((-3, 4))
+    assert A.pivots == tuple(range(3, 8)) and A.same_span(window_lattice(parse_laurent("1"), (-3, 4))[1])
+    for window, minimal in (((2, 6), (0, 6)), ((-5, -1), (-5, 0))):
+        with pytest.raises(WindowTooSmall) as exc:
+            standard_lattice(window)
+        assert exc.value.minimal_window == minimal
 
 
 # -- typed errors in place of asserts --------------------------------------------

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from arithsurf.cli import main
 from arithsurf.config import default_config
-from arithsurf.errors import NonIrreducibleBase
+from arithsurf.errors import NonIrreducibleBase, UnsupportedOrder
 from arithsurf.laws import (
     verify_horizontal_law,
     verify_point_law,
@@ -140,3 +140,8 @@ def test_point_law_reducible_base_at_linear_flag():
            "--point", "5:t+4", "--f", "1*(t-1)^1", "--g", "1*(t^5-1)^1"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
     assert done.returncode == 2 and "NonIrreducibleBase" in done.stderr
+
+
+def test_horizontal_law_refuses_vertical_curves():
+    with pytest.raises(UnsupportedOrder, match="horizontal curve"):
+        verify_horizontal_law(parse_curve("V:5"), F("2"), F("3"))

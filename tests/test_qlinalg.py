@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +132,9 @@ def test_coordinate_support():
     assert coordinate_support(unit_rows((2, 0), 3)) == [(2, 1), (0, 1)]
     for bad in ([(0, 0, 0)], [(1, 1, 0)], [(0, 1, 0), (0, 3, 0)]):
         assert coordinate_support([frac_vec(r) for r in bad]) is None
+
+
+def test_det_refuses_non_square_matrices():
+    for m in (((1, 2),), ((1, 2), (3,))):
+        with pytest.raises(NotExact):
+            det(m)

@@ -1,5 +1,8 @@
+import pytest
 from mpmath import mp
 
+from arithsurf import roots
+from arithsurf.errors import RootFindingDivergence
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.roots import all_roots, archimedean_places
 
@@ -48,3 +51,10 @@ def test_evaluate_poly():
     with mp.workprec(96):
         v = parse_intpoly("t^2+1").evaluate(mp.mpc(0, 1))
         assert abs(v) < mp.mpf(2) ** -80
+
+
+def test_archimedean_places_checks_the_root_count(monkeypatch):
+    # one real root reported for a quadratic: no split into places adds up
+    monkeypatch.setattr(roots, "all_roots", lambda h, prec: [mp.mpf(1)])
+    with pytest.raises(RootFindingDivergence):
+        archimedean_places(parse_intpoly("t^2-2"))

@@ -1,12 +1,17 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
 
-from arithsurf.errors import UnsupportedOrder
+from arithsurf import symbols
+from arithsurf.errors import NotExact, UnsupportedOrder
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.surface import (
+    FactoredRationalFunction,
     make_function,
     parse_curve,
     parse_function,
@@ -133,3 +138,93 @@ def test_archimedean_closed_form_constant():
     with mp.workprec(128):
         v = archimedean_symbol(parse_intpoly("t"), mp.mpf(0), F("2"), F("1*(t)^1"), prec=128)
         assert abs(v - mp.log(2)) < mp.mpf(2) ** -100
+
+
+# -- answer guards, typed so that python -O keeps them ---------------------------
+
+
+def test_rank2_vertical_refuses_a_base_vanishing_mod_p():
+    # FactoredRationalFunction taken as given: 5t+5 is not primitive
+    f = FactoredRationalFunction(Fraction(1), ((parse_intpoly("5*t+5"), 1),))
+    with pytest.raises(NotExact, match="vanishes mod 5"):
+        rank2_vertical(f, 5, parse_point("5:t"))
+
+
+def test_monic_point_residue_needs_p_prime_to_the_leading_coefficient():
+    with pytest.raises(UnsupportedOrder):
+        symbols._monic_point_residue(parse_intpoly("2*t^2+1"), parse_point("2:t+1"))
+
+
+def test_restriction_valuation_refuses_a_norm_valuation_off_f():
+    # Res(t-2, t-7) = 5 has valuation 1, which a residue degree 2 cannot divide
+    factor = SimpleNamespace(poly=SimpleNamespace(p=5, to_intpoly=lambda: parse_intpoly("t-2")),
+                             e=1, f=2)
+    with pytest.raises(NotExact, match="not divisible"):
+        symbols._restriction_valuation(F("1*(t-7)^1"), parse_intpoly("t^2+1"), factor, 20)
+
+
+def test_branch_decomposition_refuses_points_off_the_curve():
+    c = parse_curve("H:t^2+1")
+    with pytest.raises(NotExact, match="does not lie"):
+        branch_decomposition(c, parse_point("5:t"), F("2"), F("3"))
+    with pytest.raises(UnsupportedOrder, match="second chart"):
+        branch_decomposition(c, parse_point("5:inf"), F("2"), F("3"))
+
+
+def test_branch_decomposition_checks_the_p_adic_factors(monkeypatch):
+    # t^2+1 is inert at 3: one branch with f = 2 over the degree-2 point
+    c, pt = parse_curve("H:t^2+1"), parse_point("3:t^2+1")
+    f, g = F("3"), F("1*(t)^1")
+    assert [(b.e, b.f) for b in branch_decomposition(c, pt, f, g)] == [(1, 2)]
+    pi_hat = symbols._monic_point_residue(c.h, pt)
+    wrong_degree = SimpleNamespace(factors=[SimpleNamespace(residue=pi_hat, e=2, f=1)])
+    monkeypatch.setattr(symbols, "padic_factor", lambda *args, **kwargs: wrong_degree)
+    with pytest.raises(NotExact, match="not a multiple"):
+        branch_decomposition(c, pt, f, g)
+    monkeypatch.setattr(symbols, "padic_factor", lambda *args, **kwargs: SimpleNamespace(factors=[]))
+    with pytest.raises(NotExact, match="no branch"):
+        branch_decomposition(c, pt, f, g)
+
+
+def test_answer_guards_survive_python_O():
+    script = (
+        "from fractions import Fraction\n"
+        "from types import SimpleNamespace as NS\n"
+        "from mpmath import mp\n"
+        "from arithsurf import roots, symbols\n"
+        "from arithsurf.errors import ArithsurfError\n"
+        "from arithsurf.intpoly import parse_intpoly as P\n"
+        "from arithsurf.laws import verify_horizontal_law\n"
+        "from arithsurf.qlinalg import det\n"
+        "from arithsurf.surface import FactoredRationalFunction, parse_curve, parse_point\n"
+        "from arithsurf.surface import parse_function as F\n"
+        "h, c, pt = P('t^2+1'), parse_curve('H:t^2+1'), parse_point('3:t^2+1')\n"
+        "factor = NS(poly=NS(p=5, to_intpoly=lambda: P('t-2')), e=1, f=2)\n"
+        "bad = FactoredRationalFunction(Fraction(1), ((P('5*t+5'), 1),))\n"
+        "calls = [\n"
+        "    lambda: symbols.rank2_vertical(bad, 5, parse_point('5:t')),\n"
+        "    lambda: symbols._monic_point_residue(P('2*t^2+1'), parse_point('2:t+1')),\n"
+        "    lambda: symbols._restriction_valuation(F('1*(t-7)^1'), h, factor, 20),\n"
+        "    lambda: symbols.branch_decomposition(c, parse_point('5:t'), F('2'), F('3')),\n"
+        "    lambda: verify_horizontal_law(parse_curve('V:5'), F('2'), F('3')),\n"
+        "    lambda: det(((1, 2),)),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ArithsurfError:\n"
+        "        continue\n"
+        "    raise SystemExit('unguarded')\n"
+        "symbols.padic_factor = lambda *args, **kwargs: NS(factors=[])\n"
+        "roots.all_roots = lambda h, prec: [mp.mpf(1)]\n"
+        "for call in (lambda: symbols.branch_decomposition(c, pt, F('3'), F('1*(t)^1')),\n"
+        "             lambda: roots.archimedean_places(P('t^2-2'))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ArithsurfError:\n"
+        "        continue\n"
+        "    raise SystemExit('unguarded')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
