@@ -18,6 +18,13 @@
 Verifiers return a LawReport; points or curves where the p-adic ladder
 cannot certify an answer mark the whole report inconclusive rather than
 guessing.
+
+Inside one verification the points share their local factorizations: each
+reduction mod p is factored once (`factor_mod_p`), and the monicized curve
+is tested for p-maximality (`dedekind_p_maximal`) and factored over Z_p
+(`padic_factor`) once per prime and precision, however many points lie
+over p.  A factorization that raises is not stored.  Nothing is shared
+between verifications; see memo.py.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +39,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .intpoly import T
+from .memo import verification
 from .roots import archimedean_places
 from .surface import (
     HORIZONTAL,
@@ -108,6 +116,7 @@ def _config_dict(cfg):
     }
 
 
+@verification
 def verify_point_law(point, f, g, config=None):
     cfg = config or default_config()
     report = LawReport(
@@ -135,6 +144,7 @@ def verify_point_law(point, f, g, config=None):
     return report
 
 
+@verification
 def verify_vertical_law(p, f, g, config=None):
     cfg = config or default_config()
     report = LawReport(
@@ -157,6 +167,7 @@ def verify_vertical_law(p, f, g, config=None):
     return report
 
 
+@verification
 def verify_horizontal_law(curve, f, g, config=None):
     """Check the reciprocity sum along a horizontal curve (or the infinity
     section, which is handled in the second chart)."""

@@ -16,6 +16,7 @@ from itertools import zip_longest
 
 from .errors import NotExact, ZeroPolynomial
 from .intpoly import IntPoly
+from .memo import shared
 from .primes import factor_integer
 
 
@@ -328,9 +329,16 @@ def factor_mod_p(h, p, seed=0):
 
     Returns (unit, [(monic irreducible ModPPoly, exponent), ...]) with the
     factor list sorted by (degree, coefficients).  unit is the leading
-    coefficient in F_p of the reduction.  Deterministic for a fixed seed.
+    coefficient in F_p of the reduction.  Deterministic for a fixed seed,
+    so a law verification factors each reduction once (see memo.py).
     """
     f = ModPPoly.from_intpoly(h, p) if isinstance(h, IntPoly) else h
+    unit, factors = shared(("factor_mod_p", f, p, seed), lambda: _factor_mod_p(f, p, seed))
+    return unit, list(factors)
+
+
+def _factor_mod_p(f, p, seed):
+    """factor_mod_p on the reduction f, with the factors as a tuple."""
     if f.is_zero:
         raise ZeroPolynomial(f"polynomial vanishes mod {p}")
     unit = f.lc
@@ -342,7 +350,7 @@ def factor_mod_p(h, p, seed=0):
             for irr in equal_degree_split(block, d, rng):
                 result.append((irr, mult))
     result.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
-    return unit, result
+    return unit, tuple(result)
 
 
 def is_irreducible_modp(f):

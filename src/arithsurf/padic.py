@@ -27,6 +27,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .intpoly import IntPoly
+from .memo import shared
 from .modp import (
     ModPPoly,
     factor_mod_p,
@@ -275,12 +276,17 @@ def padic_factor(h, p, N=DEFAULT_PRECISION, seed=0):
 
     Raises UnsupportedFactorization for clusters outside the supported
     class and InsufficientPrecision when N does not determine an answer.
+    A law verification factors each (h, p, N) once (see memo.py).
     """
+    return shared(("padic_factor", h, p, N, seed), lambda: _padic_factor(h, p, N, seed))
+
+
+def _padic_factor(h, p, N, seed):
     if h.is_zero:
         raise ZeroPolynomial("cannot factor zero")
-    assert h.lc == 1, "padic_factor requires monic input"
-    unit, red_factors = factor_mod_p(h, p, seed=seed)
-    assert unit == 1
+    if h.lc != 1:
+        raise NotExact(f"padic_factor requires monic input, got {h}")
+    _, red_factors = factor_mod_p(h, p, seed=seed)
     factors = []
     if all(e == 1 for _, e in red_factors):
         # (a) squarefree reduction: every factor unramified.
@@ -390,8 +396,15 @@ def _eisenstein_cluster(H, pi, p, N, exact):
 
 
 def dedekind_p_maximal(h, p, seed=0):
-    """Dedekind's criterion: is Z[t]/(h) maximal at p?  h monic irreducible."""
-    assert h.lc == 1, "Dedekind criterion requires monic input"
+    """Dedekind's criterion: is Z[t]/(h) maximal at p?  h monic irreducible.
+
+    A law verification decides each (h, p) once (see memo.py)."""
+    return shared(("dedekind_p_maximal", h, p, seed), lambda: _dedekind_p_maximal(h, p, seed))
+
+
+def _dedekind_p_maximal(h, p, seed):
+    if h.lc != 1:
+        raise NotExact(f"the Dedekind criterion requires monic input, got {h}")
     _, fs = factor_mod_p(h, p, seed=seed)
     gbar = one_poly(p)
     hstar_bar = one_poly(p)

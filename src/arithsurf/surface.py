@@ -43,7 +43,8 @@ class FactoredRationalFunction:
     factors: tuple  # ((IntPoly base, int exponent), ...) canonical order
 
     def __post_init__(self):
-        assert self.unit != 0
+        if self.unit == 0:
+            raise ZeroPolynomial("the zero function has no factored form")
 
     @property
     def is_constant(self):
@@ -246,12 +247,28 @@ class ClosedPoint:
         if not (2 <= self.p < PRIME_COORD_BOUND and is_prime(self.p)):
             raise ParseError(f"point needs a prime < 2^63, got {self.p}")
         if self.residue is not None:
-            assert self.residue.p == self.p
-            assert self.residue.lc == 1, "residue polynomial must be monic"
+            if self.residue.p != self.p:
+                raise ParseError(
+                    f"residue taken mod {self.residue.p} at a point over {self.p}"
+                )
+            if self.residue.lc != 1:
+                raise ParseError(
+                    f"residue {self.residue.to_intpoly()} must be monic mod {self.p}"
+                )
             if not is_irreducible_modp(self.residue):
                 raise NonIrreducibleBase(
                     f"residue {self.residue.to_intpoly()} is reducible mod {self.p}"
                 )
+
+    @classmethod
+    def _of_factor(cls, p, residue):
+        """The point of an irreducible factor that factor_mod_p returned
+        modulo a prime p below PRIME_COORD_BOUND: monic and irreducible by
+        construction, so it skips the checks of the public constructor."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "p", p)
+        object.__setattr__(point, "residue", residue)
+        return point
 
     @property
     def at_infinity(self):
@@ -314,7 +331,7 @@ def horizontal_order(f, curve):
         return f.exponent_of(curve.h)
     if curve.kind == INFINITY_SECTION:
         return -sum(e * b.degree for b, e in f.factors)
-    raise ValueError("vertical curves use vertical_order")
+    raise UnsupportedOrder(f"vertical curve {curve.label()}: use vertical_order")
 
 
 def incident(curve, point):
@@ -417,6 +434,7 @@ def curves_through_point(point, f, g):
 def points_on_vertical(p, f, g, seed=0):
     """Support of f and g on the fiber over p: the mod-p irreducible factors
     of the bases plus the fiber-infinity point."""
+    infinity = ClosedPoint(p)  # checks p before any factoring
     residues = set()
     for fn in (f, g):
         for b, _ in fn.factors:
@@ -425,9 +443,9 @@ def points_on_vertical(p, f, g, seed=0):
                 continue
             _, fs = factor_mod_p(bbar, p, seed=seed)
             for pi, _ in fs:
-                residues.add(pi.coeffs)
-    points = [ClosedPoint(p, ModPPoly(p, cs)) for cs in residues]
-    points.append(ClosedPoint(p))
+                residues.add(pi)
+    points = [ClosedPoint._of_factor(p, pi) for pi in residues]
+    points.append(infinity)
     points.sort(key=ClosedPoint.sort_key)
     return points
 
@@ -479,7 +497,7 @@ def points_on_horizontal(curve, f, g, seed=0):
         if hbar.degree >= 1:
             _, fs = factor_mod_p(hbar, p, seed=seed)
             for pi, _ in fs:
-                points.append(ClosedPoint(p, pi))
+                points.append(ClosedPoint._of_factor(p, pi))
         if h.lc % p == 0:
             points.append(ClosedPoint(p))
     points.sort(key=ClosedPoint.sort_key)

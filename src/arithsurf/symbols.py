@@ -27,6 +27,7 @@ from .errors import (
     InsufficientPrecision,
     NonIrreducibleBase,
     NotExact,
+    ParseError,
     UnsupportedOrder,
 )
 from .intpoly import IntPoly, T, resultant
@@ -258,7 +259,7 @@ def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION
 def curve_point_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
     """nu_{C,x}(f, g): the branch-weighted rank-2 symbol at the flag."""
     if not incident(curve, point):
-        raise ValueError(f"point {point} does not lie on curve {curve}")
+        raise ParseError(f"point {point} does not lie on curve {curve}")
     if curve.kind == VERTICAL:
         return vertical_flag_symbol(curve.p, point, f, g)
     return horizontal_flag_symbol(

@@ -96,6 +96,27 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "verify", "point", "--point", "5:t^2-1",
                        "--f", "1*(t)^1", "--g", "5")
     assert code == 2 and "NonIrreducibleBase" in err
+    # the fiber is checked before any factoring modulo a composite
+    code, _, err = run(capsys, "verify", "vertical", "--prime", "4",
+                       "--f", "1*(t^2+1)^1", "--g", "3")
+    assert code == 2 and "ParseError" in err
+
+
+def test_non_canonical_point_residue_exits_2(capsys):
+    # 2t+1 is not monic: a usage error, also when python -O drops asserts
+    argv = ["--format", "json", "verify", "point", "--point", "5:2*t+1",
+            "--f", "1*(t)^1", "--g", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "ParseError" in err and "monic" in err
+    done = subprocess.run([sys.executable, "-O", "-m", "arithsurf.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and not done.stdout and "ParseError" in done.stderr
+
+
+def test_symbol_at_a_point_off_the_curve_exits_2(capsys):
+    code, out, err = run(capsys, "symbol", "--curve", "H:t^2+1", "--point", "5:t",
+                         "--f", "2", "--g", "3")
+    assert code == 2 and not out and "ParseError" in err and "does not lie" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -29,6 +29,11 @@ CASES = {
     "verify_horizontal_tall": ["verify", "horizontal", "--curve", "H:t^3-2",
                                "--f", "1*(t^3-2)^1",
                                "--g", "1*(15100*t^3-83400*t^2-65476*t-67493)^1"],
+    # Two points over 3, two over 5 and four over 257, all from one
+    # factorization of h per prime; finite part {5: 2, 257: -1}.
+    "verify_horizontal_split": ["verify", "horizontal", "--curve", "H:t^4+1",
+                                "--f", "3*(t^4+1)^1",
+                                "--g", "1*(t^2+2)^1*(t+4)^-1"],
     "selftest": ["selftest", "--seed", "42", "--cases", "2"],
 }
 

@@ -1,0 +1,158 @@
+"""The per-verification memo: each local factorization is computed once
+inside a law verification, never reused outside one, and changes no answer."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from arithsurf import memo, modp, padic, symbols
+from arithsurf.errors import UnsupportedOrder, ZeroPolynomial
+from arithsurf.intpoly import parse_intpoly
+from arithsurf.laws import verify_horizontal_law, verify_point_law, verify_vertical_law
+from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
+from arithsurf.surface import (
+    ClosedPoint,
+    parse_curve,
+    parse_function,
+    points_on_horizontal,
+    points_on_vertical,
+)
+
+F = parse_function
+# t^4+1 has two points over 3, two over 5 and four over 257
+SPLIT = (parse_curve("H:t^4+1"), F("3*(t^4+1)^1"), F("1*(t^2+2)^1*(t+4)^-1"))
+
+
+def _count_bodies(monkeypatch):
+    """Count the runs of the factorization bodies, by their arguments."""
+    runs = Counter()
+    factor_body, padic_body = modp._factor_mod_p, padic._padic_factor
+
+    def factor(f, p, seed):
+        runs["factor_mod_p", f, p, seed] += 1
+        return factor_body(f, p, seed)
+
+    def lift(h, p, N, seed):
+        runs["padic_factor", h, p, N] += 1
+        return padic_body(h, p, N, seed)
+
+    monkeypatch.setattr(modp, "_factor_mod_p", factor)
+    monkeypatch.setattr(padic, "_padic_factor", lift)
+    return runs
+
+
+def test_horizontal_law_factors_once_per_prime(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    asked = Counter()
+    public = padic.padic_factor
+
+    def ask(h, p, N=padic.DEFAULT_PRECISION, seed=0):
+        asked[h, p, N] += 1
+        return public(h, p, N=N, seed=seed)
+
+    monkeypatch.setattr(symbols, "padic_factor", ask)
+    report = verify_horizontal_law(*SPLIT)
+    assert report.verdict == "pass" and report.finite_part == {"5": 2, "257": -1}
+    assert runs and set(runs.values()) == {1}
+    h = SPLIT[0].h
+    assert asked[h, 257, padic.DEFAULT_PRECISION] == 4
+    assert runs["padic_factor", h, 257, padic.DEFAULT_PRECISION] == 1
+    assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {3, 5, 257}
+
+
+def test_nothing_is_reused_outside_a_verification(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    h = parse_intpoly("t^4+1")
+    for _ in range(2):
+        modp.factor_mod_p(h, 257)
+        padic.padic_factor(h, 257)
+    # two calls of its own and two from inside padic_factor
+    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257, 0] == 4
+    assert runs["padic_factor", h, 257, padic.DEFAULT_PRECISION] == 2
+    assert memo._MEMO.get() is None
+
+
+def test_factor_lists_are_fresh_and_errors_are_not_stored(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    h = parse_intpoly("t^4+1")
+
+    @memo.verification
+    def verify():
+        first = modp.factor_mod_p(h, 257)[1]
+        first.clear()
+        second = modp.factor_mod_p(h, 257)[1]
+        for _ in range(2):
+            with pytest.raises(ZeroPolynomial):
+                modp.factor_mod_p(parse_intpoly("5*t"), 5)
+        return second
+
+    assert len(verify()) == 4
+    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257, 0] == 1
+    assert runs["factor_mod_p", modp.ModPPoly(5), 5, 0] == 2
+
+
+def test_memo_is_reset_after_a_verification_that_raises(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    h = parse_intpoly("t^4+1")
+
+    @memo.verification
+    def factor_then_fail():
+        modp.factor_mod_p(h, 257)
+        assert memo._MEMO.get()
+        raise UnsupportedOrder("planted")
+
+    with pytest.raises(UnsupportedOrder, match="planted"):
+        factor_then_fail()
+    assert memo._MEMO.get() is None
+    with pytest.raises(UnsupportedOrder):
+        verify_horizontal_law(parse_curve("V:5"), F("2"), F("3"))
+    assert memo._MEMO.get() is None
+    modp.factor_mod_p(h, 257)
+    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257, 0] == 2
+
+
+def _population(seed, cases):
+    """Seeded point, vertical and horizontal law instances."""
+    rng = random.Random(seed)
+    # beyond the selftest curves: several points over a prime, a non-monic
+    # curve (monicized before the p-adic factorization) and a cubic
+    extra = ("H:t^4+1", "H:5*t^2+t+3", "H:t^3+t+1")
+    curves = [parse_curve(s) for s in HORIZONTAL_CURVES + extra]
+    out = []
+    for i in range(cases):
+        out.append((verify_point_law, random_point(rng), *random_pair(rng)))
+        out.append((verify_vertical_law, VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)],
+                    *random_pair(rng)))
+        out.append((verify_horizontal_law, curves[i % len(curves)], *random_pair(rng)))
+    return out + [(verify_horizontal_law, *SPLIT)]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_memo_changes_no_report(seed):
+    verdicts = Counter()
+    for verify, subject, f, g in _population(seed, 60):
+        shared = verify(subject, f, g).to_dict()
+        alone = verify.__wrapped__(subject, f, g).to_dict()  # no memo in scope
+        assert shared == alone
+        verdicts[shared["verdict"]] += 1
+    assert verdicts["pass"] > 120 and verdicts["fail"] == 0
+
+
+def test_factor_points_equal_checked_points():
+    rng = random.Random(8)
+    curves = [parse_curve(s) for s in HORIZONTAL_CURVES] + [SPLIT[0]]
+    seen = 0
+    for i in range(30):
+        f, g = random_pair(rng)
+        points = points_on_vertical(VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)], f, g)
+        try:
+            points += points_on_horizontal(curves[i % len(curves)], f, g)
+        except UnsupportedOrder:
+            pass
+        for pt in points:
+            checked = ClosedPoint(pt.p, pt.residue)
+            assert checked == pt and hash(checked) == hash(pt)
+            assert checked.label() == pt.label() and checked.sort_key() == pt.sort_key()
+            seen += not pt.at_infinity
+    assert seen > 100

@@ -102,6 +102,14 @@ def test_dedekind_guard():
     assert dedekind_p_maximal(parse_intpoly("t^3-2"), 5)
 
 
+def test_non_monic_input_is_refused():
+    h = parse_intpoly("2*t^2+1")
+    with pytest.raises(NotExact, match="monic"):
+        padic_factor(h, 3)
+    with pytest.raises(NotExact, match="monic"):
+        dedekind_p_maximal(h, 3)
+
+
 def test_non_maximal_quadratic_still_resolved():
     """t^2-5 at p=2: Z[sqrt 5] is not 2-maximal, but the quadratic cluster is
     classified through the discriminant square class (5 = 5 mod 8 is a

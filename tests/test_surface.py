@@ -1,16 +1,24 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithsurf.errors import NonIrreducibleBase, ParseError, ZeroPolynomial
+from arithsurf.errors import (
+    NonIrreducibleBase,
+    ParseError,
+    UnsupportedOrder,
+    ZeroPolynomial,
+)
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.modp import ModPPoly, random_monic_irreducible
 from arithsurf.padic import vp
 from arithsurf.surface import (
     ClosedPoint,
     Curve,
+    FactoredRationalFunction,
     chart_swap,
     constant_function,
     curves_through_point,
@@ -119,6 +127,16 @@ def test_orders():
     assert horizontal_order(f, Curve.horizontal(parse_intpoly("t-1"))) == 0
 
 
+def test_horizontal_order_refuses_vertical_curves():
+    with pytest.raises(UnsupportedOrder, match="vertical_order"):
+        horizontal_order(parse_function("2"), Curve.vertical(5))
+
+
+def test_factored_function_refuses_a_zero_unit():
+    with pytest.raises(ZeroPolynomial):
+        FactoredRationalFunction(Fraction(0), ())
+
+
 def test_chart_swap_involution():
     rng = random.Random(23)
     for _ in range(60):
@@ -187,3 +205,34 @@ def test_point_residue_validation():
         pi = random_monic_irreducible(p, 2, rng)
         pt = ClosedPoint(p, pi)
         assert pt.q == p * p
+    with pytest.raises(ParseError, match="monic"):
+        parse_point("5:2*t+1")
+    with pytest.raises(ParseError, match="mod 7"):
+        ClosedPoint(5, ModPPoly(7, (1, 1)))
+
+
+def test_answer_guards_survive_python_O():
+    script = (
+        "from fractions import Fraction\n"
+        "from arithsurf.errors import NotExact, ParseError, ZeroPolynomial\n"
+        "from arithsurf.intpoly import parse_intpoly as P\n"
+        "from arithsurf.modp import ModPPoly\n"
+        "from arithsurf.padic import dedekind_p_maximal, padic_factor\n"
+        "from arithsurf.surface import ClosedPoint, FactoredRationalFunction, parse_point\n"
+        "calls = [\n"
+        "    (ZeroPolynomial, lambda: FactoredRationalFunction(Fraction(0), ())),\n"
+        "    (NotExact, lambda: padic_factor(P('2*t^2+1'), 3)),\n"
+        "    (NotExact, lambda: dedekind_p_maximal(P('2*t^2+1'), 3)),\n"
+        "    (ParseError, lambda: parse_point('5:2*t+1')),\n"
+        "    (ParseError, lambda: ClosedPoint(5, ModPPoly(7, (1, 1)))),\n"
+        "]\n"
+        "for error, call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        continue\n"
+        "    raise SystemExit('unguarded')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

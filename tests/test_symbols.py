@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 from arithsurf import symbols
-from arithsurf.errors import NotExact, UnsupportedOrder
+from arithsurf.errors import NotExact, ParseError, UnsupportedOrder
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.surface import (
     FactoredRationalFunction,
@@ -161,6 +161,11 @@ def test_restriction_valuation_refuses_a_norm_valuation_off_f():
                              e=1, f=2)
     with pytest.raises(NotExact, match="not divisible"):
         symbols._restriction_valuation(F("1*(t-7)^1"), parse_intpoly("t^2+1"), factor, 20)
+
+
+def test_curve_point_symbol_refuses_points_off_the_curve():
+    with pytest.raises(ParseError, match="does not lie"):
+        curve_point_symbol(parse_curve("H:t^2+1"), parse_point("5:t"), F("2"), F("3"))
 
 
 def test_branch_decomposition_refuses_points_off_the_curve():
