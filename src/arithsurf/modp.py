@@ -1,23 +1,133 @@
 """Polynomials over F_p and complete factorization.
 
-Coefficients live in [0, p) low-to-high with no trailing zeros.  The
-factorization pipeline is squarefree decomposition (char-p aware),
-distinct-degree splitting, then seeded Cantor-Zassenhaus equal-degree
-splitting (trace construction for p = 2).
+All arithmetic runs on one kernel of plain coefficient lists, low to high
+(`_reduce`, `_add`, `_sub`, `_mul`, `_rem`, `_divmod`, `_powmod`, `_gcd`).
+Inputs may hold any integers; a kernel function reduces each coefficient
+once, at the end of a sum, product or division, and returns a list in
+[0, m) with no trailing zeros.  `padic` lifts on the same kernel mod p^k.
 
-Division, `pow_mod` and `gcd_modp` run on plain coefficient lists (`_mul`,
-`_rem`), which reduce each coefficient once at the end of a product or
-division rather than at every elimination step, and build a single
-ModPPoly for the result.
+The factorization pipeline is squarefree decomposition (char-p aware),
+distinct-degree splitting, then seeded Cantor-Zassenhaus equal-degree
+splitting (trace construction for p = 2), all on lists.  A ModPPoly is
+built only where a result leaves the module: the factors `factor_mod_p`
+returns and the results of the public operators and functions, which are
+thin wrappers over the kernel.
 """
 
 import random
 from itertools import zip_longest
 
-from .errors import NotExact, ZeroPolynomial
+from .errors import NotExact, ParseError, ZeroPolynomial
 from .intpoly import IntPoly
 from .memo import shared
 from .primes import factor_integer
+
+# -- the coefficient-list kernel ----------------------------------------------
+
+
+def _reduce(a, m):
+    """The coefficients a reduced into [0, m), trailing zeros trimmed."""
+    cs = [c % m for c in a]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _add(a, b, m):
+    return _reduce([x + y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _sub(a, b, m):
+    return _reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _mul(a, b):
+    """Product of two coefficient sequences, as an unreduced list."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _rem(rem, mod, inv, m, quo=None):
+    """The list rem reduced modulo the coefficient sequence mod, in place.
+
+    inv is the inverse mod m of mod's leading coefficient.  Entries of rem
+    may lie outside [0, m); the result is reduced and trimmed.  A list quo
+    of the quotient's length receives the quotient.
+    """
+    d = len(mod) - 1
+    for k in range(len(rem) - d - 1, -1, -1):
+        q = rem[k + d] * inv % m
+        if q:
+            if quo is not None:
+                quo[k] = q
+            for i in range(d):
+                rem[k + i] -= q * mod[i]
+    del rem[d:]
+    return _reduce(rem, m)
+
+
+def _divmod(a, b, m):
+    """(quotient, remainder) of a by b mod m; b's leading coefficient must
+    be a unit mod m."""
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    rem = _rem(list(a), b, pow(b[-1], -1, m), m, quo)
+    while quo and quo[-1] == 0:
+        quo.pop()
+    return quo, rem
+
+
+def _mulmod(a, b, mod, inv, m):
+    """a*b modulo mod, on coefficient sequences mod m (see _rem)."""
+    return _rem(_mul(a, b), mod, inv, m)
+
+
+def _powmod(base, e, mod, m):
+    """base^e modulo mod, by square and multiply."""
+    inv = pow(mod[-1], -1, m)
+    result, b = [1], _rem(list(base), mod, inv, m)
+    while e:
+        if e & 1:
+            result = _mulmod(result, b, mod, inv, m)
+        e >>= 1
+        if e:
+            b = _mulmod(b, b, mod, inv, m)
+    return result
+
+
+def _monic(a, m):
+    """Nonzero a scaled to leading coefficient 1 (a unit lc mod m)."""
+    if a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gcd(a, b, p):
+    """Monic gcd over F_p (empty when both are zero)."""
+    while b:
+        a, b = b, _rem(list(a), b, pow(b[-1], -1, p), p)
+    return _monic(a, p) if a else []
+
+
+def _derivative(a, m):
+    return _reduce([i * c for i, c in enumerate(a)][1:], m)
+
+
+def _pth_root(f, p):
+    """For f over F_p with f' = 0 (so f = g(t^p)), return g; over F_p
+    coefficients are their own p-th roots."""
+    if any(c for i, c in enumerate(f) if i % p):
+        raise NotExact(f"{IntPoly(f)} is not a polynomial in t^{p} mod {p}")
+    return list(f[::p])
+
+
+# -- the public polynomial type ------------------------------------------------
 
 
 class ModPPoly:
@@ -31,17 +141,12 @@ class ModPPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs=()):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_reduce(coeffs, p)))
 
     @classmethod
     def _reduced(cls, p, cs):
-        """Build from a list cs already in [0, p), trimming trailing zeros."""
-        while cs and cs[-1] == 0:
-            cs.pop()
+        """Build from coefficients cs already in [0, p) and trimmed."""
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -90,58 +195,50 @@ class ModPPoly:
 
     def _check(self, other):
         if self.p != other.p:
-            raise ValueError("mixed characteristics")
+            raise ParseError(f"mixed characteristics: mod {self.p} and mod {other.p}")
 
     def __add__(self, other):
         self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ModPPoly(self.p, [a + b for a, b in pairs])
+        return ModPPoly._reduced(self.p, _add(self.coeffs, other.coeffs, self.p))
 
     def __sub__(self, other):
         self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ModPPoly(self.p, [a - b for a, b in pairs])
+        return ModPPoly._reduced(self.p, _sub(self.coeffs, other.coeffs, self.p))
 
     def __neg__(self):
-        return ModPPoly(self.p, [-c for c in self.coeffs])
+        return ModPPoly._reduced(self.p, _sub((), self.coeffs, self.p))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return ModPPoly(self.p, [c * other for c in self.coeffs])
         self._check(other)
-        return ModPPoly(self.p, _mul(self.coeffs, other.coeffs))
+        return ModPPoly._reduced(self.p, _reduce(_mul(self.coeffs, other.coeffs), self.p))
 
     __rmul__ = __mul__
 
     def monic(self):
         if self.is_zero:
             return self
-        inv = pow(self.lc, -1, self.p)
-        return self * inv
+        return ModPPoly._reduced(self.p, _monic(self.coeffs, self.p))
 
     def _divisor(self, other):
-        """Checked (coefficients, inverse of the leading one) of a divisor."""
+        """The checked coefficients of a divisor."""
         if other.is_zero:
             raise ZeroPolynomial("division by zero polynomial")
         self._check(other)
-        return other.coeffs, pow(other.coeffs[-1], -1, self.p)
+        return other.coeffs
 
     def __divmod__(self, other):
-        mod, inv = self._divisor(other)
-        p = self.p
-        quo = [0] * max(0, len(self.coeffs) - len(mod) + 1)
-        rem = _rem(list(self.coeffs), mod, inv, p, quo)
-        return ModPPoly._reduced(p, quo), ModPPoly._reduced(p, rem)
+        q, r = _divmod(self.coeffs, self._divisor(other), self.p)
+        return ModPPoly._reduced(self.p, q), ModPPoly._reduced(self.p, r)
 
     def __mod__(self, other):
-        mod, inv = self._divisor(other)
-        return ModPPoly._reduced(self.p, _rem(list(self.coeffs), mod, inv, self.p))
+        mod = self._divisor(other)
+        rem = _rem(list(self.coeffs), mod, pow(mod[-1], -1, self.p), self.p)
+        return ModPPoly._reduced(self.p, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def derivative(self):
-        return ModPPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
         acc = 0
@@ -153,174 +250,106 @@ class ModPPoly:
         return f"ModPPoly({self.p}, {self.to_intpoly()!s})"
 
 
-def x_poly(p):
-    return ModPPoly(p, (0, 1))
-
-
-def one_poly(p):
-    return ModPPoly(p, (1,))
-
-
 def gcd_modp(a, b):
     a._check(b)
-    p = a.p
-    x, y = list(a.coeffs), list(b.coeffs)
-    while y:
-        x, y = y, _rem(x, y, pow(y[-1], -1, p), p)
-    return ModPPoly._reduced(p, x).monic()
-
-
-def _rem(rem, mod, inv, m, quo=None):
-    """The list rem reduced modulo the coefficient tuple mod, in place.
-
-    inv is the inverse mod m of mod's leading coefficient.  Entries of rem
-    may lie outside [0, m); the result is reduced and trimmed.  A list quo
-    of the quotient's length receives the quotient.
-    """
-    d = len(mod) - 1
-    for k in range(len(rem) - d - 1, -1, -1):
-        q = rem[k + d] * inv % m
-        if q:
-            if quo is not None:
-                quo[k] = q
-            for i in range(d):
-                rem[k + i] -= q * mod[i]
-    del rem[d:]
-    rem = [c % m for c in rem]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
-def _mul(a, b):
-    """Product of two coefficient sequences, as an unreduced list."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _mulmod(a, b, mod, inv, m):
-    """a*b modulo mod, on coefficient sequences mod m (see _rem)."""
-    return _rem(_mul(a, b), mod, inv, m)
+    return ModPPoly._reduced(a.p, _gcd(a.coeffs, b.coeffs, a.p))
 
 
 def pow_mod(base, e, mod):
     """base^e modulo mod, by square and multiply."""
-    mc, inv = base._divisor(mod)
-    m = base.p
-    result, b = [1], _rem(list(base.coeffs), mc, inv, m)
-    while e:
-        if e & 1:
-            result = _mulmod(result, b, mc, inv, m)
-        e >>= 1
-        if e:
-            b = _mulmod(b, b, mc, inv, m)
-    return ModPPoly._reduced(m, result)
+    return ModPPoly._reduced(base.p, _powmod(base.coeffs, e, base._divisor(mod), base.p))
 
 
-def _pth_root(f):
-    """For f with f' = 0 (so f = g(t^p)), return g; over F_p coefficients
-    are their own p-th roots."""
-    p = f.p
-    if any(c for i, c in enumerate(f.coeffs) if i % p):
-        raise NotExact(f"{f} is not a polynomial in t^{p}")
-    return ModPPoly._reduced(p, list(f.coeffs[::p]))
+# -- factorization, on coefficient lists over F_p ------------------------------
 
 
-def squarefree_decomposition(f):
-    """Monic f = prod g_i^i with the g_i squarefree and pairwise coprime.
+def squarefree_decomposition(f, p):
+    """Monic f = prod g_i^i over F_p with the g_i squarefree and pairwise
+    coprime, all as coefficient lists.
 
     Returns a sorted list of (g_i, i), omitting trivial g_i = 1.
     """
-    p = f.p
     out = {}
 
     def accumulate(g, mult):
-        if g.degree >= 1:
-            out[mult] = out.get(mult, one_poly(p)) * g
+        if len(g) > 1:
+            out[mult] = _reduce(_mul(out[mult], g), p) if mult in out else g
 
     def decompose(f, outer):
-        fp = f.derivative()
-        if fp.is_zero:
-            decompose(_pth_root(f), outer * p)
+        fp = _derivative(f, p)
+        if not fp:
+            decompose(_pth_root(f, p), outer * p)
             return
-        c = gcd_modp(f, fp)
-        w = f // c
+        c = _gcd(f, fp, p)
+        w = _divmod(f, c, p)[0]
         i = 1
-        while w.degree >= 1:
-            y = gcd_modp(w, c)
-            z = w // y
-            accumulate(z, i * outer)
+        while len(w) > 1:
+            y = _gcd(w, c, p)
+            accumulate(_divmod(w, y, p)[0], i * outer)
             w = y
-            c = c // y
+            c = _divmod(c, y, p)[0]
             i += 1
-        if c.degree >= 1:
-            decompose(_pth_root(c), outer * p)
+        if len(c) > 1:
+            decompose(_pth_root(c, p), outer * p)
 
-    decompose(f.monic(), 1)
-    return sorted(((g, i) for i, g in out.items()), key=lambda gi: (gi[1], gi[0].coeffs))
+    decompose(f, 1)
+    return sorted(((g, i) for i, g in out.items()), key=lambda gi: (gi[1], gi[0]))
 
 
-def distinct_degree_split(f):
-    """Squarefree monic f -> list of (product-of-irreducibles-of-degree-d, d)."""
-    p = f.p
+def distinct_degree_split(f, p):
+    """Squarefree monic f over F_p -> list of (product of its irreducible
+    factors of degree d, d), as coefficient lists."""
     out = []
-    x = x_poly(p)
+    x = [0, 1]
     h = x
     v = f
     d = 0
-    while v.degree > 0:
+    while len(v) > 1:
         d += 1
-        if 2 * d > v.degree:
-            out.append((v, v.degree))
+        if 2 * d > len(v) - 1:
+            out.append((v, len(v) - 1))
             break
-        h = pow_mod(h, p, v)
-        g = gcd_modp(h - x, v)
-        if g.degree > 0:
+        h = _powmod(h, p, v, p)
+        g = _gcd(_sub(h, x, p), v, p)
+        if len(g) > 1:
             out.append((g, d))
-            v = v // g
-            h = h % v
+            v = _divmod(v, g, p)[0]
+            h = _rem(h, v, 1, p)
     return out
 
 
-def equal_degree_split(f, d, rng):
-    """Cantor-Zassenhaus: factor squarefree monic f into its degree-d
-    irreducible factors; rng drives the random splitting polynomials."""
-    p = f.p
-    if f.degree == d:
+def equal_degree_split(f, d, p, rng):
+    """Cantor-Zassenhaus: factor squarefree monic f over F_p into its
+    degree-d irreducible factors (coefficient lists, sorted); rng drives the
+    random splitting polynomials."""
+    if len(f) - 1 == d:
         return [f]
     factors = []
     stack = [f]
     while stack:
         g = stack.pop()
-        if g.degree == d:
+        if len(g) - 1 == d:
             factors.append(g)
             continue
         while True:
-            a = ModPPoly(p, [rng.randrange(p) for _ in range(g.degree)])
-            if a.degree < 1:
+            a = _reduce([rng.randrange(p) for _ in range(len(g) - 1)], p)
+            if len(a) < 2:
                 continue
             if p == 2:
                 # Trace map over F_{2^d}: T(a) = a + a^2 + ... + a^(2^(d-1)).
-                b = a % g
-                tr = b
+                b = tr = a  # already of lower degree than g
                 for _ in range(d - 1):
-                    b = b * b % g
-                    tr = (tr + b) % g
-                h = gcd_modp(tr, g)
+                    b = _mulmod(b, b, g, 1, p)
+                    tr = _add(tr, b, p)
+                h = _gcd(tr, g, p)
             else:
-                b = pow_mod(a, (p**d - 1) // 2, g)
-                h = gcd_modp(b - one_poly(p), g)
-            if 0 < h.degree < g.degree:
+                b = _powmod(a, (p**d - 1) // 2, g, p)
+                h = _gcd(_sub(b, [1], p), g, p)
+            if 1 < len(h) < len(g):
                 stack.append(h)
-                stack.append(g // h)
+                stack.append(_divmod(g, h, p)[0])
                 break
-    factors.sort(key=lambda q: q.coeffs)
+    factors.sort()
     return factors
 
 
@@ -342,15 +371,17 @@ def _factor_mod_p(f, p, seed):
     if f.is_zero:
         raise ZeroPolynomial(f"polynomial vanishes mod {p}")
     unit = f.lc
-    f = f.monic()
-    rng = random.Random((seed, p, f.coeffs).__hash__() & 0x7FFFFFFF)
+    if f.degree < 2:  # a unit, or its own monic factor
+        return unit, ((f.monic(), 1),) if f.degree == 1 else ()
+    fm = _monic(f.coeffs, p)
+    rng = random.Random((seed, p, tuple(fm)).__hash__() & 0x7FFFFFFF)
     result = []
-    for g, mult in squarefree_decomposition(f):
-        for block, d in distinct_degree_split(g):
-            for irr in equal_degree_split(block, d, rng):
+    for g, mult in squarefree_decomposition(fm, p):
+        for block, d in distinct_degree_split(g, p):
+            for irr in equal_degree_split(block, d, p, rng):
                 result.append((irr, mult))
-    result.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
-    return unit, tuple(result)
+    result.sort(key=lambda fe: (len(fe[0]), fe[0]))
+    return unit, tuple((ModPPoly._reduced(p, irr), mult) for irr, mult in result)
 
 
 def is_irreducible_modp(f):
@@ -362,30 +393,30 @@ def is_irreducible_modp(f):
         return False
     if n == 1:
         return True
-    f = f.monic()
-    x = x_poly(p)
+    fm = _monic(f.coeffs, p)
+    x = [0, 1]
     for q, _ in factor_integer(n)[1]:
         hq = x
         for _ in range(n // q):
-            hq = pow_mod(hq, p, f)
-        if gcd_modp(hq - x, f).degree != 0:
+            hq = _powmod(hq, p, fm, p)
+        if len(_gcd(_sub(hq, x, p), fm, p)) != 1:
             return False
     hn = x
     for _ in range(n):
-        hn = pow_mod(hn, p, f)
-    return (hn - x) % f == ModPPoly(p)
+        hn = _powmod(hn, p, fm, p)
+    return not _rem(_sub(hn, x, p), fm, 1, p)
 
 
 def multiplicity(f, pi):
     """Largest k with pi^k | f (both over the same F_p)."""
     if f.is_zero:
         raise ZeroPolynomial("multiplicity in zero polynomial")
-    k = 0
+    mod = f._divisor(pi)
+    cs, k = f.coeffs, 0
     while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero:
+        cs, rem = _divmod(cs, mod, f.p)
+        if rem:
             return k
-        f = q
         k += 1
 
 

@@ -15,10 +15,16 @@ Supported inputs: monic h in Z[t].  Strategy ladder:
 
 Anything else raises UnsupportedFactorization; general Montes/Round-4
 machinery is deliberately out of scope.
+
+Hensel lifting, the Bezout pairs it starts from and the Dedekind test run
+on the coefficient-list kernel of `modp` (mod p, then mod p^k), reducing
+once per sum, product or division.  The residues of the factors stay the
+ModPPoly objects that `factor_mod_p` returns.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     InsufficientPrecision,
@@ -30,9 +36,13 @@ from .intpoly import IntPoly
 from .memo import shared
 from .modp import (
     ModPPoly,
+    _add,
+    _divmod,
+    _gcd,
+    _mul,
+    _reduce,
+    _sub,
     factor_mod_p,
-    gcd_modp,
-    one_poly,
 )
 
 DEFAULT_PRECISION = 20
@@ -62,8 +72,10 @@ class PadicPoly:
 
     def __post_init__(self):
         q = self.p**self.N
-        assert self.coeffs and self.coeffs[-1] % q != 0
-        assert all(0 <= c < q for c in self.coeffs)
+        if not self.coeffs or self.coeffs[-1] % q == 0:
+            raise NotExact(f"leading coefficient of {self.coeffs} vanishes mod {self.p}^{self.N}")
+        if not all(0 <= c < q for c in self.coeffs):
+            raise NotExact(f"coefficients {self.coeffs} are not reduced mod {self.p}^{self.N}")
 
     @property
     def degree(self):
@@ -93,72 +105,71 @@ class PadicFactorization:
     factors: tuple  # of PadicFactor
 
     def __post_init__(self):
-        assert sum(f.e * f.f for f in self.factors) == self.h.degree
+        total = sum(f.e * f.f for f in self.factors)
+        if total != self.h.degree:
+            raise NotExact(f"factor degrees sum to {total}, not to deg {self.h} at p={self.p}")
 
 
 def hensel_lift_pair(f, g, h, a, b, p, target_N):
     """Quadratic Hensel: from f = g*h and a*g + b*h = 1 (mod p), lift to
-    f = g*h (mod p^target_N) with g, h monic.  f is an IntPoly; g, h, a, b
-    are ModPPoly mod p, and the lifts of g, h come back mod p^target_N.
+    f = g*h (mod p^target_N) with g, h monic.  All five are coefficient
+    sequences, f over Z and the others mod p; the lifts of g, h come back
+    as lists mod p^target_N.
     """
     k = 1
     while k < target_N:
         k = min(2 * k, target_N)
         m = p**k
-        g, h, a, b = (ModPPoly(m, x.coeffs) for x in (g, h, a, b))
-        fk = ModPPoly.from_intpoly(f, m)
-        e = fk - g * h
+        fk = _reduce(f, m)
+        e = _sub(fk, _mul(g, h), m)
         # delta_g = (b*e) mod g ; delta_h = a*e + (b*e div g)*h
-        q, r = divmod(b * e, g)
-        g, h = g + r, h + (a * e + q * h)
-        if g * h != fk:
+        q, r = _divmod(_mul(b, e), g, m)
+        g, h = _add(g, r, m), _add(h, _add(_mul(a, e), _mul(q, h), m), m)
+        if _reduce(_mul(g, h), m) != fk:
             raise NotExact(f"Hensel lift lost f = g*h mod {p}^{k}")
         if k == target_N:
             break  # the Bezout pair is not needed past the last step
         # refresh Bezout: (a, b) <- (a, b) * (1 + r) with r = 1 - a g - b h,
         # then reduce a mod h to control degrees.
-        one = ModPPoly(m, (1,))
-        one_plus = one + (one - (a * g + b * h))
-        qa, a = divmod(a * one_plus, h)
-        b = b * one_plus + qa * g
-        if a * g + b * h != one:
+        one_plus = _sub([2], _add(_mul(a, g), _mul(b, h), m), m)
+        qa, a = _divmod(_mul(a, one_plus), h, m)
+        b = _add(_mul(b, one_plus), _mul(qa, g), m)
+        if _add(_mul(a, g), _mul(b, h), m) != [1]:
             raise NotExact(f"Bezout refresh lost a*g + b*h = 1 mod {p}^{k}")
     return g, h
 
 
-def _bezout_modp(g, h):
-    """a, b with a*g + b*h = 1 in F_p[t] for coprime g, h."""
-    p = g.p
+def _bezout_modp(g, h, p):
+    """a, b with a*g + b*h = 1 in F_p[t] for coprime g, h (coefficient
+    sequences)."""
     r0, r1 = g, h
-    s0, s1 = one_poly(p), ModPPoly(p)
-    t0, t1 = ModPPoly(p), one_poly(p)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
+        s0, s1 = s1, _sub(s0, _mul(q, s1), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1), p)
+    if len(r0) != 1:
         raise NotExact(f"factors not coprime mod {p}")
-    inv = pow(r0.lc, -1, p)
-    return s0 * inv, t0 * inv
+    inv = pow(r0[0], -1, p)
+    return _reduce([c * inv for c in s0], p), _reduce([c * inv for c in t0], p)
 
 
 def hensel_lift_list(h, parts, p, N):
     """Lift pairwise-coprime monic parts of h mod p to factors mod p^N.
 
-    parts: list of monic ModPPoly with product = h mod p.  Returns
-    coefficient lists mod p^N in the same order.
+    h: coefficients over Z; parts: coefficient sequences mod p whose
+    product is h mod p.  Returns coefficient lists mod p^N in the same order.
     """
     if len(parts) == 1:
-        m = p**N
-        return [[c % m for c in h.coeffs]]
+        return [_reduce(h, p**N)]
     rest = parts[1]
     for q in parts[2:]:
-        rest = rest * q
-    a, b = _bezout_modp(parts[0], rest)
+        rest = _reduce(_mul(rest, q), p)
+    a, b = _bezout_modp(parts[0], rest, p)
     g_lift, h_lift = hensel_lift_pair(h, parts[0], rest, a, b, p, N)
-    # recurse on the cofactor, as an integer-coefficient poly
-    return [list(g_lift.coeffs)] + hensel_lift_list(h_lift.to_intpoly(), parts[1:], p, N)
+    return [g_lift] + hensel_lift_list(h_lift, parts[1:], p, N)
 
 
 # -- p-adic square roots ----------------------------------------------------
@@ -169,7 +180,8 @@ def _sqrt_mod_p(a, p):
     a %= p
     if a == 0:
         return 0
-    assert pow(a, (p - 1) // 2, p) == 1, "not a quadratic residue"
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise NotExact(f"{a} is not a quadratic residue mod {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0
@@ -204,17 +216,17 @@ def padic_unit_sqrt(u, p, N):
             k = min(2 * k, N)
             mm = p**k
             s = (s + u * pow(s, -1, mm)) % mm * pow(2, -1, mm) % mm
-        assert s * s % m == u
-        return s
-    assert u % 8 == 1, "2-adic square must be 1 mod 8"
-    s = 1
-    for k in range(3, N):
-        # invariant: s*s = u mod 2^k
-        if (s * s - u) % (1 << (k + 1)):
-            s += 1 << (k - 1)
-        assert (s * s - u) % (1 << (k + 1)) == 0
-    s %= m
-    assert s * s % m == u % m
+    else:
+        if u % 8 != 1:
+            raise NotExact(f"2-adic unit {u} is not 1 mod 8, so not a square")
+        s = 1
+        for k in range(3, N):
+            # s*s = u mod 2^k; a step that fails to reach 2^(k+1) shows below
+            if (s * s - u) % (1 << (k + 1)):
+                s += 1 << (k - 1)
+        s %= m
+    if s * s % m != u:
+        raise NotExact(f"{s} is not a square root of {u} mod {p}^{N}")
     return s
 
 
@@ -291,7 +303,7 @@ def _padic_factor(h, p, N, seed):
     if all(e == 1 for _, e in red_factors):
         # (a) squarefree reduction: every factor unramified.
         parts = [pi for pi, _ in red_factors]
-        lifted = hensel_lift_list(h, parts, p, N)
+        lifted = hensel_lift_list(h.coeffs, [pi.coeffs for pi in parts], p, N)
         for pi, cs in zip(parts, lifted):
             poly = PadicPoly(p, N, tuple(cs))
             factors.append(
@@ -302,11 +314,11 @@ def _padic_factor(h, p, N, seed):
     # (b) cluster per irreducible pi.
     clusters = []
     for pi, e in red_factors:
-        cl = one_poly(p)
+        cl = [1]
         for _ in range(e):
-            cl = cl * pi
+            cl = _reduce(_mul(cl, pi.coeffs), p)
         clusters.append((pi, e, cl))
-    lifted = hensel_lift_list(h, [cl for _, _, cl in clusters], p, N)
+    lifted = hensel_lift_list(h.coeffs, [cl for _, _, cl in clusters], p, N)
     single = len(clusters) == 1
     min_prec = N
     for (pi, e, _), cs in zip(clusters, lifted):
@@ -357,7 +369,8 @@ def _quadratic_cluster(H, pi, p, N, exact):
             raise InsufficientPrecision(f"split quadratic needs more than {N} digits")
         mm = p**prec
         if p == 2:
-            assert (-b + s) % 2 == 0
+            if (-b + s) % 2:
+                raise NotExact(f"root {s} of the discriminant is not congruent to {b} mod 2")
             r1 = ((-b + s) // 2) % mm
             r2 = ((-b - s) // 2) % mm
         else:
@@ -381,7 +394,8 @@ def _eisenstein_cluster(H, pi, p, N, exact):
     Returns a totally ramified PadicFactor, or None when the certificate
     does not apply (caller then reports UnsupportedFactorization).
     """
-    assert pi.degree == 1
+    if pi.degree != 1:
+        raise NotExact(f"the Eisenstein shift needs a linear residue, got {pi}")
     r = (-pi[0]) % p  # the residue root
     m = p**N
     shifted = IntPoly([c % m for c in H.coeffs]).shift(r)
@@ -406,20 +420,17 @@ def _dedekind_p_maximal(h, p, seed):
     if h.lc != 1:
         raise NotExact(f"the Dedekind criterion requires monic input, got {h}")
     _, fs = factor_mod_p(h, p, seed=seed)
-    gbar = one_poly(p)
-    hstar_bar = one_poly(p)
+    gbar, hstar_bar = [1], [1]
     for pi, e in fs:
-        gbar = gbar * pi
+        gbar = _reduce(_mul(gbar, pi.coeffs), p)
         for _ in range(e - 1):
-            hstar_bar = hstar_bar * pi
-    g_lift = gbar.to_intpoly()
-    hstar_lift = hstar_bar.to_intpoly()
-    diff = g_lift * hstar_lift - h
-    assert all(c % p == 0 for c in diff.coeffs)
-    F = IntPoly([c // p for c in diff.coeffs])
-    Fbar = ModPPoly.from_intpoly(F, p)
-    if Fbar.is_zero:
-        common = gcd_modp(gbar, hstar_bar)
-    else:
-        common = gcd_modp(Fbar, gcd_modp(gbar, hstar_bar))
-    return common.degree == 0
+            hstar_bar = _reduce(_mul(hstar_bar, pi.coeffs), p)
+    # F = (g_lift * hstar_lift - h) / p over Z, with the lifts in [0, p)
+    diff = [x - y for x, y in zip_longest(_mul(gbar, hstar_bar), h.coeffs, fillvalue=0)]
+    if any(c % p for c in diff):
+        raise NotExact(f"the factors mod {p} do not multiply back to {h}")
+    common = _gcd(gbar, hstar_bar, p)
+    Fbar = _reduce([c // p for c in diff], p)
+    if Fbar:
+        common = _gcd(Fbar, common, p)
+    return len(common) == 1

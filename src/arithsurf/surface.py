@@ -18,6 +18,7 @@ The second coordinate chart s = 1/t is reached through chart_swap, an
 involution on functions, curves and points.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,11 @@ class FactoredRationalFunction:
     def __post_init__(self):
         if self.unit == 0:
             raise ZeroPolynomial("the zero function has no factored form")
+        for b, _ in self.factors:
+            if b.degree < 1 or b.lc < 0 or math.gcd(*b.coeffs) != 1:
+                raise ParseError(
+                    f"base {b} is not a primitive polynomial of degree >= 1 with lc > 0"
+                )
 
     @property
     def is_constant(self):
@@ -354,8 +360,10 @@ def incident(curve, point):
 
 def chart_swap_poly(h):
     """Reverse a primitive irreducible base != t; returns (reversed, sign)."""
-    assert h != T
-    assert h[0] != 0, "only t itself vanishes at the origin"
+    if h == T:
+        raise ParseError("the base t has no reversal: the second chart maps it to INF")
+    if h[0] == 0:
+        raise NonIrreducibleBase(f"base {h} != t vanishes at the origin, so t divides it")
     rev = h.reverse()
     if rev.lc < 0:
         return -rev, -1
@@ -403,7 +411,10 @@ def chart_swap_point(point):
     pi = point.residue
     if pi == ModPPoly(p, (0, 1)):
         return ClosedPoint(p)
-    assert pi[0] != 0, "monic irreducible != t has nonzero constant term"
+    if pi[0] == 0:
+        raise NonIrreducibleBase(
+            f"residue {pi.to_intpoly()} != t vanishes at the origin mod {p}, so t divides it"
+        )
     rev = ModPPoly(p, tuple(reversed(pi.coeffs)))
     return ClosedPoint(p, rev.monic())
 
@@ -453,7 +464,8 @@ def points_on_vertical(p, f, g, seed=0):
 def prime_support_on_horizontal(curve, f, g):
     """Primes p where f or g can have a zero or pole on the horizontal
     curve: divisors of Res(h, base), of the unit, and of lc(h)."""
-    assert curve.kind in (HORIZONTAL, INFINITY_SECTION)
+    if curve.kind == VERTICAL:
+        raise UnsupportedOrder(f"vertical curve {curve.label()} has no horizontal support")
     if curve.kind == INFINITY_SECTION:
         curve = Curve.horizontal(T)
         f, g = chart_swap(f), chart_swap(g)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithsurf.errors import NotExact, ZeroPolynomial
+from arithsurf import modp
+from arithsurf.errors import NotExact, ParseError, ZeroPolynomial
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.modp import (
     ModPPoly,
@@ -12,10 +13,8 @@ from arithsurf.modp import (
     gcd_modp,
     is_irreducible_modp,
     multiplicity,
-    one_poly,
     pow_mod,
     random_monic_irreducible,
-    x_poly,
 )
 
 PRIMES = (2, 3, 5, 7, 13, 101)
@@ -99,7 +98,7 @@ def test_gcd_divides(pi, data):
 
 
 def test_x_poly_and_eval():
-    x = x_poly(7)
+    x = ModPPoly(7, [0, 1])
     assert x.evaluate(3) == 3
     assert ((x * x + ModPPoly(7, [1])).evaluate(2)) == 5
 
@@ -123,7 +122,7 @@ def _naive_divmod(a, b):
 
 
 def _naive_pow_mod(base, e, mod):
-    result = one_poly(base.p)
+    result = ModPPoly(base.p, [1])
     base = _naive_divmod(base, mod)[1]
     while e:
         if e & 1:
@@ -175,11 +174,66 @@ def test_kernel_refuses_zero_and_mixed_divisors():
     for op in (lambda b: a % b, lambda b: a // b, lambda b: pow_mod(a, 3, b)):
         with pytest.raises(ZeroPolynomial):
             op(ModPPoly(7))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="mixed characteristics"):
             op(ModPPoly(5, [1, 1]))
 
 
 def test_pth_root_rejects_a_non_pth_power():
-    assert _pth_root(ModPPoly(5, [1, 0, 0, 0, 0, 2])) == ModPPoly(5, [1, 2])
+    assert _pth_root((1, 0, 0, 0, 0, 2), 5) == [1, 2]
     with pytest.raises(NotExact):
-        _pth_root(ModPPoly(5, [1, 1]))
+        _pth_root((1, 1), 5)
+
+
+def test_linear_and_constant_inputs_skip_the_pipeline(monkeypatch):
+    def pipeline(*args):
+        raise AssertionError("the factoring pipeline ran")
+
+    monkeypatch.setattr(modp, "squarefree_decomposition", pipeline)
+    f = ModPPoly(7, [3, 5])  # 5t + 3 = 5 (t + 2) mod 7
+    assert modp._factor_mod_p(f, 7, 0) == (5, ((ModPPoly(7, [2, 1]), 1),))
+    assert factor_mod_p(f, 7) == (5, [(ModPPoly(7, [2, 1]), 1)])
+    assert modp._factor_mod_p(ModPPoly(7, [4]), 7, 0) == (4, ())
+
+
+# -- differential test against sympy -------------------------------------------
+
+DIFF_PRIMES = (2, 3, 5, 7, 10007, 2**31 - 1)
+
+
+def _diff_input(rng, p):
+    """A nonzero polynomial of degree <= 8 mod p: a generic one, or a product
+    of random factors with repeats and, where the degree allows, p-th powers."""
+    if rng.random() < 0.3:
+        return rand_poly(rng, p, rng.randint(1, 8))
+    f = ModPPoly(p, [rng.randrange(1, p)])
+    room = rng.randint(1, 8)
+    if p <= room and rng.random() < 0.3:  # a p-th power of a linear factor
+        g = rand_poly(rng, p, 1)
+        for _ in range(p):
+            f = f * g
+        room -= p
+    while room:
+        d = rng.randint(1, min(3, room))
+        g = rand_poly(rng, p, d)
+        for _ in range(rng.choice([e for e in (1, 1, 2, 3, p) if d * e <= room])):
+            f = f * g
+            room -= d
+    return f
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_factor_mod_p_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    rng = random.Random(p)
+    for _ in range(30):
+        f = _diff_input(rng, p)
+        expr = sum(c * t**i for i, c in enumerate(f.coeffs))
+        lc, factors = sympy.factor_list(expr, t, modulus=p)
+        expected = sorted(
+            ([int(c) % p for c in reversed(sympy.Poly(g, t).all_coeffs())], e) for g, e in factors
+        )
+        unit, got = factor_mod_p(f, p, seed=3)
+        assert unit == int(lc) % p, f
+        assert [(list(pi.coeffs), e) for pi, e in got] == sorted(expected, key=lambda fe: (len(fe[0]), fe)), f

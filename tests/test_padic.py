@@ -2,18 +2,28 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
+from functools import reduce
+from operator import mul
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arithsurf import padic
 from arithsurf.errors import NotExact, ZeroPolynomial
-from arithsurf.intpoly import parse_intpoly
-from arithsurf.modp import ModPPoly
+from arithsurf.intpoly import IntPoly, parse_intpoly
+from arithsurf.modp import ModPPoly, factor_mod_p
 from arithsurf.padic import (
+    PadicFactorization,
+    PadicPoly,
     _bezout_modp,
+    _sqrt_mod_p,
     dedekind_p_maximal,
+    hensel_lift_list,
     hensel_lift_pair,
     newton_slopes,
     padic_factor,
     padic_square_class,
+    padic_unit_sqrt,
     vp,
 )
 
@@ -120,44 +130,156 @@ def test_non_maximal_quadratic_still_resolved():
 
 # -- answer guards of the Hensel lift, typed so that python -O keeps them ------
 
-T, T1 = ModPPoly(3, [0, 1]), ModPPoly(3, [1, 1])  # t and t+1 over F_3
+T, T1 = [0, 1], [1, 1]  # t and t+1 over F_3
 
 
 def test_hensel_lift_refuses_a_wrong_factorization():
     # t^2+1 is not t*(t+1) mod 3, so no lift can keep f = g*h
     with pytest.raises(NotExact, match="f = g\\*h"):
-        hensel_lift_pair(parse_intpoly("t^2+1"), T, T1, ModPPoly(3, [2]), ModPPoly(3, [1]), 3, 4)
+        hensel_lift_pair(parse_intpoly("t^2+1").coeffs, T, T1, [2], [1], 3, 4)
 
 
 def test_hensel_lift_refuses_a_wrong_bezout_pair():
     # f = g*h holds exactly, but a = b = 0 is no Bezout pair
     with pytest.raises(NotExact, match="Bezout"):
-        hensel_lift_pair(parse_intpoly("t^2+t"), T, T1, ModPPoly(3), ModPPoly(3), 3, 4)
+        hensel_lift_pair(parse_intpoly("t^2+t").coeffs, T, T1, [], [], 3, 4)
 
 
 def test_bezout_refuses_common_factors():
-    a, b = _bezout_modp(T, T1)
-    assert a * T + b * T1 == ModPPoly(3, [1])
+    a, b = _bezout_modp(T, T1, 3)
+    assert ModPPoly(3, a) * ModPPoly(3, T) + ModPPoly(3, b) * ModPPoly(3, T1) == ModPPoly(3, [1])
     with pytest.raises(NotExact, match="not coprime"):
-        _bezout_modp(T1 * T, T1)
+        _bezout_modp([0, 1, 1], T1, 3)
 
 
 def test_hensel_guards_survive_python_O():
     script = (
         "from arithsurf.errors import NotExact\n"
         "from arithsurf.intpoly import parse_intpoly as P\n"
-        "from arithsurf.modp import ModPPoly as M, _pth_root\n"
+        "from arithsurf.modp import _pth_root\n"
         "from arithsurf.padic import _bezout_modp, hensel_lift_pair as lift\n"
-        "t, t1, z = M(3, [0, 1]), M(3, [1, 1]), M(3)\n"
-        "calls = [lambda: lift(P('t^2+1'), t, t1, M(3, [2]), M(3, [1]), 3, 4),\n"
-        "         lambda: lift(P('t^2+t'), t, t1, z, z, 3, 4),\n"
-        "         lambda: _bezout_modp(t, t), lambda: _pth_root(t1)]\n"
+        "t, t1 = [0, 1], [1, 1]\n"
+        "calls = [lambda: lift(P('t^2+1').coeffs, t, t1, [2], [1], 3, 4),\n"
+        "         lambda: lift(P('t^2+t').coeffs, t, t1, [], [], 3, 4),\n"
+        "         lambda: _bezout_modp(t, t, 3), lambda: _pth_root(t1, 3)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
         "    except NotExact:\n"
         "        continue\n"
         "    raise SystemExit('unguarded')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+
+
+@given(st.sampled_from((2, 3, 5, 7, 101)), st.lists(st.integers(-20, 20), min_size=2, max_size=7),
+       st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_hensel_lift_list_lifts_each_part(p, low, N):
+    """The clusters pi^e of any monic h mod p are pairwise coprime, so they
+    lift: the lifts multiply to h mod p^N and each reduces to its part."""
+    h = IntPoly(low + [1])
+    _, fac = factor_mod_p(h, p)
+    parts = [reduce(mul, [pi] * e).coeffs for pi, e in fac]
+    lifts = hensel_lift_list(h.coeffs, parts, p, N)
+    m = p**N
+    assert reduce(mul, (ModPPoly(m, lift) for lift in lifts)) == ModPPoly(m, h.coeffs)
+    for lift, part in zip(lifts, parts):
+        assert all(0 <= c < m for c in lift) and lift[-1] == 1
+        assert ModPPoly(p, lift) == ModPPoly(p, part)
+
+
+# -- answer guards of the factor data, typed so that python -O keeps them ------
+
+
+def test_padic_poly_refuses_malformed_coefficients():
+    for coeffs in ((), (1, 9)):
+        with pytest.raises(NotExact, match="leading coefficient"):
+            PadicPoly(3, 2, coeffs)
+    for coeffs in ((9, 1), (-1, 1)):
+        with pytest.raises(NotExact, match="not reduced"):
+            PadicPoly(3, 2, coeffs)
+
+
+def test_padic_factorization_refuses_a_degree_mismatch():
+    with pytest.raises(NotExact, match="sum to 0"):
+        PadicFactorization(parse_intpoly("t^2+1"), 5, 20, ())
+
+
+def test_square_roots_refuse_non_squares(monkeypatch):
+    with pytest.raises(NotExact, match="quadratic residue"):
+        _sqrt_mod_p(2, 5)
+    with pytest.raises(NotExact, match="1 mod 8"):
+        padic_unit_sqrt(5, 2, 10)
+    assert padic_unit_sqrt(17, 2, 10) ** 2 % 2**10 == 17
+    assert padic_unit_sqrt(2, 7, 10) ** 2 % 7**10 == 2
+    monkeypatch.setattr(padic, "_sqrt_mod_p", lambda a, p: 1)  # 1 is no root of 2 mod 7
+    with pytest.raises(NotExact, match="not a square root"):
+        padic_unit_sqrt(2, 7, 10)
+
+
+def test_quadratic_cluster_refuses_a_root_of_the_wrong_parity(monkeypatch):
+    # t^2-17 = (t+1)^2 mod 2; a root s of the discriminant must have the
+    # parity of b = 0 for (-b +- s)/2 to be 2-adic integers
+    pi = ModPPoly(2, [1, 1])
+    fac, _ = padic._quadratic_cluster(parse_intpoly("t^2-17"), pi, 2, 20, exact=True)
+    assert [(f.e, f.f) for f in fac] == [(1, 1), (1, 1)]
+    monkeypatch.setattr(padic, "padic_square_class", lambda d, p, N: ("square", 0))
+    monkeypatch.setattr(padic, "padic_unit_sqrt", lambda u, p, N: 1)
+    with pytest.raises(NotExact, match="mod 2"):
+        padic._quadratic_cluster(parse_intpoly("t^2-17"), pi, 2, 20, exact=True)
+
+
+def test_eisenstein_cluster_needs_a_linear_residue():
+    with pytest.raises(NotExact, match="linear residue"):
+        padic._eisenstein_cluster(parse_intpoly("t^2+t+1"), ModPPoly(2, [1, 1, 1]), 2, 20, exact=True)
+
+
+def test_dedekind_refuses_factors_that_do_not_multiply_back(monkeypatch):
+    # (t+1)^2 = t^2+2t+1 is not t^2+1 mod 3
+    monkeypatch.setattr(padic, "factor_mod_p", lambda h, p, seed=0: (1, [(ModPPoly(3, [1, 1]), 2)]))
+    with pytest.raises(NotExact, match="multiply back"):
+        dedekind_p_maximal(parse_intpoly("t^2+1"), 3)
+
+
+def test_padic_and_surface_refusals_survive_python_O():
+    script = (
+        "from fractions import Fraction\n"
+        "from arithsurf import padic\n"
+        "from arithsurf.errors import NonIrreducibleBase, NotExact, ParseError, UnsupportedOrder\n"
+        "from arithsurf.intpoly import parse_intpoly as P\n"
+        "from arithsurf.modp import ModPPoly as M\n"
+        "from arithsurf.surface import ClosedPoint, Curve, FactoredRationalFunction as FRF\n"
+        "from arithsurf.surface import chart_swap_point, chart_swap_poly, prime_support_on_horizontal\n"
+        "def refused(error, call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        return\n"
+        "    raise SystemExit(f'unguarded: {error.__name__}')\n"
+        "one = FRF(Fraction(1), ())\n"
+        "refused(ParseError, lambda: M(3, [1]) + M(5, [1]))\n"
+        "refused(NotExact, lambda: padic.PadicPoly(3, 2, (1, 9)))\n"
+        "refused(NotExact, lambda: padic.PadicPoly(3, 2, (9, 1)))\n"
+        "refused(NotExact, lambda: padic.PadicFactorization(P('t^2+1'), 5, 20, ()))\n"
+        "refused(NotExact, lambda: padic._sqrt_mod_p(2, 5))\n"
+        "refused(NotExact, lambda: padic.padic_unit_sqrt(5, 2, 10))\n"
+        "refused(NotExact, lambda: padic._eisenstein_cluster(P('t^2+t+1'), M(2, [1, 1, 1]), 2, 20, True))\n"
+        "refused(ParseError, lambda: FRF(Fraction(1), ((P('5*t+5'), 1),)))\n"
+        "refused(ParseError, lambda: FRF(Fraction(1), ((P('3'), 1),)))\n"
+        "refused(ParseError, lambda: chart_swap_poly(P('t')))\n"
+        "refused(NonIrreducibleBase, lambda: chart_swap_poly(P('t^2+t')))\n"
+        "refused(NonIrreducibleBase, lambda: chart_swap_point(ClosedPoint._of_factor(5, M(5, (0, 0, 1)))))\n"
+        "refused(UnsupportedOrder, lambda: prime_support_on_horizontal(Curve.vertical(5), one, one))\n"
+        "padic._sqrt_mod_p = lambda a, p: 1\n"
+        "refused(NotExact, lambda: padic.padic_unit_sqrt(2, 7, 10))\n"
+        "padic.factor_mod_p = lambda h, p, seed=0: (1, [(M(3, [1, 1]), 2)])\n"
+        "refused(NotExact, lambda: padic.dedekind_p_maximal(P('t^2+1'), 3))\n"
+        "padic.padic_square_class = lambda d, p, N: ('square', 0)\n"
+        "padic.padic_unit_sqrt = lambda u, p, N: 1\n"
+        "refused(NotExact, lambda: padic._quadratic_cluster(P('t^2-17'), M(2, [1, 1]), 2, 20, True))\n"
     )
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=30)

@@ -20,6 +20,8 @@ from arithsurf.surface import (
     Curve,
     FactoredRationalFunction,
     chart_swap,
+    chart_swap_point,
+    chart_swap_poly,
     constant_function,
     curves_through_point,
     format_function,
@@ -31,6 +33,7 @@ from arithsurf.surface import (
     parse_point,
     points_on_horizontal,
     points_on_vertical,
+    prime_support_on_horizontal,
     vertical_order,
 )
 
@@ -236,3 +239,28 @@ def test_answer_guards_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
+
+
+def test_factored_function_refuses_bases_that_are_not_primitive():
+    # primitive means content 1 and a positive leading coefficient
+    for text in ("5*t+5", "3", "-t-1"):
+        with pytest.raises(ParseError, match="primitive"):
+            FactoredRationalFunction(Fraction(1), ((parse_intpoly(text), 1),))
+    # the normalizing constructors still build valid functions
+    f = make_function(Fraction(1), [(parse_intpoly("5*t+5"), 1), (parse_intpoly("-t^2-1"), 2)])
+    assert f.unit == 5 and f.exponent_of(parse_intpoly("t+1")) == 1
+    assert f.inv().inv() == f and chart_swap(chart_swap(f)) == f
+
+
+def test_chart_swap_refuses_bases_and_residues_divisible_by_t():
+    with pytest.raises(ParseError, match="INF"):
+        chart_swap_poly(parse_intpoly("t"))
+    with pytest.raises(NonIrreducibleBase, match="origin"):
+        chart_swap_poly(parse_intpoly("t^2+t"))
+    with pytest.raises(NonIrreducibleBase, match="origin"):
+        chart_swap_point(ClosedPoint._of_factor(5, ModPPoly(5, (0, 0, 1))))
+
+
+def test_prime_support_refuses_vertical_curves():
+    with pytest.raises(UnsupportedOrder, match="vertical"):
+        prime_support_on_horizontal(Curve.vertical(5), constant_function(2), constant_function(3))

@@ -11,7 +11,6 @@ from arithsurf import symbols
 from arithsurf.errors import NotExact, ParseError, UnsupportedOrder
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.surface import (
-    FactoredRationalFunction,
     make_function,
     parse_curve,
     parse_function,
@@ -144,8 +143,9 @@ def test_archimedean_closed_form_constant():
 
 
 def test_rank2_vertical_refuses_a_base_vanishing_mod_p():
-    # FactoredRationalFunction taken as given: 5t+5 is not primitive
-    f = FactoredRationalFunction(Fraction(1), ((parse_intpoly("5*t+5"), 1),))
+    # a function-like value taken as given: 5t+5 is not primitive, which
+    # FactoredRationalFunction itself refuses
+    f = SimpleNamespace(unit=Fraction(1), factors=((parse_intpoly("5*t+5"), 1),))
     with pytest.raises(NotExact, match="vanishes mod 5"):
         rank2_vertical(f, 5, parse_point("5:t"))
 
@@ -201,11 +201,11 @@ def test_answer_guards_survive_python_O():
         "from arithsurf.intpoly import parse_intpoly as P\n"
         "from arithsurf.laws import verify_horizontal_law\n"
         "from arithsurf.qlinalg import det\n"
-        "from arithsurf.surface import FactoredRationalFunction, parse_curve, parse_point\n"
+        "from arithsurf.surface import parse_curve, parse_point\n"
         "from arithsurf.surface import parse_function as F\n"
         "h, c, pt = P('t^2+1'), parse_curve('H:t^2+1'), parse_point('3:t^2+1')\n"
         "factor = NS(poly=NS(p=5, to_intpoly=lambda: P('t-2')), e=1, f=2)\n"
-        "bad = FactoredRationalFunction(Fraction(1), ((P('5*t+5'), 1),))\n"
+        "bad = NS(unit=Fraction(1), factors=((P('5*t+5'), 1),))\n"
         "calls = [\n"
         "    lambda: symbols.rank2_vertical(bad, 5, parse_point('5:t')),\n"
         "    lambda: symbols._monic_point_residue(P('2*t^2+1'), parse_point('2:t+1')),\n"
