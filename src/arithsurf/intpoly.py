@@ -10,7 +10,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ZeroPolynomial
+from .errors import NotExact, ParseError, ZeroPolynomial
 from .primes import factor_integer
 from .qlinalg import det
 
@@ -222,7 +222,8 @@ def pseudo_rem(a, b):
         # r <- blc*r - top*(t^k * b); kills the coefficient at k+d exactly.
         for i, bc in enumerate(b.coeffs):
             r[k + i] -= top * bc
-        assert r[k + d] == 0
+        if r[k + d]:
+            raise NotExact(f"pseudo-division by {b} left a leading term")
     return IntPoly(r[:d])
 
 
@@ -255,7 +256,8 @@ def resultant(a, b):
         if R.is_zero:
             return 0
         div = g * h**delta
-        assert all(c % div == 0 for c in R.coeffs)
+        if any(c % div for c in R.coeffs):
+            raise NotExact(f"subresultant remainder not divisible by {div}")
         B = IntPoly([c // div for c in R.coeffs])
         g = A.lc
         if delta == 1:
@@ -263,14 +265,16 @@ def resultant(a, b):
         elif delta > 1:
             num = g**delta
             den = h ** (delta - 1)
-            assert num % den == 0
+            if num % den:
+                raise NotExact(f"subresultant coefficient {num} not divisible by {den}")
             h = num // den
         if B.degree == 0:
             break
     # Closing step: Res = s * t * lc(B)^deg(A) / h^(deg(A) - 1).
     num = B.lc ** A.degree
     den = h ** (A.degree - 1) if A.degree >= 1 else 1
-    assert den != 0 and num % den == 0, "subresultant bookkeeping broke"
+    if den == 0 or num % den:
+        raise NotExact(f"subresultant bookkeeping broke: {num} / {den}")
     return s * t * (num // den)
 
 
@@ -308,7 +312,8 @@ def discriminant(h):
     r = resultant(h, h.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     q, rem = divmod(sign * r, h.lc)
-    assert rem == 0
+    if rem:
+        raise NotExact(f"Res(h, h') = {r} is not divisible by lc(h) = {h.lc}")
     return q
 
 
@@ -334,7 +339,8 @@ def squarefree_part(h):
     """h / gcd(h, h'), primitive with positive leading coefficient."""
     g = gcd_int(h, h.derivative())
     quo, rem = divmod_exact(h, g)
-    assert not any(rem)
+    if any(rem):
+        raise NotExact(f"gcd(h, h') = {g} does not divide h = {h}")
     den = 1
     for q in quo:
         den = den * q.denominator // math.gcd(den, q.denominator)

@@ -29,8 +29,10 @@ from .intpoly import (
     T,
     format_intpoly,
     parse_intpoly,
+    resultant,
     spot_check_irreducible,
 )
+from .memo import shared
 from .modp import ModPPoly, factor_mod_p, is_irreducible_modp
 from .padic import vp
 from .primes import factor_integer, is_prime
@@ -461,22 +463,27 @@ def points_on_vertical(p, f, g, seed=0):
     return points
 
 
+def curve_resultant(h, b):
+    """Res(h, b), computed once per law verification (see memo.py): the
+    prime support and the branch valuations read the same value."""
+    return shared(("resultant", h, b), lambda: resultant(h, b))
+
+
 def prime_support_on_horizontal(curve, f, g):
     """Primes p where f or g can have a zero or pole on the horizontal
-    curve: divisors of Res(h, base), of the unit, and of lc(h)."""
+    curve: divisors of Res(h, base), of the unit, and of lc(h).
+
+    Raises NonIrreducibleBase when a base other than h shares a factor
+    with h (a zero resultant): one of the two is reducible."""
     if curve.kind == VERTICAL:
         raise UnsupportedOrder(f"vertical curve {curve.label()} has no horizontal support")
     if curve.kind == INFINITY_SECTION:
         curve = Curve.horizontal(T)
         f, g = chart_swap(f), chart_swap(g)
     h = curve.h
-    from .intpoly import resultant  # local import to avoid cycle noise
-
     primes = set()
 
     def add_int(n):
-        if n in (0,):
-            raise ZeroPolynomial("unexpected zero resultant (shared factor)")
         _, fs = factor_integer(abs(n))
         primes.update(q for q, _ in fs)
 
@@ -486,31 +493,48 @@ def prime_support_on_horizontal(curve, f, g):
         for b, _ in fn.factors:
             if b == h:
                 continue
-            add_int(resultant(h, b))
+            res = curve_resultant(h, b)
+            if res == 0:
+                raise NonIrreducibleBase(
+                    f"base {b} shares a factor with the curve {curve.label()}, "
+                    "so one of them is reducible"
+                )
+            add_int(res)
     if h.lc != 1:
         add_int(h.lc)
     return sorted(primes)
 
 
 def points_on_horizontal(curve, f, g, seed=0):
-    """Closed points of a horizontal curve in the support of f or g.
+    """Closed points of a horizontal curve in the support of f or g, as an
+    iterator in ClosedPoint.sort_key order.
 
-    Raises UnsupportedOrder when the support holds a prime beyond the
-    closed-point coordinates (>= 2^63)."""
+    The prime support and its bound check run at the call: it raises
+    UnsupportedOrder when the support holds a prime beyond the
+    closed-point coordinates (>= 2^63), before any point is produced.
+    The curve is factored mod p only when iteration reaches p, so a caller
+    that stops early factors nothing beyond where it stopped.  A timer
+    around the call therefore covers the support and the iterator's
+    creation; the factoring falls in the caller's time."""
     if curve.kind == INFINITY_SECTION:
-        inner = Curve.horizontal(T)
-        return points_on_horizontal(inner, chart_swap(f), chart_swap(g), seed=seed)
-    h = curve.h
-    points = []
-    for p in prime_support_on_horizontal(curve, f, g):
+        curve = Curve.horizontal(T)
+        f, g = chart_swap(f), chart_swap(g)
+    primes = prime_support_on_horizontal(curve, f, g)
+    for p in primes:
         if p >= PRIME_COORD_BOUND:
             raise UnsupportedOrder(f"support prime {p} is not below 2^63")
+    return _points_over(curve.h, primes, seed)
+
+
+def _points_over(h, primes, seed):
+    """The points of h = 0 over each prime in turn (primes sorted)."""
+    for p in primes:
+        points = []
         hbar = ModPPoly.from_intpoly(h, p)
         if hbar.degree >= 1:
             _, fs = factor_mod_p(hbar, p, seed=seed)
-            for pi, _ in fs:
-                points.append(ClosedPoint._of_factor(p, pi))
+            points.extend(ClosedPoint._of_factor(p, pi) for pi, _ in fs)
         if h.lc % p == 0:
             points.append(ClosedPoint(p))
-    points.sort(key=ClosedPoint.sort_key)
-    return points
+        points.sort(key=ClosedPoint.sort_key)
+        yield from points

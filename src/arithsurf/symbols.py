@@ -9,12 +9,23 @@ The symbol of two functions is the 2x2 determinant
 
 summed over the analytic branches of C at x with weights [k_i : k(x)].
 
-Vertical flags are exact and immediate.  Horizontal flags go through the
-p-adic factorization of the (monicized) curve polynomial: each p-adic
-factor is a branch, nu2 is computed from resultants against the factor's
-coefficient lift, with a doubling precision ladder on top.  Degree-one
-curves (including non-monic ones like 2t-1) bypass all of that with exact
-rational arithmetic.
+Vertical flags are exact and immediate.  A horizontal curve h = 0 with p
+prime to lc(h) is read at x through hm = monicize(h) mod p:
+
+  * when that reduction is squarefree, Z[t]/(hm) is maximal at p and every
+    branch is unramified, so x carries one branch of residue degree deg(x).
+    For a base b that meets no other point of h over p, nu2(b) is read off
+    the global resultant (Dedekind-Kummer; the local intersection number):
+    0 when the point's residue does not divide the reduction of b, and
+    v_p(Res(h, b)) / deg(x) when it does, because b is a unit on the other
+    branches.  Res(h, b) is the one `prime_support_on_horizontal` computed.
+  * otherwise (a non-squarefree reduction, a base meeting two points over
+    p, a zero resultant or a valuation at the precision cap) each p-adic
+    factor of hm is a branch, and nu2 comes from resultants against the
+    factor's coefficient lift, with a doubling precision ladder on top.
+
+Degree-one curves (including non-monic ones like 2t-1) bypass all of that
+with exact rational arithmetic.
 """
 
 from dataclasses import dataclass
@@ -31,7 +42,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .intpoly import IntPoly, T, resultant
-from .modp import ModPPoly, multiplicity
+from .modp import ModPPoly, factor_mod_p, multiplicity
 from .padic import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
@@ -47,6 +58,7 @@ from .surface import (
     chart_swap,
     chart_swap_curve,
     chart_swap_point,
+    curve_resultant,
     horizontal_order,
     incident,
     vertical_order,
@@ -123,15 +135,14 @@ def _restriction_valuation(fn, h, factor, N):
     with the exponent of h itself already stripped from fn.
 
     fn(theta) with theta a root of factor (as a factor of monicize(h)):
-    for each base b, w(b(theta)) = v_p(Res(factor_lift, B)) / f
-    - deg(b) * e * v_p(lc h), where B(y) = lc^deg(b) * b(y/lc).  Trusted
-    only when the resultant valuation stays below the working precision N.
+    for each base b, w(b(theta)) = v_p(Res(factor_lift, B)) / f, where
+    B(y) = lc^deg(b) * b(y/lc) and p does not divide lc.  Trusted only when
+    the resultant valuation stays below the working precision N.
     """
     p = factor.poly.p
     lc = h.lc
     lift = factor.poly.to_intpoly()
     total = Fraction(factor.e) * vp(fn.unit, p)
-    v_lc = vp(lc, p) if lc % p == 0 else 0
     for b, e in fn.factors:
         if b == h:
             continue
@@ -144,10 +155,54 @@ def _restriction_valuation(fn, h, factor, N):
         w_num = vp(res, p)
         if w_num % factor.f:
             raise NotExact(f"norm valuation {w_num} is not divisible by f = {factor.f}")
-        total += e * (Fraction(w_num, factor.f) - b.degree * factor.e * v_lc)
+        total += e * Fraction(w_num, factor.f)
     if total.denominator != 1:
         raise NotExact(f"branch valuation {total} is not an integer")
     return int(total)
+
+
+def _residue_branch(h, point, pi_hat, residues, f, g):
+    """The single branch at the point when monicize(h) is squarefree mod p,
+    read off its reduction `residues` and the global resultants; None when
+    a base needs the p-adic ladder instead.
+
+    With B(y) = lc^deg(b) * b(y/lc): nu2(b) = 0 when pi_hat does not divide
+    B mod p, and v_p(Res(h, b)) / deg(x) when pi_hat is the only residue
+    that does.  A base meeting a second point over p, a zero resultant or
+    a valuation at PRECISION_CAP (where the ladder gives up) returns None.
+    """
+    if pi_hat not in residues:
+        return None
+    p, lc = point.p, h.lc
+    others = [pi for pi in residues if pi != pi_hat]
+
+    def nu2(fn):
+        total = vp(fn.unit, p)
+        for b, e in fn.factors:
+            if b == h:
+                continue
+            B = ModPPoly.from_intpoly(b.scale_arg(lc) if lc != 1 else b, p)
+            if B % pi_hat:
+                continue  # b is a unit on the branch
+            if any(not B % pi for pi in others):
+                return None
+            res = curve_resultant(h, b)
+            if res == 0:
+                return None
+            v = vp(res, p)
+            if v >= PRECISION_CAP:
+                return None
+            if v % point.degree:
+                raise NotExact(
+                    f"v_{p}(Res(h, {b})) = {v} is not a multiple of deg(x) = {point.degree}"
+                )
+            total += e * (v // point.degree)
+        return total
+
+    nu2_f, nu2_g = nu2(f), nu2(g)
+    if nu2_f is None or nu2_g is None:
+        return None
+    return BranchData(e=1, f=point.degree, weight=1, nu2_f=nu2_f, nu2_g=nu2_g)
 
 
 def _strip(fn, h):
@@ -183,7 +238,9 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
     """Analytic branches of the horizontal curve at the point, with the
     nu2 valuations of f and g on each branch.
 
-    Raises UnsupportedOrder for curves the p-adic ladder cannot certify
+    A squarefree reduction mod p decides the point's one branch from the
+    residues (see _residue_branch); every other case climbs the p-adic
+    ladder.  Raises UnsupportedOrder for curves the ladder cannot certify
     (p | lc with degree >= 2, non p-maximal orders, unsupported clusters).
     """
     h = curve.h
@@ -199,11 +256,17 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
             f"p = {p} divides the leading coefficient of {h} (degree >= 2)"
         )
     hm = h.monicize()
-    if not dedekind_p_maximal(hm, p, seed=seed):
+    pi_hat = _monic_point_residue(h, point)
+    _, reduction = factor_mod_p(hm, p, seed=seed)
+    if all(e == 1 for _, e in reduction):
+        # squarefree mod p: maximal at p (Dedekind), every branch unramified
+        branch = _residue_branch(h, point, pi_hat, [pi for pi, _ in reduction], f, g)
+        if branch is not None:
+            return [branch]
+    elif not dedekind_p_maximal(hm, p, seed=seed):
         raise UnsupportedOrder(
             f"Z[t]/({hm}) is not maximal at {p}; branch data uncertified"
         )
-    pi_hat = _monic_point_residue(h, point)
     N = start_precision
     while True:
         try:

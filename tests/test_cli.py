@@ -148,3 +148,12 @@ def test_json_output_is_deterministic():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_base_sharing_a_factor_with_the_curve_is_a_usage_error(capsys):
+    # t^5+t^3-2t^2-2 = (t^2+1)(t^3-2) passes the degree-4 spot check, but its
+    # resultant with the curve t^2+1 is 0
+    code, _, err = run(capsys, "verify", "horizontal", "--curve", "H:t^2+1",
+                       "--f", "1*(t^5+t^3-2*t^2-2)^1", "--g", "3")
+    assert code == 2
+    assert "NonIrreducibleBase" in err and "t^5+t^3-2t^2-2" in err and "H:t^2+1" in err

@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithsurf.errors import ZeroPolynomial
+from arithsurf import intpoly
+from arithsurf.errors import NotExact, ZeroPolynomial
 from arithsurf.intpoly import (
     IntPoly,
     discriminant,
@@ -12,6 +16,7 @@ from arithsurf.intpoly import (
     format_intpoly,
     gcd_int,
     parse_intpoly,
+    pseudo_rem,
     rational_roots,
     resultant,
     resultant_sylvester,
@@ -153,3 +158,92 @@ def test_spot_check_irreducible():
 def test_zero_poly_guard():
     with pytest.raises(ZeroPolynomial):
         IntPoly(()).monicize()
+
+
+# -- answer guards, typed so that python -O keeps them ---------------------------
+# Each guard holds for every IntPoly input; a planted fault reaches it.
+
+P = parse_intpoly
+
+
+def test_pseudo_rem_refuses_a_divisor_whose_top_term_it_cannot_kill():
+    # a divisor-like value whose stated lc is not its top coefficient
+    b = SimpleNamespace(is_zero=False, degree=1, lc=2, coeffs=(1, 3))
+    with pytest.raises(NotExact, match="leading term"):
+        pseudo_rem(P("t^2+1"), b)
+
+
+def test_resultant_refuses_a_remainder_off_the_subresultant_chain(monkeypatch):
+    real = intpoly.pseudo_rem
+    monkeypatch.setattr(intpoly, "pseudo_rem", lambda A, B: real(A, B) + 1)
+    with pytest.raises(NotExact, match="remainder not divisible by 9"):
+        resultant(P("t^4+t+1"), P("3*t^3+2*t+5"))
+
+
+def test_resultant_refuses_a_subresultant_coefficient_off_z(monkeypatch):
+    # a first remainder 3t+1 drops two degrees; the next h would be 9/2
+    real = intpoly.pseudo_rem
+    monkeypatch.setattr(
+        intpoly, "pseudo_rem",
+        lambda A, B: P("3*t+1") if B.degree == 3 else real(A, B),
+    )
+    with pytest.raises(NotExact, match="coefficient 9 not divisible by 2"):
+        resultant(P("t^4+1"), P("2*t^3+t+1"))
+
+
+def test_resultant_refuses_a_closing_step_off_z(monkeypatch):
+    # a constant remainder 3 against 2t^2+...: the closing 3^2 / 2 is not integral
+    monkeypatch.setattr(intpoly, "pseudo_rem", lambda A, B: P("3"))
+    with pytest.raises(NotExact, match="bookkeeping broke: 9 / 2"):
+        resultant(P("t^3+1"), P("2*t^2+1"))
+
+
+def test_discriminant_refuses_a_resultant_off_the_leading_coefficient(monkeypatch):
+    monkeypatch.setattr(intpoly, "resultant", lambda a, b: 3)
+    with pytest.raises(NotExact, match="not divisible by lc"):
+        discriminant(P("2*t^2+1"))
+
+
+def test_squarefree_part_refuses_a_gcd_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(intpoly, "gcd_int", lambda a, b: P("t+1"))
+    with pytest.raises(NotExact, match="does not divide"):
+        squarefree_part(P("t^2+1"))
+
+
+def test_answer_guards_survive_python_O():
+    script = (
+        "from types import SimpleNamespace as NS\n"
+        "from arithsurf import intpoly\n"
+        "from arithsurf.errors import NotExact\n"
+        "from arithsurf.intpoly import parse_intpoly as P\n"
+        "real = intpoly.pseudo_rem\n"
+        "b = NS(is_zero=False, degree=1, lc=2, coeffs=(1, 3))\n"
+        "calls = [\n"
+        "    (None, lambda: intpoly.pseudo_rem(P('t^2+1'), b)),\n"
+        "    (lambda A, B: real(A, B) + 1,\n"
+        "     lambda: intpoly.resultant(P('t^4+t+1'), P('3*t^3+2*t+5'))),\n"
+        "    (lambda A, B: P('3*t+1') if B.degree == 3 else real(A, B),\n"
+        "     lambda: intpoly.resultant(P('t^4+1'), P('2*t^3+t+1'))),\n"
+        "    (lambda A, B: P('3'), lambda: intpoly.resultant(P('t^3+1'), P('2*t^2+1'))),\n"
+        "]\n"
+        "for fault, call in calls:\n"
+        "    intpoly.pseudo_rem = fault or real\n"
+        "    try:\n"
+        "        call()\n"
+        "    except NotExact:\n"
+        "        continue\n"
+        "    raise SystemExit('unguarded')\n"
+        "intpoly.pseudo_rem = real\n"
+        "intpoly.resultant = lambda a, c: 3\n"
+        "intpoly.gcd_int = lambda a, c: P('t+1')\n"
+        "for call in (lambda: intpoly.discriminant(P('2*t^2+1')),\n"
+        "             lambda: intpoly.squarefree_part(P('t^2+1'))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except NotExact:\n"
+        "        continue\n"
+        "    raise SystemExit('unguarded')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

@@ -17,11 +17,15 @@ from arithsurf.surface import (
     parse_function,
     points_on_horizontal,
     points_on_vertical,
+    prime_support_on_horizontal,
 )
 
 F = parse_function
 # t^4+1 has two points over 3, two over 5 and four over 257
 SPLIT = (parse_curve("H:t^4+1"), F("3*(t^4+1)^1"), F("1*(t^2+2)^1*(t+4)^-1"))
+# t^3-t-2 = t (t+1)^2 mod 2 is not squarefree: both of its points over 2 take
+# the p-adic ladder; the support is {2, 3, 13}
+CLUSTERED = (parse_curve("H:t^3-t-2"), F("3*(t^3-t-2)^1"), F("1*(t+1)^1*(t^2+3)^-1"))
 
 
 def _count_bodies(monkeypatch):
@@ -52,13 +56,36 @@ def test_horizontal_law_factors_once_per_prime(monkeypatch):
         return public(h, p, N=N, seed=seed)
 
     monkeypatch.setattr(symbols, "padic_factor", ask)
+    report = verify_horizontal_law(*CLUSTERED)
+    assert report.verdict == "pass" and report.finite_part == {"2": -1, "13": -1}
+    assert runs and set(runs.values()) == {1}
+    h = CLUSTERED[0].h
+    assert asked[h, 2, padic.DEFAULT_PRECISION] == 2
+    assert runs["padic_factor", h, 2, padic.DEFAULT_PRECISION] == 1
+    assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {2, 3, 13}
+
+
+def test_unramified_points_take_no_p_adic_factorization(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    # each base of SPLIT meets at most one point of t^4+1 over each prime
     report = verify_horizontal_law(*SPLIT)
     assert report.verdict == "pass" and report.finite_part == {"5": 2, "257": -1}
-    assert runs and set(runs.values()) == {1}
-    h = SPLIT[0].h
-    assert asked[h, 257, padic.DEFAULT_PRECISION] == 4
-    assert runs["padic_factor", h, 257, padic.DEFAULT_PRECISION] == 1
+    assert not [key for key in runs if key[0] == "padic_factor"]
     assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {3, 5, 257}
+    # t^2+1 = (t+1)^2 mod 2: the point over 2 still climbs the ladder
+    report = verify_horizontal_law(parse_curve("H:t^2+1"), F("2"), F("1*(t-1)^1"))
+    assert report.verdict == "pass"
+    assert [key[2] for key in runs if key[0] == "padic_factor"] == [2]
+
+
+def test_inconclusive_verification_stops_factoring_at_the_failing_prime(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    # lc = 2: the first point over 2 is inconclusive; 3, 5 and 7 wait behind it
+    curve = parse_curve("H:2*t^2+t+1")
+    report = verify_horizontal_law(curve, F("15"), F("7 * (t-1)^1"))
+    assert report.verdict == "inconclusive" and "p = 2 divides" in report.reason
+    assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {2}
+    assert prime_support_on_horizontal(curve, F("15"), F("7 * (t-1)^1")) == [2, 3, 5, 7]
 
 
 def test_nothing_is_reused_outside_a_verification(monkeypatch):
@@ -125,7 +152,7 @@ def _population(seed, cases):
         out.append((verify_vertical_law, VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)],
                     *random_pair(rng)))
         out.append((verify_horizontal_law, curves[i % len(curves)], *random_pair(rng)))
-    return out + [(verify_horizontal_law, *SPLIT)]
+    return out + [(verify_horizontal_law, *SPLIT), (verify_horizontal_law, *CLUSTERED)]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -147,7 +174,7 @@ def test_factor_points_equal_checked_points():
         f, g = random_pair(rng)
         points = points_on_vertical(VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)], f, g)
         try:
-            points += points_on_horizontal(curves[i % len(curves)], f, g)
+            points += list(points_on_horizontal(curves[i % len(curves)], f, g))
         except UnsupportedOrder:
             pass
         for pt in points:

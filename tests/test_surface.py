@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithsurf import surface
 from arithsurf.errors import (
     NonIrreducibleBase,
     ParseError,
@@ -264,3 +265,26 @@ def test_chart_swap_refuses_bases_and_residues_divisible_by_t():
 def test_prime_support_refuses_vertical_curves():
     with pytest.raises(UnsupportedOrder, match="vertical"):
         prime_support_on_horizontal(Curve.vertical(5), constant_function(2), constant_function(3))
+
+
+def test_prime_support_refuses_a_base_sharing_a_factor_with_the_curve():
+    curve = Curve.horizontal(parse_intpoly("t^2+1"))
+    f = parse_function("1*(t^5+t^3-2*t^2-2)^1")  # (t^2+1)(t^3-2)
+    with pytest.raises(NonIrreducibleBase, match=r"t\^5\+t\^3-2t\^2-2 .*H:t\^2\+1"):
+        prime_support_on_horizontal(curve, f, constant_function(3))
+
+
+def test_points_on_horizontal_refuses_a_large_prime_before_any_point(monkeypatch):
+    factored = []
+    monkeypatch.setattr(surface, "factor_mod_p", lambda *args, **kwargs: factored.append(args))
+    curve = Curve.horizontal(parse_intpoly("t^2+1"))
+    big = 2**64 - 59  # prime, beyond the closed-point coordinates
+    f = parse_function(f"{5 * big}")
+    with pytest.raises(UnsupportedOrder, match="not below 2\\^63"):
+        points_on_horizontal(curve, f, constant_function(3))
+    assert factored == []
+    # below the bound the points come one prime at a time, in sort order
+    monkeypatch.undo()
+    points = points_on_horizontal(curve, parse_function("5 * (t)^1"), constant_function(3))
+    assert iter(points) is points
+    assert [p.label() for p in points] == ["3:t^2+1", "5:t+2", "5:t+3"]

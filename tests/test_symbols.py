@@ -1,15 +1,20 @@
+import importlib.util
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
 
+import arithsurf
 from arithsurf import symbols
-from arithsurf.errors import NotExact, ParseError, UnsupportedOrder
+from arithsurf.errors import InsufficientPrecision, NotExact, ParseError, UnsupportedOrder
 from arithsurf.intpoly import parse_intpoly
+from arithsurf.laws import verify_horizontal_law, verify_point_law
+from arithsurf.selftest import HORIZONTAL_CURVES, random_pair, random_point
 from arithsurf.surface import (
     make_function,
     parse_curve,
@@ -177,9 +182,10 @@ def test_branch_decomposition_refuses_points_off_the_curve():
 
 
 def test_branch_decomposition_checks_the_p_adic_factors(monkeypatch):
-    # t^2+1 is inert at 3: one branch with f = 2 over the degree-2 point
-    c, pt = parse_curve("H:t^2+1"), parse_point("3:t^2+1")
-    f, g = F("3"), F("1*(t)^1")
+    # t^4+t^3+t^2-2 = t^2 (t^2+t+1) mod 2 is not squarefree, so its points over
+    # 2 take the p-adic ladder: one inert branch with f = 2 over the degree-2 point
+    c, pt = parse_curve("H:t^4+t^3+t^2-2"), parse_point("2:t^2+t+1")
+    f, g = F("2"), F("1*(t)^1")
     assert [(b.e, b.f) for b in branch_decomposition(c, pt, f, g)] == [(1, 2)]
     pi_hat = symbols._monic_point_residue(c.h, pt)
     wrong_degree = SimpleNamespace(factors=[SimpleNamespace(residue=pi_hat, e=2, f=1)])
@@ -203,7 +209,7 @@ def test_answer_guards_survive_python_O():
         "from arithsurf.qlinalg import det\n"
         "from arithsurf.surface import parse_curve, parse_point\n"
         "from arithsurf.surface import parse_function as F\n"
-        "h, c, pt = P('t^2+1'), parse_curve('H:t^2+1'), parse_point('3:t^2+1')\n"
+        "h, c, pt = P('t^2+1'), parse_curve('H:t^2+1'), parse_point('2:t+1')\n"
         "factor = NS(poly=NS(p=5, to_intpoly=lambda: P('t-2')), e=1, f=2)\n"
         "bad = NS(unit=Fraction(1), factors=((P('5*t+5'), 1),))\n"
         "calls = [\n"
@@ -214,12 +220,17 @@ def test_answer_guards_survive_python_O():
         "    lambda: verify_horizontal_law(parse_curve('V:5'), F('2'), F('3')),\n"
         "    lambda: det(((1, 2),)),\n"
         "]\n"
+        "real_resultant = symbols.curve_resultant\n"
+        "symbols.curve_resultant = lambda h, b: 3\n"
+        "calls.append(lambda: symbols.branch_decomposition(\n"
+        "    c, parse_point('3:t^2+1'), F('1*(t^2+4)^1'), F('2')))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
         "    except ArithsurfError:\n"
         "        continue\n"
         "    raise SystemExit('unguarded')\n"
+        "symbols.curve_resultant = real_resultant\n"
         "symbols.padic_factor = lambda *args, **kwargs: NS(factors=[])\n"
         "roots.all_roots = lambda h, prec: [mp.mpf(1)]\n"
         "for call in (lambda: symbols.branch_decomposition(c, pt, F('3'), F('1*(t)^1')),\n"
@@ -233,3 +244,102 @@ def test_answer_guards_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
+
+
+# -- the residue decision of unramified points -------------------------------
+
+
+def test_residue_branch_reads_nu2_off_the_resultant():
+    # t^2+1 is inert at 3; Res(t^2+1, t^2+4) = 9, so nu2(t^2+4) = 2 / deg(x) = 1
+    c, pt = parse_curve("H:t^2+1"), parse_point("3:t^2+1")
+    bs = branch_decomposition(c, pt, F("1*(t^2+4)^1"), F("6 * (t-1)^2"))
+    assert [(b.e, b.f, b.weight, b.nu2_f, b.nu2_g) for b in bs] == [(1, 2, 1, 1, 1)]
+
+
+def test_residue_branch_refuses_a_valuation_off_deg_x(monkeypatch):
+    # a planted Res(h, b) = 3 would put nu2 at 1/2 on the degree-2 point
+    monkeypatch.setattr(symbols, "curve_resultant", lambda h, b: 3)
+    with pytest.raises(NotExact, match="not a multiple of deg"):
+        branch_decomposition(parse_curve("H:t^2+1"), parse_point("3:t^2+1"),
+                             F("1*(t^2+4)^1"), F("2"))
+
+
+def force_ladder(monkeypatch):
+    """Switch off the one gate of the residue decision: every point climbs
+    the p-adic ladder, as before the decision existed."""
+    monkeypatch.setattr(symbols, "_residue_branch", lambda *args: None)
+
+
+def _wider_law_cases(seed, size):
+    """Point and horizontal cases of the benchmark's `laws` pool."""
+    path = Path(__file__).resolve().parent.parent / "arithbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("arithbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.law_pool(arithsurf, workloads.Draws("laws", seed), size)
+    verify = {"point": verify_point_law, "horizontal": verify_horizontal_law}
+    return [(verify[c.kind], *c.data) for c in pool if c.kind in verify]
+
+
+def _selftest_law_cases(seed, cases):
+    rng = random.Random(seed)
+    extra = ("H:t^4+1", "H:5*t^2+t+3", "H:t^3+t+1", "H:t^3-t-2", "H:t^4+t^3+t^2-2")
+    curves = [parse_curve(s) for s in HORIZONTAL_CURVES + extra]
+    out = []
+    for i in range(cases):
+        out.append((verify_point_law, random_point(rng), *random_pair(rng)))
+        out.append((verify_horizontal_law, curves[i % len(curves)], *random_pair(rng)))
+    return out
+
+
+def test_residue_decision_changes_no_report(monkeypatch):
+    cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 600)
+    # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0
+    reducible = (F("1*(t^5+t^3-2*t^2-2)^1"), F("3*(t^2+1)^1"))
+    cases += [(verify_point_law, parse_point(label), *reducible)
+              for label in ("7:t^2+1", "11:t^2+1", "13:t+5", "13:t^3+11")]
+    decided = []
+    gate = symbols._residue_branch
+
+    def counted(*args):
+        branch = gate(*args)
+        decided.append(branch is not None)
+        return branch
+
+    monkeypatch.setattr(symbols, "_residue_branch", counted)
+    fast = [verify(subject, f, g).to_dict() for verify, subject, f, g in cases]
+    force_ladder(monkeypatch)
+    assert [verify(subject, f, g).to_dict() for verify, subject, f, g in cases] == fast
+    assert {r["verdict"] for r in fast} == {"pass", "inconclusive"}
+    assert sum(decided) > 1000 and not all(decided)
+
+
+def _root_of_t2_plus_1(digits):
+    """b = t - r with r = 2 + O(5) a 5-adic root of t^2+1 to the given digits."""
+    m, r = 5**digits, 2
+    while (r * r + 1) % m:
+        r = (r - (r * r + 1) * pow(2 * r, -1, m)) % m
+    return make_function(1, [(parse_intpoly(f"t-{r}"), 1)])
+
+
+def test_residue_decision_leaves_the_precision_cap_to_the_ladder(monkeypatch):
+    c, pt = parse_curve("H:t^2+1"), parse_point("5:t+3")
+    asked = []
+    real = symbols.padic_factor
+
+    def ask(*args, **kwargs):
+        asked.append(kwargs["N"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(symbols, "padic_factor", ask)
+    # at 1300 digits the valuation reaches the cap: the ladder runs out, as before
+    with pytest.raises(InsufficientPrecision, match="1280"):
+        branch_decomposition(c, pt, _root_of_t2_plus_1(1300), F("5"))
+    assert asked == [20, 40, 80, 160, 320, 640, 1280]
+    # at 1000 digits it stays below: no ladder, and the branch the ladder finds
+    asked.clear()
+    b = _root_of_t2_plus_1(1000)
+    fast = branch_decomposition(c, pt, b, F("5"))
+    assert asked == [] and fast[0].nu2_f >= 1000
+    force_ladder(monkeypatch)
+    assert branch_decomposition(c, pt, b, F("5")) == fast
