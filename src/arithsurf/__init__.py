@@ -43,7 +43,6 @@ from .centext import (
     prop_b_check,
     pushforward,
     standard_lattice,
-    window_lattice,
     zero_lattice,
 )
 from .config import ENV_PREC_BITS, RunConfig, default_config
@@ -57,7 +56,6 @@ from .errors import (
     NonIrreducibleBase,
     NotExact,
     ParseError,
-    ReductionUndefined,
     RootFindingDivergence,
     UnsupportedFactorization,
     UnsupportedOrder,

@@ -977,31 +977,6 @@ def prop_b_check(g, h, A, B, prec=128):
 # -- Laurent window model ---------------------------------------------------------
 
 
-def window_lattice(f, window):
-    """(f * span{t^k : k >= 0}) cut to the window, with its natural basis
-    f t^k listed by ascending degree.  Also returns the reference lattice
-    A = span(t^0 .. t^M)."""
-    m, M = window
-    if f.is_zero:
-        raise ZeroPolynomial("window lattice of the zero function")
-    nu, top = f.nu, f.top
-    if nu < m or top > M:
-        raise WindowTooSmall(
-            f"support of f = [{nu}, {top}] outside window [{m}, {M}]",
-            minimal_window=(min(nu, m), max(top, M)),
-        )
-    n = M - m + 1
-
-    def to_vec(poly):
-        return tuple(poly[m + i] for i in range(n))
-
-    basis = []
-    for k in range(0, M - top + 1):
-        basis.append(to_vec(f * LaurentPoly.monomial(1, k)))
-    ref = Lattice(n, [to_vec(LaurentPoly.monomial(1, k)) for k in range(0, M + 1)])
-    return Lattice(n, basis), ref
-
-
 def standard_lattice(window):
     """The reference lattice A = span(t^0 .. t^M) of the window [m, M],
     built from its indices."""

@@ -48,7 +48,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INCONCLUSIVE = 4
 
-USAGE_ERRORS = (ParseError, ZeroPolynomial, NonIrreducibleBase, ValueError)
+USAGE_ERRORS = (ParseError, ZeroPolynomial, NonIrreducibleBase)
 UNSUPPORTED = (UnsupportedOrder, UnsupportedFactorization)
 INCONCLUSIVE = (InsufficientPrecision, FactorizationTimeout)
 

@@ -3,6 +3,8 @@
 import os
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 ENV_PREC_BITS = "ARITHSURF_PREC_BITS"
 
 
@@ -22,6 +24,6 @@ def default_config(**overrides):
         try:
             kwargs["prec_bits"] = int(env)
         except ValueError:
-            raise ValueError(f"{ENV_PREC_BITS} must be an integer, got {env!r}") from None
+            raise ParseError(f"{ENV_PREC_BITS} must be an integer, got {env!r}") from None
     kwargs.update(overrides)
     return RunConfig(**kwargs)

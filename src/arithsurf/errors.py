@@ -38,10 +38,6 @@ class FactorizationTimeout(ArithsurfError):
     """Integer factorization exceeded its budget."""
 
 
-class ReductionUndefined(ArithsurfError):
-    """Reduction mod p of a rational function is not defined (p in denominator)."""
-
-
 class UnsupportedOrder(ArithsurfError):
     """The equation order is not p-maximal, or the curve/point data falls
     outside the supported desk-scale class."""

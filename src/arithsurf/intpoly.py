@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .errors import NotExact, ParseError, ZeroPolynomial
 from .primes import factor_integer
-from .qlinalg import det
 
 
 class IntPoly:
@@ -276,33 +275,6 @@ def resultant(a, b):
     if den == 0 or num % den:
         raise NotExact(f"subresultant bookkeeping broke: {num} / {den}")
     return s * t * (num // den)
-
-
-def sylvester_matrix(a, b):
-    """Sylvester matrix of (a, b) as a list of rows (ints)."""
-    m, n = a.degree, b.degree
-    if m < 0 or n < 0:
-        raise ZeroPolynomial("sylvester matrix needs nonzero polynomials")
-    size = m + n
-    rows = []
-    ac = list(reversed(a.coeffs))
-    bc = list(reversed(b.coeffs))
-    for i in range(n):
-        rows.append([0] * i + ac + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + bc + [0] * (size - n - 1 - i))
-    return rows
-
-
-def resultant_sylvester(a, b):
-    """Resultant as the Sylvester determinant; the independent slow route."""
-    if a.is_zero or b.is_zero:
-        raise ZeroPolynomial("resultant of zero polynomial")
-    if a.degree == 0:
-        return a.lc**b.degree
-    if b.degree == 0:
-        return b.lc**a.degree
-    return int(det(sylvester_matrix(a, b)))  # integral: an integer matrix
 
 
 def discriminant(h):

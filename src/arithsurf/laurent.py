@@ -132,7 +132,10 @@ def _tokenize(text):
             raise ParseError(f"bad character in {text!r}", pos)
         if m.group("num"):
             s = m.group("num")
-            toks.append(("num", Fraction(s)))  # Fraction parses "a/b" and decimals
+            try:
+                toks.append(("num", Fraction(s)))  # Fraction parses "a/b" and decimals
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {text!r}", m.start("num")) from None
         elif m.group("t"):
             toks.append(("t", None))
         else:

@@ -20,11 +20,15 @@ cannot certify an answer mark the whole report inconclusive rather than
 guessing.
 
 Inside one verification the points share their local factorizations: each
-reduction mod p is factored once (`factor_mod_p`), each resultant of the
-curve with a base is taken once (`surface.curve_resultant`), and a
-monicized curve that is not squarefree mod p is tested for p-maximality
-(`dedekind_p_maximal`) and factored over Z_p (`padic_factor`) once per
-prime and precision, however many points lie over p.  A factorization
+reduction mod p is factored once (`factor_mod_p`; the points of a curve
+over p and their branches read the same factorization of h mod p), each
+resultant of the curve with a base is taken once
+(`surface.curve_resultant`), and a monicized curve that is not squarefree
+mod p is tested for p-maximality (`dedekind_p_maximal`) and factored over
+Z_p (`padic_factor`) once per prime and precision, however many points
+lie over p.  A base that shares a factor with the curve is refused with
+NonIrreducibleBase wherever that zero resultant is taken (the prime
+support, or a branch read off the residues), not reported.  A factorization
 that raises is not stored.  Nothing is shared between verifications; see
 memo.py.  The horizontal law walks its points one support prime at a time
 (`points_on_horizontal` is lazy), so an inconclusive point stops the

@@ -1,10 +1,12 @@
 """Work shared between the points of one law verification.
 
-All the closed points of a curve over one prime p take their local data
-from the same factorizations of the curve polynomial: one over F_p and,
-when that is not squarefree, one over Z_p.  The resultants Res(h, b) of
-the curve with the bases give the prime support of a horizontal law and
-then the branch valuations at its points, so they are shared too.
+All the closed points of a curve h over one prime p take their local
+data from the same factorizations of the curve polynomial: h mod p gives
+the points over p and, when it is squarefree, their branches; when it is
+not, the monicized curve is factored over Z_p too.  The resultants
+Res(h, b) of the curve with the bases give the prime support of a
+horizontal law and then the branch valuations at its points, so they are
+shared too.
 `verification` gives each call of a law verifier a fresh memo in
 a context variable; inside it, `shared` computes a value once per key and
 hands back the stored value on every repeat.  Outside a verification, and

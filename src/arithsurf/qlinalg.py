@@ -15,10 +15,6 @@ def frac_vec(xs):
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -42,10 +38,6 @@ def matvec(m, v):
 def matmul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m):
-    return tuple(zip(*m))
 
 
 _ZERO = Fraction(0)
@@ -171,14 +163,6 @@ def intersection(a_rows, b_rows):
 
 def sum_space(a_rows, b_rows):
     return rref(tuple(a_rows) + tuple(b_rows))[0]
-
-
-def in_span(v, rows):
-    try:
-        solve_coords(rref(rows)[0], (v,))
-        return True
-    except NotExact:
-        return False
 
 
 def gram_matrix(rows, inner=None):

@@ -54,10 +54,6 @@ class FactoredRationalFunction:
                     f"base {b} is not a primitive polynomial of degree >= 1 with lc > 0"
                 )
 
-    @property
-    def is_constant(self):
-        return not self.factors
-
     def exponent_of(self, base):
         for b, e in self.factors:
             if b == base:
@@ -313,9 +309,10 @@ def parse_point(text):
         p = int(head)
     except ValueError:
         raise ParseError(f"bad prime in point {text!r}") from None
+    infinity = ClosedPoint(p)  # checks p before reducing mod p
     tail = tail.strip()
     if tail.lower() == "inf":
-        return ClosedPoint(p)
+        return infinity
     poly = parse_intpoly(tail)
     return ClosedPoint(p, ModPPoly.from_intpoly(poly, p))
 
@@ -465,8 +462,17 @@ def points_on_vertical(p, f, g, seed=0):
 
 def curve_resultant(h, b):
     """Res(h, b), computed once per law verification (see memo.py): the
-    prime support and the branch valuations read the same value."""
-    return shared(("resultant", h, b), lambda: resultant(h, b))
+    prime support and the branch valuations read the same value.
+
+    Raises NonIrreducibleBase when b shares a factor with h (a zero
+    resultant): one of the two is reducible."""
+    res = shared(("resultant", h, b), lambda: resultant(h, b))
+    if res == 0:
+        raise NonIrreducibleBase(
+            f"base {b} shares a factor with the curve H:{format_intpoly(h)}, "
+            "so one of them is reducible"
+        )
+    return res
 
 
 def prime_support_on_horizontal(curve, f, g):
@@ -474,7 +480,7 @@ def prime_support_on_horizontal(curve, f, g):
     curve: divisors of Res(h, base), of the unit, and of lc(h).
 
     Raises NonIrreducibleBase when a base other than h shares a factor
-    with h (a zero resultant): one of the two is reducible."""
+    with h (see curve_resultant)."""
     if curve.kind == VERTICAL:
         raise UnsupportedOrder(f"vertical curve {curve.label()} has no horizontal support")
     if curve.kind == INFINITY_SECTION:
@@ -493,13 +499,7 @@ def prime_support_on_horizontal(curve, f, g):
         for b, _ in fn.factors:
             if b == h:
                 continue
-            res = curve_resultant(h, b)
-            if res == 0:
-                raise NonIrreducibleBase(
-                    f"base {b} shares a factor with the curve {curve.label()}, "
-                    "so one of them is reducible"
-                )
-            add_int(res)
+            add_int(curve_resultant(h, b))
     if h.lc != 1:
         add_int(h.lc)
     return sorted(primes)

