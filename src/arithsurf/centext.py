@@ -30,22 +30,24 @@ general elimination returns, as a Fraction, so every QSqrt downstream is
 the same.  Every shortcut is gated by the one test _indexed; any other
 input takes the general Gaussian-elimination path.
 
-Index sets are carried rather than rediscovered.  Lattice.on_indices builds
-a coordinate lattice from its indices: the reference lattice
+Index sets are carried rather than rediscovered: a coordinate lattice or
+pair is its index tuples, and its rows (basis, rref_basis, I_rows,
+canon_*) are built only when something reads them.  Lattice.on_indices
+builds a coordinate lattice from its indices: the reference lattice
 span{t^0 .. t^M} of standard_lattice, the shifted tails of apply_lattice,
 and coordinate sums and intersections.  pair_data of two coordinate
 lattices records the indices of the intersection and of both canonical
-quotient bases, and pushforward, line_element, _bottom_reps, the
-contraction scalar and gamma take them from there.  Only rows of unknown
-shape are scanned (qlinalg.coordinate_support): bases given to
-Lattice(n, rows), images of non-tail lattices under an operator, and rows
-handed to quotient_det, _bottom_reps or the Gram volume without their
-indices (user-chosen representatives, the beta map).  quotient_det still
-checks that reps_from vanish off the known indices, since in pushforward
-they are dense images under the operator.  The window oracle only ever
-builds tails span{t^a .. t^M}, so it runs no elimination and scans no row;
-what it still pays for is det on the images of the quotient
-representatives.
+quotient bases.  A determinant between unit rows named by their indices is
+the sign of a permutation (_index_det), so the contraction scalar and
+pushforward's eA and eB read no row; when the image pair is coordinate too,
+fA and fB are k x k minors (k the quotient dimension) of the operator's
+sparse images of e_i (op.column).  Rows are scanned for coordinate shape
+(qlinalg.coordinate_support) only where no index set comes with them:
+bases given to Lattice(n, rows), images of non-tail lattices under an
+operator, and rows handed to quotient_det, _bottom_reps or the Gram volume.
+The window oracle only ever builds tails span{t^a .. t^M}, so it runs no
+elimination, scans no row and builds no Fraction row; its only det calls
+are those minors, of size at most |nu(f)| + |nu(g)|.
 """
 
 import math
@@ -70,7 +72,6 @@ from .qlinalg import (
     gram_det,
     identity_matrix,
     intersection,
-    is_zero_vec,
     matmul,
     matrix_inverse,
     matvec,
@@ -80,7 +81,6 @@ from .qlinalg import (
     solve_coords,
     sum_space,
     unit_rows,
-    vscale,
 )
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -100,7 +100,10 @@ class QSqrt:
     __slots__ = ("q", "r")
 
     def __init__(self, q, r=1):
-        q = Fraction(q)
+        q = q if type(q) is Fraction else Fraction(q)
+        if r == 1:
+            self.q, self.r = q, 1
+            return
         if isinstance(r, Fraction):
             if r.denominator != 1:
                 q /= r.denominator
@@ -240,6 +243,7 @@ def _as_qsqrt(x):
 
 
 _UNIT = Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _indexed(*coords):
@@ -250,36 +254,32 @@ def _indexed(*coords):
     return all(c is not None for c in coords)
 
 
-def _unit_coords(indices):
-    """The (index, scale) list of the unit rows e_i, i in indices."""
-    return tuple((i, _UNIT) for i in indices)
-
-
 class Lattice:
     """Subspace of Q^n with a chosen (ordered, independent) basis.
 
     coords is the (index, scale) of each basis vector when the basis is a
     rescaled subset of the standard basis, else None.  Such a lattice is its
-    index set: rref_basis is the unit vectors at the sorted indices, with no
-    elimination run.  A basis given as rows is scanned for that shape
-    (coordinate_support); Lattice.on_indices builds the lattice from its
-    indices and scans nothing."""
+    index set: pivots are the sorted indices, rref_basis is the unit vectors
+    at them, with no elimination run, and rows are built only when read.  A
+    basis given as rows is scanned for that shape (coordinate_support);
+    Lattice.on_indices builds the lattice from its indices and scans
+    nothing."""
 
-    __slots__ = ("n", "basis", "rref_basis", "pivots", "coords")
+    __slots__ = ("n", "coords", "pivots", "_basis", "_rref_basis")
 
     def __init__(self, n, basis):
         self.n = n
-        self.basis = tuple(frac_vec(v) for v in basis)
-        if any(len(v) != n for v in self.basis):
+        self._basis = tuple(frac_vec(v) for v in basis)
+        if any(len(v) != n for v in self._basis):
             raise NotExact(f"lattice basis vector of length other than {n}")
-        self.coords = coordinate_support(self.basis)
+        self.coords = coordinate_support(self._basis)
         if _indexed(self.coords):
             self.pivots = tuple(sorted(i for i, _ in self.coords))
-            self.rref_basis = unit_rows(self.pivots, n)
+            self._rref_basis = None
             return
         self.coords = None
-        self.rref_basis, self.pivots = rref(self.basis)
-        if len(self.rref_basis) != len(self.basis):
+        self._rref_basis, self.pivots = rref(self._basis)
+        if len(self._rref_basis) != len(self._basis):
             raise NotExact("lattice basis is linearly dependent")
 
     @classmethod
@@ -287,26 +287,38 @@ class Lattice:
         """span{e_i : i in indices} with basis the unit rows in the given
         order, which must be ascending and free of repeats."""
         indices = tuple(indices)
-        coords = _unit_coords(indices)
+        coords = tuple((i, _UNIT) for i in indices)
         if not _indexed(coords):
             return cls(n, unit_rows(indices, n))
         L = cls.__new__(cls)
         L.n, L.coords, L.pivots = n, coords, indices
-        L.basis = L.rref_basis = unit_rows(L.pivots, n)
+        L._basis = L._rref_basis = None
         return L
 
     @property
+    def basis(self):
+        return self.rref_basis if self._basis is None else self._basis
+
+    @property
+    def rref_basis(self):
+        if self._rref_basis is None:
+            self._rref_basis = unit_rows(self.pivots, self.n)
+        return self._rref_basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def same_span(self, other):
+        if _indexed(self.coords, other.coords):
+            return self.n == other.n and self.pivots == other.pivots
         return self.n == other.n and self.rref_basis == other.rref_basis
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.same_span(other)
 
     def __hash__(self):
-        return hash((self.n, self.rref_basis))
+        return hash((self.n, self.pivots))
 
     def __repr__(self):
         return f"Lattice(n={self.n}, dim={self.dim})"
@@ -335,61 +347,63 @@ def _complement(rows, pivots, excluded_pivots):
     return tuple(row for row, _ in kept), tuple(piv for _, piv in kept)
 
 
-@dataclass
 class PairData:
     """Intersection and canonical quotient bases for an ordered pair;
     canon_first spans first/(first cap second) etc., both made of rref rows
     with pivots first_pivots and second_pivots.  coordinate records that
-    both lattices are coordinate: every row here is then the unit row at its
-    pivot, and I_coords, first_coords and second_coords give the coordinate
-    support of I_rows, I_rows + canon_first and I_rows + canon_second
-    without a scan (None otherwise)."""
+    both lattices are coordinate (PairData.on_indices): the pair is then its
+    three index tuples, and every row is the unit row at its pivot, built
+    the first time a row is read."""
 
-    I_rows: tuple
-    I_pivots: tuple
-    canon_first: tuple
-    canon_second: tuple
-    first_pivots: tuple = ()
-    second_pivots: tuple = ()
-    coordinate: bool = False
+    __slots__ = ("n", "I_pivots", "first_pivots", "second_pivots", "coordinate", "_rows")
 
-    @property
-    def I_coords(self):
-        return _unit_coords(self.I_pivots) if self.coordinate else None
+    def __init__(self, I_rows, I_pivots, canon_first, canon_second,
+                 first_pivots=(), second_pivots=()):
+        self.I_pivots, self.first_pivots, self.second_pivots = (
+            I_pivots, first_pivots, second_pivots)
+        self.coordinate = False
+        self._rows = (tuple(I_rows), tuple(canon_first), tuple(canon_second))
 
-    @property
-    def first_coords(self):
-        return _unit_coords(self.I_pivots + self.first_pivots) if self.coordinate else None
+    @classmethod
+    def on_indices(cls, n, I_pivots, first_pivots, second_pivots):
+        pd = cls.__new__(cls)
+        pd.n, pd.I_pivots, pd.first_pivots, pd.second_pivots = (
+            n, I_pivots, first_pivots, second_pivots)
+        pd.coordinate, pd._rows = True, None
+        return pd
 
-    @property
-    def second_coords(self):
-        return _unit_coords(self.I_pivots + self.second_pivots) if self.coordinate else None
+    def _rows_at(self, k):
+        if self._rows is None:
+            self._rows = tuple(unit_rows(p, self.n) for p in
+                               (self.I_pivots, self.first_pivots, self.second_pivots))
+        return self._rows[k]
+
+    I_rows = property(lambda self: self._rows_at(0))
+    canon_first = property(lambda self: self._rows_at(1))
+    canon_second = property(lambda self: self._rows_at(2))
 
 
 def pair_data(A, B):
-    coordinate = _indexed(A.coords, B.coords)
-    if coordinate:
-        I_pivots = tuple(sorted(set(A.pivots).intersection(B.pivots)))
-        I_rows = unit_rows(I_pivots, A.n)
-    else:
-        I_rows = intersection(A.rref_basis, B.rref_basis)
-        I_pivots = rref(I_rows)[1] if I_rows else ()
+    if _indexed(A.coords, B.coords):
+        in_A, in_B = set(A.pivots), set(B.pivots)
+        return PairData.on_indices(A.n, tuple(i for i in A.pivots if i in in_B),
+                                   tuple(i for i in A.pivots if i not in in_B),
+                                   tuple(i for i in B.pivots if i not in in_A))
+    I_rows = intersection(A.rref_basis, B.rref_basis)
+    I_pivots = rref(I_rows)[1] if I_rows else ()
     ipiv = set(I_pivots)
     canon_first, first_pivots = _complement(A.rref_basis, A.pivots, ipiv)
     canon_second, second_pivots = _complement(B.rref_basis, B.pivots, ipiv)
-    return PairData(I_rows, I_pivots, canon_first, canon_second,
-                    first_pivots, second_pivots, coordinate)
+    return PairData(I_rows, I_pivots, canon_first, canon_second, first_pivots, second_pivots)
 
 
-def quotient_det(modulus_rows, reps_from, reps_to, coords=None):
+def quotient_det(modulus_rows, reps_from, reps_to):
     """det of the matrix expressing reps_from in the basis reps_to of the
     quotient by span(modulus_rows).
 
-    When modulus_rows + reps_to are c_j * e_{i_j} with distinct i_j, the
-    coordinate of a vector v on reps_to[j] is v[i_j] / c_j, so no system
-    is solved; v must still vanish off the indices i_j.  coords is that list
-    of (i_j, c_j) when the caller knows it; without it the rows are
-    scanned."""
+    When modulus_rows + reps_to are c_j * e_{i_j} with distinct i_j (a
+    scan tells), the coordinate of a vector v on reps_to[j] is v[i_j] / c_j,
+    so no system is solved; v must still vanish off the indices i_j."""
     reps_from = tuple(reps_from)
     reps_to = tuple(reps_to)
     if len(reps_from) != len(reps_to):
@@ -397,8 +411,7 @@ def quotient_det(modulus_rows, reps_from, reps_to, coords=None):
     if not reps_from:
         return Fraction(1)
     k = len(modulus_rows)
-    if coords is None:
-        coords = coordinate_support(tuple(modulus_rows) + reps_to)
+    coords = coordinate_support(tuple(modulus_rows) + reps_to)
     if not _indexed(coords):
         basis = tuple(modulus_rows) + reps_to
         return det(tuple(row[k:] for row in solve_coords(basis, reps_from)))
@@ -408,17 +421,46 @@ def quotient_det(modulus_rows, reps_from, reps_to, coords=None):
     return det(tuple(tuple(Fraction(v[i]) / c for i, c in coords[k:]) for v in reps_from))
 
 
-def _bottom_reps(L, I_rows, I_coords=None):
+def _index_det(reps_from, reps_to, modulus):
+    """quotient_det of the unit rows at reps_from in the unit rows at
+    reps_to, modulo those at modulus: the sign of the permutation between
+    the two index tuples, or 0 when they are not permutations of each
+    other (the matrix then has a zero or repeated row)."""
+    if len(reps_from) != len(reps_to):
+        raise NotExact("quotient_det needs as many representatives as basis vectors")
+    where = {j: k for k, j in enumerate(reps_to)}
+    if any(i not in where and i not in modulus for i in reps_from):
+        raise NotExact("target vector outside span of basis")
+    perm = [where.get(i) for i in reps_from]
+    if None in perm or len(set(perm)) != len(perm):
+        return 0
+    sign = 1
+    for k in range(len(perm)):
+        while perm[k] != k:  # one transposition puts perm[k] in its place
+            j = perm[k]
+            perm[k], perm[j] = perm[j], j
+            sign = -sign
+    return sign
+
+
+def _column_det(columns, modulus, reps_to):
+    """quotient_det of sparse columns {index: entry} in the unit rows at
+    reps_to, modulo those at modulus: the minor at reps_to."""
+    span = set(modulus).union(reps_to)
+    if any(j not in span for g in columns for j in g):
+        raise NotExact("target vector outside span of basis")
+    return det(tuple(tuple(g.get(j, _ZERO) for j in reps_to) for g in columns))
+
+
+def _bottom_reps(L, I_rows):
     """Representatives of L/(span I) chosen greedily from L's own basis in
     its given order (window lattices list generators by ascending degree,
     so these have low support and survive multiplication operators): the
     basis vectors whose columns are pivots of (I_rows + L.basis) as columns.
     For coordinate I_rows and basis these are the basis vectors whose index
-    I does not already take.  I_coords is the coordinate support of I_rows
-    when the caller knows it; without it the rows are scanned."""
+    I does not already take."""
     k = len(I_rows)
-    if I_coords is None:
-        I_coords = coordinate_support(I_rows)
+    I_coords = coordinate_support(I_rows)
     if _indexed(I_coords, L.coords):
         taken = {i for i, _ in I_coords}
         reps = tuple(v for v, (i, _) in zip(L.basis, L.coords) if i not in taken)
@@ -520,8 +562,8 @@ def line_element(A, B, coord=1, repsA=None, repsB=None):
     pd = pair_data(A, B)
     repsA = tuple(frac_vec(v) for v in repsA) if repsA is not None else pd.canon_first
     repsB = tuple(frac_vec(v) for v in repsB) if repsB is not None else pd.canon_second
-    dA = quotient_det(pd.I_rows, repsA, pd.canon_first, pd.first_coords)
-    dB = quotient_det(pd.I_rows, repsB, pd.canon_second, pd.second_coords)
+    dA = quotient_det(pd.I_rows, repsA, pd.canon_first)
+    dB = quotient_det(pd.I_rows, repsB, pd.canon_second)
     if dA == 0 or dB == 0:
         raise DegeneratePosition("representatives do not span the quotients")
     # wedge(repsA)^* = (1/dA) wedge(canonA)^*, wedge(repsB) = dB wedge(canonB)
@@ -551,29 +593,22 @@ def _contraction_scalar(A, B, C):
     pdAB = pair_data(A, B)
     pdBC = pair_data(B, C)
     pdAC = pair_data(A, C)
-    coordinate = pdAB.coordinate and pdBC.coordinate
-    if coordinate:
-        D_pivots = tuple(sorted(set(pdAB.I_pivots).intersection(C.pivots)))
-        D_rows = unit_rows(D_pivots, C.n)
+    # pair x's B-side wedge against y's dual B-side wedge, all relative to D
+    if pdAB.coordinate and pdBC.coordinate:
+        D = set(pdAB.I_pivots).intersection(C.pivots)
+        jAB, jBC, jAC = (tuple(i for i in pd.I_pivots if i not in D)
+                         for pd in (pdAB, pdBC, pdAC))
+        s = _index_det(pdAB.second_pivots + jAB, pdBC.first_pivots + jBC, D)
+        dA = _index_det(pdAB.first_pivots + jAB, pdAC.first_pivots + jAC, D)
+        dC = _index_det(pdBC.second_pivots + jBC, pdAC.second_pivots + jAC, D)
     else:
         D_rows = intersection(pdAB.I_rows, C.rref_basis)
-        D_pivots = rref(D_rows)[1] if D_rows else ()
-    D_set = set(D_pivots)
-    J_AB, _ = _complement(pdAB.I_rows, pdAB.I_pivots, D_set)
-    J_BC, jBC = _complement(pdBC.I_rows, pdBC.I_pivots, D_set)
-    J_AC, jAC = _complement(pdAC.I_rows, pdAC.I_pivots, D_set)
-
-    def det_over_D(reps_from, reps_to, to_pivots):
-        coords = _unit_coords(D_pivots + to_pivots) if coordinate else None
-        return quotient_det(D_rows, reps_from, reps_to, coords)
-
-    # pair x's B-side wedge against y's dual B-side wedge, all relative to D
-    s = det_over_D(pdAB.canon_second + J_AB, pdBC.canon_first + J_BC,
-                   pdBC.first_pivots + jBC)
-    dA = det_over_D(pdAB.canon_first + J_AB, pdAC.canon_first + J_AC,
-                    pdAC.first_pivots + jAC)
-    dC = det_over_D(pdBC.canon_second + J_BC, pdAC.canon_second + J_AC,
-                    pdAC.second_pivots + jAC)
+        D = set(rref(D_rows)[1] if D_rows else ())
+        J_AB, J_BC, J_AC = (_complement(pd.I_rows, pd.I_pivots, D)[0]
+                            for pd in (pdAB, pdBC, pdAC))
+        s = quotient_det(D_rows, pdAB.canon_second + J_AB, pdBC.canon_first + J_BC)
+        dA = quotient_det(D_rows, pdAB.canon_first + J_AB, pdAC.canon_first + J_AC)
+        dC = quotient_det(D_rows, pdBC.canon_second + J_BC, pdAC.canon_second + J_AC)
     return (pdAB, pdBC, pdAC), Fraction(s) * dC / dA
 
 
@@ -674,6 +709,10 @@ class DenseOperator:
     def apply(self, v):
         return matvec(self.matrix, v)
 
+    def column(self, i):
+        """The image of e_i as {index: nonzero entry}."""
+        return {j: row[i] for j, row in enumerate(self.matrix) if row[i]}
+
     def compose(self, other):
         return DenseOperator(matmul(self.matrix, other.matrix))
 
@@ -699,22 +738,32 @@ class LaurentMultOperator:
         self.window = tuple(window)
         m, M = self.window
         self.n = M - m + 1
+        self._terms = tuple(sorted(f.coeffs.items()))
 
-    def _to_laurent(self, v):
-        m = self.window[0]
-        return LaurentPoly({m + i: c for i, c in enumerate(v) if c != 0})
-
-    def _to_vec(self, poly):
+    def _check_window(self, lo, hi):
+        """Refuse f times a vector with support [lo, hi] leaving the window."""
         m, M = self.window
-        if poly.coeffs and (poly.nu < m or poly.top > M):
+        nu, top = m + lo + self._terms[0][0], m + hi + self._terms[-1][0]
+        if nu < m or top > M:
             raise WindowTooSmall(
-                f"product support [{poly.nu}, {poly.top}] leaves window {self.window}",
-                minimal_window=(min(poly.nu, m), max(poly.top, M)),
+                f"product support [{nu}, {top}] leaves window {self.window}",
+                minimal_window=(min(nu, m), max(top, M)),
             )
-        return tuple(poly[m + i] for i in range(self.n))
 
     def apply(self, v):
-        return self._to_vec(self.f * self._to_laurent(v))
+        support = [i for i, x in enumerate(v) if x]
+        out = [_ZERO] * self.n
+        if support:
+            self._check_window(support[0], support[-1])
+            for i in support:
+                for k, c in self._terms:
+                    out[i + k] += c * v[i]
+        return tuple(out)
+
+    def column(self, i):
+        """The image of e_i as {index: nonzero entry}."""
+        self._check_window(i, i)
+        return {i + k: c for k, c in self._terms}
 
     def compose(self, other):
         if not isinstance(other, LaurentMultOperator) or other.window != self.window:
@@ -772,26 +821,48 @@ def pushforward(op, x):
     The canonical-coordinate conversion runs through low-degree quotient
     representatives taken from the lattices' own bases, so window
     truncation at the top of the lattices never touches the determinants.
+    For a coordinate pair eA and eB are permutation signs, and when the
+    image pair is coordinate too, fA and fB are minors of op's columns.
     """
     A, B = x.A, x.B
     pd = pair_data(A, B)
-    botA = _bottom_reps(A, pd.I_rows, pd.I_coords)
-    botB = _bottom_reps(B, pd.I_rows, pd.I_coords)
-    eA = quotient_det(pd.I_rows, botA, pd.canon_first, pd.first_coords)
-    eB = quotient_det(pd.I_rows, botB, pd.canon_second, pd.second_coords)
+    if pd.coordinate:
+        # the bottom representatives c_i e_i: each scale c_i multiplies eA
+        # (or eB) and fA (or fB) alike and cancels, so the unit rows stand in
+        I = set(pd.I_pivots)
+        botA = tuple(i for i, _ in A.coords if i not in I)
+        botB = tuple(i for i, _ in B.coords if i not in I)
+        eA = _index_det(botA, pd.first_pivots, I)
+        eB = _index_det(botB, pd.second_pivots, I)
+    else:
+        botA = _bottom_reps(A, pd.I_rows)
+        botB = _bottom_reps(B, pd.I_rows)
+        eA = quotient_det(pd.I_rows, botA, pd.canon_first)
+        eB = quotient_det(pd.I_rows, botB, pd.canon_second)
     # x = coord (canonA)^* (canonB) = c_bot (botA)^* (botB): c_bot = coord * eA / eB
     c_bot = x.coord * (Fraction(eA) / eB)
     A2 = apply_lattice(op, A)
     B2 = apply_lattice(op, B)
     pd2 = pair_data(A2, B2)
-    gA = tuple(op.apply(v) for v in botA)
-    gB = tuple(op.apply(v) for v in botB)
-    if len(pd2.canon_first) != len(botA) or len(pd2.canon_second) != len(botB):
+    indexed = pd.coordinate and pd2.coordinate
+    if indexed:
+        gA = tuple(map(op.column, botA))
+        gB = tuple(map(op.column, botB))
+    else:
+        if pd.coordinate:
+            botA, botB = unit_rows(botA, A.n), unit_rows(botB, B.n)
+        gA = tuple(map(op.apply, botA))
+        gB = tuple(map(op.apply, botB))
+    if len(pd2.first_pivots) != len(botA) or len(pd2.second_pivots) != len(botB):
         raise WindowTooSmall(
             "quotient dimensions changed under truncation; enlarge the window"
         )
-    fA = quotient_det(pd2.I_rows, gA, pd2.canon_first, pd2.first_coords)
-    fB = quotient_det(pd2.I_rows, gB, pd2.canon_second, pd2.second_coords)
+    if indexed:
+        fA = _column_det(gA, pd2.I_pivots, pd2.first_pivots)
+        fB = _column_det(gB, pd2.I_pivots, pd2.second_pivots)
+    else:
+        fA = quotient_det(pd2.I_rows, gA, pd2.canon_first)
+        fB = quotient_det(pd2.I_rows, gB, pd2.canon_second)
     coord = c_bot * (Fraction(fB) / fA)
     return LineElement(A2, B2, coord)
 

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 ENV_PREC_BITS = "ARITHSURF_PREC_BITS"
+# Below double precision the numeric law sums cannot resolve the 1e-6
+# tolerance: at 1 bit a passing horizontal law reads as a failure.
+MIN_PREC_BITS = 53
 
 
 @dataclass(frozen=True)
@@ -14,6 +17,12 @@ class RunConfig:
     start_precision: int = 20  # initial p-adic digit count for the ladder
     tolerance: float = 1e-6  # pass threshold for numeric law sums
     seed: int = 0  # seeds mod-p factorization tie-breaking and sampling
+
+    def __post_init__(self):
+        if self.prec_bits < MIN_PREC_BITS:
+            raise ParseError(
+                f"prec_bits must be at least {MIN_PREC_BITS}, got {self.prec_bits}"
+            )
 
 
 def default_config(**overrides):

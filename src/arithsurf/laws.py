@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .config import RunConfig, default_config
+from .config import default_config
 from .errors import (
     FactorizationTimeout,
     InsufficientPrecision,

@@ -132,7 +132,9 @@ def _restriction_valuation(fn, h, factor, N):
     fn(theta) with theta a root of factor (as a factor of monicize(h)):
     for each base b, w(b(theta)) = v_p(Res(factor_lift, B)) / f, where
     B(y) = lc^deg(b) * b(y/lc) and p does not divide lc.  Trusted only when
-    the resultant valuation stays below the working precision N.
+    the resultant valuation stays below the working precision N.  A zero
+    resultant from a base sharing a factor with h is refused with
+    NonIrreducibleBase (curve_resultant) instead of a precision failure.
     """
     p = factor.poly.p
     lc = h.lc
@@ -143,6 +145,8 @@ def _restriction_valuation(fn, h, factor, N):
             continue
         B = b.scale_arg(lc) if lc != 1 else b
         res = resultant(lift, B)
+        if res == 0:
+            curve_resultant(h, b)  # refuses a base sharing a factor with h
         if res == 0 or vp(res, p) >= N:
             raise InsufficientPrecision(
                 f"resultant valuation not resolved at precision {N}"

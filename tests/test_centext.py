@@ -11,6 +11,7 @@ from arithsurf.centext import (
     DenseOperator,
     ExactSequenceData,
     Lattice,
+    LaurentMultOperator,
     LineElement,
     MetrizedSpace,
     PairData,
@@ -40,6 +41,7 @@ from arithsurf.centext import (
     zero_lattice,
 )
 from arithsurf.errors import (
+    ArithsurfError,
     DegeneratePosition,
     NonCommuting,
     NotExact,
@@ -337,6 +339,30 @@ def test_apply_lattice_shifts_tails():
     assert exc.value.minimal_window == (-1, 6)
 
 
+def test_operator_images_are_products_and_columns():
+    """LaurentMultOperator.apply is the product of Laurent polynomials, with
+    the product's support and minimal window in its refusal, and column(i)
+    of either operator is apply(e_i) without its zero entries."""
+    rng = random.Random(23)
+    for _ in range(300):
+        n, m = rng.randint(1, 7), -rng.randint(0, 4)
+        op = mult_operator(rand_laurent(rng), (m, m + n - 1))
+        v = tuple(Q(rng.choice([0, 0, 1, -2, 3])) for _ in range(n))
+        product = op.f * LaurentPoly({m + i: x for i, x in enumerate(v)})
+        if product.is_zero or (product.nu >= m and product.top <= m + n - 1):
+            assert op.apply(v) == tuple(product[m + i] for i in range(n))
+        else:
+            with pytest.raises(WindowTooSmall) as exc:
+                op.apply(v)
+            assert f"[{product.nu}, {product.top}]" in str(exc.value)
+            assert exc.value.minimal_window == (min(product.nu, m), max(product.top, m + n - 1))
+        dense = DenseOperator(rand_invertible(rng, n))
+        for o in (op, dense):
+            i = rng.randrange(n)
+            assert outcome(lambda: o.column(i)) == outcome(
+                lambda: {j: x for j, x in enumerate(o.apply(e(i, n))) if x})
+
+
 # -- commutator pairing ----------------------------------------------------------
 
 
@@ -527,12 +553,95 @@ def test_coordinate_path_matches_general_path(monkeypatch):
             out.append((p.q, p.r))
         return out
 
+    triples = [(n, [coordinate_rows(rng, n) for _ in range(3)], rand_operator(rng, n),
+                Q(rng.randint(1, 9), rng.randint(1, 4)))
+               for n in (rng.randint(3, 8) for _ in range(150))]
+
+    def index_path_results():
+        out = []
+        for n, rows, op, a in triples:
+            A, B, C = (Lattice(n, r) for r in rows)
+            x, y = LineElement(A, B, a), LineElement(B, C, Q(-2, 3))
+            out.append((
+                outcome(lambda: centext._contraction_scalar(A, B, C)[1]),
+                outcome(lambda: qsqrt_key(pushforward(op, x).coord)),
+                outcome(lambda: qsqrt_key(contract(x, y, metrized=True).coord)),
+            ))
+        return out
+
     rref_calls = count_rref(monkeypatch)
     fast = pairings()
     assert not rref_calls
+    fast_triples = index_path_results()
+    # every stage that can refuse a coordinate pushforward is reached
+    refusals = {r[1] for r in fast_triples if isinstance(r[1][0], str)}
+    for kind, fragment in (("WindowTooSmall", "shifted tail"),
+                           ("WindowTooSmall", "product support"),
+                           ("WindowTooSmall", "quotient dimensions changed"),
+                           ("NotExact", "target vector outside span")):
+        assert any(k == kind and fragment in msg for k, msg, _ in refusals), fragment
+    assert sum(not isinstance(r[1][0], str) for r in fast_triples) > 50
     force_general_path(monkeypatch)
     assert pairings() == fast
     assert rref_calls
+    assert index_path_results() == fast_triples
+
+
+def outcome(compute):
+    """The value, or the raised error as (type, message, minimal_window)."""
+    try:
+        return compute()
+    except (ArithsurfError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "minimal_window", None)
+
+
+def qsqrt_key(v):
+    return v.q, v.r
+
+
+class RotatedImages(LaurentMultOperator):
+    """Multiplication by f after moving e_i to e_(i-1 mod n): a test double
+    whose images of a tail's bottom vectors fall below the shifted tail that
+    apply_lattice reads off f alone, i.e. outside the image span."""
+
+    def apply(self, v):
+        return super().apply(tuple(v[1:]) + tuple(v[:1]))
+
+    def column(self, i):
+        return super().column((i - 1) % self.n)
+
+
+def coordinate_rows(rng, n):
+    """Scaled unit rows in shuffled order: a tail a third of the time
+    (empty and full included), else any index set."""
+    if rng.random() < 1 / 3:
+        indices = list(range(rng.randint(0, n), n))
+    else:
+        indices = rng.sample(range(n), rng.randint(0, n))
+    rows = list(scaled_unit_rows(rng, indices, n))
+    rng.shuffle(rows)
+    return rows
+
+
+def rand_operator(rng, n):
+    """A dense matrix, a scaled permutation matrix, or a multiplication (by
+    a random Laurent polynomial, by a monomial, or with rotated images) on a
+    window of dimension n."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return DenseOperator(rand_invertible(rng, n))
+    if kind == 1:
+        perm = rng.sample(range(n), n)
+        return DenseOperator(tuple(tuple(Q(rng.choice([-2, -1, 1, 3])) if j == perm[i] else Q(0)
+                                         for j in range(n)) for i in range(n)))
+    m = -rng.randint(0, 3)
+    window = (m, m + n - 1)
+    if kind == 2:
+        return mult_operator(rand_laurent(rng, (-2, 2)), window)
+    if kind == 3:
+        return mult_operator(LaurentPoly.monomial(Q(rng.choice([-2, 1, 3]), 2),
+                                                  rng.randint(-2, 2)), window)
+    return RotatedImages(rand_laurent(rng, (-1, 1)), window)
 
 
 def scaled_unit_rows(rng, indices, n):
@@ -610,6 +719,32 @@ def test_oracle_takes_the_coordinate_path(monkeypatch):
     with mp.workprec(128):
         for f, g, window in oracle_pairs():
             assert abs(nu_arch_oracle(f, g, window=window) - nu_arch_closed(f, g)) < 1e-9
+
+
+def test_oracle_builds_no_rows(monkeypatch):
+    """Every determinant of the oracle comes off index tuples: no unit row
+    is built, and det only sees the minors of pushforward's images, whose
+    size is a quotient dimension |nu(f)| or |nu(g)|."""
+    rows_built, det_sizes = [], []
+    original_unit_rows, original_det = qlinalg.unit_rows, qlinalg.det
+
+    def unit_rows(indices, n):
+        rows_built.append((tuple(indices), n))
+        return original_unit_rows(indices, n)
+
+    def det(m):
+        det_sizes.append(len(m))
+        return original_det(m)
+
+    for module in (centext, qlinalg):
+        monkeypatch.setattr(module, "unit_rows", unit_rows)
+        monkeypatch.setattr(module, "det", det)
+    for f, g, window in oracle_pairs():
+        det_sizes.clear()
+        nu_arch_oracle(f, g, window=window)
+        assert max(det_sizes, default=0) <= abs(f.nu) + abs(g.nu)
+    assert rows_built == []
+    assert max(det_sizes) > 0  # the last pair has a quotient to take minors on
 
 
 def test_oracle_rescans_no_rows_of_known_shape(monkeypatch):

@@ -176,3 +176,34 @@ def test_bad_precision_environment_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "point", "--point", "5:t",
                          "--f", "1*(t)^1", "--g", "5")
     assert code == 2 and not out and "ParseError" in err and "ARITHSURF_PREC_BITS" in err
+
+
+def test_reducible_base_at_a_non_squarefree_point_exits_2(capsys):
+    # (t+1)^2 = t^2+1 mod 2 sends the point to the p-adic ladder, whose zero
+    # resultant against t^5+t^3-2t^2-2 = (t^2+1)(t^3-2) is a usage error,
+    # not a precision failure; also when python -O drops asserts
+    argv = ["verify", "point", "--point", "2:t+1",
+            "--f", "1*(t^5+t^3-2*t^2-2)^1", "--g", "3*(t^2+1)^1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "NonIrreducibleBase" in err and "H:t^2+1" in err
+    done = subprocess.run([sys.executable, "-O", "-m", "arithsurf.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and "NonIrreducibleBase" in done.stderr
+
+
+HORIZONTAL = ["verify", "horizontal", "--curve", "H:t^2+1",
+              "--f", "1*(t^2+1)^1", "--g", "1*(t-1)^1"]
+
+
+@pytest.mark.parametrize("bits", ["0", "-3", "1", "52"])
+def test_precision_below_the_floor_exits_2(capsys, monkeypatch, bits):
+    monkeypatch.setenv("ARITHSURF_PREC_BITS", bits)
+    code, out, err = run(capsys, *HORIZONTAL)
+    assert code == 2 and not out and "ParseError" in err and "at least 53" in err
+
+
+def test_precision_at_the_floor_runs(capsys, monkeypatch):
+    monkeypatch.setenv("ARITHSURF_PREC_BITS", "53")
+    code, out, _ = run(capsys, "--format", "json", *HORIZONTAL)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "pass" and doc["config"]["prec_bits"] == 53
