@@ -940,7 +940,11 @@ def commutator_pairing(g, h, A, a_coord=1, b_coord=1):
     run it with the roles of g and h exchanged.  Independent of the lift
     coordinates a_coord, b_coord (they cancel).
     """
-    if g.compose(h) != h.compose(g):
+    if isinstance(g, LaurentMultOperator) and isinstance(h, LaurentMultOperator):
+        # multiplications always commute; only the windows must agree
+        if g.window != h.window:
+            raise NotExact("only multiplications on the same window compose")
+    elif g.compose(h) != h.compose(g):
         raise NonCommuting("maps do not commute; the pairing needs gh = hg")
     return _commutator_chain(h, g, A, b_coord, a_coord)
 

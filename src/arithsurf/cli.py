@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 pass, 1 law falsified, 2 usage / parse error, 3 unsupported
-input (factorization or window out of scope), 4 inconclusive (precision or
-timeout).  Output is deterministic for a fixed (seed, config).
+input (factorization or window out of scope), 4 inconclusive (precision,
+timeout, root finding or an evaluation below resolution).  Output is
+deterministic for a fixed (seed, config).
 """
 
 import argparse
@@ -15,10 +16,12 @@ from .centext import nu_arch_closed, nu_arch_oracle
 from .config import default_config
 from .errors import (
     ArithsurfError,
+    EvaluationAtZero,
     FactorizationTimeout,
     InsufficientPrecision,
     NonIrreducibleBase,
     ParseError,
+    RootFindingDivergence,
     UnsupportedFactorization,
     UnsupportedOrder,
     WindowTooSmall,
@@ -50,7 +53,12 @@ EXIT_INCONCLUSIVE = 4
 
 USAGE_ERRORS = (ParseError, ZeroPolynomial, NonIrreducibleBase)
 UNSUPPORTED = (UnsupportedOrder, UnsupportedFactorization)
-INCONCLUSIVE = (InsufficientPrecision, FactorizationTimeout)
+INCONCLUSIVE = (
+    InsufficientPrecision,
+    FactorizationTimeout,
+    RootFindingDivergence,
+    EvaluationAtZero,
+)
 
 
 def _emit(doc, args):

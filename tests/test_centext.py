@@ -823,3 +823,11 @@ def test_laurent_compose_needs_same_window():
     f = parse_laurent("t")
     with pytest.raises(NotExact):
         mult_operator(f, (0, 6)).compose(mult_operator(f, (0, 7)))
+
+
+def test_pairing_of_multiplications_needs_same_window():
+    # two multiplications commute, so only their windows are compared
+    f, g = parse_laurent("t"), parse_laurent("2+t")
+    with pytest.raises(NotExact, match="only multiplications on the same window compose"):
+        commutator_pairing(mult_operator(f, (0, 6)), mult_operator(g, (0, 7)),
+                           standard_lattice((0, 6)))

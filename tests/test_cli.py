@@ -207,3 +207,23 @@ def test_precision_at_the_floor_runs(capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", *HORIZONTAL)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "pass" and doc["config"]["prec_bits"] == 53
+
+
+@pytest.mark.parametrize("curve", [
+    # a conjugate pair +-i 10^-50 that the numeric split would call real
+    f"H:{10**100}*t^2+1",
+    # polyroots does not converge
+    f"H:t^2+{10**400}",
+])
+def test_root_finding_refusal_exits_4(capsys, curve):
+    code, out, err = run(capsys, "--format", "json", "symbol", "--curve", curve,
+                         "--embedding", "1", "--f", "1*(t-1)^1", "--g", "2")
+    assert code == 4 and not out and "RootFindingDivergence" in err
+
+
+def test_evaluation_below_resolution_exits_4(capsys):
+    # theta = 10^-30 is a zero of t at 128 bits
+    h = f"{10**30}*t-1"
+    code, out, err = run(capsys, "symbol", "--curve", f"H:{h}", "--embedding", "0",
+                         "--f", "1*(t)^1", "--g", f"1*({h})^1")
+    assert code == 4 and not out and "EvaluationAtZero" in err

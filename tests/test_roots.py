@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from mpmath import mp
 
 from arithsurf import roots
 from arithsurf.errors import RootFindingDivergence
-from arithsurf.intpoly import parse_intpoly
-from arithsurf.roots import all_roots, archimedean_places
+from arithsurf.intpoly import T, IntPoly, parse_intpoly, spot_check_irreducible
+from arithsurf.roots import all_roots, archimedean_places, real_root_count
 
 
 def test_all_roots_quadratic():
@@ -58,3 +60,100 @@ def test_archimedean_places_checks_the_root_count(monkeypatch):
     monkeypatch.setattr(roots, "all_roots", lambda h, prec: [mp.mpf(1)])
     with pytest.raises(RootFindingDivergence):
         archimedean_places(parse_intpoly("t^2-2"))
+
+
+# -- warm start against cold polyroots ----------------------------------------
+
+
+def _cold_roots(h, prec):
+    """The call all_roots made before it had a warm start, with its two
+    refusals mapped to the same error type."""
+    with mp.workprec(prec + 32):
+        try:
+            found, err = mp.polyroots([mp.mpf(c) for c in reversed(h.coeffs)],
+                                      maxsteps=200, extraprec=prec, error=True)
+        except mp.NoConvergence:
+            return RootFindingDivergence
+        if err > mp.mpf(2) ** (-prec):
+            return RootFindingDivergence
+        return sorted((mp.re(r), mp.im(r)) for r in found)
+
+
+def _warm_roots(h, prec):
+    try:
+        found = all_roots(h, prec=prec)
+    except RootFindingDivergence:
+        return RootFindingDivergence
+    return sorted((mp.re(r), mp.im(r)) for r in found)
+
+
+def _random_curves(count, seed=11):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 4)
+        cs = [rng.randint(-6, 6) for _ in range(d)] + [rng.choice((1, 2, 3, -2, -5))]
+        h = IntPoly(cs)
+        if h.primitive_part() == h and spot_check_irreducible(h):
+            out.append(h)
+    return out
+
+
+WARM_EDGES = [
+    T,
+    2 * T - 1,
+    T**2 + 1,  # purely imaginary roots
+    T**4 - 10**20 * T**2 + 1,
+    T**4 - 2 * (100 * T - 1) ** 2,  # Mignotte: two close real roots
+]
+# start values that are not finite, or coefficients that are not doubles
+FALLBACK_EDGES = [T**2 - 10**300 * T + 1, T**2 + 10**400]
+# a double start too large for the fixed-point Newton step
+UNPOLISHED = T - 10**300
+
+
+def test_warm_start_matches_cold_polyroots_bit_for_bit():
+    curves = _random_curves(200) + WARM_EDGES
+    for h in curves:
+        assert roots._newton_step(h, roots._double_start(h), 288) is not None, h
+    for h in curves + FALLBACK_EDGES + [UNPOLISHED]:
+        assert _warm_roots(h, 128) == _cold_roots(h, 128), h
+
+
+def test_fallback_curves_take_the_cold_start():
+    for h in FALLBACK_EDGES:
+        assert roots._double_start(h) is None, h
+    assert roots._newton_step(UNPOLISHED, roots._double_start(UNPOLISHED), 288) is None
+    assert _warm_roots(T**2 + 10**400, 128) is RootFindingDivergence
+    assert len(archimedean_places(T**2 - 10**300 * T + 1)) == 2
+
+
+# -- exact real-root count ------------------------------------------------------
+
+
+@pytest.mark.parametrize("h, count", [
+    (T, 1),
+    (T**2 + 1, 0),
+    (T**2 - 2, 2),
+    (T**3 - 2, 1),
+    (-(T**3) + 2, 1),
+    (T**4 - 10**20 * T**2 + 1, 4),
+    (T**4 - 2 * (100 * T - 1) ** 2, 4),
+    (10**100 * T**2 + 1, 0),
+    ((T**2 + 1) * (T - 1), 1),
+    ((T - 1) ** 2 * (T + 2), 2),  # distinct roots only
+])
+def test_real_root_count(h, count):
+    assert real_root_count(h) == count
+
+
+def test_real_root_count_agrees_with_the_places():
+    for h in _random_curves(60, seed=12):
+        places = archimedean_places(h)
+        assert real_root_count(h) == sum(p.is_real for p in places), h
+
+
+def test_places_refuse_a_pair_inside_the_real_tolerance():
+    # roots +-i 10^-50 sit below 2^-64 and polyroots even rounds them to 0
+    with pytest.raises(RootFindingDivergence, match="has 0 real roots"):
+        archimedean_places(10**100 * T**2 + 1)
