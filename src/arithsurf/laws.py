@@ -17,7 +17,12 @@
 
 Verifiers return a LawReport; points or curves where the p-adic ladder
 cannot certify an answer mark the whole report inconclusive rather than
-guessing.
+guessing.  Branch data is computed only at flags where f or g has nonzero
+order along the curve (see symbols.py), so a horizontal curve that is a base
+of neither function has every finite item 0 and is never refused for
+p | lc(h), a non-maximal order or an unresolved p-adic factorization; the
+point law still meets those refusals on the curves through the point, which
+are bases of f or g.
 
 Inside one verification the points share their local factorizations: each
 reduction mod p is factored once (`factor_mod_p`; the points of a curve

@@ -6,12 +6,13 @@ Inputs may hold any integers; a kernel function reduces each coefficient
 once, at the end of a sum, product or division, and returns a list in
 [0, m) with no trailing zeros.  `padic` lifts on the same kernel mod p^k.
 
-The factorization pipeline is squarefree decomposition (char-p aware),
-distinct-degree splitting, then seeded Cantor-Zassenhaus equal-degree
-splitting (trace construction for p = 2), all on lists.  A ModPPoly is
-built only where a result leaves the module: the factors `factor_mod_p`
-returns and the results of the public operators and functions, which are
-thin wrappers over the kernel.
+The factorization pipeline is squarefree decomposition (char-p aware;
+skipped when gcd(f, f') = 1), distinct-degree splitting, then seeded
+Cantor-Zassenhaus equal-degree splitting (trace construction for p = 2;
+its generator is built only when a block needs splitting), all on lists.
+A ModPPoly is built only where a result leaves the module: the factors
+`factor_mod_p` returns and the results of the public operators and
+functions, which are thin wrappers over the kernel.
 """
 
 import random
@@ -56,13 +57,14 @@ def _mul(a, b):
 def _rem(rem, mod, inv, m, quo=None):
     """The list rem reduced modulo the coefficient sequence mod, in place.
 
-    inv is the inverse mod m of mod's leading coefficient.  Entries of rem
-    may lie outside [0, m); the result is reduced and trimmed.  A list quo
-    of the quotient's length receives the quotient.
+    inv is the inverse mod m of mod's leading coefficient (1 for a monic
+    mod, which skips the scaling).  Entries of rem may lie outside [0, m);
+    the result is reduced and trimmed.  A list quo of the quotient's length
+    receives the quotient.
     """
     d = len(mod) - 1
     for k in range(len(rem) - d - 1, -1, -1):
-        q = rem[k + d] * inv % m
+        q = rem[k + d] % m if inv == 1 else rem[k + d] * inv % m
         if q:
             if quo is not None:
                 quo[k] = q
@@ -89,7 +91,7 @@ def _mulmod(a, b, mod, inv, m):
 
 def _powmod(base, e, mod, m):
     """base^e modulo mod, by square and multiply."""
-    inv = pow(mod[-1], -1, m)
+    inv = 1 if mod[-1] == 1 else pow(mod[-1], -1, m)
     result, b = [1], _rem(list(base), mod, inv, m)
     while e:
         if e & 1:
@@ -97,6 +99,16 @@ def _powmod(base, e, mod, m):
         e >>= 1
         if e:
             b = _mulmod(b, b, mod, inv, m)
+    return result
+
+
+def _powx(e, mod, m):
+    """t^e modulo the monic mod, left to right: a multiply step is a shift."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _rem(_mul(result, result), mod, 1, m)
+        if bit == "1":
+            result = _rem([0] + result, mod, 1, m)
     return result
 
 
@@ -111,7 +123,7 @@ def _monic(a, m):
 def _gcd(a, b, p):
     """Monic gcd over F_p (empty when both are zero)."""
     while b:
-        a, b = b, _rem(list(a), b, pow(b[-1], -1, p), p)
+        a, b = b, _rem(list(a), b, 1 if b[-1] == 1 else pow(b[-1], -1, p), p)
     return _monic(a, p) if a else []
 
 
@@ -309,7 +321,7 @@ def distinct_degree_split(f, p):
         if 2 * d > len(v) - 1:
             out.append((v, len(v) - 1))
             break
-        h = _powmod(h, p, v, p)
+        h = _powx(p, v, p) if h is x else _powmod(h, p, v, p)
         g = _gcd(_sub(h, x, p), v, p)
         if len(g) > 1:
             out.append((g, d))
@@ -322,8 +334,6 @@ def equal_degree_split(f, d, p, rng):
     """Cantor-Zassenhaus: factor squarefree monic f over F_p into its
     degree-d irreducible factors (coefficient lists, sorted); rng drives the
     random splitting polynomials."""
-    if len(f) - 1 == d:
-        return [f]
     factors = []
     stack = [f]
     while stack:
@@ -374,10 +384,20 @@ def _factor_mod_p(f, p, seed):
     if f.degree < 2:  # a unit, or its own monic factor
         return unit, ((f.monic(), 1),) if f.degree == 1 else ()
     fm = _monic(f.coeffs, p)
-    rng = random.Random((seed, p, tuple(fm)).__hash__() & 0x7FFFFFFF)
+    fp = _derivative(fm, p)
+    if fp and len(_gcd(fm, fp, p)) == 1:  # squarefree: the one block is fm
+        blocks = [(fm, 1)]
+    else:
+        blocks = squarefree_decomposition(fm, p)
+    rng = None  # built at the first split that draws
     result = []
-    for g, mult in squarefree_decomposition(fm, p):
+    for g, mult in blocks:
         for block, d in distinct_degree_split(g, p):
+            if len(block) - 1 == d:
+                result.append((block, mult))
+                continue
+            if rng is None:
+                rng = random.Random((seed, p, tuple(fm)).__hash__() & 0x7FFFFFFF)
             for irr in equal_degree_split(block, d, p, rng):
                 result.append((irr, mult))
     result.sort(key=lambda fe: (len(fe[0]), fe[0]))

@@ -24,7 +24,7 @@ from .centext import (
     prop_b_check,
 )
 from .config import default_config
-from .errors import DegeneratePosition, WindowTooSmall
+from .errors import DegeneratePosition, NotExact, WindowTooSmall
 from .intpoly import parse_intpoly
 from .laurent import LaurentPoly
 from .laws import verify_horizontal_law, verify_point_law, verify_vertical_law
@@ -194,7 +194,7 @@ def _random_lattice(rng, n, d, bound=3):
         ]
         try:
             return Lattice(n, rows)
-        except Exception:
+        except NotExact:  # dependent rows
             continue
 
 

@@ -8,6 +8,10 @@ The symbol of two functions is the 2x2 determinant
     nu(f, g) = nu1(f) nu2(g) - nu1(g) nu2(f),
 
 summed over the analytic branches of C at x with weights [k_i : k(x)].
+nu1 is the order along C, the same on every branch, so each nu2 is taken
+only where its nu1 cofactor is nonzero: a flag with nu1(f) = nu1(g) = 0
+has symbol 0 and no branch data is computed for it, and otherwise the
+function whose nu2 is multiplied by 0 is replaced by the constant ONE.
 
 Vertical flags are exact and immediate.  A horizontal curve h = 0 with p
 prime to lc(h) is read at x through its reduction mod p:
@@ -56,8 +60,12 @@ from .surface import (
     curve_resultant,
     horizontal_order,
     incident,
+    make_function,
     vertical_order,
 )
+
+# Stands in for a function whose nu2 the determinant multiplies by 0.
+ONE = make_function(1, [])
 
 
 def det2(a, b, c, d):
@@ -89,9 +97,14 @@ def rank2_vertical(f, p, point):
 
 
 def vertical_flag_symbol(p, point, f, g):
-    a, b = rank2_vertical(f, p, point)
-    c, d = rank2_vertical(g, p, point)
-    return det2(a, c, b, d)
+    """nu1(f) nu2(g) - nu1(g) nu2(f), taking each nu2 only where its nu1
+    cofactor is nonzero."""
+    nu1_f, nu1_g = vertical_order(f, p), vertical_order(g, p)
+    if not (nu1_f or nu1_g):
+        return 0
+    nu2_g = rank2_vertical(g, p, point)[1] if nu1_f else 0
+    nu2_f = rank2_vertical(f, p, point)[1] if nu1_g else 0
+    return det2(nu1_f, nu1_g, nu2_f, nu2_g)
 
 
 # -- horizontal flags --------------------------------------------------------
@@ -272,9 +285,12 @@ def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION
         )
     nu1_f = horizontal_order(f, curve)
     nu1_g = horizontal_order(g, curve)
+    if not (nu1_f or nu1_g):
+        return 0
     total = 0
     for br in branch_decomposition(
-        curve, point, f, g, start_precision=start_precision, seed=seed
+        curve, point, f if nu1_g else ONE, g if nu1_f else ONE,
+        start_precision=start_precision, seed=seed,
     ):
         total += br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
     return total

@@ -227,3 +227,18 @@ def test_evaluation_below_resolution_exits_4(capsys):
     code, out, err = run(capsys, "symbol", "--curve", f"H:{h}", "--embedding", "0",
                          "--f", "1*(t)^1", "--g", f"1*({h})^1")
     assert code == 4 and not out and "EvaluationAtZero" in err
+
+
+def test_curve_through_neither_function_passes_with_zero_items(capsys):
+    # lc = 2, so the branch data at 2 is refused; the curve is a base of
+    # neither function, so no nu2 is needed and every finite item is 0
+    code, out, _ = run(capsys, "--format", "json", "verify", "horizontal",
+                       "--curve", "H:2*t^2+t+1", "--f", "15", "--g", "7*(t-1)^1")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "pass" and doc["finite_part"] == {}
+    finite = [i for i in doc["items"] if not i["place"].startswith("arch")]
+    assert {i["place"] for i in finite} >= {"2:t+1", "2:inf"}
+    assert all(i["value"] == 0 for i in finite)
+    code, out, _ = run(capsys, "--format", "json", "symbol", "--curve", "H:2*t^2+t+1",
+                       "--point", "2:t+1", "--f", "15", "--g", "7*(t-1)^1")
+    assert code == 0 and json.loads(out)["value"] == 0

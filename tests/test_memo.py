@@ -72,20 +72,23 @@ def test_unramified_points_take_no_p_adic_factorization(monkeypatch):
     assert report.verdict == "pass" and report.finite_part == {"5": 2, "257": -1}
     assert not [key for key in runs if key[0] == "padic_factor"]
     assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {3, 5, 257}
-    # t^2+1 = (t+1)^2 mod 2: the point over 2 still climbs the ladder
-    report = verify_horizontal_law(parse_curve("H:t^2+1"), F("2"), F("1*(t-1)^1"))
+    # t^2+1 = (t+1)^2 mod 2: the point over 2 still climbs the ladder, for
+    # nu2(t-1), which the curve's exponent in f multiplies
+    report = verify_horizontal_law(parse_curve("H:t^2+1"), F("2*(t^2+1)^1"), F("1*(t-1)^1"))
     assert report.verdict == "pass"
     assert [key[2] for key in runs if key[0] == "padic_factor"] == [2]
 
 
 def test_inconclusive_verification_stops_factoring_at_the_failing_prime(monkeypatch):
     runs = _count_bodies(monkeypatch)
-    # lc = 2: the first point over 2 is inconclusive; 3, 5 and 7 wait behind it
+    # lc = 2: the first point over 2 is inconclusive; 3, 5 and 7 wait behind it.
+    # The curve is a base of f, so its nu2(g) is needed at every point.
     curve = parse_curve("H:2*t^2+t+1")
-    report = verify_horizontal_law(curve, F("15"), F("7 * (t-1)^1"))
+    f, g = F("15*(2*t^2+t+1)^1"), F("7 * (t-1)^1")
+    report = verify_horizontal_law(curve, f, g)
     assert report.verdict == "inconclusive" and "p = 2 divides" in report.reason
     assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {2}
-    assert prime_support_on_horizontal(curve, F("15"), F("7 * (t-1)^1")) == [2, 3, 5, 7]
+    assert prime_support_on_horizontal(curve, f, g) == [2, 3, 5, 7]
 
 
 def test_nothing_is_reused_outside_a_verification(monkeypatch):

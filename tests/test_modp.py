@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +168,9 @@ def test_pow_mod_matches_square_and_multiply(m):
         base, mod = _operand(rng, m), _divisor(rng, m, p)
         for e in (0, 1, 2, 5, p, rng.randrange(2, 10**6)):
             assert pow_mod(base, e, mod) == _naive_pow_mod(base, e, mod), (base, e, mod)
+            if mod.lc == 1 and e:  # the shift-based power of t
+                expected = _naive_pow_mod(ModPPoly(m, [0, 1]), e, mod).coeffs
+                assert modp._powx(e, mod.coeffs, m) == list(expected), (e, mod)
 
 
 def test_kernel_refuses_zero_and_mixed_divisors():
@@ -197,7 +201,7 @@ def test_linear_and_constant_inputs_skip_the_pipeline(monkeypatch):
 
 # -- differential test against sympy -------------------------------------------
 
-DIFF_PRIMES = (2, 3, 5, 7, 10007, 2**31 - 1)
+DIFF_PRIMES = (2, 3, 5, 7, 10007, 2**31 - 1, 2**61 - 1)
 
 
 def _diff_input(rng, p):
@@ -223,9 +227,17 @@ def _diff_input(rng, p):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize("p", DIFF_PRIMES)
-def test_factor_mod_p_matches_sympy(p):
+def test_factor_mod_p_matches_sympy(p, monkeypatch):
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
+    decomposed = []
+    decompose = modp.squarefree_decomposition
+
+    def counted(f, p):
+        decomposed.append(f)
+        return decompose(f, p)
+
+    monkeypatch.setattr(modp, "squarefree_decomposition", counted)
     rng = random.Random(p)
     for _ in range(30):
         f = _diff_input(rng, p)
@@ -237,3 +249,41 @@ def test_factor_mod_p_matches_sympy(p):
         unit, got = factor_mod_p(f, p, seed=3)
         assert unit == int(lc) % p, f
         assert [(list(pi.coeffs), e) for pi, e in got] == sorted(expected, key=lambda fe: (len(fe[0]), fe)), f
+    # both sides of the squarefree shortcut ran
+    assert 0 < len(decomposed) < 30
+
+
+# inputs that split, with their factors before the squarefree shortcut
+SPLIT_INPUTS = (
+    ("t^4+1", 257, [([4, 1], 1), ([64, 1], 1), ([193, 1], 1), ([253, 1], 1)]),
+    ("t^4+1", 3, [([2, 1, 1], 1), ([2, 2, 1], 1)]),
+    ("t^6+t^5+t^4+t^3+t^2+t+1", 2, [([1, 0, 1, 1], 1), ([1, 1, 0, 1], 1)]),
+    ("t^4+1", 2, [([1, 1], 4)]),  # f' = 0: the decomposition takes the p-th root
+)
+
+
+@pytest.mark.parametrize("h, p, expected", SPLIT_INPUTS)
+def test_split_inputs_keep_their_factors(h, p, expected):
+    unit, got = factor_mod_p(parse_intpoly(h), p, seed=5)
+    assert unit == 1 and [(list(pi.coeffs), e) for pi, e in got] == expected
+
+
+def test_random_generator_is_built_only_to_split(monkeypatch):
+    seeds = []
+    real = modp.random.Random
+
+    def generator(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(modp, "random", SimpleNamespace(Random=generator))
+    # t^2+1 is irreducible mod 3 and t^3+t+1 = (t+2)(t^2+t+2) mod 3 splits
+    # into factors of distinct degrees: no equal-degree split draws
+    for h in ("t^2+1", "t^3+t+1"):
+        factor_mod_p(parse_intpoly(h), 3)
+    assert seeds == []
+    # two linear factors: the generator is seeded as before, once
+    fm = (1, 0, 1)
+    assert factor_mod_p(parse_intpoly("t^2+1"), 5, seed=4)[1] == [
+        (ModPPoly(5, [2, 1]), 1), (ModPPoly(5, [3, 1]), 1)]
+    assert seeds == [(4, 5, fm).__hash__() & 0x7FFFFFFF]

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,13 +20,29 @@ from arithsurf.errors import (
     UnsupportedOrder,
 )
 from arithsurf.intpoly import parse_intpoly
-from arithsurf.laws import verify_horizontal_law, verify_point_law
-from arithsurf.selftest import HORIZONTAL_CURVES, random_pair, random_point
+from arithsurf.laws import (
+    INCONCLUSIVE_ERRORS,
+    verify_horizontal_law,
+    verify_point_law,
+    verify_vertical_law,
+)
+from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
+    INFINITY_SECTION,
+    VERTICAL,
+    Curve,
+    chart_swap,
+    chart_swap_curve,
+    chart_swap_point,
+    curves_through_point,
+    horizontal_order,
     make_function,
     parse_curve,
     parse_function,
     parse_point,
+    points_on_horizontal,
+    points_on_vertical,
+    vertical_order,
 )
 from arithsurf.symbols import (
     archimedean_symbol,
@@ -277,14 +294,15 @@ def force_ladder(monkeypatch):
 
 
 def _wider_law_cases(seed, size):
-    """Point and horizontal cases of the benchmark's `laws` pool."""
+    """Point, vertical and horizontal cases of the benchmark's `laws` pool."""
     path = Path(__file__).resolve().parent.parent / "arithbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("arithbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     pool = workloads.law_pool(arithsurf, workloads.Draws("laws", seed), size)
-    verify = {"point": verify_point_law, "horizontal": verify_horizontal_law}
-    return [(verify[c.kind], *c.data) for c in pool if c.kind in verify]
+    verify = {"point": verify_point_law, "vertical": verify_vertical_law,
+              "horizontal": verify_horizontal_law}
+    return [(verify[c.kind], *c.data) for c in pool]
 
 
 def _selftest_law_cases(seed, cases):
@@ -299,7 +317,9 @@ def _selftest_law_cases(seed, cases):
 
 
 def test_residue_decision_changes_no_report(monkeypatch):
-    cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 600)
+    # only flags with nu1 != 0 reach the gate, so the pool is wide enough to
+    # decide over a thousand branches
+    cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 1500)
     # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0.  At a
     # point on t^3-2 alone the base is a unit on H:t^2+1, so the law passes.
     reducible = (F("1*(t^5+t^3-2*t^2-2)^1"), F("3*(t^2+1)^1"))
@@ -363,3 +383,97 @@ def test_residue_decision_leaves_the_precision_cap_to_the_ladder(monkeypatch):
     assert asked == [] and fast[0].nu2_f >= 1000
     force_ladder(monkeypatch)
     assert branch_decomposition(c, pt, b, F("5")) == fast
+
+
+# -- nu2 only where its nu1 cofactor is nonzero ---------------------------------
+
+
+def _full_symbol(curve, point, f, g):
+    """The flag symbol with both nu2 computed at every flag."""
+    if curve.kind == VERTICAL:
+        (a, b), (c, d) = rank2_vertical(f, curve.p, point), rank2_vertical(g, curve.p, point)
+        return det2(a, c, b, d)
+    if curve.kind == INFINITY_SECTION or point.at_infinity:
+        return _full_symbol(chart_swap_curve(curve), chart_swap_point(point),
+                            chart_swap(f), chart_swap(g))
+    nu1_f, nu1_g = horizontal_order(f, curve), horizontal_order(g, curve)
+    return sum(br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
+               for br in branch_decomposition(curve, point, f, g))
+
+
+def _flags(verify, subject, f, g):
+    """The (curve, point) flags a law verification sums over."""
+    if verify is verify_point_law:
+        return [(curve, subject) for curve in curves_through_point(subject, f, g)]
+    if verify is verify_vertical_law:
+        return [(Curve.vertical(subject), x) for x in points_on_vertical(subject, f, g)]
+    flags = []
+    try:
+        for x in points_on_horizontal(subject, f, g):
+            flags.append((subject, x))
+    except INCONCLUSIVE_ERRORS:
+        pass  # the flags listed before the refusal are still compared
+    return flags
+
+
+def test_lazy_symbol_equals_the_full_determinant():
+    rng = random.Random(12)
+    cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 600)
+    cases += [(verify_vertical_law, VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)], *random_pair(rng))
+              for i in range(80)]
+    compared, gained = Counter(), 0
+    for case in cases:
+        f, g = case[2:]
+        for curve, point in _flags(*case):
+            try:
+                full = _full_symbol(curve, point, f, g)
+            except INCONCLUSIVE_ERRORS:
+                try:
+                    gained += curve_point_symbol(curve, point, f, g) == 0
+                except INCONCLUSIVE_ERRORS:
+                    pass
+                continue
+            assert curve_point_symbol(curve, point, f, g) == full, (curve, point, f, g)
+            compared[curve.kind, full != 0] += 1
+    # every kind of curve, with zero and nonzero symbols, and flags the full
+    # determinant leaves undecided that the lazy one decides
+    assert len(compared) == 6 and min(compared.values()) > 5, compared
+    assert gained > 50, gained
+
+
+def test_no_nu2_is_taken_for_a_zero_cofactor(monkeypatch):
+    branch_calls, rank2_calls = [], []
+    branches, rank2 = symbols.branch_decomposition, symbols.rank2_vertical
+
+    def count_branches(curve, point, f, g, **kwargs):
+        branch_calls.append((f, g))
+        return branches(curve, point, f, g, **kwargs)
+
+    def count_rank2(fn, p, point):
+        rank2_calls.append(fn)
+        return rank2(fn, p, point)
+
+    monkeypatch.setattr(symbols, "branch_decomposition", count_branches)
+    monkeypatch.setattr(symbols, "rank2_vertical", count_rank2)
+    seen = Counter()
+    for verify, subject, f, g in _wider_law_cases(7, 600):
+        branch_calls.clear()
+        rank2_calls.clear()
+        verify(subject, f, g)
+        if verify is verify_horizontal_law:
+            m_f, m_g = f.exponent_of(subject.h), g.exponent_of(subject.h)
+            if not (m_f or m_g):
+                assert branch_calls == []
+            # a point at infinity passes the chart-swapped functions
+            for bf, bg in branch_calls:
+                assert (bf is symbols.ONE) == (m_g == 0) and (bg is symbols.ONE) == (m_f == 0)
+            seen["horizontal", bool(m_f or m_g), bool(branch_calls)] += 1
+        elif verify is verify_vertical_law:
+            v_f, v_g = vertical_order(f, subject), vertical_order(g, subject)
+            if not (v_f or v_g):
+                assert rank2_calls == []
+            assert v_g or not any(fn is f for fn in rank2_calls)
+            assert v_f or not any(fn is g for fn in rank2_calls)
+            seen["vertical", bool(v_f or v_g), bool(rank2_calls)] += 1
+    assert {("horizontal", False, False), ("horizontal", True, True),
+            ("vertical", False, False), ("vertical", True, True)} <= set(seen), seen
