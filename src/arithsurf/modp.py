@@ -7,7 +7,7 @@ once, at the end of a sum, product or division, and returns a list in
 [0, m) with no trailing zeros.  `padic` lifts on the same kernel mod p^k.
 
 The factorization pipeline is squarefree decomposition (char-p aware;
-skipped when gcd(f, f') = 1), distinct-degree splitting, then seeded
+one gcd when gcd(f, f') = 1), distinct-degree splitting, then seeded
 Cantor-Zassenhaus equal-degree splitting (trace construction for p = 2;
 its generator is built only when a block needs splitting), all on lists.
 A ModPPoly is built only where a result leaves the module: the factors
@@ -57,14 +57,13 @@ def _mul(a, b):
 def _rem(rem, mod, inv, m, quo=None):
     """The list rem reduced modulo the coefficient sequence mod, in place.
 
-    inv is the inverse mod m of mod's leading coefficient (1 for a monic
-    mod, which skips the scaling).  Entries of rem may lie outside [0, m);
-    the result is reduced and trimmed.  A list quo of the quotient's length
-    receives the quotient.
+    inv is the inverse mod m of mod's leading coefficient.  Entries of rem
+    may lie outside [0, m); the result is reduced and trimmed.  A list quo
+    of the quotient's length receives the quotient.
     """
     d = len(mod) - 1
     for k in range(len(rem) - d - 1, -1, -1):
-        q = rem[k + d] % m if inv == 1 else rem[k + d] * inv % m
+        q = rem[k + d] * inv % m
         if q:
             if quo is not None:
                 quo[k] = q
@@ -91,7 +90,7 @@ def _mulmod(a, b, mod, inv, m):
 
 def _powmod(base, e, mod, m):
     """base^e modulo mod, by square and multiply."""
-    inv = 1 if mod[-1] == 1 else pow(mod[-1], -1, m)
+    inv = pow(mod[-1], -1, m)
     result, b = [1], _rem(list(base), mod, inv, m)
     while e:
         if e & 1:
@@ -99,16 +98,6 @@ def _powmod(base, e, mod, m):
         e >>= 1
         if e:
             b = _mulmod(b, b, mod, inv, m)
-    return result
-
-
-def _powx(e, mod, m):
-    """t^e modulo the monic mod, left to right: a multiply step is a shift."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _rem(_mul(result, result), mod, 1, m)
-        if bit == "1":
-            result = _rem([0] + result, mod, 1, m)
     return result
 
 
@@ -123,7 +112,7 @@ def _monic(a, m):
 def _gcd(a, b, p):
     """Monic gcd over F_p (empty when both are zero)."""
     while b:
-        a, b = b, _rem(list(a), b, 1 if b[-1] == 1 else pow(b[-1], -1, p), p)
+        a, b = b, _rem(list(a), b, pow(b[-1], -1, p), p)
     return _monic(a, p) if a else []
 
 
@@ -293,6 +282,9 @@ def squarefree_decomposition(f, p):
             decompose(_pth_root(f, p), outer * p)
             return
         c = _gcd(f, fp, p)
+        if len(c) == 1:  # squarefree: f is its own block
+            accumulate(f, outer)
+            return
         w = _divmod(f, c, p)[0]
         i = 1
         while len(w) > 1:
@@ -321,7 +313,7 @@ def distinct_degree_split(f, p):
         if 2 * d > len(v) - 1:
             out.append((v, len(v) - 1))
             break
-        h = _powx(p, v, p) if h is x else _powmod(h, p, v, p)
+        h = _powmod(h, p, v, p)
         g = _gcd(_sub(h, x, p), v, p)
         if len(g) > 1:
             out.append((g, d))
@@ -384,14 +376,9 @@ def _factor_mod_p(f, p, seed):
     if f.degree < 2:  # a unit, or its own monic factor
         return unit, ((f.monic(), 1),) if f.degree == 1 else ()
     fm = _monic(f.coeffs, p)
-    fp = _derivative(fm, p)
-    if fp and len(_gcd(fm, fp, p)) == 1:  # squarefree: the one block is fm
-        blocks = [(fm, 1)]
-    else:
-        blocks = squarefree_decomposition(fm, p)
     rng = None  # built at the first split that draws
     result = []
-    for g, mult in blocks:
+    for g, mult in squarefree_decomposition(fm, p):
         for block, d in distinct_degree_split(g, p):
             if len(block) - 1 == d:
                 result.append((block, mult))

@@ -11,7 +11,9 @@ summed over the analytic branches of C at x with weights [k_i : k(x)].
 nu1 is the order along C, the same on every branch, so each nu2 is taken
 only where its nu1 cofactor is nonzero: a flag with nu1(f) = nu1(g) = 0
 has symbol 0 and no branch data is computed for it, and otherwise the
-function whose nu2 is multiplied by 0 is replaced by the constant ONE.
+function whose nu2 is multiplied by 0 is replaced by the constant ONE.  A
+horizontal flag still refuses a skipped function's base that shares a
+factor with the curve (NonIrreducibleBase).
 
 Vertical flags are exact and immediate.  A horizontal curve h = 0 with p
 prime to lc(h) is read at x through its reduction mod p:
@@ -52,6 +54,7 @@ from .padic import (
     vp,
 )
 from .surface import (
+    HORIZONTAL,
     INFINITY_SECTION,
     VERTICAL,
     chart_swap,
@@ -272,25 +275,40 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
             N = min(2 * N, PRECISION_CAP)
 
 
+def _skipped(curve, fn):
+    """ONE in place of fn, whose nu2 the determinant multiplies by 0.
+
+    Branch data refuses a base of fn sharing a factor with the curve
+    (curve_resultant raises NonIrreducibleBase); the refusal is kept here.
+    Inside a law verification these are the resultants the prime support
+    already computed.  In the second chart of the infinity section every
+    base is a reversal prime to t, so there is nothing to refuse."""
+    if curve.kind == HORIZONTAL:
+        for b, _ in fn.factors:
+            if b != curve.h:
+                curve_resultant(curve.h, b)
+    return ONE
+
+
 def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
-    """Weighted symbol sum over the branches of the horizontal curve at x."""
-    if curve.kind == INFINITY_SECTION or point.at_infinity:
-        return horizontal_flag_symbol(
-            chart_swap_curve(curve),
-            chart_swap_point(point),
-            chart_swap(f),
-            chart_swap(g),
-            start_precision=start_precision,
-            seed=seed,
-        )
+    """Weighted symbol sum over the branches of the horizontal curve at x.
+
+    nu1 is the same in both charts, so it is taken before the chart swap."""
     nu1_f = horizontal_order(f, curve)
     nu1_g = horizontal_order(g, curve)
+    if not nu1_g:
+        f = _skipped(curve, f)
+    if not nu1_f:
+        g = _skipped(curve, g)
     if not (nu1_f or nu1_g):
         return 0
+    if curve.kind == INFINITY_SECTION or point.at_infinity:
+        curve, point = chart_swap_curve(curve), chart_swap_point(point)
+        f = f if f is ONE else chart_swap(f)
+        g = g if g is ONE else chart_swap(g)
     total = 0
     for br in branch_decomposition(
-        curve, point, f if nu1_g else ONE, g if nu1_f else ONE,
-        start_precision=start_precision, seed=seed,
+        curve, point, f, g, start_precision=start_precision, seed=seed
     ):
         total += br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
     return total

@@ -242,3 +242,11 @@ def test_curve_through_neither_function_passes_with_zero_items(capsys):
     code, out, _ = run(capsys, "--format", "json", "symbol", "--curve", "H:2*t^2+t+1",
                        "--point", "2:t+1", "--f", "15", "--g", "7*(t-1)^1")
     assert code == 0 and json.loads(out)["value"] == 0
+
+
+def test_symbol_with_a_base_sharing_a_factor_with_the_curve_exits_2(capsys):
+    # (t^2+1)(t^3-2) passes the degree-4 spot check; neither function has
+    # nonzero order along the curve, and the base is still refused
+    code, out, err = run(capsys, "symbol", "--curve", "H:t^2+1", "--point", "3:t^2+1",
+                         "--f", "1*(t^5+t^3-2*t^2-2)^1", "--g", "3")
+    assert code == 2 and not out and "NonIrreducibleBase" in err

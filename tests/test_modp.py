@@ -168,9 +168,6 @@ def test_pow_mod_matches_square_and_multiply(m):
         base, mod = _operand(rng, m), _divisor(rng, m, p)
         for e in (0, 1, 2, 5, p, rng.randrange(2, 10**6)):
             assert pow_mod(base, e, mod) == _naive_pow_mod(base, e, mod), (base, e, mod)
-            if mod.lc == 1 and e:  # the shift-based power of t
-                expected = _naive_pow_mod(ModPPoly(m, [0, 1]), e, mod).coeffs
-                assert modp._powx(e, mod.coeffs, m) == list(expected), (e, mod)
 
 
 def test_kernel_refuses_zero_and_mixed_divisors():
@@ -197,6 +194,14 @@ def test_linear_and_constant_inputs_skip_the_pipeline(monkeypatch):
     assert modp._factor_mod_p(f, 7, 0) == (5, ((ModPPoly(7, [2, 1]), 1),))
     assert factor_mod_p(f, 7) == (5, [(ModPPoly(7, [2, 1]), 1)])
     assert modp._factor_mod_p(ModPPoly(7, [4]), 7, 0) == (4, ())
+
+
+def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
+    calls = []
+    gcd = modp._gcd
+    monkeypatch.setattr(modp, "_gcd", lambda a, b, p: calls.append(p) or gcd(a, b, p))
+    f = [1, 0, 1]  # t^2+1 is irreducible mod 3
+    assert modp.squarefree_decomposition(f, 3) == [(f, 1)] and calls == [3]
 
 
 # -- differential test against sympy -------------------------------------------
@@ -227,17 +232,10 @@ def _diff_input(rng, p):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize("p", DIFF_PRIMES)
-def test_factor_mod_p_matches_sympy(p, monkeypatch):
+def test_factor_mod_p_matches_sympy(p):
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
-    decomposed = []
-    decompose = modp.squarefree_decomposition
-
-    def counted(f, p):
-        decomposed.append(f)
-        return decompose(f, p)
-
-    monkeypatch.setattr(modp, "squarefree_decomposition", counted)
+    squarefree = {True: 0, False: 0}
     rng = random.Random(p)
     for _ in range(30):
         f = _diff_input(rng, p)
@@ -249,8 +247,10 @@ def test_factor_mod_p_matches_sympy(p, monkeypatch):
         unit, got = factor_mod_p(f, p, seed=3)
         assert unit == int(lc) % p, f
         assert [(list(pi.coeffs), e) for pi, e in got] == sorted(expected, key=lambda fe: (len(fe[0]), fe)), f
-    # both sides of the squarefree shortcut ran
-    assert 0 < len(decomposed) < 30
+        if f.degree >= 2:
+            squarefree[all(e == 1 for _, e in expected)] += 1
+    # both sides of the squarefree shortcut in the decomposition ran
+    assert squarefree[True] and squarefree[False], squarefree
 
 
 # inputs that split, with their factors before the squarefree shortcut

@@ -293,8 +293,9 @@ def force_ladder(monkeypatch):
     monkeypatch.setattr(symbols, "_residue_branch", lambda *args: None)
 
 
-def _wider_law_cases(seed, size):
-    """Point, vertical and horizontal cases of the benchmark's `laws` pool."""
+def _wider_law_cases(seed, size, kinds=("point", "vertical", "horizontal")):
+    """The cases of the given kinds among the first size of the benchmark's
+    `laws` pool."""
     path = Path(__file__).resolve().parent.parent / "arithbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("arithbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -302,7 +303,7 @@ def _wider_law_cases(seed, size):
     pool = workloads.law_pool(arithsurf, workloads.Draws("laws", seed), size)
     verify = {"point": verify_point_law, "vertical": verify_vertical_law,
               "horizontal": verify_horizontal_law}
-    return [(verify[c.kind], *c.data) for c in pool]
+    return [(verify[c.kind], *c.data) for c in pool if c.kind in kinds]
 
 
 def _selftest_law_cases(seed, cases):
@@ -317,9 +318,9 @@ def _selftest_law_cases(seed, cases):
 
 
 def test_residue_decision_changes_no_report(monkeypatch):
-    # only flags with nu1 != 0 reach the gate, so the pool is wide enough to
-    # decide over a thousand branches
-    cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 1500)
+    # only horizontal flags with nu1 != 0 reach the gate, so the pool is wide
+    # enough to decide over a thousand branches
+    cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 1500, ("point", "horizontal"))
     # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0.  At a
     # point on t^3-2 alone the base is a unit on H:t^2+1, so the law passes.
     reducible = (F("1*(t^5+t^3-2*t^2-2)^1"), F("3*(t^2+1)^1"))
@@ -477,3 +478,14 @@ def test_no_nu2_is_taken_for_a_zero_cofactor(monkeypatch):
             seen["vertical", bool(v_f or v_g), bool(rank2_calls)] += 1
     assert {("horizontal", False, False), ("horizontal", True, True),
             ("vertical", False, False), ("vertical", True, True)} <= set(seen), seen
+
+
+def test_a_skipped_function_still_refuses_a_base_sharing_a_factor_with_the_curve():
+    # (t^2+1)(t^3-2) passes the degree-4 spot check and meets every point of
+    # H:t^2+1.  Its nu2 is never computed here, with nu1(f) = 0 or nu1(g) = 0.
+    c, pt = parse_curve("H:t^2+1"), parse_point("3:t^2+1")
+    for f in ("1*(t^5+t^3-2*t^2-2)^1", "1*(t^2+1)^1*(t^5+t^3-2*t^2-2)^1"):
+        with pytest.raises(NonIrreducibleBase, match="H:t\\^2\\+1"):
+            curve_point_symbol(c, pt, F(f), F("3"))
+        with pytest.raises(NonIrreducibleBase, match="H:t\\^2\\+1"):
+            curve_point_symbol(c, pt, F("3"), F(f))
