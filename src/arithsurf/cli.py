@@ -132,16 +132,17 @@ def cmd_symbol(args):
         "value": value,
     }
     if curve.kind == HORIZONTAL and point.residue is not None:
+        doc["nu1"] = {"f": horizontal_order(f, curve), "g": horizontal_order(g, curve)}
         try:
             branches = branch_decomposition(
                 curve, point, f, g,
                 start_precision=cfg.start_precision, seed=cfg.seed,
             )
-        except ArithsurfError:
-            branches = None
-        if branches:
-            nf, ng = horizontal_order(f, curve), horizontal_order(g, curve)
-            doc["nu1"] = {"f": nf, "g": ng}
+        except ArithsurfError as exc:
+            # the value was found without branch data, which it needs only
+            # where nu1(f) or nu1(g) is nonzero
+            doc["branches_refused"] = f"{type(exc).__name__}: {exc}"
+        else:
             doc["branches"] = [
                 {
                     "e": b.e,

@@ -1,23 +1,37 @@
 """Complex roots of integer polynomials and archimedean place data.
 
-mpmath's polyroots does the actual work; this module adds error
-certification at a requested bit precision and the classification of the
-roots of an irreducible polynomial into real embeddings (weight 1) and
-conjugate pairs (weight 2), which is what the archimedean side of the
-horizontal reciprocity law consumes.
+This module finds the complex roots of an integer polynomial, certifies
+them at a requested bit precision, and classifies the roots of an
+irreducible polynomial into real embeddings (weight 1) and conjugate pairs
+(weight 2), which is what the archimedean side of the horizontal
+reciprocity law consumes.
 
-Warm start.  polyroots runs Durand-Kerner at prec + 32 + prec bits, and
-from its generic start that takes seven to ten full-precision sweeps.  A
-short Durand-Kerner run in complex doubles (`_double_start`) puts every
-root within about 2^-50 first, and one Newton step in fixed-point integers
-(`_newton_step`) squares that error, so the multiprecision run needs two
-sweeps.  Its stopping rule, its `error=True` certificate and the 2^-prec
-refusal are unchanged, and it still stops at its own fixed point rounded to
-prec + 32 bits; on every curve the tests compare, its roots equal a cold
-start's bit for bit.  When the monic coefficients do not fit in a double, or
-the double run ends with a start that is not finite or not pairwise
-distinct, the generic start is used, exactly as a cold call; when only the
-Newton step cannot be taken, the double start is used as it is.
+Certified Newton.  A short Durand-Kerner run in complex doubles
+(`_double_start`) puts every root within about 2^-50 of its size.  Newton's
+method in fixed-point integers (`_newton`) then doubles its working
+precision with each step, up to 2·prec + 32 fraction bits, and stops once a
+correction at full precision is below 2^-(prec+16); where some part of a
+root kept by the cleanup below has fewer than 2·prec + 16 significant bits,
+it adds the bits missing and steps once more.  Since h is real, Newton runs
+on its real roots, kept exactly real, and on one root of each conjugate
+pair; the other is the mirror image.
+
+The result is proved exactly (`_certified`).  With h and h' evaluated at
+each estimate z as Gaussian integers, n|h(z)| <= r|h'(z)| for r = 2^-2prec
+puts a root within r of z, because h'/h(z) is the sum of 1/(z - ζ) over the
+n roots ζ.  When the n disks are also pairwise disjoint, each holds exactly
+one root, and that root is simple.  The estimates are then rounded to
+prec + 32 bits and cleaned up as mpmath's polyroots does (|z|, Im z or Re z
+below its eps is chopped), so on every curve the tests compare they equal a
+cold polyroots call bit for bit.
+
+Fallback.  mpmath's polyroots runs when there is no double start (the
+monic coefficients do not fit in a double, or the double run ends with a
+start that is not finite or not pairwise distinct), when Newton stalls, or
+when the certificate fails, as it must on a repeated root and may on a
+tight cluster.  Its Durand-Kerner run at
+2·prec + 32 bits starts from the double start after one Newton step, when
+that step can be taken, and its own error estimate is refused above 2^-prec.
 
 Real-root count.  Roots closer to the real axis than 2^-(prec/2) are taken
 as real.  That split is checked against the exact number of real roots,
@@ -27,10 +41,12 @@ place.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .errors import RootFindingDivergence, ZeroPolynomial
 from .intpoly import IntPoly, pseudo_rem
@@ -41,6 +57,11 @@ DEFAULT_PREC_BITS = 128
 # correction is below 2^-50 of its root.
 _DOUBLE_SWEEPS = 60
 _DOUBLE_TOL = 2.0**-50
+# Newton's first step runs at no more than twice the bits a double start
+# holds.  The margin is the slack of each precision over half the next, of
+# the stopping rule over prec bits, and of the bits kept per part of a root.
+_START_BITS = 50
+_MARGIN_BITS = 16
 
 
 def _double_start(h):
@@ -74,18 +95,15 @@ def _double_start(h):
     return z
 
 
-def _newton_step(h, z, bits):
-    """One Newton step on each root estimate in z, in fixed point with
-    `bits` fraction bits; it squares the error of a double start.  None when
-    the step cannot be taken or the results are not pairwise distinct."""
+def _newton(cs, z, bits):
+    """One Newton step on each fixed-point estimate in z, a pair of integers
+    (x, y) standing for (x + iy)/2^bits, for the polynomial with integer
+    coefficients cs, leading first.  Returns the new pairs and the largest
+    squared correction in units of 2^-2bits, or None when h' vanishes at an
+    estimate."""
     one = 1 << bits
-    cs = list(reversed(h.coeffs))
-    out = []
-    for r in z:
-        try:
-            xr, xi = int(r.real * one), int(r.imag * one)
-        except OverflowError:
-            return None
+    out, largest = [], 0
+    for xr, xi in z:
         # Horner for h (pr, pi) and h' (dr, di) at x = (xr + i xi) / one
         pr, pi, dr, di = cs[0] * one, 0, 0, 0
         for c in cs[1:]:
@@ -94,22 +112,133 @@ def _newton_step(h, z, bits):
         norm = dr * dr + di * di
         if not norm:
             return None
-        out.append((xr - (pr * dr + pi * di) * one // norm,
-                    xi - (pi * dr - pr * di) * one // norm))
-    if len(set(out)) < len(out):
+        cr, ci = (pr * dr + pi * di) * one // norm, (pi * dr - pr * di) * one // norm
+        out.append((xr - cr, xi - ci))
+        largest = max(largest, cr * cr + ci * ci)
+    return out, largest
+
+
+def _newton_step(h, z, bits):
+    """One Newton step from the complex doubles z, in fixed point with
+    `bits` fraction bits; it squares the error of a double start.  Returns
+    the new estimates as pairs for `_newton`, or None when a double does not
+    fit, the step cannot be taken or the results are not pairwise distinct."""
+    one = 1 << bits
+    try:
+        fixed = [(int(r.real * one), int(r.imag * one)) for r in z]
+    except OverflowError:
         return None
-    return [mp.mpc(mp.mpf((a, -bits)), mp.mpf((b, -bits))) for a, b in out]
+    stepped = _newton(list(reversed(h.coeffs)), fixed, bits)
+    if stepped is None or len(set(stepped[0])) < len(z):
+        return None
+    return stepped[0]
 
 
-def all_roots(h, prec=DEFAULT_PREC_BITS):
-    """All complex roots of h (with multiplicity), as mpc numbers accurate
-    to roughly 2^-prec."""
-    if h.degree < 1:
-        raise ZeroPolynomial("constant polynomial has no roots")
-    start = _double_start(h)
+def _certified(cs, z, bits, prec):
+    """Whether the disks of radius r = 2^-2prec about the fixed-point
+    estimates z (pairs with `bits` fraction bits) each hold a root of the
+    polynomial with coefficients cs, leading first, and are pairwise
+    disjoint.  Then each holds exactly one root, and it is simple.
+
+    Exact: at w = x + iy, F = 2^(bits·n) h(w/2^bits) and
+    D = 2^(bits·(n-1)) h'(w/2^bits) are Gaussian integers, and
+    n|h| <= r|h'| reads n²|F|²·2^(4prec) <= |D|²·2^(2bits)."""
+    n = len(cs) - 1
+    # h is real, so |h| and |h'| are the same at w and at its mirror image
+    for x, y in {(x, abs(y)) for x, y in z}:
+        fr, fi, dr, di = cs[0], 0, 0, 0
+        for k, c in enumerate(cs[1:], 1):
+            dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+            fr, fi = fr * x - fi * y + (c << bits * k), fr * y + fi * x
+        d2 = dr * dr + di * di
+        if not d2 or (n * n * (fr * fr + fi * fi)) << 4 * prec > d2 << 2 * bits:
+            return False
+    gap = 1 << 2 * (bits - 2 * prec + 1)  # (2r)² in units of 2^-2bits
+    return all((a - c) ** 2 + (b - d) ** 2 > gap
+               for (a, b), (c, d) in itertools.combinations(z, 2))
+
+
+def _newton_roots(h, start, prec):
+    """Newton from the double start at doubling precision, then the
+    certificate: the certified estimates, as pairs, and their fraction bits;
+    None when Newton stalls within its step budget or the certificate
+    fails."""
+    # h is real, so its roots are real or conjugate pairs.  A start nearer
+    # its own mirror image than any other start seeds a real root, kept
+    # exactly real; of each pair, Newton runs on the upper root only.
+    n = len(start)
+    mirror = [min(range(n), key=lambda j: abs(start[j] - r.conjugate())) for r in start]
+    reals = [complex(r.real) for i, r in enumerate(start) if mirror[i] == i]
+    uppers = [r for i, r in enumerate(start) if mirror[i] != i and r.imag > 0]
+    if len(reals) + 2 * len(uppers) != n:
+        return None
+    full = 2 * prec + 32
+    widths = [full]
+    while widths[-1] > 2 * _START_BITS:
+        widths.append(widths[-1] // 2 + _MARGIN_BITS)
+    bits = widths.pop()
+    z = _newton_step(h, reals + uppers, bits)
+    if z is None:
+        return None
+    cs = list(reversed(h.coeffs))
+    wide = bits
+    for _ in range(len(widths) + 2):
+        if widths:
+            wide = widths.pop()
+        z = [(x << wide - bits, y << wide - bits) for x, y in z]
+        bits = wide
+        stepped = _newton(cs, z, bits)
+        if stepped is None:
+            return None
+        z, largest = stepped
+        if widths or largest > 1 << 2 * (bits - prec - _MARGIN_BITS):
+            continue
+        # a part of a root far below its size, such as a real part of
+        # 10^-40 beside an imaginary part of 1, takes more fraction bits
+        kept = _cleanup(z, bits, prec)
+        least = min((abs(c).bit_length() for w in kept for c in w if c), default=full)
+        if least >= full - _MARGIN_BITS:
+            z += [(x, -y) for x, y in z[len(reals):]]
+            return (z, bits) if _certified(cs, z, bits, prec) else None
+        wide = bits + full - least
+    return None
+
+
+def _cleanup(z, bits, prec):
+    """polyroots' cleanup of fixed-point estimates z: |z|, Im z or Re z below
+    mp.eps at prec + 32 bits is set to 0."""
+    eps = 1 << bits - prec - 31
+    out = []
+    for x, y in z:
+        if x * x + y * y < eps * eps:
+            x = y = 0
+        elif abs(y) < eps:
+            y = 0
+        elif abs(x) < eps:
+            x = 0
+        out.append((x, y))
+    return out
+
+
+def _rounded(z, bits, prec):
+    """The fixed-point estimates z as polyroots returns its roots: cleaned
+    up, sorted by (|Im z|, Re z) and rounded to prec + 32 bits."""
+    z = sorted(_cleanup(z, bits, prec), key=lambda w: (abs(w[1]), w[0]))
+    wide = prec + 32
+    return [mp.make_mpc((from_man_exp(x, -bits, wide, "n"), from_man_exp(y, -bits, wide, "n")))
+            for x, y in z]
+
+
+def _polyroots(h, start, prec):
+    """mpmath's polyroots at 2·prec + 32 bits, from the double start after
+    one Newton step when there is one; its error estimate is refused above
+    2^-prec."""
     with mp.workprec(prec + 32):
         if start is not None:
-            start = _newton_step(h, start, 2 * prec + 32) or [mp.mpc(r) for r in start]
+            bits = 2 * prec + 32
+            stepped = _newton_step(h, start, bits)
+            start = ([mp.mpc(mp.mpf((a, -bits)), mp.mpf((b, -bits))) for a, b in stepped]
+                     if stepped else [mp.mpc(r) for r in start])
         coeffs = [mp.mpf(c) for c in reversed(h.coeffs)]
         try:
             roots, err = mp.polyroots(
@@ -122,6 +251,20 @@ def all_roots(h, prec=DEFAULT_PREC_BITS):
                 f"root error {err} above 2^-{prec} for {h}"
             )
         return [mp.mpc(r) for r in roots]
+
+
+def all_roots(h, prec=DEFAULT_PREC_BITS):
+    """All complex roots of h (with multiplicity), as mpc numbers at
+    prec + 32 bits: each within 2^-2prec of its own simple root, certified,
+    before rounding.  Where that certificate fails, polyroots' roots, with
+    an error estimate of at most 2^-prec."""
+    if h.degree < 1:
+        raise ZeroPolynomial("constant polynomial has no roots")
+    start = _double_start(h)
+    found = start and _newton_roots(h, start, prec)
+    if found:
+        return _rounded(*found, prec)
+    return _polyroots(h, start, prec)
 
 
 def _sign_changes(signs):

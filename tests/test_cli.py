@@ -241,7 +241,11 @@ def test_curve_through_neither_function_passes_with_zero_items(capsys):
     assert all(i["value"] == 0 for i in finite)
     code, out, _ = run(capsys, "--format", "json", "symbol", "--curve", "H:2*t^2+t+1",
                        "--point", "2:t+1", "--f", "15", "--g", "7*(t-1)^1")
-    assert code == 0 and json.loads(out)["value"] == 0
+    doc = json.loads(out)
+    assert code == 0 and doc["value"] == 0 and doc["nu1"] == {"f": 0, "g": 0}
+    # the itemized branches are refused, and the refusal is shown, not dropped
+    assert "branches" not in doc
+    assert doc["branches_refused"].startswith("UnsupportedOrder: p = 2 divides the leading")
 
 
 def test_symbol_with_a_base_sharing_a_factor_with_the_curve_exits_2(capsys):

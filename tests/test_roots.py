@@ -1,11 +1,14 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import arithsurf
 from arithsurf import roots
 from arithsurf.errors import RootFindingDivergence
-from arithsurf.intpoly import T, IntPoly, parse_intpoly, spot_check_irreducible
+from arithsurf.intpoly import T, IntPoly, discriminant, parse_intpoly, spot_check_irreducible
 from arithsurf.roots import all_roots, archimedean_places, real_root_count
 
 
@@ -126,6 +129,91 @@ def test_fallback_curves_take_the_cold_start():
     assert roots._newton_step(UNPOLISHED, roots._double_start(UNPOLISHED), 288) is None
     assert _warm_roots(T**2 + 10**400, 128) is RootFindingDivergence
     assert len(archimedean_places(T**2 - 10**300 * T + 1)) == 2
+
+
+def _wide_curves(count, seed):
+    """Squarefree curves of degree 5 and 6 with coefficients up to 10^12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice((5, 6))
+        h = IntPoly([rng.randint(-10**12, 10**12) for _ in range(d)] + [rng.randint(1, 10**12)])
+        if discriminant(h):
+            out.append(h)
+    return out
+
+
+def _law_curves(seed, size):
+    """The curves of the horizontal laws among the first `size` cases of the
+    benchmark's `laws` pool."""
+    path = Path(__file__).resolve().parent.parent / "arithbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("arithbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.law_pool(arithsurf, workloads.Draws("laws", seed), size)
+    return [case.data[0].h for case in pool if case.kind == "horizontal"]
+
+
+def _no_polyroots(*args, **kwargs):
+    raise AssertionError("polyroots was called")
+
+
+# parts of a root far below 1: a root of 10^-45, and roots 10^-40 +- i,
+# whose real part needs more fraction bits than 2·prec + 32
+SMALL_PARTS = [10**45 * T - 1, 10**80 * T**2 - 2 * 10**40 * T + 10**80 + 1]
+
+
+@pytest.mark.parametrize("prec", [53, 64, 200, 1024])
+def test_certified_roots_match_cold_polyroots_at_every_precision(monkeypatch, prec):
+    # the cold reference calls mp.polyroots itself, so only the fallback is shut
+    monkeypatch.setattr(roots, "_polyroots", _no_polyroots)
+    for h in _random_curves(50, seed=prec) + _wide_curves(10, seed=prec) + SMALL_PARTS:
+        assert _warm_roots(h, prec) == _cold_roots(h, prec), h
+
+
+def test_law_curves_never_reach_polyroots(monkeypatch):
+    curves = _random_curves(200) + WARM_EDGES + _law_curves(1, 800)
+    monkeypatch.setattr(mp, "polyroots", _no_polyroots)
+    for h in curves:
+        places = archimedean_places(h)
+        assert sum(p.weight for p in places) == h.degree, h
+
+
+def test_fallback_curves_still_reach_polyroots(monkeypatch):
+    calls = []
+    polyroots = mp.polyroots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    repeated = (T**2 - 2) ** 2
+    outcomes = {}
+    for h in FALLBACK_EDGES + [UNPOLISHED, repeated]:
+        calls.clear()
+        outcomes[h] = _warm_roots(h, 128)
+        assert len(calls) == 1, h
+    # the same outcome as before the certificate: the warm polyroots run on
+    # the repeated root refuses, while a cold one would return four roots
+    assert outcomes[repeated] is RootFindingDivergence
+    assert outcomes[T**2 + 10**400] is RootFindingDivergence
+
+
+def test_certificate_is_exact():
+    prec = 128
+    for h in (T**2 - 2, T**3 - 2, 3 * T**4 - 5 * T + 1):
+        cs = list(reversed(h.coeffs))
+        z, bits = roots._newton_roots(h, roots._double_start(h), prec)
+        assert roots._certified(cs, z, bits, prec), h
+        (x, y), rest = z[0], z[1:]
+        # 2^-200 off the root is outside the disk of radius r = 2^-256
+        assert not roots._certified(cs, [(x + (1 << bits - 200), y)] + rest, bits, prec), h
+        # two estimates 2^-bits apart, each within r of the same root: their
+        # disks overlap, so they cannot hold two distinct roots
+        twin = [(x, y), (x + 1, y)] + rest[1:]
+        assert roots._certified(cs, twin[:1], bits, prec) and roots._certified(cs, twin[1:2], bits, prec)
+        assert not roots._certified(cs, twin, bits, prec), h
 
 
 # -- exact real-root count ------------------------------------------------------
