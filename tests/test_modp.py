@@ -88,6 +88,19 @@ def test_random_monic_irreducible():
             assert f.degree == d and f.lc == 1 and is_irreducible_modp(f)
 
 
+@pytest.mark.parametrize("p", (2, 3, 13, 2**61 - 1))
+def test_rabin_test_agrees_with_factoring(p):
+    rng = random.Random(p)
+    verdicts = set()
+    for _ in range(60):
+        f = rand_poly(rng, p, rng.randint(1, 8))
+        _, fac = factor_mod_p(f, p)
+        irreducible = len(fac) == 1 and fac[0][1] == 1
+        assert is_irreducible_modp(f) == irreducible, f
+        verdicts.add(irreducible)
+    assert verdicts == {True, False}
+
+
 @given(st.integers(0, 5), st.data())
 @settings(max_examples=100, deadline=None)
 def test_gcd_divides(pi, data):
@@ -206,7 +219,8 @@ def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
 
 # -- differential test against sympy -------------------------------------------
 
-DIFF_PRIMES = (2, 3, 5, 7, 10007, 2**31 - 1, 2**61 - 1)
+# 397 and 401 sit either side of modp.ROOT_SCAN = 400
+DIFF_PRIMES = (2, 3, 5, 7, 101, 397, 401, 10007, 2**31 - 1, 2**61 - 1)
 
 
 def _diff_input(rng, p):
@@ -278,12 +292,14 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
 
     monkeypatch.setattr(modp, "random", SimpleNamespace(Random=generator))
     # t^2+1 is irreducible mod 3 and t^3+t+1 = (t+2)(t^2+t+2) mod 3 splits
-    # into factors of distinct degrees: no equal-degree split draws
-    for h in ("t^2+1", "t^3+t+1"):
-        factor_mod_p(parse_intpoly(h), 3)
+    # into factors of distinct degrees: no equal-degree split draws; below
+    # ROOT_SCAN the roots of t^2+1 = (t+2)(t+3) mod 5 are found by the scan
+    for h, p in (("t^2+1", 3), ("t^3+t+1", 3), ("t^2+1", 5)):
+        factor_mod_p(parse_intpoly(h), p)
     assert seeds == []
-    # two linear factors: the generator is seeded as before, once
+    # two linear factors above ROOT_SCAN: the generator is seeded as before, once
+    assert modp.ROOT_SCAN < 401
     fm = (1, 0, 1)
-    assert factor_mod_p(parse_intpoly("t^2+1"), 5, seed=4)[1] == [
-        (ModPPoly(5, [2, 1]), 1), (ModPPoly(5, [3, 1]), 1)]
-    assert seeds == [(4, 5, fm).__hash__() & 0x7FFFFFFF]
+    assert factor_mod_p(parse_intpoly("t^2+1"), 401, seed=4)[1] == [
+        (ModPPoly(401, [20, 1]), 1), (ModPPoly(401, [381, 1]), 1)]
+    assert seeds == [(4, 401, fm).__hash__() & 0x7FFFFFFF]
