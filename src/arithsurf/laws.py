@@ -60,11 +60,10 @@ from .surface import (
     Curve,
     chart_swap,
     curves_through_point,
-    horizontal_order,
     points_on_horizontal,
     points_on_vertical,
 )
-from .symbols import archimedean_symbol, curve_point_symbol
+from .symbols import archimedean_symbol, curve_point_symbol, vanishes_on_curve
 
 INCONCLUSIVE_ERRORS = (
     UnsupportedOrder,
@@ -201,13 +200,13 @@ def verify_horizontal_law(curve, f, g, config=None):
         raise UnsupportedOrder(f"the horizontal law needs a horizontal curve, got {curve.label()}")
     h = curve.h
 
-    # On a base of neither function every finite item is 0: the prime
-    # support has already refused a base sharing a factor with the curve,
-    # and every point it yields lies on the curve.
-    zero = not (horizontal_order(f, curve) or horizontal_order(g, curve))
     c_p = {}
     try:
-        for point in points_on_horizontal(curve, f, g, seed=cfg.seed):
+        points = points_on_horizontal(curve, f, g, seed=cfg.seed)
+        # every point lies on the curve, so no symbol is computed when it is
+        # 0 at all of them
+        zero = vanishes_on_curve(curve, f, g)
+        for point in points:
             s = 0 if zero else curve_point_symbol(
                 curve, point, f, g,
                 start_precision=cfg.start_precision, seed=cfg.seed,

@@ -11,12 +11,9 @@ at every x in F_p when p <= ROOT_SCAN; a rootless cofactor of degree 2 or 3
 is irreducible.  The rest goes through squarefree decomposition (char-p
 aware; one gcd when gcd(f, f') = 1), distinct-degree splitting, then seeded
 Cantor-Zassenhaus equal-degree splitting (trace construction for p = 2; its
-generator is built only when a block needs splitting), all on lists.  Each
-squarefree part takes X = x^p by squaring with a shift for the multiply
-step, and roots split by (x + delta)^((p-1)/2) the same way.  Every later
-Frobenius image, x^(p^d) or a^(p^i), is a linear map on the rows
-x^(ip) mod f (von zur Gathen and Shoup 1992), as in Rabin's
-irreducibility test.
+generator is built only when a block needs splitting), all on lists.  The
+distinct-degree split takes x^p by left-to-right squaring whose multiply
+step is a shift, and roots split by (x + delta)^((p-1)/2) the same way.
 
 A ModPPoly is built only where a result leaves the module: the factors
 `factor_mod_p` returns and the results of the public operators and
@@ -331,123 +328,79 @@ def _shift_pow(delta, e, f, p):
     return r
 
 
-def _frobenius_rows(X, f, p):
-    """The rows x^(ip) mod f, i < deg f, of the Frobenius map a -> a^p on
-    F_p[x]/(f), from X = x^p mod f."""
-    rows = [[1], X][: len(f) - 1]
-    while len(rows) < len(f) - 1:
-        rows.append(_mulmod(rows[-1], X, f, 1, p))
-    return rows
-
-
-def _frobenius(a, rows, p):
-    """a^p modulo f from the Frobenius rows of f: over F_p,
-    a(x)^p = sum a_i x^(ip), at n^2 multiply-adds."""
-    out = [0] * len(rows)
-    for c, row in zip(a, rows):
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    return _reduce(out, p)
-
-
-def _rows_mod(rows, v, p):
-    """Frobenius rows of f reduced to those of a divisor v of f."""
-    return [_rem(list(r), v, 1, p) for r in rows[: len(v) - 1]]
-
-
 def _strip_roots(f, p):
     """The linear factors (t - x, multiplicity) of monic f over F_p, found
     by evaluating f at every x in F_p, and the rootless cofactor."""
     vals = [1] * p  # f is monic
     for c in reversed(f[:-1]):
-        vals = [v * x + c for x, v in enumerate(vals)]
+        vals = [(v * x + c) % p for x, v in enumerate(vals)]
     linear = []
     for x, v in enumerate(vals):
-        if v % p:
+        if v:
             continue
-        mult = 0
-        while len(f) > 1:  # synthetic division by t - x
-            q = [0] * (len(f) - 1)
-            acc = 0
-            for i in range(len(f) - 1, 0, -1):
-                acc = (acc * x + f[i]) % p
-                q[i - 1] = acc
-            if (acc * x + f[0]) % p:
+        lin, mult = [-x % p, 1], 0
+        while True:
+            q, r = _divmod(f, lin, p)
+            if r:
                 break
-            f = q
-            mult += 1
-        linear.append(([-x % p, 1], mult))
+            f, mult = q, mult + 1
+        linear.append((lin, mult))
     return linear, f
 
 
-def distinct_degree_split(f, p, X):
-    """Squarefree monic f over F_p, with X = x^p mod f -> list of (product
-    of its irreducible factors of degree d, d), as coefficient lists.
-
-    x^(p^d) for d >= 2 comes from the Frobenius rows of the part of f left
-    unsplit, not from a powering."""
+def distinct_degree_split(f, p):
+    """Squarefree monic f over F_p -> list of (product of its irreducible
+    factors of degree d, d), as coefficient lists.  x^p comes from
+    _shift_pow, each later x^(p^d) from a p-th power of the one before."""
     out = []
-    h, v, d, rows = X, f, 1, None
-    while 2 * d <= len(v) - 1:
-        g = _gcd(_sub(h, [0, 1], p), v, p)
+    x = [0, 1]
+    h = x
+    v = f
+    d = 0
+    while len(v) > 1:
+        d += 1
+        if 2 * d > len(v) - 1:
+            out.append((v, len(v) - 1))
+            break
+        h = _shift_pow(0, p, v, p) if d == 1 else _powmod(h, p, v, p)
+        g = _gcd(_sub(h, x, p), v, p)
         if len(g) > 1:
             out.append((g, d))
             v = _divmod(v, g, p)[0]
-            h = _rem(list(h), v, 1, p)
-            if rows is not None:
-                rows = _rows_mod(rows, v, p)
-        d += 1
-        if 2 * d <= len(v) - 1:
-            if rows is None:
-                rows = _frobenius_rows(_rem(list(X), v, 1, p), v, p)
-            h = _frobenius(h, rows, p)
-    if len(v) > 1:
-        out.append((v, len(v) - 1))
+            h = _rem(h, v, 1, p)
     return out
 
 
-def equal_degree_split(f, d, p, rng, X):
-    """Cantor-Zassenhaus: factor squarefree monic f over F_p, with
-    X = x^p mod f, into its degree-d irreducible factors (coefficient lists,
-    sorted); rng drives the random splitting polynomials.
-
-    For odd p, roots (d = 1) split by (x + delta)^((p-1)/2), and for d >= 2
-    a^((p^d-1)/2) = (a a^p ... a^(p^(d-1)))^((p-1)/2) takes its Frobenius
-    images from the rows of f."""
+def equal_degree_split(f, d, p, rng):
+    """Cantor-Zassenhaus: factor squarefree monic f over F_p into its
+    degree-d irreducible factors (coefficient lists, sorted); rng drives the
+    random splitting polynomials.  For odd p, roots (d = 1) split by
+    (x + delta)^((p-1)/2) through _shift_pow."""
     factors = []
     stack = [f]
-    rows = _frobenius_rows(X, f, p) if d > 1 and p > 2 else None
     while stack:
         g = stack.pop()
         if len(g) - 1 == d:
             factors.append(g)
             continue
-        grows = rows and _rows_mod(rows, g, p)
         while True:
-            if p == 2:
+            if p > 2 and d == 1:
+                b = _shift_pow(rng.randrange(p), (p - 1) // 2, g, p)
+                h = _gcd(_sub(b, [1], p), g, p)
+            else:
                 a = _reduce([rng.randrange(p) for _ in range(len(g) - 1)], p)
                 if len(a) < 2:
                     continue
-                # Trace map over F_{2^d}: T(a) = a + a^2 + ... + a^(2^(d-1)).
-                b = tr = a  # already of lower degree than g
-                for _ in range(d - 1):
-                    b = _mulmod(b, b, g, 1, p)
-                    tr = _add(tr, b, p)
-                h = _gcd(tr, g, p)
-            else:
-                if d == 1:
-                    b = _shift_pow(rng.randrange(p), (p - 1) // 2, g, p)
-                else:
-                    a = _reduce([rng.randrange(p) for _ in range(len(g) - 1)], p)
-                    if len(a) < 2:
-                        continue
-                    norm = conj = a
+                if p == 2:
+                    # Trace map over F_{2^d}: T(a) = a + a^2 + ... + a^(2^(d-1)).
+                    b = tr = a  # already of lower degree than g
                     for _ in range(d - 1):
-                        conj = _frobenius(conj, grows, p)
-                        norm = _mulmod(norm, conj, g, 1, p)
-                    b = _powmod(norm, (p - 1) // 2, g, p)
-                h = _gcd(_sub(b, [1], p), g, p)
+                        b = _mulmod(b, b, g, 1, p)
+                        tr = _add(tr, b, p)
+                    h = _gcd(tr, g, p)
+                else:
+                    b = _powmod(a, (p**d - 1) // 2, g, p)
+                    h = _gcd(_sub(b, [1], p), g, p)
             if 1 < len(h) < len(g):
                 stack.append(h)
                 stack.append(_divmod(g, h, p)[0])
@@ -485,14 +438,13 @@ def _factor_mod_p(f, p, seed):
             rest = [1]
     rng = None  # built at the first split that draws
     for g, mult in squarefree_decomposition(rest, p) if len(rest) > 1 else ():
-        X = _shift_pow(0, p, g, p)
-        for block, d in distinct_degree_split(g, p, X):
+        for block, d in distinct_degree_split(g, p):
             if len(block) - 1 == d:
                 result.append((block, mult))
                 continue
             if rng is None:
                 rng = random.Random((seed, p, tuple(fm)).__hash__() & 0x7FFFFFFF)
-            for irr in equal_degree_split(block, d, p, rng, _rem(list(X), block, 1, p)):
+            for irr in equal_degree_split(block, d, p, rng):
                 result.append((irr, mult))
     result.sort(key=lambda fe: (len(fe[0]), fe[0]))
     return unit, tuple((ModPPoly._reduced(p, irr), mult) for irr, mult in result)
@@ -500,8 +452,7 @@ def _factor_mod_p(f, p, seed):
 
 def is_irreducible_modp(f):
     """Rabin's test: f monic of degree n is irreducible iff
-    x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for primes q | n.
-    The powers x^(p^k) come from the Frobenius rows of f."""
+    x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for primes q | n."""
     p = f.p
     n = f.degree
     if n <= 0:
@@ -509,16 +460,17 @@ def is_irreducible_modp(f):
     if n == 1:
         return True
     fm = _monic(f.coeffs, p)
-    X = _shift_pow(0, p, fm, p)
-    rows = _frobenius_rows(X, fm, p)
-    powers = [None, X]  # powers[k] = x^(p^k) mod f
-    for _ in range(n - 1):
-        powers.append(_frobenius(powers[-1], rows, p))
     x = [0, 1]
     for q, _ in factor_integer(n)[1]:
-        if len(_gcd(_sub(powers[n // q], x, p), fm, p)) != 1:
+        hq = x
+        for _ in range(n // q):
+            hq = _powmod(hq, p, fm, p)
+        if len(_gcd(_sub(hq, x, p), fm, p)) != 1:
             return False
-    return _sub(powers[n], x, p) == []
+    hn = x
+    for _ in range(n):
+        hn = _powmod(hn, p, fm, p)
+    return not _rem(_sub(hn, x, p), fm, 1, p)
 
 
 def multiplicity(f, pi):

@@ -290,18 +290,30 @@ def _skipped(curve, fn):
     return ONE
 
 
+def vanishes_on_curve(curve, f, g):
+    """Is the horizontal curve a base of neither f nor g?  Then
+    nu1(f) = nu1(g) = 0 and the symbol is 0 at every point of the curve.
+    Before answering True it raises the refusal that _skipped keeps for
+    f and for g, as the symbol at a point would."""
+    if horizontal_order(f, curve) or horizontal_order(g, curve):
+        return False
+    _skipped(curve, f)
+    _skipped(curve, g)
+    return True
+
+
 def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
     """Weighted symbol sum over the branches of the horizontal curve at x.
 
     nu1 is the same in both charts, so it is taken before the chart swap."""
+    if vanishes_on_curve(curve, f, g):
+        return 0
     nu1_f = horizontal_order(f, curve)
     nu1_g = horizontal_order(g, curve)
     if not nu1_g:
         f = _skipped(curve, f)
     if not nu1_f:
         g = _skipped(curve, g)
-    if not (nu1_f or nu1_g):
-        return 0
     if curve.kind == INFINITY_SECTION or point.at_infinity:
         curve, point = chart_swap_curve(curve), chart_swap_point(point)
         f = f if f is ONE else chart_swap(f)

@@ -88,19 +88,6 @@ def test_random_monic_irreducible():
             assert f.degree == d and f.lc == 1 and is_irreducible_modp(f)
 
 
-@pytest.mark.parametrize("p", (2, 3, 13, 2**61 - 1))
-def test_rabin_test_agrees_with_factoring(p):
-    rng = random.Random(p)
-    verdicts = set()
-    for _ in range(60):
-        f = rand_poly(rng, p, rng.randint(1, 8))
-        _, fac = factor_mod_p(f, p)
-        irreducible = len(fac) == 1 and fac[0][1] == 1
-        assert is_irreducible_modp(f) == irreducible, f
-        verdicts.add(irreducible)
-    assert verdicts == {True, False}
-
-
 @given(st.integers(0, 5), st.data())
 @settings(max_examples=100, deadline=None)
 def test_gcd_divides(pi, data):
@@ -291,11 +278,25 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(modp, "random", SimpleNamespace(Random=generator))
+    split_primes = []
+    real_split = modp.distinct_degree_split
+
+    def split(f, p):
+        split_primes.append(p)
+        return real_split(f, p)
+
+    monkeypatch.setattr(modp, "distinct_degree_split", split)
     # t^2+1 is irreducible mod 3 and t^3+t+1 = (t+2)(t^2+t+2) mod 3 splits
     # into factors of distinct degrees: no equal-degree split draws; below
-    # ROOT_SCAN the roots of t^2+1 = (t+2)(t+3) mod 5 are found by the scan
-    for h, p in (("t^2+1", 3), ("t^3+t+1", 3), ("t^2+1", 5)):
-        factor_mod_p(parse_intpoly(h), p)
+    # ROOT_SCAN the roots of t^2+1 = (t+2)(t+3) mod 5 are found by the scan.
+    # (t-1)(t^2-3) mod 401, above the bound, and the rootless
+    # (t^2+1)(t^3+2t+1) mod 3 reach distinct-degree splitting, which leaves
+    # each factor at its own degree
+    for h, p, degrees in (("t^2+1", 3, [2]), ("t^3+t+1", 3, [1, 2]),
+                          ("t^2+1", 5, [1, 1]), ("t^3-t^2-3*t+3", 401, [1, 2]),
+                          ("t^5+t^2+2*t+1", 3, [2, 3])):
+        assert [pi.degree for pi, _ in factor_mod_p(parse_intpoly(h), p)[1]] == degrees
+    assert split_primes == [401, 3]
     assert seeds == []
     # two linear factors above ROOT_SCAN: the generator is seeded as before, once
     assert modp.ROOT_SCAN < 401
