@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 pass, 1 law falsified, 2 usage / parse error, 3 unsupported
-input (factorization or window out of scope), 4 inconclusive (precision,
-timeout, root finding or an evaluation below resolution).  Output is
-deterministic for a fixed (seed, config).
+input (factorization or window out of scope), 4 inconclusive (timeout, root
+finding or an evaluation below resolution).  Output is deterministic for a
+fixed (seed, config).
 """
 
 import argparse
@@ -18,7 +18,6 @@ from .errors import (
     ArithsurfError,
     EvaluationAtZero,
     FactorizationTimeout,
-    InsufficientPrecision,
     NonIrreducibleBase,
     ParseError,
     RootFindingDivergence,
@@ -54,7 +53,6 @@ EXIT_INCONCLUSIVE = 4
 USAGE_ERRORS = (ParseError, ZeroPolynomial, NonIrreducibleBase)
 UNSUPPORTED = (UnsupportedOrder, UnsupportedFactorization)
 INCONCLUSIVE = (
-    InsufficientPrecision,
     FactorizationTimeout,
     RootFindingDivergence,
     EvaluationAtZero,

@@ -4,6 +4,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .padic import DEFAULT_PRECISION
 
 ENV_PREC_BITS = "ARITHSURF_PREC_BITS"
 # Below double precision the numeric law sums cannot resolve the 1e-6
@@ -14,7 +15,7 @@ MIN_PREC_BITS = 53
 @dataclass(frozen=True)
 class RunConfig:
     prec_bits: int = 128  # mpmath working precision for numeric sums
-    start_precision: int = 20  # initial p-adic digit count for the ladder
+    start_precision: int = DEFAULT_PRECISION  # least p-adic digits
     tolerance: float = 1e-6  # pass threshold for numeric law sums
     seed: int = 0  # seeds mod-p factorization tie-breaking and sampling
 
@@ -22,6 +23,10 @@ class RunConfig:
         if self.prec_bits < MIN_PREC_BITS:
             raise ParseError(
                 f"prec_bits must be at least {MIN_PREC_BITS}, got {self.prec_bits}"
+            )
+        if self.start_precision < 1:
+            raise ParseError(
+                f"start_precision must be at least 1, got {self.start_precision}"
             )
 
 

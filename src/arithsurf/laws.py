@@ -15,14 +15,16 @@
                   part is accumulated as exact integer coefficients c_p
                   of log p before any floating point enters.
 
-Verifiers return a LawReport; points or curves where the p-adic ladder
-cannot certify an answer mark the whole report inconclusive rather than
-guessing.  Branch data is computed only at flags where f or g has nonzero
-order along the curve (see symbols.py), so a horizontal curve that is a base
-of neither function has every finite item 0 and is never refused for
-p | lc(h), a non-maximal order or an unresolved p-adic factorization; the
-point law still meets those refusals on the curves through the point, which
-are bases of f or g.
+Verifiers return a LawReport; points or curves whose branch data cannot be
+certified (INCONCLUSIVE_ERRORS) mark the whole report inconclusive rather
+than guessing.  The p-adic precision is worked out from the point's data
+before factoring (see symbols.py), so running out of digits is not among
+them.  Branch data is computed only at flags where f or g has nonzero
+order along the curve, so a horizontal curve that is a base of neither
+function has every finite item 0 and is never refused for p | lc(h), a
+non-maximal order or an unsupported p-adic factorization; the point law
+still meets those refusals on the curves through the point, which are bases
+of f or g.
 
 Inside one verification the points share their local factorizations: each
 reduction mod p is factored once (`factor_mod_p`; the points of a curve
@@ -47,7 +49,6 @@ from mpmath import mp
 from .config import default_config
 from .errors import (
     FactorizationTimeout,
-    InsufficientPrecision,
     UnsupportedFactorization,
     UnsupportedOrder,
 )
@@ -68,7 +69,6 @@ from .symbols import archimedean_symbol, curve_point_symbol, vanishes_on_curve
 INCONCLUSIVE_ERRORS = (
     UnsupportedOrder,
     UnsupportedFactorization,
-    InsufficientPrecision,
     FactorizationTimeout,
 )
 

@@ -1,17 +1,16 @@
 """p-adic polynomial factorization at desk scale.
 
-Supported inputs: monic h in Z[t].  Strategy ladder:
+Supported inputs: monic h in Z[t].  The reduction mod p splits h into
+clusters, one per irreducible factor pi^e of h mod p, Hensel-lifted to
+p^N; each cluster is then handled on its own:
 
-  (a) reduction squarefree mod p -> full Hensel lift of the mod-p
-      factorization, every factor unramified-certified (e = 1);
-  (b) otherwise split into clusters along the irreducible factors of the
-      reduction and handle each cluster:
-        * multiplicity 1          -> unramified factor as in (a),
-        * degree 2                -> explicit quadratic analysis via the
-                                     p-adic square criterion on the
-                                     discriminant (split / inert / ramified),
-        * degree >= 3 over a linear residue -> Eisenstein-after-shift
-                                     certificate (totally ramified) or bust.
+  * multiplicity 1          -> unramified factor (e = 1), which is every
+                               factor when h is squarefree mod p,
+  * degree 2                -> explicit quadratic analysis via the p-adic
+                               square criterion on the discriminant
+                               (split / inert / ramified),
+  * degree >= 3 over a linear residue -> Eisenstein-after-shift
+                               certificate (totally ramified) or bust.
 
 Anything else raises UnsupportedFactorization; general Montes/Round-4
 machinery is deliberately out of scope.
@@ -20,6 +19,9 @@ Hensel lifting, the Bezout pairs it starts from and the Dedekind test run
 on the coefficient-list kernel of `modp` (mod p, then mod p^k), reducing
 once per sum, product or division.  The residues of the factors stay the
 ModPPoly objects that `factor_mod_p` returns.
+
+An N too small to decide a cluster raises InsufficientPrecision;
+`symbols.branch_decomposition` works out one large enough before it calls.
 """
 
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ from .modp import (
 )
 
 DEFAULT_PRECISION = 20
-PRECISION_CAP = 1280
 
 
 def vp(n, p):
@@ -300,18 +301,6 @@ def _padic_factor(h, p, N, seed):
         raise NotExact(f"padic_factor requires monic input, got {h}")
     _, red_factors = factor_mod_p(h, p, seed=seed)
     factors = []
-    if all(e == 1 for _, e in red_factors):
-        # (a) squarefree reduction: every factor unramified.
-        parts = [pi for pi, _ in red_factors]
-        lifted = hensel_lift_list(h.coeffs, [pi.coeffs for pi in parts], p, N)
-        for pi, cs in zip(parts, lifted):
-            poly = PadicPoly(p, N, tuple(cs))
-            factors.append(
-                PadicFactor(poly, 1, pi.degree, pi, exact=(len(parts) == 1))
-            )
-        return PadicFactorization(h, p, N, tuple(factors))
-
-    # (b) cluster per irreducible pi.
     clusters = []
     for pi, e in red_factors:
         cl = [1]

@@ -28,8 +28,8 @@ prime to lc(h) is read at x through its reduction mod p:
     A degree-one curve is the case deg(x) = 1 with a single point over p.
   * otherwise (a non-squarefree reduction, or a base meeting two points
     over p) each p-adic factor of hm = monicize(h) is a branch, and nu2
-    comes from resultants against the factor's coefficient lift, with a
-    doubling precision ladder on top.
+    comes from resultants against the factor's coefficient lift, at a
+    precision worked out from v_p(disc h) and v_p(Res(h, b)).
 """
 
 from dataclasses import dataclass
@@ -39,20 +39,13 @@ from mpmath import mp
 
 from .errors import (
     EvaluationAtZero,
-    InsufficientPrecision,
     NotExact,
     ParseError,
     UnsupportedOrder,
 )
-from .intpoly import resultant
+from .intpoly import discriminant, resultant
 from .modp import ModPPoly, factor_mod_p, multiplicity
-from .padic import (
-    DEFAULT_PRECISION,
-    PRECISION_CAP,
-    dedekind_p_maximal,
-    padic_factor,
-    vp,
-)
+from .padic import DEFAULT_PRECISION, dedekind_p_maximal, padic_factor, vp
 from .surface import (
     HORIZONTAL,
     INFINITY_SECTION,
@@ -147,10 +140,9 @@ def _restriction_valuation(fn, h, factor, N):
 
     fn(theta) with theta a root of factor (as a factor of monicize(h)):
     for each base b, w(b(theta)) = v_p(Res(factor_lift, B)) / f, where
-    B(y) = lc^deg(b) * b(y/lc) and p does not divide lc.  Trusted only when
-    the resultant valuation stays below the working precision N.  A zero
-    resultant from a base sharing a factor with h is refused with
-    NonIrreducibleBase (curve_resultant) instead of a precision failure.
+    B(y) = lc^deg(b) * b(y/lc) and p does not divide lc.  The factor is
+    known mod p^N, and N exceeds every such valuation (_least_precision),
+    so a valuation of N or more breaks that bound.
     """
     p = factor.poly.p
     lc = h.lc
@@ -161,12 +153,8 @@ def _restriction_valuation(fn, h, factor, N):
             continue
         B = b.scale_arg(lc) if lc != 1 else b
         res = resultant(lift, B)
-        if res == 0:
-            curve_resultant(h, b)  # refuses a base sharing a factor with h
         if res == 0 or vp(res, p) >= N:
-            raise InsufficientPrecision(
-                f"resultant valuation not resolved at precision {N}"
-            )
+            raise NotExact(f"resultant of {b} with a branch of {h} reaches the precision {N}")
         w_num = vp(res, p)
         if w_num % factor.f:
             raise NotExact(f"norm valuation {w_num} is not divisible by f = {factor.f}")
@@ -179,7 +167,7 @@ def _restriction_valuation(fn, h, factor, N):
 def _residue_branch(h, point, residues, f, g):
     """The single branch at the point when h is squarefree mod p, read off
     the residues of that reduction and the global resultants; None when a
-    base needs the p-adic ladder instead.
+    base needs the p-adic factorization instead.
 
     nu2(b) = 0 when the point's residue does not divide b mod p, and
     v_p(Res(h, b)) / deg(x) when it is the only residue of h that does.
@@ -212,14 +200,37 @@ def _residue_branch(h, point, residues, f, g):
     return BranchData(e=1, f=point.degree, weight=1, nu2_f=nu2_f, nu2_g=nu2_g)
 
 
+def _least_precision(h, point, f, g):
+    """N0: the p-adic digits that settle the branches of h at the point and
+    the nu2 of f and g on them, for p prime to lc(h).
+
+    A branch's resultant with B divides Res(hm, B) over Z_p, and a lift
+    correct mod p^N keeps it mod p^N, so N > v_p(Res(h, b)) reads nu2(b); a
+    base the point's residue does not divide is a unit on the branch.  Each
+    cluster's discriminant divides disc(hm): 4 digits past v_p(disc h) cover
+    the square-class guard, a split quadratic's lost digits and Eisenstein's
+    test mod p^2.  curve_resultant refuses a base through the point that
+    shares a factor with h (NonIrreducibleBase).
+    """
+    p, pi = point.p, point.residue
+    reach = 0
+    for fn in (f, g):
+        for b, _ in fn.factors:
+            if b != h and not ModPPoly.from_intpoly(b, p) % pi:
+                reach = max(reach, vp(curve_resultant(h, b), p))
+    return vp(discriminant(h), p) + 4 + reach
+
+
 def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
     """Analytic branches of the horizontal curve at the point, with the
     nu2 valuations of f and g on each branch.
 
     A squarefree reduction mod p decides the point's one branch from the
-    residues (see _residue_branch); every other case climbs the p-adic
-    ladder.  Raises UnsupportedOrder for curves the ladder cannot certify
-    (p | lc with degree >= 2, non p-maximal orders, unsupported clusters).
+    residues (see _residue_branch); every other case factors monicize(h)
+    over Z_p once, with at least start_precision digits and at least the
+    N0 of _least_precision.  Raises UnsupportedOrder for curves it cannot
+    certify (p | lc with degree >= 2, non p-maximal orders) and
+    UnsupportedFactorization for clusters outside padic's class.
     """
     h = curve.h
     p = point.p
@@ -244,35 +255,28 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
             f"Z[t]/({hm}) is not maximal at {p}; branch data uncertified"
         )
     pi_hat = _monic_point_residue(h, point)
-    N = start_precision
-    while True:
-        try:
-            fac = padic_factor(hm, p, N=N, seed=seed)
-            branches = []
-            for factor in fac.factors:
-                if factor.residue != pi_hat:
-                    continue
-                if factor.f % point.degree:
-                    raise NotExact(
-                        f"branch residue degree {factor.f} is not a multiple of "
-                        f"deg(x) = {point.degree}"
-                    )
-                branches.append(
-                    BranchData(
-                        e=factor.e,
-                        f=factor.f,
-                        weight=factor.f // point.degree,
-                        nu2_f=_restriction_valuation(f, h, factor, factor.poly.N),
-                        nu2_g=_restriction_valuation(g, h, factor, factor.poly.N),
-                    )
-                )
-            if not branches:
-                raise NotExact(f"incident point {point.label()} carries no branch")
-            return branches
-        except InsufficientPrecision:
-            if N >= PRECISION_CAP:
-                raise
-            N = min(2 * N, PRECISION_CAP)
+    N = max(start_precision, _least_precision(h, point, f, g))
+    branches = []
+    for factor in padic_factor(hm, p, N=N, seed=seed).factors:
+        if factor.residue != pi_hat:
+            continue
+        if factor.f % point.degree:
+            raise NotExact(
+                f"branch residue degree {factor.f} is not a multiple of "
+                f"deg(x) = {point.degree}"
+            )
+        branches.append(
+            BranchData(
+                e=factor.e,
+                f=factor.f,
+                weight=factor.f // point.degree,
+                nu2_f=_restriction_valuation(f, h, factor, factor.poly.N),
+                nu2_g=_restriction_valuation(g, h, factor, factor.poly.N),
+            )
+        )
+    if not branches:
+        raise NotExact(f"incident point {point.label()} carries no branch")
+    return branches
 
 
 def _skipped(curve, fn):

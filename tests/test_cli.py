@@ -179,13 +179,26 @@ def test_bad_precision_environment_exits_2(capsys, monkeypatch):
 
 
 def test_reducible_base_at_a_non_squarefree_point_exits_2(capsys):
-    # (t+1)^2 = t^2+1 mod 2 sends the point to the p-adic ladder, whose zero
-    # resultant against t^5+t^3-2t^2-2 = (t^2+1)(t^3-2) is a usage error,
-    # not a precision failure; also when python -O drops asserts
+    # (t+1)^2 = t^2+1 mod 2 sends the point to the p-adic factorization, whose
+    # precision reads the resultant of the curve with each base through the
+    # point; the zero one against t^5+t^3-2t^2-2 = (t^2+1)(t^3-2) is a usage
+    # error, also when python -O drops asserts
     argv = ["verify", "point", "--point", "2:t+1",
             "--f", "1*(t^5+t^3-2*t^2-2)^1", "--g", "3*(t^2+1)^1"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out and "NonIrreducibleBase" in err and "H:t^2+1" in err
+    done = subprocess.run([sys.executable, "-O", "-m", "arithsurf.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and "NonIrreducibleBase" in done.stderr
+
+
+def test_reducible_base_at_a_ramified_point_exits_2(capsys):
+    # H:t^2-3 is ramified at 3:t, and t^5-3t^3-2t^2+6 = (t^2-3)(t^3-2) meets
+    # it to every p-adic digit
+    argv = ["verify", "point", "--point", "3:t",
+            "--f", "1*(t^5-3*t^3-2*t^2+6)^1", "--g", "2*(t^2-3)^1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "NonIrreducibleBase" in err and "H:t^2-3" in err
     done = subprocess.run([sys.executable, "-O", "-m", "arithsurf.cli", *argv],
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 2 and "NonIrreducibleBase" in done.stderr

@@ -7,8 +7,8 @@ import pytest
 from mpmath import mp
 
 from arithsurf.cli import main
-from arithsurf.config import default_config
-from arithsurf.errors import NonIrreducibleBase, UnsupportedOrder
+from arithsurf.config import RunConfig, default_config
+from arithsurf.errors import NonIrreducibleBase, ParseError, UnsupportedOrder
 from arithsurf.laws import (
     verify_horizontal_law,
     verify_point_law,
@@ -16,6 +16,7 @@ from arithsurf.laws import (
 )
 from arithsurf.selftest import random_pair, random_point
 from arithsurf.surface import parse_curve, parse_function, parse_point
+from arithsurf.symbols import branch_decomposition
 
 F = parse_function
 
@@ -38,6 +39,24 @@ def test_point_law_unsupported_is_inconclusive():
     r = verify_point_law(parse_point("2:t+1"), F("1*(2*t^2+t+1)^1"), F("3"))
     assert r.verdict == "inconclusive"
     assert "UnsupportedOrder" in r.reason
+
+
+def test_point_law_reads_an_eisenstein_curve_at_one_least_digit():
+    # t^3-3t^2-3t+3 is Eisenstein at 3; one digit cannot read its constant
+    # term mod 9, and the factorization still gets the digits the discriminant
+    # asks for
+    pt, f, g = parse_point("3:t"), F("1*(t^3-3*t^2-3*t+3)^1"), F("3")
+    r = verify_point_law(pt, f, g, config=RunConfig(start_precision=1))
+    assert r.verdict == "pass" and r.exact_sum == 0
+    branches = branch_decomposition(parse_curve("H:t^3-3*t^2-3*t+3"), pt, f, g,
+                                    start_precision=1)
+    assert [(b.e, b.f) for b in branches] == [(3, 1)]
+
+
+def test_start_precision_below_one_is_refused():
+    with pytest.raises(ParseError, match="start_precision"):
+        verify_point_law(parse_point("3:t"), F("1*(t^3-3*t^2-3*t+3)^1"), F("3"),
+                         config=RunConfig(start_precision=0))
 
 
 def test_vertical_law_fixture():

@@ -24,7 +24,7 @@ F = parse_function
 # t^4+1 has two points over 3, two over 5 and four over 257
 SPLIT = (parse_curve("H:t^4+1"), F("3*(t^4+1)^1"), F("1*(t^2+2)^1*(t+4)^-1"))
 # t^3-t-2 = t (t+1)^2 mod 2 is not squarefree: both of its points over 2 take
-# the p-adic ladder; the support is {2, 3, 13}
+# the p-adic factorization; the support is {2, 3, 13}
 CLUSTERED = (parse_curve("H:t^3-t-2"), F("3*(t^3-t-2)^1"), F("1*(t+1)^1*(t^2+3)^-1"))
 
 
@@ -72,7 +72,7 @@ def test_unramified_points_take_no_p_adic_factorization(monkeypatch):
     assert report.verdict == "pass" and report.finite_part == {"5": 2, "257": -1}
     assert not [key for key in runs if key[0] == "padic_factor"]
     assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {3, 5, 257}
-    # t^2+1 = (t+1)^2 mod 2: the point over 2 still climbs the ladder, for
+    # t^2+1 = (t+1)^2 mod 2: the point over 2 is still factored over Z_2, for
     # nu2(t-1), which the curve's exponent in f multiplies
     report = verify_horizontal_law(parse_curve("H:t^2+1"), F("2*(t^2+1)^1"), F("1*(t-1)^1"))
     assert report.verdict == "pass"

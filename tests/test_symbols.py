@@ -13,19 +13,21 @@ from mpmath import mp
 import arithsurf
 from arithsurf import symbols
 from arithsurf.errors import (
-    InsufficientPrecision,
+    ArithsurfError,
     NonIrreducibleBase,
     NotExact,
     ParseError,
     UnsupportedOrder,
 )
-from arithsurf.intpoly import parse_intpoly
+from arithsurf.intpoly import discriminant, parse_intpoly, resultant
 from arithsurf.laws import (
     INCONCLUSIVE_ERRORS,
     verify_horizontal_law,
     verify_point_law,
     verify_vertical_law,
 )
+from arithsurf.modp import ModPPoly
+from arithsurf.padic import vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
     INFINITY_SECTION,
@@ -206,7 +208,7 @@ def test_branch_decomposition_refuses_points_off_the_curve():
 
 def test_branch_decomposition_checks_the_p_adic_factors(monkeypatch):
     # t^4+t^3+t^2-2 = t^2 (t^2+t+1) mod 2 is not squarefree, so its points over
-    # 2 take the p-adic ladder: one inert branch with f = 2 over the degree-2 point
+    # 2 are factored over Z_2: one inert branch with f = 2 over the degree-2 point
     c, pt = parse_curve("H:t^4+t^3+t^2-2"), parse_point("2:t^2+t+1")
     f, g = F("2"), F("1*(t)^1")
     assert [(b.e, b.f) for b in branch_decomposition(c, pt, f, g)] == [(1, 2)]
@@ -288,8 +290,8 @@ def test_residue_branch_refuses_a_valuation_off_deg_x(monkeypatch):
 
 
 def force_ladder(monkeypatch):
-    """Switch off the one gate of the residue decision: every point climbs
-    the p-adic ladder, as before the decision existed."""
+    """Switch off the one gate of the residue decision: every point takes
+    the p-adic factorization."""
     monkeypatch.setattr(symbols, "_residue_branch", lambda *args: None)
 
 
@@ -357,7 +359,7 @@ def _root_base(h, p, r, digits):
     return make_function(1, [(parse_intpoly(f"t-{r}"), 1)])
 
 
-def test_residue_decision_leaves_the_precision_cap_to_the_ladder(monkeypatch):
+def test_a_base_past_the_default_precision_is_read_exactly(monkeypatch):
     asked = []
     real = symbols.padic_factor
 
@@ -366,24 +368,64 @@ def test_residue_decision_leaves_the_precision_cap_to_the_ladder(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(symbols, "padic_factor", ask)
-    # t^2+1 is squarefree mod 5: at 1300 digits nu2 is past the ladder's cap,
-    # and the residues still decide it exactly
+    # t^2+1 is squarefree mod 5: at 1300 digits nu2 is far past the default
+    # precision, and the residues still decide it exactly
     c, pt = parse_curve("H:t^2+1"), parse_point("5:t+3")
-    exact = branch_decomposition(c, pt, _root_base("t^2+1", 5, 2, 1300), F("5"))
+    b = _root_base("t^2+1", 5, 2, 1300)
+    exact = branch_decomposition(c, pt, b, F("5"))
     assert asked == [] and exact[0].nu2_f >= 1300
     # t^3-t^2+3 = t^2 (t+2) mod 3 is not squarefree, so even its simple point
-    # climbs the ladder, which runs out at the cap
+    # is factored over Z_3, once, at the precision v_3(Res(h, b)) asks for
     c3, pt3 = parse_curve("H:t^3-t^2+3"), parse_point("3:t+2")
-    with pytest.raises(InsufficientPrecision, match="1280"):
-        branch_decomposition(c3, pt3, _root_base("t^3-t^2+3", 3, 1, 1300), F("3"))
-    assert asked == [20, 40, 80, 160, 320, 640, 1280]
-    # below the cap the ladder finds the branch the residues decide
-    asked.clear()
-    b = _root_base("t^2+1", 5, 2, 1000)
-    fast = branch_decomposition(c, pt, b, F("5"))
-    assert asked == [] and fast[0].nu2_f >= 1000
+    deep = branch_decomposition(c3, pt3, _root_base("t^3-t^2+3", 3, 1, 1300), F("3"))
+    assert len(asked) == 1 and asked[0] >= 1300 and deep[0].nu2_f >= 1300
+    # the p-adic factorization finds the branch the residues decide
     force_ladder(monkeypatch)
-    assert branch_decomposition(c, pt, b, F("5")) == fast
+    assert branch_decomposition(c, pt, b, F("5")) == exact
+
+
+def _branches_or_error(*args, **kwargs):
+    try:
+        return branch_decomposition(*args, **kwargs)
+    except ArithsurfError as exc:
+        return type(exc), str(exc)
+
+
+def test_each_point_is_factored_once_at_the_precision_it_needs(monkeypatch):
+    asked, flags = [], []
+    real = symbols.padic_factor
+
+    def ask(*args, **kwargs):
+        asked.append(kwargs["N"])
+        return real(*args, **kwargs)
+
+    def record(curve, point, f, g, **kwargs):
+        before = len(asked)
+        out = _branches_or_error(curve, point, f, g, **kwargs)
+        if len(asked) > before:
+            flags.append((curve, point, f, g, asked[before:], out))
+        if isinstance(out, tuple):
+            raise out[0](out[1])
+        return out
+
+    monkeypatch.setattr(symbols, "padic_factor", ask)
+    monkeypatch.setattr(symbols, "branch_decomposition", record)
+    for verify, subject, f, g in _wider_law_cases(7, 1200, ("point", "horizontal")):
+        try:
+            verify(subject, f, g)
+        except ArithsurfError:
+            pass
+    assert len(flags) > 100
+    for curve, point, f, g, calls, out in flags:
+        h, p = curve.h, point.p
+        reach = [vp(resultant(h, b), p) for fn in (f, g) for b, _ in fn.factors
+                 if b != h and not ModPPoly.from_intpoly(b, p) % point.residue]
+        least = vp(discriminant(h), p) + 4 + max(reach, default=0)
+        assert calls == [max(20, least)]
+        for start in (1, least + 100):
+            asked.clear()
+            assert _branches_or_error(curve, point, f, g, start_precision=start) == out
+            assert asked == [max(start, least)]
 
 
 # -- nu2 only where its nu1 cofactor is nonzero ---------------------------------
