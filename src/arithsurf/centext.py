@@ -18,36 +18,31 @@ by (g, a)(g', a') = (gg', a o g(a')) via pushforward and metrized
 contraction; the commutator pairing of commuting g, h is the scalar of
 the four-term chain a o g(b) o h(a^-1) o b^-1 in (A|A) = R.
 
-Coordinate subspaces take a shortcut chosen from the input alone: a row set
-whose rows are c * e_i with distinct indices i spans the coordinate
-subspace on those indices.  For such rows intersections and sums are
-intersections and unions of index sets, the rref basis is the unit vectors
-at the sorted indices, a vector's coordinate on c * e_i is its i-th entry
-over c, and rows on indices outside span(I) are already orthogonal to it,
-so a Gram volume is the product of the c^2 (exactly 1 for the canonical
-quotient bases of a coordinate pair).  Each of these is the value the
-general elimination returns, as a Fraction, so every QSqrt downstream is
-the same.  Every shortcut is gated by the one test _indexed; any other
-input takes the general Gaussian-elimination path.
+Coordinate shape is decided once, when a Lattice is built: a lattice is
+coordinate when every basis vector is a nonzero multiple of a standard basis
+vector e_i, at distinct indices i, and it then carries those indices (coords)
+in basis order.  Lattice.on_indices builds such a lattice from its indices
+(the reference lattice span{t^0 .. t^M} of standard_lattice, the shifted
+tails of apply_lattice, coordinate sums and intersections); Lattice(n, rows)
+scans its rows once (qlinalg.coordinate_support).  No other row set is
+scanned.  pair_data of two coordinate lattices carries the decision on: the
+pair is the index tuples of the intersection and of both canonical quotient
+bases, and pd.coordinate says so.  Everything else reads the decision (the
+one test _indexed, or pd.coordinate) or runs the general Gaussian
+elimination; both give the same Fraction, so every QSqrt downstream is the
+same.
 
-Index sets are carried rather than rediscovered: a coordinate lattice or
-pair is its index tuples, and its rows (basis, rref_basis, I_rows,
-canon_*) are built only when something reads them.  Lattice.on_indices
-builds a coordinate lattice from its indices: the reference lattice
-span{t^0 .. t^M} of standard_lattice, the shifted tails of apply_lattice,
-and coordinate sums and intersections.  pair_data of two coordinate
-lattices records the indices of the intersection and of both canonical
-quotient bases.  A determinant between unit rows named by their indices is
-the sign of a permutation (_index_det), so the contraction scalar and
-pushforward's eA and eB read no row; when the image pair is coordinate too,
-fA and fB are k x k minors (k the quotient dimension) of the operator's
-sparse images of e_i (op.column).  Rows are scanned for coordinate shape
-(qlinalg.coordinate_support) only where no index set comes with them:
-bases given to Lattice(n, rows), images of non-tail lattices under an
-operator, and rows handed to quotient_det, _bottom_reps or the Gram volume.
-The window oracle only ever builds tails span{t^a .. t^M}, so it runs no
-elimination, scans no row and builds no Fraction row; its only det calls
-are those minors, of size at most |nu(f)| + |nu(g)|.
+On a coordinate pair a determinant between unit rows named by their indices
+is the sign of a permutation (_index_det), and the unit of (A|B) has norm
+exactly 1, so the contraction scalar reads no row.  pushforward takes its
+index path when both the pair and its image pair are coordinate: eA and eB
+are permutation signs, and fA and fB are k x k minors (k the quotient
+dimension) of the operator's sparse images of e_i (op.column).  The unit
+rows of a coordinate lattice or pair (rref_basis, I_rows, canon_*) are built
+only when something reads them.  The window oracle only ever
+builds tails span{t^a .. t^M}, so it runs no elimination, scans no row and
+builds no Fraction row; its only det calls are those minors, of size at
+most |nu(f)| + |nu(g)|.
 """
 
 import math
@@ -242,28 +237,26 @@ def _as_qsqrt(x):
 # -- lattices ------------------------------------------------------------------
 
 
-_UNIT = Fraction(1)
 _ZERO = Fraction(0)
 
 
-def _indexed(*coords):
-    """Are all these (index, scale) lists known, i.e. are the row sets they
-    describe coordinate?  Every index-set shortcut of this module is taken
-    through this one test, so a false one runs the general elimination path
-    on the same input."""
-    return all(c is not None for c in coords)
+def _indexed(*lattices):
+    """Are all these lattices coordinate, as decided when each was built?
+    Every index-set path of this module is taken through this one test, so
+    a false one runs the general elimination on the same input."""
+    return all(L.coords is not None for L in lattices)
 
 
 class Lattice:
     """Subspace of Q^n with a chosen (ordered, independent) basis.
 
-    coords is the (index, scale) of each basis vector when the basis is a
-    rescaled subset of the standard basis, else None.  Such a lattice is its
-    index set: pivots are the sorted indices, rref_basis is the unit vectors
-    at them, with no elimination run, and rows are built only when read.  A
-    basis given as rows is scanned for that shape (coordinate_support);
-    Lattice.on_indices builds the lattice from its indices and scans
-    nothing."""
+    coords is the index i of each basis vector, in basis order, when every
+    basis vector is a nonzero multiple of e_i, else None.  Such a lattice is
+    its index set: pivots are the sorted indices, rref_basis is the unit
+    vectors at them, with no elimination run, and rows are built only when
+    read.  This is decided here and nowhere else: a basis given as rows is
+    scanned for that shape (coordinate_support), and Lattice.on_indices
+    builds the lattice from its indices and scans nothing."""
 
     __slots__ = ("n", "coords", "pivots", "_basis", "_rref_basis")
 
@@ -273,11 +266,10 @@ class Lattice:
         if any(len(v) != n for v in self._basis):
             raise NotExact(f"lattice basis vector of length other than {n}")
         self.coords = coordinate_support(self._basis)
-        if _indexed(self.coords):
-            self.pivots = tuple(sorted(i for i, _ in self.coords))
+        if self.coords is not None:
+            self.pivots = tuple(sorted(self.coords))
             self._rref_basis = None
             return
-        self.coords = None
         self._rref_basis, self.pivots = rref(self._basis)
         if len(self._rref_basis) != len(self._basis):
             raise NotExact("lattice basis is linearly dependent")
@@ -287,11 +279,8 @@ class Lattice:
         """span{e_i : i in indices} with basis the unit rows in the given
         order, which must be ascending and free of repeats."""
         indices = tuple(indices)
-        coords = tuple((i, _UNIT) for i in indices)
-        if not _indexed(coords):
-            return cls(n, unit_rows(indices, n))
         L = cls.__new__(cls)
-        L.n, L.coords, L.pivots = n, coords, indices
+        L.n, L.coords, L.pivots = n, indices, indices
         L._basis = L._rref_basis = None
         return L
 
@@ -310,7 +299,7 @@ class Lattice:
         return len(self.pivots)
 
     def same_span(self, other):
-        if _indexed(self.coords, other.coords):
+        if _indexed(self, other):
             return self.n == other.n and self.pivots == other.pivots
         return self.n == other.n and self.rref_basis == other.rref_basis
 
@@ -329,7 +318,7 @@ def zero_lattice(n):
 
 
 def lattice_sum(A, B):
-    if _indexed(A.coords, B.coords):
+    if _indexed(A, B):
         return Lattice.on_indices(A.n, sorted(set(A.pivots).union(B.pivots)))
     return Lattice(A.n, sum_space(A.rref_basis, B.rref_basis))
 
@@ -384,7 +373,7 @@ class PairData:
 
 
 def pair_data(A, B):
-    if _indexed(A.coords, B.coords):
+    if _indexed(A, B):
         in_A, in_B = set(A.pivots), set(B.pivots)
         return PairData.on_indices(A.n, tuple(i for i in A.pivots if i in in_B),
                                    tuple(i for i in A.pivots if i not in in_B),
@@ -399,11 +388,8 @@ def pair_data(A, B):
 
 def quotient_det(modulus_rows, reps_from, reps_to):
     """det of the matrix expressing reps_from in the basis reps_to of the
-    quotient by span(modulus_rows).
-
-    When modulus_rows + reps_to are c_j * e_{i_j} with distinct i_j (a
-    scan tells), the coordinate of a vector v on reps_to[j] is v[i_j] / c_j,
-    so no system is solved; v must still vanish off the indices i_j."""
+    quotient by span(modulus_rows); NotExact for a vector of reps_from
+    outside span(modulus_rows + reps_to)."""
     reps_from = tuple(reps_from)
     reps_to = tuple(reps_to)
     if len(reps_from) != len(reps_to):
@@ -411,14 +397,8 @@ def quotient_det(modulus_rows, reps_from, reps_to):
     if not reps_from:
         return Fraction(1)
     k = len(modulus_rows)
-    coords = coordinate_support(tuple(modulus_rows) + reps_to)
-    if not _indexed(coords):
-        basis = tuple(modulus_rows) + reps_to
-        return det(tuple(row[k:] for row in solve_coords(basis, reps_from)))
-    span = {i for i, _ in coords}
-    if any(x and i not in span for v in reps_from for i, x in enumerate(v)):
-        raise NotExact("target vector outside span of basis")
-    return det(tuple(tuple(Fraction(v[i]) / c for i, c in coords[k:]) for v in reps_from))
+    basis = tuple(modulus_rows) + reps_to
+    return det(tuple(row[k:] for row in solve_coords(basis, reps_from)))
 
 
 def _index_det(reps_from, reps_to, modulus):
@@ -456,18 +436,11 @@ def _bottom_reps(L, I_rows):
     """Representatives of L/(span I) chosen greedily from L's own basis in
     its given order (window lattices list generators by ascending degree,
     so these have low support and survive multiplication operators): the
-    basis vectors whose columns are pivots of (I_rows + L.basis) as columns.
-    For coordinate I_rows and basis these are the basis vectors whose index
-    I does not already take."""
+    basis vectors whose columns are pivots of (I_rows + L.basis) as columns."""
     k = len(I_rows)
-    I_coords = coordinate_support(I_rows)
-    if _indexed(I_coords, L.coords):
-        taken = {i for i, _ in I_coords}
-        reps = tuple(v for v, (i, _) in zip(L.basis, L.coords) if i not in taken)
-    else:
-        vectors = tuple(I_rows) + L.basis
-        _, pivots = rref(tuple(zip(*vectors)))
-        reps = tuple(vectors[c] for c in pivots if c >= k)
+    vectors = tuple(I_rows) + L.basis
+    _, pivots = rref(tuple(zip(*vectors)))
+    reps = tuple(vectors[c] for c in pivots if c >= k)
     if k + len(reps) != L.dim:
         raise NotExact("the rows to quotient by do not lie in the lattice")
     return reps
@@ -478,55 +451,29 @@ def _bottom_reps(L, I_rows):
 
 @dataclass
 class RelativeDetLine:
-    """(A|B) with chosen representative bases for the two quotients."""
+    """(A|B), the relative determinant line of a commensurable pair."""
 
     A: Lattice
     B: Lattice
-    basisA: tuple = None  # reps of A/(A cap B); None = canonical rref rows
-    basisB: tuple = None
-
-    def resolved(self):
-        pd = pair_data(self.A, self.B)
-        bA = self.basisA if self.basisA is not None else pd.canon_first
-        bB = self.basisB if self.basisB is not None else pd.canon_second
-        return pd, tuple(bA), tuple(bB)
 
 
 def line_norm(line):
-    """Norm of the wedge-basis element of (A|B): Gram volume of the B-side
-    representatives over Gram volume of the A-side representatives, both
-    projected orthogonally off A cap B."""
-    if line.basisA is None and line.basisB is None:
-        return _canonical_norm(pair_data(line.A, line.B))
-    return _quotient_norm(*line.resolved())
+    """Norm of the canonical wedge-basis element of (A|B)."""
+    return _canonical_norm(pair_data(line.A, line.B))
 
 
 def _canonical_norm(pd):
-    """Norm of the unit of (A|B).  For a coordinate pair the canonical
-    quotient bases are unit rows on indices outside I, so it is exactly 1."""
+    """Norm of the unit of (A|B): the Gram volume of the canonical B-side
+    quotient basis over that of the A-side one, both projected orthogonally
+    off A cap B.  For a coordinate pair those bases are unit rows on indices
+    outside I, so it is exactly 1."""
     if pd.coordinate:
         return ONE
-    return _quotient_norm(pd, pd.canon_first, pd.canon_second)
-
-
-def _quotient_norm(pd, bA, bB):
-    volA2 = _quotient_volume2(pd.I_rows, bA)
-    volB2 = _quotient_volume2(pd.I_rows, bB)
+    volA2 = gram_det([project_off(v, pd.I_rows) for v in pd.canon_first])
+    volB2 = gram_det([project_off(v, pd.I_rows) for v in pd.canon_second])
     if volA2 == 0 or volB2 == 0:
         raise DegeneratePosition("representatives do not span the quotients")
     return QSqrt.sqrt(volB2) / QSqrt.sqrt(volA2)
-
-
-def _quotient_volume2(I_rows, reps):
-    """Squared Gram volume of reps projected orthogonally off span(I_rows).
-    Coordinate rows c * e_i with indices distinct from I's are orthogonal to
-    I and to each other, so the volume is the product of the c^2."""
-    if not reps:
-        return Fraction(1)
-    coords = coordinate_support(tuple(I_rows) + tuple(reps))
-    if not _indexed(coords):
-        return gram_det([project_off(v, I_rows) for v in reps])
-    return math.prod((c * c for _, c in coords[len(I_rows):]), start=Fraction(1))
 
 
 @dataclass
@@ -660,9 +607,9 @@ def beta_map(x, y, metrized=True):
         """Express lambda(X/D) lambda(Xp/D) on the basis coming from
         K = basis(IX/D), extensions to X and Xp; returns the scalar relating
         the canonical (X,Xp)-wedges to the canonical (IX, SX)-wedges."""
-        # D for this side is IX cap (the other side's D)?  No: both sides
-        # use their own D_X = IX here; the identification is within the
-        # X-family only, relative to D_X = X cap Xp.
+        # D_X = IX = X cap Xp lies in X and in Xp, so its rref pivots are
+        # among theirs, and its rref rows K with the rref rows of X (of Xp)
+        # at the other pivots are a basis of X (of Xp).
         Dr = IX.rref_basis
         Dp = set(IX.pivots)
         uX, _ = _complement(X.rref_basis, X.pivots, Dp)
@@ -819,52 +766,51 @@ def pushforward(op, x):
     relative determinant line.
 
     The canonical-coordinate conversion runs through low-degree quotient
-    representatives taken from the lattices' own bases, so window
-    truncation at the top of the lattices never touches the determinants.
-    For a coordinate pair eA and eB are permutation signs, and when the
-    image pair is coordinate too, fA and fB are minors of op's columns.
+    representatives taken from the lattices' own bases in basis order, so
+    window truncation at the top of the lattices never touches the
+    determinants.  When (A, B) and (op A, op B) are both coordinate pairs,
+    eA and eB are permutation signs and fA, fB minors of op's columns.
     """
     A, B = x.A, x.B
     pd = pair_data(A, B)
-    if pd.coordinate:
+    A2 = apply_lattice(op, A)
+    B2 = apply_lattice(op, B)
+    pd2 = pair_data(A2, B2)
+    if pd.coordinate and pd2.coordinate:
         # the bottom representatives c_i e_i: each scale c_i multiplies eA
         # (or eB) and fA (or fB) alike and cancels, so the unit rows stand in
         I = set(pd.I_pivots)
-        botA = tuple(i for i, _ in A.coords if i not in I)
-        botB = tuple(i for i, _ in B.coords if i not in I)
+        botA = tuple(i for i in A.coords if i not in I)
+        botB = tuple(i for i in B.coords if i not in I)
         eA = _index_det(botA, pd.first_pivots, I)
         eB = _index_det(botB, pd.second_pivots, I)
+        gA = tuple(map(op.column, botA))
+        gB = tuple(map(op.column, botB))
+        _check_quotient_dims(pd2, gA, gB)
+        fA = _column_det(gA, pd2.I_pivots, pd2.first_pivots)
+        fB = _column_det(gB, pd2.I_pivots, pd2.second_pivots)
     else:
         botA = _bottom_reps(A, pd.I_rows)
         botB = _bottom_reps(B, pd.I_rows)
         eA = quotient_det(pd.I_rows, botA, pd.canon_first)
         eB = quotient_det(pd.I_rows, botB, pd.canon_second)
-    # x = coord (canonA)^* (canonB) = c_bot (botA)^* (botB): c_bot = coord * eA / eB
-    c_bot = x.coord * (Fraction(eA) / eB)
-    A2 = apply_lattice(op, A)
-    B2 = apply_lattice(op, B)
-    pd2 = pair_data(A2, B2)
-    indexed = pd.coordinate and pd2.coordinate
-    if indexed:
-        gA = tuple(map(op.column, botA))
-        gB = tuple(map(op.column, botB))
-    else:
-        if pd.coordinate:
-            botA, botB = unit_rows(botA, A.n), unit_rows(botB, B.n)
         gA = tuple(map(op.apply, botA))
         gB = tuple(map(op.apply, botB))
-    if len(pd2.first_pivots) != len(botA) or len(pd2.second_pivots) != len(botB):
+        _check_quotient_dims(pd2, gA, gB)
+        fA = quotient_det(pd2.I_rows, gA, pd2.canon_first)
+        fB = quotient_det(pd2.I_rows, gB, pd2.canon_second)
+    # x = coord (canonA)^* (canonB) = c_bot (botA)^* (botB): c_bot = coord * eA / eB
+    c_bot = x.coord * (Fraction(eA) / eB)
+    return LineElement(A2, B2, c_bot * (Fraction(fB) / fA))
+
+
+def _check_quotient_dims(pd2, gA, gB):
+    """Refuse images of the bottom representatives that no longer match
+    the quotient dimensions of the image pair."""
+    if len(pd2.first_pivots) != len(gA) or len(pd2.second_pivots) != len(gB):
         raise WindowTooSmall(
             "quotient dimensions changed under truncation; enlarge the window"
         )
-    if indexed:
-        fA = _column_det(gA, pd2.I_pivots, pd2.first_pivots)
-        fB = _column_det(gB, pd2.I_pivots, pd2.second_pivots)
-    else:
-        fA = quotient_det(pd2.I_rows, gA, pd2.canon_first)
-        fB = quotient_det(pd2.I_rows, gB, pd2.canon_second)
-    coord = c_bot * (Fraction(fB) / fA)
-    return LineElement(A2, B2, coord)
 
 
 # -- the central extension -----------------------------------------------------

@@ -186,6 +186,8 @@ def cmd_pairing(args):
     cfg = default_config()
     f = parse_laurent(args.f)
     g = parse_laurent(args.g)
+    if args.window is not None and args.window < 0:
+        raise ParseError(f"--window must be a nonnegative half-width, not {args.window}")
     with mp.workprec(cfg.prec_bits):
         oracle = nu_arch_oracle(f, g, window=args.window, prec=cfg.prec_bits)
         closed = nu_arch_closed(f, g, prec=cfg.prec_bits)
@@ -290,7 +292,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except WindowTooSmall as exc:
-        hint = f" (try window {exc.minimal_window})" if exc.minimal_window else ""
+        hint = (f" (try --window {max(-exc.minimal_window[0], exc.minimal_window[1])})"
+                if exc.minimal_window else "")
         print(f"WindowTooSmall: {exc}{hint}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except UNSUPPORTED as exc:

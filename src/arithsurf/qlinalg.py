@@ -54,19 +54,19 @@ def identity_matrix(n):
 
 
 def coordinate_support(rows):
-    """[(i, c), ...] in row order when every row is c * e_i with c != 0 and
-    the indices i are distinct (a rescaled subset of the standard basis,
-    so the rows are independent and span a coordinate subspace); None for
-    any other row set."""
+    """The index i of each row, in row order, when every row is c * e_i
+    with c != 0 and the indices i are distinct (a rescaled subset of the
+    standard basis, so the rows are independent and span a coordinate
+    subspace); None for any other row set."""
     out = []
     seen = set()
     for row in rows:
-        nonzero = [(i, x) for i, x in enumerate(row) if x]
-        if len(nonzero) != 1 or nonzero[0][0] in seen:
+        nonzero = [i for i, x in enumerate(row) if x]
+        if len(nonzero) != 1 or nonzero[0] in seen:
             return None
-        seen.add(nonzero[0][0])
+        seen.add(nonzero[0])
         out.append(nonzero[0])
-    return out
+    return tuple(out)
 
 
 def rref(rows):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -14,7 +15,6 @@ from arithsurf.centext import (
     LaurentMultOperator,
     LineElement,
     MetrizedSpace,
-    PairData,
     QSqrt,
     apply_lattice,
     argl_identity,
@@ -48,6 +48,8 @@ from arithsurf.errors import (
     WindowTooSmall,
 )
 from arithsurf.laurent import LaurentPoly, parse_laurent
+from arithsurf.qlinalg import det, matmul, unit_rows
+from arithsurf.selftest import random_prop_b_instance
 
 Q = Fraction
 
@@ -57,8 +59,6 @@ def e(k, n):
 
 
 def rand_invertible(rng, n, bound=3):
-    from arithsurf.qlinalg import det
-
     while True:
         m = tuple(tuple(Q(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(n))
         if det(m) != 0:
@@ -250,8 +250,6 @@ def test_gamma_sequence_fixtures():
 def test_gamma_sequence_choice_independent():
     rng = random.Random(15)
     g = rand_invertible(rng, 3)
-    from arithsurf.qlinalg import matmul
-
     gram = matmul(tuple(zip(*g)), g)
     seq = ExactSequenceData(
         MetrizedSpace(1),
@@ -581,10 +579,22 @@ def test_coordinate_path_matches_general_path(monkeypatch):
                            ("NotExact", "target vector outside span")):
         assert any(k == kind and fragment in msg for k, msg, _ in refusals), fragment
     assert sum(not isinstance(r[1][0], str) for r in fast_triples) > 50
+    # some pushforwards take a coordinate pair to a non-coordinate image pair
+    assert any(pushes_off_coordinates(op, *(Lattice(n, r) for r in rows[:2]))
+               for n, rows, op, _ in triples)
     force_general_path(monkeypatch)
     assert pairings() == fast
     assert rref_calls
     assert index_path_results() == fast_triples
+
+
+def pushes_off_coordinates(op, A, B):
+    """Is (A, B) a coordinate pair whose image under op is not?"""
+    try:
+        images = apply_lattice(op, A), apply_lattice(op, B)
+    except WindowTooSmall:
+        return False
+    return centext.pair_data(A, B).coordinate and not centext.pair_data(*images).coordinate
 
 
 def outcome(compute):
@@ -631,9 +641,7 @@ def rand_operator(rng, n):
     if kind == 0:
         return DenseOperator(rand_invertible(rng, n))
     if kind == 1:
-        perm = rng.sample(range(n), n)
-        return DenseOperator(tuple(tuple(Q(rng.choice([-2, -1, 1, 3])) if j == perm[i] else Q(0)
-                                         for j in range(n)) for i in range(n)))
+        return scaled_permutation(rng, n)
     m = -rng.randint(0, 3)
     window = (m, m + n - 1)
     if kind == 2:
@@ -642,6 +650,14 @@ def rand_operator(rng, n):
         return mult_operator(LaurentPoly.monomial(Q(rng.choice([-2, 1, 3]), 2),
                                                   rng.randint(-2, 2)), window)
     return RotatedImages(rand_laurent(rng, (-1, 1)), window)
+
+
+def scaled_permutation(rng, n):
+    """A scaled permutation matrix: it maps coordinate lattices to
+    coordinate lattices."""
+    perm = rng.sample(range(n), n)
+    return DenseOperator(tuple(tuple(Q(rng.choice([-2, -1, 1, 3])) if j == perm[i] else Q(0)
+                                     for j in range(n)) for i in range(n)))
 
 
 def scaled_unit_rows(rng, indices, n):
@@ -658,7 +674,12 @@ def rand_combination(rng, rows, n):
     return tuple(out)
 
 
-def test_coordinate_helpers_match_general_path(monkeypatch):
+def test_quotient_helpers_on_scaled_unit_rows(monkeypatch):
+    """Scaled unit rows c_j * e_(i_j): a vector's coordinate on one is its
+    i_j-th entry over c_j, a vector off their span is refused, bottom
+    representatives are the lattice's own rows whose index I does not take,
+    in basis order, and a line element's norm is a ratio of products of |c|,
+    on the index path and on the general one."""
     rng = random.Random(21)
     cases = []
     for _ in range(40):
@@ -676,29 +697,28 @@ def test_coordinate_helpers_match_general_path(monkeypatch):
         outside = reps_from[:-1] + (tuple(Q(1) for _ in range(n)),)
         cases.append((n, I_rows, bA, bB, reps_from, L_rows, outside))
 
-    def results():
-        out = []
-        for n, I_rows, bA, bB, reps_from, L_rows, outside in cases:
-            pd = PairData(I_rows, (), bA, bB)
-            norm = centext._quotient_norm(pd, bA, bB)
-            bottom = centext._bottom_reps(Lattice(n, L_rows), I_rows)
-            refused = False
-            try:
-                quotient_det(I_rows, outside, bA)
-            except NotExact:
-                refused = True
-            out.append(((norm.q, norm.r), quotient_det(I_rows, reps_from, bA), bottom,
-                        refused))
-        return out
+    def scale(row):
+        return next(x for x in row if x)
 
-    rref_calls = count_rref(monkeypatch)
-    fast = results()
-    assert not rref_calls
-    assert all(refused == (n > len(I_rows) + len(bA))
-               for (n, I_rows, bA, *_), (*_, refused) in zip(cases, fast))
+    def results():
+        for n, I_rows, bA, bB, reps_from, L_rows, outside in cases:
+            on = [row.index(scale(row)) for row in bA]
+            assert quotient_det(I_rows, reps_from, bA) == det(
+                tuple(tuple(v[i] / scale(row) for i, row in zip(on, bA)) for v in reps_from))
+            if n > len(I_rows) + len(bA):
+                with pytest.raises(NotExact, match="target vector outside span"):
+                    quotient_det(I_rows, outside, bA)
+            assert centext._bottom_reps(Lattice(n, L_rows), I_rows) == tuple(
+                row for row in L_rows if row not in I_rows)
+            x = line_element(Lattice(n, I_rows + bA), Lattice(n, I_rows + bB), 1,
+                             repsA=bA, repsB=bB)
+            volume = math.prod(abs(scale(row)) for row in bB) / math.prod(
+                abs(scale(row)) for row in bA)
+            assert x.norm() == QSqrt(volume)
+
+    results()
     force_general_path(monkeypatch)
-    assert results() == fast
-    assert rref_calls
+    results()
 
 
 def oracle_pairs():
@@ -747,27 +767,77 @@ def test_oracle_builds_no_rows(monkeypatch):
     assert max(det_sizes) > 0  # the last pair has a quotient to take minors on
 
 
-def test_oracle_rescans_no_rows_of_known_shape(monkeypatch):
-    """Intersections, canonical quotient bases, the reference lattice and
-    shifted tails all come with their index sets; none is scanned again."""
+def record_scans(monkeypatch):
+    """A list that gets the qualified name of the caller of each row scan
+    for coordinate shape."""
     scans = []
     original = centext.coordinate_support
 
     def recorded(rows):
-        frame, callers = sys._getframe(1), set()
-        while frame is not None:
-            callers.add(frame.f_code.co_name)
-            frame = frame.f_back
-        scans.append(callers)
+        scans.append(sys._getframe(1).f_code.co_qualname)
         return original(rows)
 
     monkeypatch.setattr(centext, "coordinate_support", recorded)
+    return scans
+
+
+def test_oracle_rescans_no_rows_of_known_shape(monkeypatch):
+    """The reference lattice and the shifted tails come with their index
+    sets and pair_data carries them on, so the oracle scans no row: the one
+    scan, in Lattice.__init__, is for bases given as rows."""
+    scans = record_scans(monkeypatch)
     for f, g, window in oracle_pairs():
         nu_arch_oracle(f, g, window=window)
-    known_shape = {"quotient_det", "_quotient_volume2", "_bottom_reps",
-                   "standard_lattice", "apply_lattice"}
-    assert [sorted(callers & known_shape) for callers in scans
-            if callers & known_shape] == []
+    assert scans == []
+
+
+def prop_slice():
+    """Exact values behind a seeded slice of the Prop A and Prop B suites
+    and of gamma_sequence, with refusals as outcome() tuples.  Prop A runs
+    on coordinate and on general lattices, under scaled permutations and
+    dense matrices."""
+    rng = random.Random(24)
+    out = []
+    for i in range(6):
+        n = rng.randint(3, 5)
+        A = (Lattice(n, scaled_unit_rows(rng, rng.sample(range(n), rng.randint(1, n)), n))
+             if i % 2 else rand_lattice(rng, n))
+        u, v, w = (argl_lift(scaled_permutation(rng, n) if rng.random() < 0.5
+                             else DenseOperator(rand_invertible(rng, n)), A,
+                             Q(rng.randint(1, 9), rng.randint(1, 4))) for _ in range(3))
+        c = argl_scalar(u.op, A, Q(rng.randint(1, 9), 7))
+        out += [outcome(lambda: qsqrt_key(compute().elem.coord)) for compute in (
+            lambda: group_mul(group_mul(u, v), w),
+            lambda: group_mul(u, group_mul(v, w)),
+            lambda: group_mul(u, argl_inverse(u)),
+            lambda: group_mul(argl_identity(u.op, A), v),
+            lambda: group_mul(c, v),
+        )]
+    for _ in range(8):
+        g, h, A, B = random_prop_b_instance(rng, max_dim=6)
+        for L in (A, B, lattice_intersection(A, B), lattice_sum(A, B)):
+            out.append(outcome(lambda: qsqrt_key(commutator_pairing(g, h, L))))
+    for _ in range(5):
+        d1, d3 = rng.randint(1, 2), rng.randint(1, 2)
+        n = d1 + d3
+        m = rand_invertible(rng, n)
+        seq = ExactSequenceData(
+            MetrizedSpace(d1), MetrizedSpace(n, gram=matmul(tuple(zip(*m)), m)),
+            MetrizedSpace(d3), inj=tuple(zip(*unit_rows(range(d1), n))),
+            surj=unit_rows(range(d1, n), n))
+        out.append(qsqrt_key(gamma_sequence(seq, basis1=rand_invertible(rng, d1),
+                                            basis3=rand_invertible(rng, d3))))
+    return out
+
+
+def test_prop_slice_matches_general_path(monkeypatch):
+    """Prop A, Prop B and gamma_sequence give the same exact values on the
+    general path, and only lattice construction scans rows."""
+    scans = record_scans(monkeypatch)
+    fast = prop_slice()
+    assert scans and set(scans) == {"Lattice.__init__"}
+    force_general_path(monkeypatch)
+    assert prop_slice() == fast
 
 
 def test_lattices_on_indices_match_scanned_ones():
@@ -776,7 +846,7 @@ def test_lattices_on_indices_match_scanned_ones():
         scanned = Lattice(n, [e(i, n) for i in indices])
         for attr in ("basis", "rref_basis", "pivots"):
             assert getattr(built, attr) == getattr(scanned, attr)
-        assert list(built.coords) == list(scanned.coords)
+        assert built.coords == scanned.coords == indices
     A = standard_lattice((-3, 4))
     assert A.pivots == tuple(range(3, 8)) and A.same_span(window_lattice(parse_laurent("1"), (-3, 4))[1])
     for window, minimal in (((2, 6), (0, 6)), ((-5, -1), (-5, 0))):

@@ -86,7 +86,14 @@ def test_pairing_fixtures(capsys):
 def test_pairing_window_too_small(capsys):
     code, _, err = run(capsys, "pairing", "--f", "t^-9", "--g", "2", "--window", "4")
     assert code == 3
-    assert "WindowTooSmall" in err and "(-9, 4)" in err
+    assert "WindowTooSmall" in err and "(try --window 9)" in err
+    code, out, _ = run(capsys, "pairing", "--f", "t^-9", "--g", "2", "--window", "9")
+    assert code == 0 and "diff: 0.0" in out
+
+
+def test_pairing_refuses_negative_window(capsys):
+    code, _, err = run(capsys, "pairing", "--f", "t", "--g", "2", "--window", "-3")
+    assert code == 2 and "ParseError" in err and "-3" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -126,9 +126,9 @@ def test_matvec_matches_manual():
 
 def test_coordinate_support():
     rows = frac_vec((0, 2, 0)), frac_vec((Q(-1, 2), 0, 0))
-    assert coordinate_support(rows) == [(1, 2), (0, Q(-1, 2))]
-    assert coordinate_support(()) == []
-    assert coordinate_support(unit_rows((2, 0), 3)) == [(2, 1), (0, 1)]
+    assert coordinate_support(rows) == (1, 0)
+    assert coordinate_support(()) == ()
+    assert coordinate_support(unit_rows((2, 0), 3)) == (2, 0)
     for bad in ([(0, 0, 0)], [(1, 1, 0)], [(0, 1, 0), (0, 3, 0)]):
         assert coordinate_support([frac_vec(r) for r in bad]) is None
 
