@@ -34,7 +34,10 @@ same.
 
 On a coordinate pair a determinant between unit rows named by their indices
 is the sign of a permutation (_index_det), and the unit of (A|B) has norm
-exactly 1, so the contraction scalar reads no row.  pushforward takes its
+exactly 1, so the contraction scalar reads no row.  On a coordinate triple
+the three unit norms are 1 and the contraction scalar k is a product of
+permutation signs, so k = +-1 and gamma = 1/|k| = 1: metrized contract
+multiplies by the integer k and builds no gamma.  pushforward takes its
 index path when both the pair and its image pair are coordinate: eA and eB
 are permutation signs, and fA and fB are k x k minors (k the quotient
 dimension) of the operator's sparse images of e_i (op.column).  The unit
@@ -43,6 +46,16 @@ only when something reads them.  The window oracle only ever
 builds tails span{t^a .. t^M}, so it runs no elimination, scans no row and
 builds no Fraction row; its only det calls are those minors, of size at
 most |nu(f)| + |nu(g)|.
+
+One commutator_pairing or group_mul call is one memo scope (memo.py):
+inside it pair_data is computed once per distinct pair, keyed by the index
+tuples of a coordinate pair and by the rref bases otherwise.  Outside such
+a call nothing is shared.
+
+The oracle runs on the exact window of f and g (auto_window): the smallest
+window holding every degree its chain touches.  A smaller window is refused
+with WindowTooSmall, never truncated, and every value is exact and the same
+on any window that contains the exact one.
 """
 
 import math
@@ -55,10 +68,12 @@ from .errors import (
     DegeneratePosition,
     NonCommuting,
     NotExact,
+    ParseError,
     WindowTooSmall,
     ZeroPolynomial,
 )
 from .laurent import LaurentPoly
+from .memo import shared, verification
 from .qlinalg import (
     coordinate_support,
     det,
@@ -373,11 +388,22 @@ class PairData:
 
 
 def pair_data(A, B):
+    """The PairData of (A, B), computed once per pair inside one
+    commutator_pairing or group_mul (memo.py)."""
     if _indexed(A, B):
-        in_A, in_B = set(A.pivots), set(B.pivots)
-        return PairData.on_indices(A.n, tuple(i for i in A.pivots if i in in_B),
-                                   tuple(i for i in A.pivots if i not in in_B),
-                                   tuple(i for i in B.pivots if i not in in_A))
+        return shared(("pair_data", A.n, A.pivots, B.pivots), lambda: _index_pair_data(A, B))
+    return shared(("pair_data", A.n, A.rref_basis, B.rref_basis),
+                  lambda: _general_pair_data(A, B))
+
+
+def _index_pair_data(A, B):
+    in_A, in_B = set(A.pivots), set(B.pivots)
+    return PairData.on_indices(A.n, tuple(i for i in A.pivots if i in in_B),
+                               tuple(i for i in A.pivots if i not in in_B),
+                               tuple(i for i in B.pivots if i not in in_A))
+
+
+def _general_pair_data(A, B):
     I_rows = intersection(A.rref_basis, B.rref_basis)
     I_pivots = rref(I_rows)[1] if I_rows else ()
     ipiv = set(I_pivots)
@@ -523,20 +549,24 @@ def contract(x, y, metrized=False):
     Algebraic: canonical wedge bookkeeping through the common sublattice
     D = A cap B cap C.  metrized=True rescales by the volume discrepancy
     gamma = (|x| |y|) / |alpha(x tensor y)| so the result has norm
-    |x| |y|.
+    |x| |y|; on a coordinate triple gamma = 1 (see _contraction_scalar).
     """
     if not x.B.same_span(y.A):
         raise NotExact("middle lattices of the contraction disagree")
     pds, k = _contraction_scalar(x.A, x.B, y.B)
     coord = x.coord * y.coord * k
-    if metrized:
+    if metrized and not _indexed(x.A, x.B, y.B):
         coord = coord * _gamma(pds, k)
     return LineElement(x.A, y.B, coord)
 
 
 def _contraction_scalar(A, B, C):
     """The pair data of (A, B), (B, C), (A, C) and the scalar k with
-    alpha(unit of (A|B) tensor unit of (B|C)) = k * unit of (A|C)."""
+    alpha(unit of (A|B) tensor unit of (B|C)) = k * unit of (A|C).
+
+    On a coordinate triple k is the integer +-1: each of s, dA, dC compares
+    two orderings of one index set (B, A or C less D), so each is a
+    permutation sign, and k = s dC / dA = s dC dA."""
     pdAB = pair_data(A, B)
     pdBC = pair_data(B, C)
     pdAC = pair_data(A, C)
@@ -548,14 +578,14 @@ def _contraction_scalar(A, B, C):
         s = _index_det(pdAB.second_pivots + jAB, pdBC.first_pivots + jBC, D)
         dA = _index_det(pdAB.first_pivots + jAB, pdAC.first_pivots + jAC, D)
         dC = _index_det(pdBC.second_pivots + jBC, pdAC.second_pivots + jAC, D)
-    else:
-        D_rows = intersection(pdAB.I_rows, C.rref_basis)
-        D = set(rref(D_rows)[1] if D_rows else ())
-        J_AB, J_BC, J_AC = (_complement(pd.I_rows, pd.I_pivots, D)[0]
-                            for pd in (pdAB, pdBC, pdAC))
-        s = quotient_det(D_rows, pdAB.canon_second + J_AB, pdBC.canon_first + J_BC)
-        dA = quotient_det(D_rows, pdAB.canon_first + J_AB, pdAC.canon_first + J_AC)
-        dC = quotient_det(D_rows, pdBC.canon_second + J_BC, pdAC.canon_second + J_AC)
+        return (pdAB, pdBC, pdAC), s * dC * dA
+    D_rows = intersection(pdAB.I_rows, C.rref_basis)
+    D = set(rref(D_rows)[1] if D_rows else ())
+    J_AB, J_BC, J_AC = (_complement(pd.I_rows, pd.I_pivots, D)[0]
+                        for pd in (pdAB, pdBC, pdAC))
+    s = quotient_det(D_rows, pdAB.canon_second + J_AB, pdBC.canon_first + J_BC)
+    dA = quotient_det(D_rows, pdAB.canon_first + J_AB, pdAC.canon_first + J_AC)
+    dC = quotient_det(D_rows, pdBC.canon_second + J_BC, pdAC.canon_second + J_AC)
     return (pdAB, pdBC, pdAC), Fraction(s) * dC / dA
 
 
@@ -746,7 +776,9 @@ def apply_lattice(op, L):
     contribution to every pairing.)  L is such a tail exactly when its
     rref pivots, i.e. its coordinate indices, are range(n - dim, n).  Other
     lattices are mapped vector by vector, with WindowTooSmall raised on any
-    overflow."""
+    overflow.  A tail may shift up to start at t^(M+1), where it is empty
+    in the window; one starting higher has a quotient against the other
+    lattices that reaches above t^M, so it is refused too."""
     n = L.n
     start = n - L.dim
     if isinstance(op, LaurentMultOperator) and L.pivots == tuple(range(start, n)):
@@ -756,6 +788,11 @@ def apply_lattice(op, L):
             raise WindowTooSmall(
                 f"shifted tail t^{m + new_start} below window bottom {m}",
                 minimal_window=(m + new_start, M),
+            )
+        if new_start > n:
+            raise WindowTooSmall(
+                f"shifted tail t^{m + new_start} above window top {M}",
+                minimal_window=(m, m + new_start - 1),
             )
         return Lattice.on_indices(n, range(new_start, n))
     return Lattice(n, [op.apply(v) for v in L.basis])
@@ -846,6 +883,7 @@ def argl_scalar(op_like, A, c):
     return ArGLElement(op, A, LineElement(A, A, _as_qsqrt(c)))
 
 
+@verification
 def group_mul(u, v):
     """(g, a)(g', a') = (gg', a o g(a')), metrized contraction."""
     if not u.A.same_span(v.A):
@@ -876,6 +914,7 @@ def _commutator_chain(g, h, A, a_coord, b_coord):
     return z.coord
 
 
+@verification
 def commutator_pairing(g, h, A, a_coord=1, b_coord=1):
     """<g,h>_A: the central scalar of the commutator of lifts of the
     commuting maps g and h.
@@ -1004,7 +1043,7 @@ def standard_lattice(window):
     m, M = window
     if m > 0 or M < 0:
         raise WindowTooSmall(
-            f"support of f = [0, 0] outside window [{m}, {M}]",
+            f"window [{m}, {M}] does not contain t^0",
             minimal_window=(min(0, m), max(0, M)),
         )
     n = M - m + 1
@@ -1015,30 +1054,44 @@ def mult_operator(f, window):
     return LaurentMultOperator(f, window)
 
 
-def auto_window(f, g, pad=6):
-    """A window comfortably containing f, g, fg and the quotient data the
-    commutator chain touches."""
-    nus = [0, f.nu, g.nu, f.nu + g.nu]
-    tops = [0, f.top, g.top, f.top + g.top]
-    lo = min(nus) - 2
-    span = abs(f.nu) + abs(g.nu) + pad
-    hi = max(tops) + span
-    return (lo, hi)
+def auto_window(f, g):
+    """The exact window of the commutator chain of mult-f and mult-g: the
+    smallest [lo, hi] holding every degree it touches.  The tails start at
+    0, nu(f), nu(g) and nu(f)+nu(g), each at most one past the top; and
+    pushforward by mult-g takes the bottom representatives t^i, i < max(0,
+    nu(f)), of A against the tail of f to degree i + top(g), and the same
+    with f and g exchanged."""
+    nus = (0, f.nu, g.nu, f.nu + g.nu)
+    hi = max(0, max(nus[1:]) - 1)
+    if f.nu:
+        hi = max(hi, max(0, f.nu) - 1 + g.top)
+    if g.nu:
+        hi = max(hi, max(0, g.nu) - 1 + f.top)
+    return min(nus), hi
 
 
 def nu_arch_oracle(f, g, window=None, prec=128):
     """log |<mult-f, mult-g>_{A}| on a finite window: the brute-force value
-    of the reciprocity symbol of R((t)) computed with actual lattices."""
+    of the reciprocity symbol of R((t)) computed with actual lattices.
+
+    window is (m, M), a half-width w for (-w, w), or None for the exact
+    window; one that does not contain the exact window is refused with
+    WindowTooSmall, whose minimal_window is the exact one."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("symbols need nonzero functions")
+    exact = auto_window(f, g)
     if window is None:
-        window = auto_window(f, g)
+        window = exact
     elif isinstance(window, int):
+        if window < 0:
+            raise ParseError(f"a window half-width must be nonnegative, not {window}")
         window = (-window, window)
-    A = standard_lattice(window)
-    gop = mult_operator(f, window)
-    hop = mult_operator(g, window)
-    val = commutator_pairing(gop, hop, A)
+    try:
+        A = standard_lattice(window)
+        val = commutator_pairing(mult_operator(f, window), mult_operator(g, window), A)
+    except WindowTooSmall as exc:
+        raise WindowTooSmall(f"window {tuple(window)} is too small for the pairing of "
+                             f"{f} and {g}", minimal_window=exact) from exc
     return val.log_abs(prec)
 
 

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 pass, 1 law falsified, 2 usage / parse error, 3 unsupported
-input (factorization or window out of scope), 4 inconclusive (timeout, root
-finding or an evaluation below resolution).  Output is deterministic for a
+Exit codes: 0 pass, 1 law falsified or a pairing oracle that disagrees with
+its closed form, 2 usage / parse error, 3 unsupported input (factorization
+or window out of scope), 4 inconclusive (timeout, root finding or an
+evaluation below resolution).  Output is deterministic for a
 fixed (seed, config).
 """
 
@@ -186,8 +187,6 @@ def cmd_pairing(args):
     cfg = default_config()
     f = parse_laurent(args.f)
     g = parse_laurent(args.g)
-    if args.window is not None and args.window < 0:
-        raise ParseError(f"--window must be a nonnegative half-width, not {args.window}")
     with mp.workprec(cfg.prec_bits):
         oracle = nu_arch_oracle(f, g, window=args.window, prec=cfg.prec_bits)
         closed = nu_arch_closed(f, g, prec=cfg.prec_bits)
@@ -199,8 +198,9 @@ def cmd_pairing(args):
             "diff": mp.nstr(abs(oracle - closed), 10),
             "prec_bits": cfg.prec_bits,
         }
+        agree = abs(oracle - closed) <= cfg.tolerance
     _emit(doc, args)
-    return EXIT_PASS
+    return EXIT_PASS if agree else EXIT_FAIL
 
 
 def cmd_selftest(args):

@@ -1,4 +1,4 @@
-"""Work shared between the points of one law verification.
+"""Work shared within one law verification, pairing or group multiplication.
 
 All the closed points of a curve h over one prime p take their local
 data from the same factorizations of the curve polynomial: h mod p gives
@@ -6,16 +6,20 @@ the points over p and, when it is squarefree, their branches; when it is
 not, the monicized curve is factored over Z_p too.  The resultants
 Res(h, b) of the curve with the bases give the prime support of a
 horizontal law and then the branch valuations at its points, so they are
-shared too.
-`verification` gives each call of a law verifier a fresh memo in
-a context variable; inside it, `shared` computes a value once per key and
-hands back the stored value on every repeat.  Outside a verification, and
-for a computation that raises, `shared` just computes.
+shared too.  On the central-extension side, the contractions and
+pushforwards of one commutator pairing or group multiplication keep
+asking for the pair data of the same few lattice pairs, so those are
+shared within one such call (centext.pair_data).
+
+`verification` gives each call of a function it wraps (a law verifier,
+centext.commutator_pairing, centext.group_mul) a fresh memo in a context
+variable; inside it, `shared` computes a value once per key and hands back
+the stored value on every repeat.  Outside such a call, and for a
+computation that raises, `shared` just computes.
 
 Only successes are stored, and only immutable values: callers copy
-anything mutable they hand on.  The memo dies with its verification, so
-nothing is shared between verifications and memory stays bounded by one
-verification's work.
+anything mutable they hand on.  The memo dies with its call, so nothing is
+shared between calls and memory stays bounded by one call's work.
 """
 
 import functools
@@ -26,7 +30,7 @@ _MISSING = object()
 
 
 def verification(verify):
-    """Run each call of the verifier `verify` inside its own memo."""
+    """Run each call of `verify` inside its own memo."""
 
     @functools.wraps(verify)
     def within_memo(*args, **kwargs):
@@ -41,7 +45,7 @@ def verification(verify):
 
 def shared(key, compute):
     """compute(), or the value it gave for the same key earlier in the
-    current verification."""
+    current memo scope."""
     memo = _MEMO.get()
     if memo is None:
         return compute()

@@ -45,6 +45,7 @@ from arithsurf.errors import (
     DegeneratePosition,
     NonCommuting,
     NotExact,
+    ParseError,
     WindowTooSmall,
 )
 from arithsurf.laurent import LaurentPoly, parse_laurent
@@ -130,6 +131,27 @@ def test_contract_scalar_and_nested():
     z = contract(LineElement(A3, B3, Q(5)), LineElement(B3, C3, Q(-2)))
     assert z.coord.as_fraction() == -10
     assert gamma_discrepancy(A3, B3, C3) == QSqrt(Q(1))
+
+
+def test_gamma_is_one_on_coordinate_triples(monkeypatch):
+    """On a coordinate triple the unit norms are 1 and k = +-1, so gamma = 1,
+    and metrized contract multiplies by k without building gamma."""
+    rng = random.Random(26)
+    triples = []
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        A, B, C = (Lattice(n, coordinate_rows(rng, n)) for _ in range(3))
+        assert gamma_discrepancy(A, B, C) == 1
+        x, y = LineElement(A, B, Q(rng.randint(1, 9), 4)), LineElement(B, C, Q(-3, 5))
+        triples.append((x, y, contract(x, y).coord))
+
+    def unused(*args):
+        raise AssertionError("metrized contract built gamma on a coordinate triple")
+
+    monkeypatch.setattr(centext, "_gamma", unused)
+    monkeypatch.setattr(centext, "_canonical_norm", unused)
+    for x, y, algebraic in triples:
+        assert contract(x, y, metrized=True).coord == algebraic
 
 
 def test_contract_middle_mismatch():
@@ -395,11 +417,65 @@ def test_pairing_lift_independent():
 
 def test_pairing_window_stable():
     f, g = parse_laurent("t*(3+t)"), parse_laurent("5*t^2")
+    lo, hi = auto_window(f, g)
     vals = []
-    for pad in (6, 10, 14):
-        w = auto_window(f, g, pad=pad)
+    for k in (0, 4, 8):
+        w = (lo - k, hi + k)
         vals.append(commutator_pairing(mult_operator(f, w), mult_operator(g, w), standard_lattice(w)))
     assert vals[0] == vals[1] == vals[2]
+
+
+def oracle_support_shapes():
+    """Every (nu, top) of the oracle's random Laurent law: nu in -2..3 and
+    at most three more terms, up to t^5."""
+    return [(nu, top) for nu in range(-2, 4) for top in range(nu, min(nu + 3, 5) + 1)]
+
+
+def test_exact_window_is_minimal():
+    """On every pair of support shapes the pairing on the exact window is the
+    closed form, and a window one shorter at either end is refused."""
+    rng = random.Random(25)
+
+    def laurent(nu, top):
+        coeffs = {k: Q(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 3))
+                  for k in range(nu, top + 1) if k in (nu, top) or rng.random() < 0.5}
+        return LaurentPoly(coeffs)
+
+    def pairing(f, g, w):
+        return commutator_pairing(mult_operator(f, w), mult_operator(g, w), standard_lattice(w))
+
+    shapes = oracle_support_shapes()
+    assert len(shapes) == 23
+    with mp.workprec(128):
+        for (nf, tf), (ng, tg) in ((a, b) for a in shapes for b in shapes):
+            f, g = laurent(nf, tf), laurent(ng, tg)
+            lo, hi = auto_window(f, g)
+            want = nu_arch_closed(f, g)
+            assert abs(pairing(f, g, (lo, hi)).log_abs() - want) < mp.mpf("1e-30")
+            for w in ((lo + 1, hi), (lo, hi - 1)):
+                with pytest.raises(WindowTooSmall):
+                    pairing(f, g, w)
+
+
+def test_oracle_refuses_a_window_below_its_top():
+    """A tail shifted past t^(M+1) used to be cut to the empty lattice, and
+    the oracle then returned a wrong value: -3 log 3 for f = 2t^4 + t^5,
+    g = 3 on (-2, 2), where the closed form is -4 log 3."""
+    f, g = parse_laurent("2*t^4+t^5"), parse_laurent("3")
+    assert auto_window(f, g) == (0, 3)
+    with pytest.raises(WindowTooSmall) as exc:
+        nu_arch_oracle(f, g, window=2)
+    assert exc.value.minimal_window == (0, 3)
+    with pytest.raises(WindowTooSmall, match="above window top 2") as exc:
+        apply_lattice(mult_operator(f, (-2, 2)), standard_lattice((-2, 2)))
+    assert exc.value.minimal_window == (-2, 3)
+    with mp.workprec(128):
+        assert abs(nu_arch_oracle(f, g, window=3) + 4 * mp.log(3)) < mp.mpf("1e-30")
+
+
+def test_oracle_refuses_a_negative_half_width():
+    with pytest.raises(ParseError, match="-3"):
+        nu_arch_oracle(parse_laurent("t"), parse_laurent("2"), window=-3)
 
 
 def test_pairing_requires_commuting():
@@ -767,6 +843,60 @@ def test_oracle_builds_no_rows(monkeypatch):
     assert max(det_sizes) > 0  # the last pair has a quotient to take minors on
 
 
+def record_pair_data(monkeypatch):
+    """A list that gets (pair key, PairData) for every pair_data call, the
+    key by index tuples on a coordinate pair and by rref bases otherwise."""
+    calls = []
+    original = centext.pair_data
+
+    def recorded(A, B):
+        pd = original(A, B)
+        key = (A.pivots, B.pivots) if pd.coordinate else (A.rref_basis, B.rref_basis)
+        calls.append(((A.n,) + key, pd))
+        return pd
+
+    monkeypatch.setattr(centext, "pair_data", recorded)
+    return calls
+
+
+def shares_per_pair(calls):
+    """Does every call on one pair return the same PairData, with at least
+    one pair asked for more than once?"""
+    first = {}
+    for key, pd in calls:
+        if first.setdefault(key, pd) is not pd:
+            return False
+    return len(first) < len(calls)
+
+
+def test_pair_data_is_shared_within_one_pairing_only(monkeypatch):
+    calls = record_pair_data(monkeypatch)
+    for f, g, window in oracle_pairs():
+        calls.clear()
+        nu_arch_oracle(f, g, window=window)
+        assert shares_per_pair(calls)
+    # group_mul is a scope of its own, on the general path too
+    rng = random.Random(27)
+    for general in (False, True):
+        if general:
+            force_general_path(monkeypatch)
+        op = scaled_permutation(rng, 4)
+        A = Lattice(4, [e(0, 4), e(1, 4)])
+        calls.clear()
+        group_mul(argl_lift(op, A, Q(2)), argl_lift(op, A, Q(-3)))
+        assert shares_per_pair(calls)
+        assert all(pd.coordinate != general for _, pd in calls)
+    # outside a pairing nothing is shared
+    A, B = Lattice(3, [e(0, 3)]), Lattice(3, [e(1, 3)])
+    assert centext.pair_data(A, B) is not centext.pair_data(A, B)
+    x, y = LineElement(A, B, 1), LineElement(B, A, 1)
+    calls.clear()
+    contract(x, y, metrized=True)
+    contract(x, y, metrized=True)
+    keys = [key for key, _ in calls]
+    assert len({id(pd) for _, pd in calls}) == len(calls) > len(set(keys))
+
+
 def record_scans(monkeypatch):
     """A list that gets the qualified name of the caller of each row scan
     for coordinate shape."""
@@ -850,7 +980,7 @@ def test_lattices_on_indices_match_scanned_ones():
     A = standard_lattice((-3, 4))
     assert A.pivots == tuple(range(3, 8)) and A.same_span(window_lattice(parse_laurent("1"), (-3, 4))[1])
     for window, minimal in (((2, 6), (0, 6)), ((-5, -1), (-5, 0))):
-        with pytest.raises(WindowTooSmall) as exc:
+        with pytest.raises(WindowTooSmall, match=r"does not contain t\^0") as exc:
             standard_lattice(window)
         assert exc.value.minimal_window == minimal
 

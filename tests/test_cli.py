@@ -91,6 +91,25 @@ def test_pairing_window_too_small(capsys):
     assert code == 0 and "diff: 0.0" in out
 
 
+def test_pairing_refuses_a_window_below_its_top(capsys):
+    # the tail of f starts at t^4, two past the top of (-2, 2): it used to
+    # be cut to the empty lattice and print a wrong oracle with exit 0
+    code, out, err = run(capsys, "pairing", "--f", "2*t^4+t^5", "--g", "3", "--window", "2")
+    assert code == 3 and out == ""
+    assert "WindowTooSmall" in err and "(0, 3)" in err and "(try --window 3)" in err
+    code, out, _ = run(capsys, "pairing", "--f", "2*t^4+t^5", "--g", "3", "--window", "3")
+    assert code == 0 and "oracle: -4.39444915467243876558" in out and "diff: 0.0" in out
+
+
+def test_pairing_exits_1_when_oracle_and_closed_form_disagree(capsys, monkeypatch):
+    from arithsurf import cli
+
+    monkeypatch.setattr(cli, "nu_arch_oracle", lambda f, g, window=None, prec=128:
+                        cli.nu_arch_closed(f, g, prec) + 1e-5)
+    code, out, _ = run(capsys, "pairing", "--f", "2", "--g", "t")
+    assert code == 1 and "diff: 1.0e-5" in out
+
+
 def test_pairing_refuses_negative_window(capsys):
     code, _, err = run(capsys, "pairing", "--f", "t", "--g", "2", "--window", "-3")
     assert code == 2 and "ParseError" in err and "-3" in err
