@@ -160,16 +160,17 @@ def verify_point_law(point, f, g, config=None):
 @verification
 def verify_vertical_law(p, f, g, config=None):
     cfg = config or default_config()
+    fiber = Curve.vertical(p)  # checks p before any factoring
     report = LawReport(
         law="vertical",
-        subject=f"V:{p}",
+        subject=fiber.label(),
         f=str(f),
         g=str(g),
         config=_config_dict(cfg),
     )
     total = 0
     for point in points_on_vertical(p, f, g, seed=cfg.seed):
-        s = curve_point_symbol(Curve.vertical(p), point, f, g)
+        s = curve_point_symbol(fiber, point, f, g)
         d = point.degree
         report.add_item(
             place=point.label(), value=s, log_base=p ** d, deg=d, weighted=d * s

@@ -14,6 +14,17 @@ Cantor-Zassenhaus equal-degree splitting (trace construction for p = 2; its
 generator is built only when a block needs splitting), all on lists.  The
 distinct-degree split takes x^p by left-to-right squaring whose multiply
 step is a shift, and roots split by (x + delta)^((p-1)/2) the same way.
+For odd p, a monic squarefree quadratic met on the way (a squarefree
+block, a distinct-degree block of two roots, a two-root piece of the
+equal-degree split) skips the powering: Euler's criterion on its
+discriminant decides it, and the roots come from a Tonelli-Shanks square
+root, one integer `pow` or a few.
+
+`factor_mod_p` takes an optional `split`, polynomials that may share
+factors with the reduction (a horizontal curve's bases b with
+p | Res(h, b)).  Above ROOT_SCAN their gcds with the reduction cut it into
+pieces, by Euclid alone, which are factored apart and merged; the result
+and the memo key are those of factoring it whole.
 
 A ModPPoly is built only where a result leaves the module: the factors
 `factor_mod_p` returns and the results of the public operators and
@@ -123,6 +134,40 @@ def _gcd(a, b, p):
 
 def _derivative(a, m):
     return _reduce([i * c for i, c in enumerate(a)][1:], m)
+
+
+def _tonelli_shanks(a, p):
+    """A square root of a quadratic residue a != 0 mod an odd prime p
+    (Cohen, Alg. 1.5.1); the non-residue it needs is the least one, found
+    by Euler's criterion."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrt_mod_p(a, p):
+    """A square root of a mod an odd prime p; NotExact for a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise NotExact(f"{a} is not a quadratic residue mod {p}")
+    return _tonelli_shanks(a, p)
 
 
 def _pth_root(f, p):
@@ -272,7 +317,11 @@ def pow_mod(base, e, mod):
 # x in F_p, where that is cheaper than the powering and splitting it saves.
 # The measured crossover is near 330 for random reductions of degree 2-4 and
 # near 500 for those of the law checks, whose support primes divide a
-# resultant and so often carry a root.
+# resultant and so often carry a root.  The law figure was measured while
+# those roots still went through the equal-degree split; since the curve's
+# gcd with a base and the square-root split find them, the crossover may
+# lie lower, but 400 stays until it is measured again.  Above the bound
+# factor_mod_p also cuts the reduction by its split polynomials.
 ROOT_SCAN = 400
 
 
@@ -348,6 +397,22 @@ def _strip_roots(f, p):
     return linear, f
 
 
+def _split_quadratic(g, p):
+    """The monic irreducible factors of a monic squarefree quadratic g over
+    F_p, p odd, sorted: g itself when its discriminant is a non-residue
+    (Euler's criterion), else t - x for its roots x = (-b +- s)/2, with s
+    the square root of the discriminant by Tonelli-Shanks."""
+    c, b = g[0], g[1]
+    disc = (b * b - 4 * c) % p
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return [g]
+    s = _tonelli_shanks(disc, p)
+    if s * s % p != disc:
+        raise NotExact(f"{s} is not a square root of the discriminant {disc} mod {p}")
+    half = (p + 1) // 2
+    return sorted([[(b - s) * half % p, 1], [(b + s) * half % p, 1]])
+
+
 def distinct_degree_split(f, p):
     """Squarefree monic f over F_p -> list of (product of its irreducible
     factors of degree d, d), as coefficient lists.  x^p comes from
@@ -375,13 +440,17 @@ def equal_degree_split(f, d, p, rng):
     """Cantor-Zassenhaus: factor squarefree monic f over F_p into its
     degree-d irreducible factors (coefficient lists, sorted); rng drives the
     random splitting polynomials.  For odd p, roots (d = 1) split by
-    (x + delta)^((p-1)/2) through _shift_pow."""
+    (x + delta)^((p-1)/2) through _shift_pow, down to a piece of two roots,
+    which _split_quadratic splits without a draw."""
     factors = []
     stack = [f]
     while stack:
         g = stack.pop()
         if len(g) - 1 == d:
             factors.append(g)
+            continue
+        if p > 2 and d == 1 and len(g) == 3:
+            factors.extend(_split_quadratic(g, p))
             continue
         while True:
             if p > 2 and d == 1:
@@ -409,17 +478,55 @@ def equal_degree_split(f, d, p, rng):
     return factors
 
 
-def factor_mod_p(h, p, seed=0):
+def factor_mod_p(h, p, seed=0, split=()):
     """Factor a nonzero IntPoly (or ModPPoly) completely modulo p.
 
     Returns (unit, [(monic irreducible ModPPoly, exponent), ...]) with the
     factor list sorted by (degree, coefficients).  unit is the leading
     coefficient in F_p of the reduction.  Deterministic for a fixed seed,
     so a law verification factors each reduction once (see memo.py).
+
+    split holds integer or mod-p polynomials that may share factors with
+    the reduction, such as the bases b with p | Res(h, b) on a horizontal
+    curve h: for p > ROOT_SCAN the reduction is cut into pieces by its gcds
+    with them, and the pieces are factored apart (below it the root scan
+    finds what the cut would).  By unique factorization neither the result
+    nor the memo key depends on split.
     """
     f = ModPPoly.from_intpoly(h, p) if isinstance(h, IntPoly) else h
-    unit, factors = shared(("factor_mod_p", f, p, seed), lambda: _factor_mod_p(f, p, seed))
+    unit, factors = shared(
+        ("factor_mod_p", f, p, seed), lambda: _factor_by_pieces(f, p, seed, split)
+    )
     return unit, list(factors)
+
+
+def _factor_by_pieces(f, p, seed, split):
+    """_factor_mod_p on f or, for p > ROOT_SCAN, on each piece that the
+    gcds of the monic reduction with the polynomials in split cut it into
+    (Euclid only, no powering), adding up the exponents of equal factors."""
+    if not split or f.degree < 2 or p <= ROOT_SCAN:
+        return _factor_mod_p(f, p, seed)
+    pieces = [_monic(f.coeffs, p)]
+    for b in split:
+        bbar = _reduce(b.coeffs, p)
+        if len(bbar) < 2:
+            continue
+        cut = []
+        for q in pieces:
+            g = _gcd(q, bbar, p) if len(q) > 2 else [1]
+            if 1 < len(g) < len(q):
+                cut += [g, _divmod(q, g, p)[0]]
+            else:
+                cut.append(q)
+        pieces = cut
+    if len(pieces) < 2:
+        return _factor_mod_p(f, p, seed)
+    exponents = {}
+    for q in pieces:
+        for irr, mult in _factor_mod_p(ModPPoly._reduced(p, q), p, seed)[1]:
+            exponents[irr] = exponents.get(irr, 0) + mult
+    ordered = sorted(exponents.items(), key=lambda fe: (fe[0].degree, fe[0].coeffs))
+    return f.lc, tuple(ordered)
 
 
 def _factor_mod_p(f, p, seed):
@@ -438,9 +545,15 @@ def _factor_mod_p(f, p, seed):
             rest = [1]
     rng = None  # built at the first split that draws
     for g, mult in squarefree_decomposition(rest, p) if len(rest) > 1 else ():
+        if p > 2 and len(g) == 3:
+            result.extend((irr, mult) for irr in _split_quadratic(g, p))
+            continue
         for block, d in distinct_degree_split(g, p):
             if len(block) - 1 == d:
                 result.append((block, mult))
+                continue
+            if p > 2 and d == 1 and len(block) == 3:
+                result.extend((irr, mult) for irr in _split_quadratic(block, p))
                 continue
             if rng is None:
                 rng = random.Random((seed, p, tuple(fm)).__hash__() & 0x7FFFFFFF)

@@ -43,6 +43,7 @@ from .modp import (
     _gcd,
     _mul,
     _reduce,
+    _sqrt_mod_p,
     _sub,
     factor_mod_p,
 )
@@ -174,33 +175,6 @@ def hensel_lift_list(h, parts, p, N):
 
 
 # -- p-adic square roots ----------------------------------------------------
-
-
-def _sqrt_mod_p(a, p):
-    """Tonelli-Shanks square root of a QR a mod odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise NotExact(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
 
 
 def padic_unit_sqrt(u, p, N):

@@ -251,6 +251,8 @@ class ClosedPoint:
         if not (2 <= self.p < PRIME_COORD_BOUND and is_prime(self.p)):
             raise ParseError(f"point needs a prime < 2^63, got {self.p}")
         if self.residue is not None:
+            if self.residue.degree < 1:
+                raise ParseError("a closed point's residue needs degree >= 1")
             if self.residue.p != self.p:
                 raise ParseError(
                     f"residue taken mod {self.residue.p} at a point over {self.p}"
@@ -481,13 +483,20 @@ def prime_support_on_horizontal(curve, f, g):
 
     Raises NonIrreducibleBase when a base other than h shares a factor
     with h (see curve_resultant)."""
-    if curve.kind == VERTICAL:
-        raise UnsupportedOrder(f"vertical curve {curve.label()} has no horizontal support")
     if curve.kind == INFINITY_SECTION:
         curve = Curve.horizontal(T)
         f, g = chart_swap(f), chart_swap(g)
+    return _horizontal_support(curve, f, g)[0]
+
+
+def _horizontal_support(curve, f, g):
+    """prime_support_on_horizontal on a curve of the first chart, and a
+    dict from each base b != h of f or g to Res(h, b)."""
+    if curve.kind == VERTICAL:
+        raise UnsupportedOrder(f"vertical curve {curve.label()} has no horizontal support")
     h = curve.h
     primes = set()
+    resultants = {}
 
     def add_int(n):
         _, fs = factor_integer(abs(n))
@@ -497,12 +506,12 @@ def prime_support_on_horizontal(curve, f, g):
         add_int(fn.unit.numerator)
         add_int(fn.unit.denominator)
         for b, _ in fn.factors:
-            if b == h:
-                continue
-            add_int(curve_resultant(h, b))
+            if b != h:
+                resultants[b] = curve_resultant(h, b)
+                add_int(resultants[b])
     if h.lc != 1:
         add_int(h.lc)
-    return sorted(primes)
+    return sorted(primes), resultants
 
 
 def points_on_horizontal(curve, f, g, seed=0):
@@ -515,24 +524,35 @@ def points_on_horizontal(curve, f, g, seed=0):
     The curve is factored mod p only when iteration reaches p, so a caller
     that stops early factors nothing beyond where it stopped.  A timer
     around the call therefore covers the support and the iterator's
-    creation; the factoring falls in the caller's time."""
+    creation; the factoring falls in the caller's time.
+
+    Most support primes divide a resultant Res(h, b) with a base b, so
+    h mod p and b mod p share a factor, and the factoring starts from
+    those common factors (see _points_over)."""
     if curve.kind == INFINITY_SECTION:
         curve = Curve.horizontal(T)
         f, g = chart_swap(f), chart_swap(g)
-    primes = prime_support_on_horizontal(curve, f, g)
+    primes, resultants = _horizontal_support(curve, f, g)
     for p in primes:
         if p >= PRIME_COORD_BOUND:
             raise UnsupportedOrder(f"support prime {p} is not below 2^63")
-    return _points_over(curve.h, primes, seed)
+    return _points_over(curve.h, primes, resultants, seed)
 
 
-def _points_over(h, primes, seed):
-    """The points of h = 0 over each prime in turn (primes sorted)."""
+def _points_over(h, primes, resultants, seed):
+    """The points of h = 0 over each prime in turn (primes sorted).
+
+    resultants maps each base b != h to Res(h, b).  The bases b with
+    p | Res(h, b) go to factor_mod_p as its split: above ROOT_SCAN it cuts
+    h mod p by its gcds with them before factoring the pieces, which by
+    unique factorization gives the factors, and the memo entry, of
+    factoring h mod p whole."""
     for p in primes:
         points = []
         hbar = ModPPoly.from_intpoly(h, p)
         if hbar.degree >= 1:
-            _, fs = factor_mod_p(hbar, p, seed=seed)
+            split = [b for b, res in resultants.items() if res % p == 0]
+            _, fs = factor_mod_p(hbar, p, seed=seed, split=split)
             points.extend(ClosedPoint._of_factor(p, pi) for pi, _ in fs)
         if h.lc % p == 0:
             points.append(ClosedPoint(p))

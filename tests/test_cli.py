@@ -139,6 +139,20 @@ def test_non_canonical_point_residue_exits_2(capsys):
     assert done.returncode == 2 and not done.stdout and "ParseError" in done.stderr
 
 
+def test_vertical_law_over_a_composite_names_the_fiber(capsys):
+    code, out, err = run(capsys, "verify", "vertical", "--prime", "4", "--f", "2", "--g", "3")
+    assert code == 2 and not out
+    assert "ParseError: vertical fiber needs a prime < 2^63, got 4" in err
+
+
+@pytest.mark.parametrize("point", ["5:1", "5:0", "5:5*t+3"])
+def test_constant_point_residue_is_a_usage_error(capsys, point):
+    # a constant residue (mod 5) is no closed point, not a reducible one
+    code, out, err = run(capsys, "verify", "point", "--point", point, "--f", "2", "--g", "3")
+    assert code == 2 and not out
+    assert "ParseError: a closed point's residue needs degree >= 1" in err
+
+
 def test_symbol_at_a_point_off_the_curve_exits_2(capsys):
     code, out, err = run(capsys, "symbol", "--curve", "H:t^2+1", "--point", "5:t",
                          "--f", "2", "--g", "3")

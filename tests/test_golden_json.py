@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from arithsurf import modp
 from arithsurf.cli import main
 from arithsurf.config import ENV_PREC_BITS
 
@@ -45,3 +46,18 @@ def test_golden_json(name, capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == (DATA / f"golden_{name}.json").read_text(encoding="utf-8")
+
+
+def test_tall_case_splits_by_gcd_and_square_root(capsys, monkeypatch):
+    # Over 1093 and 1566121636913 (= 1 mod 8) the curve t^3-2 shares a root
+    # with g's base: its gcd with the base leaves a quadratic, which splits
+    # by a square root, so no polynomial powering or random split runs
+    ran = []
+    for name in ("_shift_pow", "_powmod", "equal_degree_split"):
+        real = getattr(modp, name)
+        monkeypatch.setattr(modp, name, lambda *a, _n=name, _f=real: ran.append(_n) or _f(*a))
+    monkeypatch.delenv(ENV_PREC_BITS, raising=False)
+    assert main(["--format", "json", *CASES["verify_horizontal_tall"]]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (DATA / "golden_verify_horizontal_tall.json").read_text(encoding="utf-8")
+    assert ran == []

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from arithsurf import modp
 from arithsurf.errors import NotExact, ParseError, ZeroPolynomial
-from arithsurf.intpoly import parse_intpoly
+from arithsurf.intpoly import IntPoly, parse_intpoly, resultant
 from arithsurf.modp import (
     ModPPoly,
     _pth_root,
+    _split_quadratic,
+    _sqrt_mod_p,
     factor_mod_p,
     gcd_modp,
     is_irreducible_modp,
@@ -206,8 +208,9 @@ def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
 
 # -- differential test against sympy -------------------------------------------
 
-# 397 and 401 sit either side of modp.ROOT_SCAN = 400
-DIFF_PRIMES = (2, 3, 5, 7, 101, 397, 401, 10007, 2**31 - 1, 2**61 - 1)
+# 397 and 401 sit either side of modp.ROOT_SCAN = 400; 10007 = 3 mod 4,
+# 10037 = 5 mod 8 and 65537 = 1 mod 2^16 take different square-root paths
+DIFF_PRIMES = (2, 3, 5, 7, 101, 397, 401, 10007, 10037, 65537, 2**31 - 1, 2**61 - 1)
 
 
 def _diff_input(rng, p):
@@ -298,9 +301,99 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
         assert [pi.degree for pi, _ in factor_mod_p(parse_intpoly(h), p)[1]] == degrees
     assert split_primes == [401, 3]
     assert seeds == []
-    # two linear factors above ROOT_SCAN: the generator is seeded as before, once
+    # above ROOT_SCAN, two roots split by a square root and draw nothing
     assert modp.ROOT_SCAN < 401
-    fm = (1, 0, 1)
     assert factor_mod_p(parse_intpoly("t^2+1"), 401, seed=4)[1] == [
         (ModPPoly(401, [20, 1]), 1), (ModPPoly(401, [381, 1]), 1)]
+    assert seeds == []
+    # three roots need an equal-degree draw: the generator is seeded as before, once
+    fm = (395, 11, 395, 1)  # (t-1)(t-2)(t-3) mod 401
+    assert factor_mod_p(ModPPoly(401, fm), 401, seed=4)[1] == [
+        (ModPPoly(401, [398, 1]), 1), (ModPPoly(401, [399, 1]), 1), (ModPPoly(401, [400, 1]), 1)]
     assert seeds == [(4, 401, fm).__hash__() & 0x7FFFFFFF]
+
+
+# -- square roots and the pieces cut by a base -----------------------------------
+
+# p = 3 mod 4 (one power), 5 mod 8 and 1 mod 2^16 (the Tonelli-Shanks loop)
+SQRT_PRIMES = (10007, 2**61 - 1, 10037, 65537)
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_square_roots_of_residues_and_non_residues(p):
+    rng = random.Random(p)
+    kinds = {True: 0, False: 0}
+    for _ in range(40):
+        a = rng.randrange(1, p)
+        residue = pow(a, (p - 1) // 2, p) == 1
+        kinds[residue] += 1
+        b = rng.randrange(p)
+        g = [(b * b - a) * pow(4, -1, p) % p, b, 1]  # discriminant a
+        if residue:
+            s = _sqrt_mod_p(a, p)
+            assert s * s % p == a
+            roots = _split_quadratic(g, p)
+            assert len(roots) == 2 and roots == sorted(roots)
+            assert ModPPoly(p, roots[0]) * ModPPoly(p, roots[1]) == ModPPoly(p, g)
+        else:
+            with pytest.raises(NotExact, match="not a quadratic residue"):
+                _sqrt_mod_p(a, p)
+            assert _split_quadratic(g, p) == [g]
+    assert _sqrt_mod_p(p, p) == 0
+    assert kinds[True] and kinds[False], kinds
+
+
+def test_quadratic_split_refuses_a_wrong_square_root(monkeypatch):
+    # -4 is a square mod 401 = 1 mod 4, but 1 is no root of it
+    monkeypatch.setattr(modp, "_tonelli_shanks", lambda a, p: 1)
+    with pytest.raises(NotExact, match="not a square root of the discriminant 397"):
+        _split_quadratic([1, 0, 1], 401)
+
+
+def _shared_pair(rng, p):
+    """Integer h and b with p | Res(h, b): lifts of c*u and c*v mod p for
+    a common c, with c repeated in h (not squarefree, so the pieces share
+    it) or p dividing lc(b) some of the time."""
+    def monic(d):
+        return ModPPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+
+    c = monic(rng.randint(1, 2))
+    hbar = c * monic(rng.randint(0, 2))
+    if rng.random() < 0.4:
+        hbar = hbar * c
+    bbar = c * monic(rng.randint(0, 2)) * rng.randrange(1, p)
+
+    def lift(a, top=0):
+        return IntPoly([x + p * rng.randrange(-3, 4) for x in a.coeffs] + [p * top] * bool(top))
+
+    return lift(hbar), lift(bbar, rng.choice((0, 0, 1)))
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("p", (401, 10007, 10037, 65537, 2**31 - 1, 2**61 - 1))
+def test_split_factorization_matches_unsplit_and_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    rng = random.Random(p + 19)
+    seen = {"cut": 0, "not squarefree": 0, "pieces share a factor": 0, "p | lc(b)": 0}
+    for _ in range(25):
+        h, b = _shared_pair(rng, p)
+        assert resultant(h, b) % p == 0
+        hbar, bbar = ModPPoly.from_intpoly(h, p), ModPPoly.from_intpoly(b, p)
+        piece = gcd_modp(hbar, bbar)
+        assert 1 <= piece.degree
+        unsplit = factor_mod_p(h, p, seed=3)
+        assert factor_mod_p(h, p, seed=3, split=[b]) == unsplit, (h, b)
+        lc, factors = sympy.factor_list(sympy.Poly(list(reversed(h.coeffs)), t), modulus=p)
+        expected = sorted(
+            ([int(c) % p for c in reversed(sympy.Poly(g, t).all_coeffs())], e) for g, e in factors
+        )
+        assert unsplit[0] == int(lc) % p
+        assert [(list(pi.coeffs), e) for pi, e in unsplit[1]] == sorted(
+            expected, key=lambda fe: (len(fe[0]), fe))
+        seen["not squarefree"] += any(e > 1 for _, e in unsplit[1])
+        if piece.degree < hbar.degree:
+            seen["cut"] += 1
+            seen["pieces share a factor"] += not gcd_modp(piece, hbar // piece).degree < 1
+        seen["p | lc(b)"] += b.lc % p == 0
+    assert all(seen.values()), seen

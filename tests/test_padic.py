@@ -156,12 +156,15 @@ def test_hensel_guards_survive_python_O():
     script = (
         "from arithsurf.errors import NotExact\n"
         "from arithsurf.intpoly import parse_intpoly as P\n"
+        "from arithsurf import modp\n"
         "from arithsurf.modp import _pth_root\n"
         "from arithsurf.padic import _bezout_modp, hensel_lift_pair as lift\n"
         "t, t1 = [0, 1], [1, 1]\n"
+        "modp._tonelli_shanks = lambda a, p: 1  # no root of -4 mod 401\n"
         "calls = [lambda: lift(P('t^2+1').coeffs, t, t1, [2], [1], 3, 4),\n"
         "         lambda: lift(P('t^2+t').coeffs, t, t1, [], [], 3, 4),\n"
-        "         lambda: _bezout_modp(t, t, 3), lambda: _pth_root(t1, 3)]\n"
+        "         lambda: _bezout_modp(t, t, 3), lambda: _pth_root(t1, 3),\n"
+        "         lambda: modp._split_quadratic([1, 0, 1], 401)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
