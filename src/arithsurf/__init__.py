@@ -51,7 +51,6 @@ from .errors import (
     DegeneratePosition,
     EvaluationAtZero,
     FactorizationTimeout,
-    InsufficientPrecision,
     NonCommuting,
     NonIrreducibleBase,
     NotExact,

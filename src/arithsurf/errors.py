@@ -30,10 +30,6 @@ class UnsupportedFactorization(ArithsurfError):
     """p-adic cluster outside the supported class (deg >= 3 ramified, etc.)."""
 
 
-class InsufficientPrecision(ArithsurfError):
-    """A p-adic answer is not determined at the current working precision."""
-
-
 class FactorizationTimeout(ArithsurfError):
     """Integer factorization exceeded its budget."""
 

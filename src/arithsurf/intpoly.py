@@ -395,15 +395,19 @@ def spot_check_irreducible(h):
                     if a * g + b * f + c_signed * e == h2:
                         return False
                 else:
-                    bound = abs(h2) + abs(h3) + abs(h1) + abs(a * g) + abs(c_signed * e) + 1
-                    for b in range(-bound, bound + 1):
-                        if e and (h3 - b * e) % a == 0:
-                            f = (h3 - b * e) // a
-                            if (
-                                b * g + f * c_signed == h1
-                                and a * g + b * f + c_signed * e == h2
-                            ):
-                                return False
+                    # f = (h3 - b e) / a turns the h2 equation into
+                    # e b^2 - h3 b + a (h2 - a g - c e) = 0
+                    disc = h3 * h3 - 4 * e * a * (h2 - a * g - c_signed * e)
+                    root = math.isqrt(disc) if disc >= 0 else -1
+                    if root * root != disc:
+                        continue
+                    for b_num in (h3 + root, h3 - root):
+                        if b_num % (2 * e):
+                            continue
+                        b = b_num // (2 * e)
+                        f, rem = divmod(h3 - b * e, a)
+                        if not rem and b * g + f * c_signed == h1:
+                            return False
     return True
 
 

@@ -1,8 +1,8 @@
 """p-adic polynomial factorization at desk scale.
 
-Supported inputs: monic h in Z[t].  The reduction mod p splits h into
-clusters, one per irreducible factor pi^e of h mod p, Hensel-lifted to
-p^N; each cluster is then handled on its own:
+Supported inputs: monic squarefree h in Z[t].  The reduction mod p splits
+h into clusters, one per irreducible factor pi^e of h mod p, Hensel-lifted
+to a working precision; each cluster is then handled on its own:
 
   * multiplicity 1          -> unramified factor (e = 1), which is every
                                factor when h is squarefree mod p,
@@ -20,21 +20,19 @@ on the coefficient-list kernel of `modp` (mod p, then mod p^k), reducing
 once per sum, product or division.  The residues of the factors stay the
 ModPPoly objects that `factor_mod_p` returns.
 
-An N too small to decide a cluster raises InsufficientPrecision;
-`symbols.branch_decomposition` works out one large enough before it calls.
+`padic_factor(h, p, N)` works out that precision itself: it lifts to
+N + v_p(disc h) + 4 digits.  Each cluster's discriminant divides disc(h)
+over Z_p, so the 4 digits past it cover the square-class guard, the digits
+a split quadratic's roots lose and Eisenstein's test mod p^2, and every
+factor comes back known to at least N digits.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import (
-    InsufficientPrecision,
-    NotExact,
-    UnsupportedFactorization,
-    ZeroPolynomial,
-)
-from .intpoly import IntPoly
+from .errors import NotExact, UnsupportedFactorization, ZeroPolynomial
+from .intpoly import IntPoly, discriminant
 from .memo import shared
 from .modp import (
     ModPPoly,
@@ -96,14 +94,12 @@ class PadicFactor:
     e: int  # ramification index
     f: int  # residue degree
     residue: ModPPoly  # irreducible pi with poly mod p = pi^e
-    exact: bool  # True when poly's integer lift is an exact divisor (= whole h)
 
 
 @dataclass(frozen=True)
 class PadicFactorization:
     h: IntPoly
     p: int
-    N: int  # smallest per-factor precision
     factors: tuple  # of PadicFactor
 
     def __post_init__(self):
@@ -209,12 +205,12 @@ def padic_square_class(d, p, N):
     """Classify nonzero d mod p^N: ('square', v) / ('nonsquare_unramified', v)
     / ('ramified', v) for the quadratic extension Q_p(sqrt(d)).
 
-    Raises InsufficientPrecision when d = 0 mod p^(N - guard): the valuation
-    is then not certified by the available digits.
+    d must not vanish mod p^(N - guard): its valuation and unit part are
+    then certified by the available digits.
     """
     guard = 3 if p == 2 else 1
     if d % p ** max(N - guard, 1) == 0:
-        raise InsufficientPrecision(f"discriminant valuation >= {N - guard} at precision {N}")
+        raise NotExact(f"discriminant valuation >= {N - guard} at precision {N}")
     v = vp(d, p)
     u = d // p**v
     if v % 2 == 1:
@@ -262,8 +258,7 @@ def padic_factor(h, p, N=DEFAULT_PRECISION, seed=0):
     each with certified (e, f), to precision at least p^N per factor.
 
     Raises UnsupportedFactorization for clusters outside the supported
-    class and InsufficientPrecision when N does not determine an answer.
-    A law verification factors each (h, p, N) once (see memo.py).
+    class.  A law verification factors each (h, p, N) once (see memo.py).
     """
     return shared(("padic_factor", h, p, N, seed), lambda: _padic_factor(h, p, N, seed))
 
@@ -273,6 +268,10 @@ def _padic_factor(h, p, N, seed):
         raise ZeroPolynomial("cannot factor zero")
     if h.lc != 1:
         raise NotExact(f"padic_factor requires monic input, got {h}")
+    disc = discriminant(h)
+    if disc == 0:
+        raise NotExact(f"padic_factor requires squarefree input, got {h}")
+    N += vp(disc, p) + 4
     _, red_factors = factor_mod_p(h, p, seed=seed)
     factors = []
     clusters = []
@@ -282,24 +281,18 @@ def _padic_factor(h, p, N, seed):
             cl = _reduce(_mul(cl, pi.coeffs), p)
         clusters.append((pi, e, cl))
     lifted = hensel_lift_list(h.coeffs, [cl for _, _, cl in clusters], p, N)
-    single = len(clusters) == 1
-    min_prec = N
     for (pi, e, _), cs in zip(clusters, lifted):
-        if single:
-            cs = list(h.coeffs)  # the cluster is all of h: exact coefficients
         cluster_poly = IntPoly(cs)
         if e == 1:
             poly = PadicPoly(p, N, tuple(c % p**N for c in cs))
-            factors.append(PadicFactor(poly, 1, pi.degree, pi, exact=single))
+            factors.append(PadicFactor(poly, 1, pi.degree, pi))
             continue
         D = e * pi.degree
         if D == 2:
-            sub, prec = _quadratic_cluster(cluster_poly, pi, p, N, exact=single)
-            factors.extend(sub)
-            min_prec = min(min_prec, prec)
+            factors.extend(_quadratic_cluster(cluster_poly, pi, p, N))
             continue
         if pi.degree == 1:
-            fac = _eisenstein_cluster(cluster_poly, pi, p, N, exact=single)
+            fac = _eisenstein_cluster(cluster_poly, pi, p, N)
             if fac is not None:
                 factors.append(fac)
                 continue
@@ -308,28 +301,27 @@ def _padic_factor(h, p, N, seed):
             "the supported class (no Montes/Round-4 ladder)"
         )
     factors.sort(key=lambda f: (f.residue.degree, f.residue.coeffs, f.e))
-    return PadicFactorization(h, p, min_prec, tuple(factors))
+    return PadicFactorization(h, p, tuple(factors))
 
 
-def _quadratic_cluster(H, pi, p, N, exact):
-    """Monic quadratic H (coefficients mod p^N, exact if flagged) whose
-    reduction is pi^2.  Returns ([PadicFactor...], effective_precision)."""
+def _quadratic_cluster(H, pi, p, N):
+    """Monic quadratic H (coefficients mod p^N) whose reduction is pi^2,
+    with N past the valuation of its discriminant.  Returns its
+    PadicFactors; split roots are known to fewer than N digits."""
     m = p**N
     b, c = H[1], H[0]
     disc = (b * b - 4 * c) % m
     if disc == 0:
-        # True disc is nonzero (h squarefree over Q), so digits ran out.
-        raise InsufficientPrecision(f"quadratic discriminant vanishes mod {p}^{N}")
+        raise NotExact(f"quadratic discriminant vanishes mod {p}^{N}")
     kind, v = padic_square_class(disc, p, N)
-    q = p**N
     if kind == "square":
         k = v // 2
-        u = (disc // p**v) % q
+        u = (disc // p**v) % m
         s = padic_unit_sqrt(u, p, N) * p**k
         # roots (-b +- s) / 2; for p = 2 the division costs one digit.
         prec = N - k - (1 if p == 2 else 0)
         if prec < 2:
-            raise InsufficientPrecision(f"split quadratic needs more than {N} digits")
+            raise NotExact(f"split quadratic needs more than {N} digits")
         mm = p**prec
         if p == 2:
             if (-b + s) % 2:
@@ -343,15 +335,15 @@ def _quadratic_cluster(H, pi, p, N, exact):
         out = []
         for r in sorted((r1, r2)):
             poly = PadicPoly(p, prec, ((-r) % mm, 1))
-            out.append(PadicFactor(poly, 1, 1, pi, exact=False))
-        return out, prec
-    poly = PadicPoly(p, N, tuple(x % q for x in (c, b, 1)))
+            out.append(PadicFactor(poly, 1, 1, pi))
+        return out
+    poly = PadicPoly(p, N, tuple(x % m for x in (c, b, 1)))
     if kind == "nonsquare_unramified":
-        return [PadicFactor(poly, 1, 2, pi, exact=exact)], N
-    return [PadicFactor(poly, 2, 1, pi, exact=exact)], N
+        return [PadicFactor(poly, 1, 2, pi)]
+    return [PadicFactor(poly, 2, 1, pi)]
 
 
-def _eisenstein_cluster(H, pi, p, N, exact):
+def _eisenstein_cluster(H, pi, p, N):
     """Eisenstein-after-shift certificate for a cluster over a linear residue.
 
     Returns a totally ramified PadicFactor, or None when the certificate
@@ -369,7 +361,7 @@ def _eisenstein_cluster(H, pi, p, N, exact):
         return None
     # Eisenstein at p: irreducible, totally ramified with e = deg, f = 1.
     poly = PadicPoly(p, N, tuple(c % m for c in H.coeffs))
-    return PadicFactor(poly, H.degree, 1, pi, exact=exact)
+    return PadicFactor(poly, H.degree, 1, pi)
 
 
 def dedekind_p_maximal(h, p, seed=0):

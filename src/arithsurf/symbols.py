@@ -28,8 +28,9 @@ prime to lc(h) is read at x through its reduction mod p:
     A degree-one curve is the case deg(x) = 1 with a single point over p.
   * otherwise (a non-squarefree reduction, or a base meeting two points
     over p) each p-adic factor of hm = monicize(h) is a branch, and nu2
-    comes from resultants against the factor's coefficient lift, at a
-    precision worked out from v_p(disc h) and v_p(Res(h, b)).
+    comes from resultants against the factor's coefficient lift, known to
+    more digits than any v_p(Res(h, b)); padic works out the digits its
+    own factorization needs on top of that.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .errors import (
     ParseError,
     UnsupportedOrder,
 )
-from .intpoly import discriminant, resultant
+from .intpoly import resultant
 from .modp import ModPPoly, factor_mod_p, multiplicity
 from .padic import DEFAULT_PRECISION, dedekind_p_maximal, padic_factor, vp
 from .surface import (
@@ -201,16 +202,14 @@ def _residue_branch(h, point, residues, f, g):
 
 
 def _least_precision(h, point, f, g):
-    """N0: the p-adic digits that settle the branches of h at the point and
-    the nu2 of f and g on them, for p prime to lc(h).
+    """N0: the p-adic digits of the branches of h at the point that read the
+    nu2 of f and g on them, for p prime to lc(h).
 
     A branch's resultant with B divides Res(hm, B) over Z_p, and a lift
     correct mod p^N keeps it mod p^N, so N > v_p(Res(h, b)) reads nu2(b); a
-    base the point's residue does not divide is a unit on the branch.  Each
-    cluster's discriminant divides disc(hm): 4 digits past v_p(disc h) cover
-    the square-class guard, a split quadratic's lost digits and Eisenstein's
-    test mod p^2.  curve_resultant refuses a base through the point that
-    shares a factor with h (NonIrreducibleBase).
+    base the point's residue does not divide is a unit on the branch.
+    curve_resultant refuses a base through the point that shares a factor
+    with h (NonIrreducibleBase).
     """
     p, pi = point.p, point.residue
     reach = 0
@@ -218,7 +217,7 @@ def _least_precision(h, point, f, g):
         for b, _ in fn.factors:
             if b != h and not ModPPoly.from_intpoly(b, p) % pi:
                 reach = max(reach, vp(curve_resultant(h, b), p))
-    return vp(discriminant(h), p) + 4 + reach
+    return 1 + reach
 
 
 def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):

@@ -35,6 +35,12 @@ CASES = {
     "verify_horizontal_split": ["verify", "horizontal", "--curve", "H:t^4+1",
                                 "--f", "3*(t^4+1)^1",
                                 "--g", "1*(t^2+2)^1*(t+4)^-1"],
+    # The p-adic path: (t+1)^2 mod 2 is a ramified quadratic cluster, and
+    # t^3-3t^2-3t+3 is Eisenstein at 3; each prints its one branch's e, f, nu2.
+    "symbol_ramified_quadratic": ["symbol", "--curve", "H:t^2+1", "--point", "2:t+1",
+                                  "--f", "1*(t^2+1)^1", "--g", "1*(t-1)^1"],
+    "symbol_eisenstein": ["symbol", "--curve", "H:t^3-3*t^2-3*t+3", "--point", "3:t",
+                          "--f", "1*(t^3-3*t^2-3*t+3)^1", "--g", "3*(t-3)^1"],
     "selftest": ["selftest", "--seed", "42", "--cases", "2"],
 }
 

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -166,6 +167,50 @@ def test_spot_check_irreducible():
         assert not spot_check_irreducible(parse_intpoly(s))
     # irreducibility is judged on the primitive part; content is the unit's job
     assert spot_check_irreducible(parse_intpoly("2*t^2+2"))
+
+
+def test_spot_check_solves_for_b_when_the_system_is_singular():
+    # a*g = c*e leaves b on a quadratic; large coefficients used to mean a
+    # scan over every b up to their size
+    for k in (6, 9, 30):
+        n = 10**k
+        h = IntPoly([1, n, n, n, 1])
+        start = time.perf_counter()
+        assert spot_check_irreducible(h)
+        assert time.perf_counter() - start < 1, k
+    n = 10**9
+    assert not spot_check_irreducible(IntPoly([1, n + 1, n + 2, n + 1, 1]))  # (t^2+nt+1)(t^2+t+1)
+
+
+def _quadratic(rng):
+    return IntPoly([rng.randint(-9, 9) or 1, rng.randint(-30, 30), rng.randint(1, 6)])
+
+
+def _random_quartics(rng, count):
+    """Dense quartics, products of two quadratics, and products
+    (a t^2 + b t + c)(k a t^2 + f t + k c), where a*g = c*e."""
+    out = []
+    for _ in range(count):
+        c, b, a = _quadratic(rng).coeffs
+        k = rng.choice((-3, -1, 1, 2))
+        out.append(IntPoly([rng.randint(-50, 50) for _ in range(4)] + [rng.randint(1, 9)]))
+        out.append(_quadratic(rng) * _quadratic(rng))
+        out.append(IntPoly([c, b, a]) * IntPoly([k * c, rng.randint(-30, 30), k * a]))
+    return out
+
+
+def test_spot_check_matches_sympy_on_quartics():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    cases = [parse_intpoly("t^2+3*t+1") * parse_intpoly("t^2+5*t+1")]
+    cases += _random_quartics(random.Random(4), 150)
+    verdicts = []
+    for h in cases:
+        _, factors = sympy.factor_list(sum(c * t**i for i, c in enumerate(h.coeffs)), t)
+        irreducible = len(factors) == 1 and factors[0][1] == 1
+        assert spot_check_irreducible(h) == irreducible, h
+        verdicts.append(irreducible)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_zero_poly_guard():

@@ -1,14 +1,19 @@
+import hashlib
+import importlib.util
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import arithsurf
+from arithsurf import symbols
 from arithsurf.cli import main
 from arithsurf.config import RunConfig, default_config
-from arithsurf.errors import NonIrreducibleBase, ParseError, UnsupportedOrder
+from arithsurf.errors import ArithsurfError, NonIrreducibleBase, ParseError, UnsupportedOrder
 from arithsurf.laws import (
     verify_horizontal_law,
     verify_point_law,
@@ -164,3 +169,43 @@ def test_point_law_reducible_base_at_linear_flag():
 def test_horizontal_law_refuses_vertical_curves():
     with pytest.raises(UnsupportedOrder, match="horizontal curve"):
         verify_horizontal_law(parse_curve("V:5"), F("2"), F("3"))
+
+
+# sha256 over the first 600 cases of the benchmark's `laws` pool, one line per
+# case: the sorted JSON of its report, or its typed refusal
+LAW_REPORT_DIGESTS = {
+    1: "c279f516587f2d0afd4c54713c71137fb024694b540f988fc20574731498f5d2",
+    7: "e38074645e0df03026eca1af397da152590f6df12e137c8a70b08dee9ec3904c",
+}
+
+
+def _law_report_digest(seed, size=600):
+    """The digest that LAW_REPORT_DIGESTS pins for the seed."""
+    path = Path(__file__).resolve().parent.parent / "arithbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("arithbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    call, judge = workloads.law_runner(arithsurf)
+    digest = hashlib.sha256()
+    for case in workloads.law_pool(arithsurf, workloads.Draws("laws", seed), size):
+        try:
+            out = judge(case, call(case))[1]
+        except ArithsurfError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(out.encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(LAW_REPORT_DIGESTS))
+def test_law_reports_match_their_digest(seed, monkeypatch):
+    """A change meant to move no output leaves these digests alone."""
+    calls = []
+    real = symbols.padic_factor
+    monkeypatch.setattr(symbols, "padic_factor", lambda *a, **k: calls.append(a) or real(*a, **k))
+    got = _law_report_digest(seed)
+    assert len(calls) > 20  # the slice reaches the p-adic path
+    assert got == LAW_REPORT_DIGESTS[seed], (
+        f"the laws reports at seed {seed} moved; if that is meant, re-derive the digest "
+        "with PYTHONPATH=src python -c \"import sys; sys.path.insert(0, 'tests'); "
+        f"from test_laws import _law_report_digest as d; print(d({seed}))\" "
+        "and put it in LAW_REPORT_DIGESTS")

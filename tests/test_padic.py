@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithsurf import padic
-from arithsurf.errors import NotExact, ZeroPolynomial
+from arithsurf.errors import NotExact, UnsupportedFactorization, ZeroPolynomial
 from arithsurf.intpoly import IntPoly, parse_intpoly
 from arithsurf.modp import ModPPoly, factor_mod_p
 from arithsurf.padic import (
@@ -128,6 +128,51 @@ def test_non_maximal_quadratic_still_resolved():
     assert [(fct.e, fct.f) for fct in fac.factors] == [(1, 2)]
 
 
+# -- the precision contract: every factor known to at least the N asked for ---
+
+
+def _shape(fac):
+    return [(fct.residue, fct.e, fct.f) for fct in fac.factors]
+
+
+def test_a_split_quadratic_keeps_the_digits_asked_for():
+    # disc = 2^8 * 17: the square root loses 4 digits and the halving one
+    fac = padic_factor(parse_intpoly("t^2-1088"), 2, 20)
+    assert [(fct.e, fct.f) for fct in fac.factors] == [(1, 1), (1, 1)]
+    assert all(fct.poly.N >= 20 for fct in fac.factors)
+
+
+def test_one_digit_asked_for_decides_what_twenty_do():
+    h = parse_intpoly("t^2-5103")  # 5103 = 3^6 * 7, split over Z_3
+    shape = _shape(padic_factor(h, 3, 20))
+    for N in range(1, 6):
+        fac = padic_factor(h, 3, N)
+        assert _shape(fac) == shape and all(fct.poly.N >= N for fct in fac.factors)
+    # Eisenstein at 3 needs the constant term mod 9
+    fac = padic_factor(parse_intpoly("t^3-3*t^2-3*t+3"), 3, 1)
+    assert [(fct.e, fct.f) for fct in fac.factors] == [(3, 1)]
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.lists(st.integers(-40, 40), min_size=2, max_size=3),
+       st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_any_precision_gives_the_shape_of_the_default(p, low, N):
+    h = IntPoly(low + [1])
+    try:
+        shape = _shape(padic_factor(h, p))
+    except (NotExact, UnsupportedFactorization) as exc:  # not squarefree, or no rule
+        with pytest.raises(type(exc)):
+            padic_factor(h, p, N)
+        return
+    fac = padic_factor(h, p, N)
+    assert _shape(fac) == shape and all(fct.poly.N >= N for fct in fac.factors)
+
+
+def test_a_repeated_factor_is_refused():
+    with pytest.raises(NotExact, match="squarefree"):
+        padic_factor(parse_intpoly("t^2+2*t+1"), 3)
+
+
 # -- answer guards of the Hensel lift, typed so that python -O keeps them ------
 
 T, T1 = [0, 1], [1, 1]  # t and t+1 over F_3
@@ -208,7 +253,7 @@ def test_padic_poly_refuses_malformed_coefficients():
 
 def test_padic_factorization_refuses_a_degree_mismatch():
     with pytest.raises(NotExact, match="sum to 0"):
-        PadicFactorization(parse_intpoly("t^2+1"), 5, 20, ())
+        PadicFactorization(parse_intpoly("t^2+1"), 5, ())
 
 
 def test_square_roots_refuse_non_squares(monkeypatch):
@@ -227,17 +272,27 @@ def test_quadratic_cluster_refuses_a_root_of_the_wrong_parity(monkeypatch):
     # t^2-17 = (t+1)^2 mod 2; a root s of the discriminant must have the
     # parity of b = 0 for (-b +- s)/2 to be 2-adic integers
     pi = ModPPoly(2, [1, 1])
-    fac, _ = padic._quadratic_cluster(parse_intpoly("t^2-17"), pi, 2, 20, exact=True)
+    fac = padic._quadratic_cluster(parse_intpoly("t^2-17"), pi, 2, 20)
     assert [(f.e, f.f) for f in fac] == [(1, 1), (1, 1)]
     monkeypatch.setattr(padic, "padic_square_class", lambda d, p, N: ("square", 0))
     monkeypatch.setattr(padic, "padic_unit_sqrt", lambda u, p, N: 1)
     with pytest.raises(NotExact, match="mod 2"):
-        padic._quadratic_cluster(parse_intpoly("t^2-17"), pi, 2, 20, exact=True)
+        padic._quadratic_cluster(parse_intpoly("t^2-17"), pi, 2, 20)
+
+
+def test_precision_guards_are_invariants():
+    # padic_factor lifts far enough that none of these can fire from it
+    with pytest.raises(NotExact, match="valuation >= 4"):
+        padic_square_class(3**5, 3, 5)
+    with pytest.raises(NotExact, match="vanishes mod 3\\^3"):
+        padic._quadratic_cluster(parse_intpoly("t^2-729"), ModPPoly(3, [0, 1]), 3, 3)
+    with pytest.raises(NotExact, match="more than 1 digits"):
+        padic._quadratic_cluster(parse_intpoly("t^2-4"), ModPPoly(3, [0, 1]), 3, 1)
 
 
 def test_eisenstein_cluster_needs_a_linear_residue():
     with pytest.raises(NotExact, match="linear residue"):
-        padic._eisenstein_cluster(parse_intpoly("t^2+t+1"), ModPPoly(2, [1, 1, 1]), 2, 20, exact=True)
+        padic._eisenstein_cluster(parse_intpoly("t^2+t+1"), ModPPoly(2, [1, 1, 1]), 2, 20)
 
 
 def test_dedekind_refuses_factors_that_do_not_multiply_back(monkeypatch):
@@ -266,10 +321,14 @@ def test_padic_and_surface_refusals_survive_python_O():
         "refused(ParseError, lambda: M(3, [1]) + M(5, [1]))\n"
         "refused(NotExact, lambda: padic.PadicPoly(3, 2, (1, 9)))\n"
         "refused(NotExact, lambda: padic.PadicPoly(3, 2, (9, 1)))\n"
-        "refused(NotExact, lambda: padic.PadicFactorization(P('t^2+1'), 5, 20, ()))\n"
+        "refused(NotExact, lambda: padic.PadicFactorization(P('t^2+1'), 5, ()))\n"
         "refused(NotExact, lambda: padic._sqrt_mod_p(2, 5))\n"
         "refused(NotExact, lambda: padic.padic_unit_sqrt(5, 2, 10))\n"
-        "refused(NotExact, lambda: padic._eisenstein_cluster(P('t^2+t+1'), M(2, [1, 1, 1]), 2, 20, True))\n"
+        "refused(NotExact, lambda: padic._eisenstein_cluster(P('t^2+t+1'), M(2, [1, 1, 1]), 2, 20))\n"
+        "refused(NotExact, lambda: padic.padic_square_class(3**5, 3, 5))\n"
+        "refused(NotExact, lambda: padic._quadratic_cluster(P('t^2-729'), M(3, [0, 1]), 3, 3))\n"
+        "refused(NotExact, lambda: padic._quadratic_cluster(P('t^2-4'), M(3, [0, 1]), 3, 1))\n"
+        "refused(NotExact, lambda: padic.padic_factor(P('t^2+2*t+1'), 3))\n"
         "refused(ParseError, lambda: FRF(Fraction(1), ((P('5*t+5'), 1),)))\n"
         "refused(ParseError, lambda: FRF(Fraction(1), ((P('3'), 1),)))\n"
         "refused(ParseError, lambda: chart_swap_poly(P('t')))\n"
@@ -282,7 +341,7 @@ def test_padic_and_surface_refusals_survive_python_O():
         "refused(NotExact, lambda: padic.dedekind_p_maximal(P('t^2+1'), 3))\n"
         "padic.padic_square_class = lambda d, p, N: ('square', 0)\n"
         "padic.padic_unit_sqrt = lambda u, p, N: 1\n"
-        "refused(NotExact, lambda: padic._quadratic_cluster(P('t^2-17'), M(2, [1, 1]), 2, 20, True))\n"
+        "refused(NotExact, lambda: padic._quadratic_cluster(P('t^2-17'), M(2, [1, 1]), 2, 20))\n"
     )
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=30)
