@@ -21,7 +21,6 @@ from .centext import (
     LineElement,
     MetrizedSpace,
     QSqrt,
-    RelativeDetLine,
     apply_lattice,
     argl_identity,
     argl_inverse,

@@ -475,17 +475,10 @@ def _bottom_reps(L, I_rows):
 # -- relative determinant lines ------------------------------------------------
 
 
-@dataclass
-class RelativeDetLine:
-    """(A|B), the relative determinant line of a commensurable pair."""
-
-    A: Lattice
-    B: Lattice
-
-
-def line_norm(line):
-    """Norm of the canonical wedge-basis element of (A|B)."""
-    return _canonical_norm(pair_data(line.A, line.B))
+def line_norm(A, B):
+    """Norm of the canonical wedge-basis element of (A|B), the relative
+    determinant line of a commensurable pair."""
+    return _canonical_norm(pair_data(A, B))
 
 
 def _canonical_norm(pd):
@@ -514,7 +507,7 @@ class LineElement:
         self.coord = _as_qsqrt(self.coord)
 
     def norm(self):
-        return abs(self.coord) * line_norm(RelativeDetLine(self.A, self.B))
+        return abs(self.coord) * line_norm(self.A, self.B)
 
     def inverse(self):
         """The element of (B|A) contracting with this one to 1 in (A|A)."""

@@ -30,8 +30,8 @@ class RunConfig:
             )
 
 
-def default_config(**overrides):
-    """RunConfig with prec_bits optionally taken from the environment."""
+def default_config():
+    """RunConfig with prec_bits taken from the environment when it is set."""
     kwargs = {}
     env = os.environ.get(ENV_PREC_BITS)
     if env:
@@ -39,5 +39,4 @@ def default_config(**overrides):
             kwargs["prec_bits"] = int(env)
         except ValueError:
             raise ParseError(f"{ENV_PREC_BITS} must be an integer, got {env!r}") from None
-    kwargs.update(overrides)
     return RunConfig(**kwargs)

@@ -7,10 +7,10 @@ fractions.Fraction coefficients.
 """
 
 import math
-import re
 from fractions import Fraction
 
 from .errors import NotExact, ParseError, ZeroPolynomial
+from .laurent import parse_laurent
 from .primes import factor_integer
 
 
@@ -413,53 +413,21 @@ def spot_check_irreducible(h):
 
 # -- text form ------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?:"
-    r"(?P<coef>\d+)\s*\*?\s*(?P<var1>t(?:\^(?P<exp1>-?\d+))?)?"
-    r"|(?P<var2>t(?:\^(?P<exp2>-?\d+))?)"
-    r")\s*"
-)
-
-
 def parse_intpoly(text):
     """Parse integer polynomials like 't^3-2', '2t-1', '-t^2 + 3*t + 1'."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty polynomial", 0)
-    coeffs = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"cannot read polynomial term in {text!r}", pos)
-        sign = m.group("sign")
-        if not first and sign == "":
-            raise ParseError(f"missing +/- between terms in {text!r}", pos)
-        sgn = -1 if sign == "-" else 1
-        if m.group("coef") is not None:
-            coef = sgn * int(m.group("coef"))
-            var = m.group("var1")
-            exp = m.group("exp1")
-        elif m.group("var2") is not None:
-            coef = sgn
-            var = m.group("var2")
-            exp = m.group("exp2")
-        else:
-            raise ParseError(f"empty term in {text!r}", pos)
-        if var is None:
-            e = 0
-        elif exp is None:
-            e = 1
-        else:
-            e = int(exp)
-            if e < 0:
-                raise ParseError("negative exponents are not allowed in IntPoly", pos)
-        coeffs[e] = coeffs.get(e, 0) + coef
-        pos = m.end()
-        first = False
-    deg = max(coeffs) if coeffs else 0
-    return IntPoly([coeffs.get(i, 0) for i in range(deg + 1)])
+    return intpoly_of_laurent(parse_laurent(text), 0)
+
+
+def intpoly_of_laurent(f, position):
+    """The IntPoly equal to the LaurentPoly f read at position: refuses a
+    negative exponent or a coefficient outside Z."""
+    if f.is_zero:
+        return IntPoly()
+    if f.nu < 0:
+        raise ParseError("negative exponent in an integer polynomial", position)
+    if any(c.denominator != 1 for c in f.coeffs.values()):
+        raise ParseError("coefficient outside Z in an integer polynomial", position)
+    return IntPoly([int(f[i]) for i in range(f.top + 1)])
 
 
 def format_intpoly(h):

@@ -1,11 +1,24 @@
 """Laurent polynomials over Q, the function ring for the archimedean
 fiber R((t)) and for the finite-window models of multiplication operators.
 
-Representation: dict {exponent: Fraction} with no zero values.  The
-parser accepts products and sums of rationals (including decimals,
-read exactly) and powers of t, e.g. "t*(3+t)", "5*t^2", "1/2*t^-1+t".
-Negative powers of anything but a monomial are rejected: quotients like
-(1+t)^-1 live in R((t)) but not in R[t, t^-1].
+Representation: dict {exponent: Fraction} with no zero values.
+
+This module also holds the one lexer and grammar for polynomial text;
+intpoly.parse_intpoly and surface.parse_function read the same tokens:
+
+    expr   := term (('+' | '-') term)*
+    term   := factor ('*' factor)*
+    factor := ('+' | '-') factor | num factor | atom ['^' ['+' | '-'] int]
+    atom   := num | 't' | '(' expr ')'
+
+Numbers are integers, fractions "a/b" and decimals, all read exactly.
+The middle form of factor is a number written against t ("2t^3", as
+format_intpoly prints it), a product.  A sign binds looser than '^':
+"-t^2" and "t*-t^2" negate t^2.  The identifier INF is a token too, but
+only surface.parse_function accepts it, as a base.  Negative powers of
+anything but a monomial are rejected: quotients like (1+t)^-1 live in
+R((t)) but not in R[t, t^-1].  Every ParseError carries the character
+offset of the offending token.
 """
 
 import re
@@ -118,56 +131,58 @@ class LaurentPoly:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+|\d+/\d+|\d+)|(?P<t>t)|(?P<op>[-+*^()]))"
+    r"(?P<num>\d+\.\d+|\d+\s*/\s*\d+|\d+)|(?P<inf>[Ii][Nn][Ff])|(?P<sym>[-+*^()t])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text):
-    pos, toks = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character in {text!r}", pos)
-        if m.group("num"):
-            s = m.group("num")
-            try:
-                toks.append(("num", Fraction(s)))  # Fraction parses "a/b" and decimals
+    """(kind, value, offset) triples, ending with an "end" token."""
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "bad":
+            raise ParseError(f"bad character in {text!r}", start)
+        if kind == "num":
+            try:  # Fraction reads "a/b" and decimals exactly
+                toks.append(("num", Fraction("".join(m[0].split())), start))
             except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {text!r}", m.start("num")) from None
-        elif m.group("t"):
-            toks.append(("t", None))
+                raise ParseError(f"zero denominator in {text!r}", start) from None
         else:
-            toks.append((m.group("op"), None))
-        pos = m.end()
-    toks.append(("end", None))
-    return toks
+            toks.append((m[0] if kind == "sym" else kind, None, start))
+    return toks + [("end", None, len(text))]
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+class Parser:
+    """Recursive descent over the tokens of one text."""
+
+    def __init__(self, text):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i][0]
+    def peek(self, ahead=0):
+        return self.toks[self.i + ahead][0]
 
     def next(self):
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def expr(self):
-        sign = 1
+    def expect(self, kind):
+        if self.peek() != kind:
+            raise ParseError(f"expected {kind!r} in {self.text!r}", self.toks[self.i][2])
+        return self.next()
+
+    def sign(self):
+        """-1 or 1 for an optional sign, which is consumed."""
         if self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -1
-        out = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            out = out + (t if op == "+" else -t)
+            return -1 if self.next()[0] == "-" else 1
+        return 1
+
+    def expr(self):
+        out = self.term()
+        while self.peek() in ("+", "-"):  # factor reads the sign
+            out = out + self.term()
         return out
 
     def term(self):
@@ -178,38 +193,42 @@ class _Parser:
         return out
 
     def factor(self):
+        if self.peek() in ("+", "-"):
+            return self.sign() * self.factor()
+        if self.peek() == "num" and self.peek(1) == "t":  # a coefficient against t: 2t^3
+            return self.next()[1] * self.factor()
         base = self.atom()
         if self.peek() == "^":
-            self.next()
-            sign = 1
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            kind, val = self.next()
-            if kind != "num" or val.denominator != 1:
-                raise ParseError("exponent must be an integer", self.i)
-            base = base ** (sign * int(val))
+            caret = self.next()[2]
+            n = int(self.number(integer=True))
+            if n < 0 and len(base.coeffs) != 1:
+                raise ParseError("negative power of a non-monomial is not Laurent", caret)
+            base = base**n
         return base
 
     def atom(self):
-        kind, val = self.next()
+        kind, val, pos = self.next()
         if kind == "num":
             return LaurentPoly.constant(val)
         if kind == "t":
             return LaurentPoly.monomial(1, 1)
-        if kind == "(":
-            inner = self.expr()
-            if self.next()[0] != ")":
-                raise ParseError("unbalanced parenthesis", self.i)
-            return inner
-        if kind == "-":
-            return -self.atom()
-        raise ParseError(f"unexpected token {kind!r}", self.i)
+        if kind != "(":
+            raise ParseError(f"unexpected {kind!r} in {self.text!r}", pos)
+        inner = self.expr()
+        self.expect(")")
+        return inner
+
+    def number(self, integer=False):
+        """An optionally signed number token, as a Fraction."""
+        sign = self.sign()
+        kind, val, pos = self.next()
+        if kind != "num" or integer and val.denominator != 1:
+            raise ParseError("expected an integer" if integer else "expected a number", pos)
+        return sign * val
 
 
 def parse_laurent(text):
-    p = _Parser(_tokenize(text))
+    p = Parser(text)
     out = p.expr()
-    if p.peek() != "end":
-        raise ParseError(f"trailing input in {text!r}", p.i)
+    p.expect("end")
     return out

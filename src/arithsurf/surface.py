@@ -19,7 +19,6 @@ involution on functions, curves and points.
 """
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,10 +27,12 @@ from .intpoly import (
     IntPoly,
     T,
     format_intpoly,
+    intpoly_of_laurent,
     parse_intpoly,
     resultant,
     spot_check_irreducible,
 )
+from .laurent import Parser
 from .memo import shared
 from .modp import ModPPoly, factor_mod_p, is_irreducible_modp
 from .padic import vp
@@ -126,51 +127,26 @@ def format_function(f):
     return " * ".join(parts)
 
 
-_RATIONAL_RE = re.compile(r"\s*(-?\d+)(?:\s*/\s*(\d+))?\s*")
-
-
 def parse_function(text):
-    """Parse `<rational> ( '*' '(' <intpoly|INF> ')' '^' <int> )*`.
+    """Parse `<rational> ( '*' '(' <expr> | INF ')' '^' <int> )*`, each
+    expr an integer polynomial in laurent's grammar.
 
     Examples: "5", "2/3 * (t)^1 * (t^2+1)^-2", "1 * (INF)^2".
     """
-    m = _RATIONAL_RE.match(text)
-    if not m:
-        raise ParseError(f"expected leading rational in {text!r}", 0)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise ParseError("zero denominator", m.start(2))
-    unit = Fraction(num, den)
-    pos = m.end()
+    p = Parser(text)
+    unit = p.number()
     factors = []
-    while pos < len(text):
-        if text[pos] != "*":
-            raise ParseError(f"expected '*' in {text!r}", pos)
-        pos += 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text) or text[pos] != "(":
-            raise ParseError(f"expected '(' in {text!r}", pos)
-        close = text.find(")", pos)
-        if close < 0:
-            raise ParseError(f"unbalanced '(' in {text!r}", pos)
-        body = text[pos + 1 : close].strip()
-        pos = close + 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text) or text[pos] != "^":
-            raise ParseError(f"expected '^' after base in {text!r}", pos)
-        pos += 1
-        em = re.match(r"\s*(-?\d+)\s*", text[pos:])
-        if not em:
-            raise ParseError(f"expected integer exponent in {text!r}", pos)
-        exp = int(em.group(1))
-        pos += em.end()
-        if body.upper() == "INF":
-            factors.append(("INF", exp))
+    while p.peek() != "end":
+        p.expect("*")
+        start = p.expect("(")[2]
+        if p.peek() == "inf":
+            p.next()
+            base = "INF"
         else:
-            factors.append((parse_intpoly(body), exp))
+            base = intpoly_of_laurent(p.expr(), start)
+        p.expect(")")
+        p.expect("^")
+        factors.append((base, int(p.number(integer=True))))
     return make_function(unit, factors)
 
 

@@ -83,6 +83,12 @@ def test_pairing_fixtures(capsys):
     assert code == 0 and "oracle: 0.0" in out and "closed: 0.0" in out
 
 
+def test_pairing_reads_a_coefficient_written_against_t(capsys):
+    # format_intpoly prints 2t; the pairing reads the same form
+    code, out, _ = run(capsys, "pairing", "--f", "2t", "--g", "3")
+    assert code == 0 and "diff: 0.0" in out
+
+
 def test_pairing_window_too_small(capsys):
     code, _, err = run(capsys, "pairing", "--f", "t^-9", "--g", "2", "--window", "4")
     assert code == 3

@@ -46,6 +46,12 @@ def test_parse_format_round_trip():
         assert parse_intpoly(format_intpoly(h)) == h
 
 
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=9).map(IntPoly))
+@settings(max_examples=150, deadline=None)
+def test_parse_format_round_trip_on_random_polynomials(h):
+    assert parse_intpoly(format_intpoly(h)) == h
+
+
 def _resultant_sylvester(a, b):
     """Res(a, b) as the Sylvester determinant: the independent slow route."""
     m, n = a.degree, b.degree

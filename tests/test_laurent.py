@@ -68,3 +68,16 @@ def test_monomial_powers():
     assert m**-1 == LaurentPoly.monomial(Fraction(3, 2), 2)
     with pytest.raises(Exception):
         parse_laurent("1+t") ** -1  # only monomials invert
+
+
+@pytest.mark.parametrize("text,offset", [("t t", 2), ("1 + t^", 6), ("t^2 t", 4), ("(t", 2)])
+def test_parse_errors_carry_character_offsets(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse_laurent(text)
+    assert info.value.position == offset
+
+
+@given(laurents)
+@settings(max_examples=150, deadline=None)
+def test_parse_print_round_trip(f):
+    assert parse_laurent(str(f)) == f

@@ -13,7 +13,7 @@ from arithsurf.errors import (
     UnsupportedOrder,
     ZeroPolynomial,
 )
-from arithsurf.intpoly import parse_intpoly
+from arithsurf.intpoly import IntPoly, parse_intpoly
 from arithsurf.modp import ModPPoly, random_monic_irreducible
 from arithsurf.padic import vp
 from arithsurf.surface import (
@@ -111,6 +111,26 @@ def test_point_parse_and_labels():
     assert inf.residue is None and inf.degree == 1
     with pytest.raises(NonIrreducibleBase):
         parse_point("5:t^2-1")  # reducible residue
+
+
+def test_curve_and_point_labels_parse_back():
+    rng = random.Random(21)
+    curves = [Curve.infinity(), Curve.vertical(2), Curve.vertical(2**61 - 1)]
+    while len(curves) < 40:
+        h = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(2, 5))])
+        try:
+            curves.append(Curve.horizontal(h))
+        except (NonIrreducibleBase, ZeroPolynomial):
+            pass
+    for c in curves:
+        assert parse_curve(c.label()) == c
+    points = []
+    for p in (2, 3, 5, 7, 101):
+        points.append(ClosedPoint(p))
+        for d in (1, 2, 3):
+            points.append(ClosedPoint(p, random_monic_irreducible(p, d, rng)))
+    for x in points:
+        assert parse_point(x.label()) == x
 
 
 def test_vp_fraction():
