@@ -85,7 +85,6 @@ from .qlinalg import (
     matmul,
     matrix_inverse,
     matvec,
-    project_off,
     rank,
     rref,
     solve_coords,
@@ -484,12 +483,14 @@ def line_norm(A, B):
 def _canonical_norm(pd):
     """Norm of the unit of (A|B): the Gram volume of the canonical B-side
     quotient basis over that of the A-side one, both projected orthogonally
-    off A cap B.  For a coordinate pair those bases are unit rows on indices
-    outside I, so it is exactly 1."""
-    if pd.coordinate:
+    off I = A cap B.  The volume squared of X projected off I is
+    Gram(I + X) / Gram(I), so the ratio is Gram(I + B-side) / Gram(I +
+    A-side).  For a coordinate pair those bases are unit rows on indices
+    outside I, and for A = B they are empty, so it is exactly 1."""
+    if pd.coordinate or not (pd.canon_first or pd.canon_second):
         return ONE
-    volA2 = gram_det([project_off(v, pd.I_rows) for v in pd.canon_first])
-    volB2 = gram_det([project_off(v, pd.I_rows) for v in pd.canon_second])
+    volA2 = gram_det(pd.I_rows + pd.canon_first)
+    volB2 = gram_det(pd.I_rows + pd.canon_second)
     if volA2 == 0 or volB2 == 0:
         raise DegeneratePosition("representatives do not span the quotients")
     return QSqrt.sqrt(volB2) / QSqrt.sqrt(volA2)

@@ -52,14 +52,13 @@ from .errors import (
     UnsupportedFactorization,
     UnsupportedOrder,
 )
-from .intpoly import T
 from .memo import verification
 from .roots import archimedean_places
 from .surface import (
     HORIZONTAL,
     INFINITY_SECTION,
     Curve,
-    chart_swap,
+    affine_chart,
     curves_through_point,
     points_on_horizontal,
     points_on_vertical,
@@ -194,9 +193,8 @@ def verify_horizontal_law(curve, f, g, config=None):
         config=_config_dict(cfg),
     )
     if curve.kind == INFINITY_SECTION:
-        curve = Curve.horizontal(T)
-        f, g = chart_swap(f), chart_swap(g)
         report.note = "second chart: curve H:t, functions swapped"
+    curve, f, g = affine_chart(curve, f, g)
     if curve.kind != HORIZONTAL:
         raise UnsupportedOrder(f"the horizontal law needs a horizontal curve, got {curve.label()}")
     h = curve.h

@@ -15,14 +15,6 @@ def frac_vec(xs):
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
-
-
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
@@ -172,21 +164,6 @@ def gram_matrix(rows, inner=None):
 
 def gram_det(rows, inner=None):
     return det(gram_matrix(rows, inner=inner))
-
-
-def project_off(v, rows, inner=None):
-    """Component of v orthogonal to span(rows)."""
-    ip = inner or dot
-    rows = tuple(rows)
-    if not rows:
-        return tuple(map(Fraction, v))
-    g = gram_matrix(rows, inner=inner)
-    rhs = tuple(ip(r, v) for r in rows)
-    coeffs = solve_coords(g, (rhs,))[0]  # g is symmetric positive definite
-    out = tuple(map(Fraction, v))
-    for c, r in zip(coeffs, rows):
-        out = vsub(out, vscale(c, r))
-    return out
 
 
 def matrix_inverse(m):

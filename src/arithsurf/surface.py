@@ -15,7 +15,12 @@ Curves are: Vertical(p) (the fiber over p), Horizontal(h) (the closure of
 h = 0 on the generic fiber), and the infinity section.  Closed points are
 (p, pi) with pi monic irreducible mod p, or (p, infinity) on each fiber.
 The second coordinate chart s = 1/t is reached through chart_swap, an
-involution on functions, curves and points.
+involution on functions, curves and points.  It is used in two places: the
+infinity section becomes H:t with both functions swapped (affine_chart) for
+its prime support, its points and its horizontal law, and symbols reads a
+horizontal curve h at its point at infinity (p | lc(h)) as a finite flag.
+The fiber and the infinity section are read at a point at infinity without
+it, by counting degrees and valuations (see symbols).
 """
 
 import math
@@ -202,6 +207,8 @@ class Curve:
 
 
 def parse_curve(text):
+    """A curve label; a ParseError in its polynomial reports the offset into
+    the whole label, as blanks in place of the prefix keep it."""
     s = text.strip()
     if s.upper() == "INF":
         return Curve.infinity()
@@ -211,7 +218,7 @@ def parse_curve(text):
         except ValueError:
             raise ParseError(f"bad vertical curve {text!r}") from None
     if s.startswith("H:"):
-        return Curve.horizontal(parse_intpoly(s[2:]))
+        return Curve.horizontal(parse_intpoly(text.replace("H:", "  ", 1)))
     raise ParseError(f"curve must be V:<p>, H:<poly>, or INF, got {text!r}")
 
 
@@ -279,19 +286,19 @@ class ClosedPoint:
 
 
 def parse_point(text):
-    s = text.strip()
-    if ":" not in s:
+    """A point label; a ParseError in its polynomial reports the offset into
+    the whole label, as blanks in place of the prefix keep it."""
+    if ":" not in text:
         raise ParseError(f"point must be p:<poly> or p:inf, got {text!r}")
-    head, _, tail = s.partition(":")
+    head, _, tail = text.partition(":")
     try:
         p = int(head)
     except ValueError:
         raise ParseError(f"bad prime in point {text!r}") from None
     infinity = ClosedPoint(p)  # checks p before reducing mod p
-    tail = tail.strip()
-    if tail.lower() == "inf":
+    if tail.strip().lower() == "inf":
         return infinity
-    poly = parse_intpoly(tail)
+    poly = parse_intpoly(" " * (len(head) + 1) + tail)
     return ClosedPoint(p, ModPPoly.from_intpoly(poly, p))
 
 
@@ -396,6 +403,15 @@ def chart_swap_point(point):
     return ClosedPoint(p, rev.monic())
 
 
+def affine_chart(curve, f, g):
+    """A chart where the curve is the closure of h = 0, with f and g in it:
+    the infinity section becomes H:t in s = 1/t, with f and g swapped, and
+    any other curve stays as it is."""
+    if curve.kind == INFINITY_SECTION:
+        return chart_swap_curve(curve), chart_swap(f), chart_swap(g)
+    return curve, f, g
+
+
 # -- enumeration used by the reciprocity laws ---------------------------------
 
 
@@ -459,10 +475,7 @@ def prime_support_on_horizontal(curve, f, g):
 
     Raises NonIrreducibleBase when a base other than h shares a factor
     with h (see curve_resultant)."""
-    if curve.kind == INFINITY_SECTION:
-        curve = Curve.horizontal(T)
-        f, g = chart_swap(f), chart_swap(g)
-    return _horizontal_support(curve, f, g)[0]
+    return _horizontal_support(*affine_chart(curve, f, g))[0]
 
 
 def _horizontal_support(curve, f, g):
@@ -505,9 +518,7 @@ def points_on_horizontal(curve, f, g, seed=0):
     Most support primes divide a resultant Res(h, b) with a base b, so
     h mod p and b mod p share a factor, and the factoring starts from
     those common factors (see _points_over)."""
-    if curve.kind == INFINITY_SECTION:
-        curve = Curve.horizontal(T)
-        f, g = chart_swap(f), chart_swap(g)
+    curve, f, g = affine_chart(curve, f, g)
     primes, resultants = _horizontal_support(curve, f, g)
     for p in primes:
         if p >= PRIME_COORD_BOUND:

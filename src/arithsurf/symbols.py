@@ -15,8 +15,14 @@ function whose nu2 is multiplied by 0 is replaced by the constant ONE.  A
 horizontal flag still refuses a skipped function's base that shares a
 factor with the curve (NonIrreducibleBase).
 
-Vertical flags are exact and immediate.  A horizontal curve h = 0 with p
-prime to lc(h) is read at x through its reduction mod p:
+Vertical flags are exact and immediate: nu2 is an order of vanishing mod
+p, at the fiber-infinity point the order at t = infinity, -sum e deg(b mod
+p).  The infinity section is read by counting too: nu1 = -sum e deg(b), and
+at (p, infinity) nu2 is v_p of the leading coefficient at t = infinity.  So
+the second chart s = 1/t is used only for a horizontal curve h at its point
+at infinity (p | lc(h)), where the chart-swapped flag is finite and needs
+branch data.  A horizontal curve h = 0 with p prime to lc(h) is read at x
+through its reduction mod p:
 
   * when h is squarefree mod p, Z[t]/(h) is maximal at p and every branch
     is unramified, so x carries one branch of residue degree deg(x).  For
@@ -76,20 +82,19 @@ def rank2_vertical(f, p, point):
     """(nu1, nu2) of f at the flag (fiber over p, point).
 
     nu1 = v_p(unit); nu2 = order at the point of the mod-p reduction of
-    p^-nu1 f.  Fiber-infinity points reduce to the affine case in the
-    second chart.
+    p^-nu1 f.  At the fiber-infinity point that is the order at t = infinity,
+    -sum e * deg(b mod p).
     """
-    if point.at_infinity:
-        return rank2_vertical(chart_swap(f), p, chart_swap_point(point))
     nu1 = vertical_order(f, p)
-    pi = point.residue
     nu2 = 0
     for b, e in f.factors:
         bbar = ModPPoly.from_intpoly(b, p)
         if bbar.is_zero:
             raise NotExact(f"base {b} vanishes mod {p}, but a primitive polynomial cannot")
-        if bbar.degree >= 1:
-            nu2 += e * multiplicity(bbar, pi)
+        if point.at_infinity:
+            nu2 -= e * bbar.degree
+        elif bbar.degree >= 1:
+            nu2 += e * multiplicity(bbar, point.residue)
     return nu1, nu2
 
 
@@ -284,8 +289,8 @@ def _skipped(curve, fn):
     Branch data refuses a base of fn sharing a factor with the curve
     (curve_resultant raises NonIrreducibleBase); the refusal is kept here.
     Inside a law verification these are the resultants the prime support
-    already computed.  In the second chart of the infinity section every
-    base is a reversal prime to t, so there is nothing to refuse."""
+    already computed.  No base shares a factor with the infinity section,
+    so there is nothing to refuse on it."""
     if curve.kind == HORIZONTAL:
         for b, _ in fn.factors:
             if b != curve.h:
@@ -305,19 +310,30 @@ def vanishes_on_curve(curve, f, g):
     return True
 
 
+def _leading_valuation(fn, p):
+    """nu2 of fn at the flag (infinity section, p:inf): v_p of the leading
+    coefficient of fn at t = infinity, unit * prod lc(b)^e."""
+    return vp(fn.unit, p) + sum(e * vp(b.lc, p) for b, e in fn.factors)
+
+
 def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
     """Weighted symbol sum over the branches of the horizontal curve at x.
 
-    nu1 is the same in both charts, so it is taken before the chart swap."""
-    if vanishes_on_curve(curve, f, g):
-        return 0
+    The infinity section has one branch at each of its points, where nu2 is
+    _leading_valuation.  A horizontal curve is read at its point at infinity
+    in the second chart; nu1 is the same in both charts, so it is taken
+    before the chart swap."""
     nu1_f = horizontal_order(f, curve)
     nu1_g = horizontal_order(g, curve)
     if not nu1_g:
         f = _skipped(curve, f)
     if not nu1_f:
         g = _skipped(curve, g)
-    if curve.kind == INFINITY_SECTION or point.at_infinity:
+    if not (nu1_f or nu1_g):
+        return 0
+    if curve.kind == INFINITY_SECTION:
+        return det2(nu1_f, nu1_g, _leading_valuation(f, point.p), _leading_valuation(g, point.p))
+    if point.at_infinity:
         curve, point = chart_swap_curve(curve), chart_swap_point(point)
         f = f if f is ONE else chart_swap(f)
         g = g if g is ONE else chart_swap(g)

@@ -810,7 +810,7 @@ def test_oracle_takes_the_coordinate_path(monkeypatch):
     def general_path(*args, **kwargs):
         raise AssertionError("the window oracle left the coordinate path")
 
-    for name in ("gram_det", "project_off", "solve_coords"):
+    for name in ("gram_det", "solve_coords"):
         monkeypatch.setattr(centext, name, general_path)
     with mp.workprec(128):
         for f, g, window in oracle_pairs():

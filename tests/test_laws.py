@@ -199,11 +199,27 @@ def _law_report_digest(seed, size=600):
 @pytest.mark.parametrize("seed", sorted(LAW_REPORT_DIGESTS))
 def test_law_reports_match_their_digest(seed, monkeypatch):
     """A change meant to move no output leaves these digests alone."""
-    calls = []
+    calls, fiber_counts, infinity_counts = [], [], []
     real = symbols.padic_factor
     monkeypatch.setattr(symbols, "padic_factor", lambda *a, **k: calls.append(a) or real(*a, **k))
+    rank2, leading = symbols.rank2_vertical, symbols._leading_valuation
+
+    def count_fiber(fn, p, point):
+        if point.at_infinity:
+            fiber_counts.append(fn)
+        return rank2(fn, p, point)
+
+    def count_infinity(fn, p):
+        if fn is not symbols.ONE:
+            infinity_counts.append(fn)
+        return leading(fn, p)
+
+    monkeypatch.setattr(symbols, "rank2_vertical", count_fiber)
+    monkeypatch.setattr(symbols, "_leading_valuation", count_infinity)
     got = _law_report_digest(seed)
     assert len(calls) > 20  # the slice reaches the p-adic path
+    # and both counts at a point at infinity, each with a nonzero cofactor
+    assert len(fiber_counts) > 20 and len(infinity_counts) > 20
     assert got == LAW_REPORT_DIGESTS[seed], (
         f"the laws reports at seed {seed} moved; if that is meant, re-derive the digest "
         "with PYTHONPATH=src python -c \"import sys; sys.path.insert(0, 'tests'); "

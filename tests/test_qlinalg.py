@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,11 @@ from arithsurf.qlinalg import (
     matmul,
     matrix_inverse,
     matvec,
-    project_off,
     rank,
     rref,
     solve_coords,
     sum_space,
     unit_rows,
-    vsub,
 )
 
 Q = Fraction
@@ -110,13 +109,31 @@ def test_gram_det_scales_by_square():
     assert gram_det(scaled) == 9 * g1
 
 
-def test_project_off_is_orthogonal():
-    rows = [frac_vec([1, 1, 0])]
-    v = frac_vec([2, 0, 1])
-    w = project_off(v, rows)
-    # residual orthogonal to the span, and v - w back in the span
-    assert sum(w[i] * rows[0][i] for i in range(3)) == 0
-    assert rank(rows + [vsub(v, w)]) == rank(rows)
+def test_gram_det_off_a_subspace_is_the_projected_volume():
+    """Gram(I + X) = Gram(I) * Gram(X projected orthogonally off span I),
+    the identity centext's canonical norm reads its volumes from."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def project_off(v, rows):
+        # Gram-Schmidt on rows, then v less its component along each
+        ortho = []
+        for r in (*rows, v):
+            for o in ortho:
+                c = dot(r, o) / dot(o, o)
+                r = tuple(a - c * b for a, b in zip(r, o))
+            ortho.append(r)
+        return ortho[-1]
+
+    rng = random.Random(4)
+    for k, m in ((0, 2), (1, 1), (2, 2), (3, 1)):
+        rows = ()
+        while rank(rows) < k + m:  # independent rows, so no volume is 0
+            rows = [frac_vec([rng.randint(-3, 3) for _ in range(5)]) for _ in range(k + m)]
+        I, X = rows[:k], rows[k:]
+        W = [project_off(x, I) for x in X]
+        assert all(dot(w, r) == 0 for w in W for r in I)
+        assert gram_det(I + X) == gram_det(I) * gram_det(W) != 0
 
 
 def test_matvec_matches_manual():

@@ -113,6 +113,16 @@ def test_point_parse_and_labels():
         parse_point("5:t^2-1")  # reducible residue
 
 
+def test_label_parse_errors_report_the_offset_into_the_whole_label():
+    # the offset counts the H: or <p>: prefix and any leading blanks
+    cases = [(parse_curve, "H:t t", 4), (parse_curve, "  H:t t", 6), (parse_curve, "H:t^", 4),
+             (parse_point, "5: t t", 5), (parse_point, " 5:t t", 5), (parse_point, "7:2t^", 5)]
+    for parse, text, offset in cases:
+        with pytest.raises(ParseError) as refused:
+            parse(text)
+        assert refused.value.position == offset, (text, refused.value)
+
+
 def test_curve_and_point_labels_parse_back():
     rng = random.Random(21)
     curves = [Curve.infinity(), Curve.vertical(2), Curve.vertical(2**61 - 1)]

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp
 
 import arithsurf
-from arithsurf import symbols
+from arithsurf import surface, symbols
 from arithsurf.errors import (
     ArithsurfError,
     NonIrreducibleBase,
@@ -19,7 +19,7 @@ from arithsurf.errors import (
     ParseError,
     UnsupportedOrder,
 )
-from arithsurf.intpoly import parse_intpoly, resultant
+from arithsurf.intpoly import IntPoly, parse_intpoly, resultant
 from arithsurf.laws import (
     INCONCLUSIVE_ERRORS,
     verify_horizontal_law,
@@ -30,8 +30,10 @@ from arithsurf.modp import ModPPoly
 from arithsurf.padic import vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
+    HORIZONTAL,
     INFINITY_SECTION,
     VERTICAL,
+    ClosedPoint,
     Curve,
     chart_swap,
     chart_swap_curve,
@@ -239,6 +241,7 @@ def test_answer_guards_survive_python_O():
         "bad = NS(unit=Fraction(1), factors=((P('5*t+5'), 1),))\n"
         "calls = [\n"
         "    lambda: symbols.rank2_vertical(bad, 5, parse_point('5:t')),\n"
+        "    lambda: symbols.rank2_vertical(bad, 5, parse_point('5:inf')),\n"
         "    lambda: symbols._monic_point_residue(P('2*t^2+1'), parse_point('2:t+1')),\n"
         "    lambda: symbols._restriction_valuation(F('1*(t-7)^1'), h, factor, 20),\n"
         "    lambda: symbols.branch_decomposition(c, parse_point('5:t'), F('2'), F('3')),\n"
@@ -532,3 +535,111 @@ def test_a_skipped_function_still_refuses_a_base_sharing_a_factor_with_the_curve
             curve_point_symbol(c, pt, F(f), F("3"))
         with pytest.raises(NonIrreducibleBase, match="H:t\\^2\\+1"):
             curve_point_symbol(c, pt, F("3"), F(f))
+
+
+# -- the fiber and the infinity section at a point at infinity ------------------
+
+COUNT_PRIMES = (2, 3, 5, 7, 13, 2**61 - 1)
+
+
+def _counted_function(rng, p):
+    """A seeded function for the counts at (p, inf): its unit has p in the
+    numerator, the denominator or neither, and some of its bases have
+    p | lc(b)."""
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            lc = rng.choice((1, 2, -3, p, 2 * p, -p))
+            b = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))] + [lc])
+            try:
+                make_function(1, [(b, 1)])
+                break
+            except NonIrreducibleBase:
+                continue
+        factors.append((b, rng.choice((-2, -1, 1, 2))))
+    unit = Fraction(rng.choice((1, -1, 2, 3)) * p ** rng.randint(0, 2), p ** rng.randint(0, 2))
+    return make_function(unit, factors)
+
+
+def test_the_counts_at_a_point_at_infinity_equal_the_second_chart():
+    """nu2 on the fiber and on the infinity section at (p, inf), counted in
+    the first chart, against the same flags read at the origin of s = 1/t."""
+    rng = random.Random(2201)
+    t = parse_intpoly("t")
+    seen = Counter()
+    for i in range(900):
+        p = COUNT_PRIMES[i % len(COUNT_PRIMES)]
+        f, g = _counted_function(rng, p), _counted_function(rng, p)
+        x, origin = ClosedPoint(p), chart_swap_point(ClosedPoint(p))
+        sf, sg = chart_swap(f), chart_swap(g)
+        # the fiber: the order at t = infinity of f mod p, -sum e deg(b mod p)
+        fiber = rank2_vertical(f, p, x)
+        assert fiber == rank2_vertical(sf, p, origin)
+        # the infinity section: H:t in the second chart, with one branch
+        (branch,) = branch_decomposition(Curve.horizontal(t), origin, sf, sg)
+        leading = symbols._leading_valuation(f, p), symbols._leading_valuation(g, p)
+        assert leading == (branch.nu2_f, branch.nu2_g)
+        assert (curve_point_symbol(Curve.vertical(p), x, f, g)
+                == curve_point_symbol(Curve.vertical(p), origin, sf, sg))
+        assert (curve_point_symbol(Curve.infinity(), x, f, g)
+                == curve_point_symbol(Curve.horizontal(t), origin, sf, sg))
+        drops = any(b.lc % p == 0 for b, _ in f.factors)
+        seen[p, drops, fiber[1] != horizontal_order(f, Curve.infinity()), leading[0] != 0] += 1
+    for p in COUNT_PRIMES:
+        # a base through the point drops degree mod p and puts p in the
+        # leading coefficient; without one, the unit alone sets nu2
+        assert seen[p, True, True, True] and seen[p, False, False, True], seen
+        assert seen[p, False, False, False], seen
+
+
+def test_the_counts_swap_no_chart(monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for module in (surface, symbols):
+        for name in ("chart_swap", "chart_swap_curve", "chart_swap_point"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    cases = _wider_law_cases(7, 1500)
+    vertical = [case for case in cases if case[0] is verify_vertical_law]
+    for verify, p, f, g in vertical:
+        verify(p, f, g)
+    assert not calls and len(vertical) > 400
+    flags = Counter()
+    for verify, x, f, g in cases:
+        if verify is not verify_point_law or not x.at_infinity:
+            continue
+        for curve in curves_through_point(x, f, g):
+            calls.clear()
+            try:
+                outcome = "nonzero" if curve_point_symbol(curve, x, f, g) else "zero"
+            except INCONCLUSIVE_ERRORS:  # only an H:b flag has branch data to refuse
+                outcome = "inconclusive"
+            if curve.kind == HORIZONTAL:
+                # an H:b flag with p | lc(b) still takes its branches in s = 1/t
+                assert calls["chart_swap_curve"] == calls["chart_swap_point"] == 1
+            else:
+                assert not calls, (curve, x, f, g)
+            flags[curve.kind, outcome] += 1
+    assert flags[VERTICAL, "nonzero"] > 5 and flags[INFINITY_SECTION, "nonzero"] > 5, flags
+    assert not flags[VERTICAL, "inconclusive"] and not flags[INFINITY_SECTION, "inconclusive"]
+    assert sum(n for (kind, _), n in flags.items() if kind == HORIZONTAL) > 5, flags
+
+
+def test_a_base_divisible_by_t_is_counted_at_infinity():
+    # t^5+t = t (t^4+1) passes the degree <= 4 spot check; the second chart
+    # refuses it, and the counts read the sum of t and t^4+1
+    with pytest.raises(NonIrreducibleBase, match="origin"):
+        chart_swap(F("1*(t^5+t)^1"))
+    for p in (2, 3, 5):
+        x = ClosedPoint(p)
+        f, parts = F(f"{p} * (t^5+t)^1"), (F(f"{p} * (t)^1"), F("1*(t^4+1)^1"))
+        for curve, g in ((Curve.vertical(p), F(f"{p}")), (Curve.infinity(), F(f"{p} * (t)^1"))):
+            value = curve_point_symbol(curve, x, f, g)
+            assert value == sum(curve_point_symbol(curve, x, part, g) for part in parts)
+            assert value != 0
+        assert verify_point_law(x, f, F(f"{p} * (t)^1")).exact_sum == 0
