@@ -4,7 +4,7 @@ Exit codes: 0 pass, 1 law falsified or a pairing oracle that disagrees with
 its closed form, 2 usage / parse error, 3 unsupported input (factorization
 or window out of scope), 4 inconclusive (timeout, root finding or an
 evaluation below resolution).  Output is deterministic for a
-fixed (seed, config).
+fixed input and config (and, for selftest, a fixed --seed).
 """
 
 import argparse
@@ -120,9 +120,7 @@ def cmd_symbol(args):
         print("error: need --point or --embedding", file=sys.stderr)
         return EXIT_USAGE
     point = parse_point(args.point)
-    value = curve_point_symbol(
-        curve, point, f, g, start_precision=cfg.start_precision, seed=cfg.seed
-    )
+    value = curve_point_symbol(curve, point, f, g, start_precision=cfg.start_precision)
     doc = {
         "curve": curve.label(),
         "point": point.label(),
@@ -134,8 +132,7 @@ def cmd_symbol(args):
         doc["nu1"] = {"f": horizontal_order(f, curve), "g": horizontal_order(g, curve)}
         try:
             branches = branch_decomposition(
-                curve, point, f, g,
-                start_precision=cfg.start_precision, seed=cfg.seed,
+                curve, point, f, g, start_precision=cfg.start_precision
             )
         except ArithsurfError as exc:
             # the value was found without branch data, which it needs only

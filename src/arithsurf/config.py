@@ -17,7 +17,10 @@ class RunConfig:
     prec_bits: int = 128  # mpmath working precision for numeric sums
     start_precision: int = DEFAULT_PRECISION  # least p-adic digits
     tolerance: float = 1e-6  # pass threshold for numeric law sums
-    seed: int = 0  # seeds mod-p factorization tie-breaking and sampling
+    # No computation reads seed: every factorization is unique, so it chose
+    # only which random draws ran.  Law reports still print it in their
+    # config block, and callers still pass it.
+    seed: int = 0
 
     def __post_init__(self):
         if self.prec_bits < MIN_PREC_BITS:

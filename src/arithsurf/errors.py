@@ -35,8 +35,11 @@ class FactorizationTimeout(ArithsurfError):
 
 
 class UnsupportedOrder(ArithsurfError):
-    """The equation order is not p-maximal, or the curve/point data falls
-    outside the supported desk-scale class."""
+    """The curve/point data falls outside the supported desk-scale class:
+    p divides the leading coefficient of a curve of degree >= 2 at a finite
+    point, a support prime is not below 2^63, or a curve is of the wrong
+    kind for the request.  A non-maximal order is not refused: its branches
+    are the p-adic factors of the curve."""
 
 
 class RootFindingDivergence(ArithsurfError):

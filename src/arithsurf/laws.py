@@ -19,23 +19,28 @@ Verifiers return a LawReport; points or curves whose branch data cannot be
 certified (INCONCLUSIVE_ERRORS) mark the whole report inconclusive rather
 than guessing.  The p-adic precision is worked out from the point's data
 before factoring (see symbols.py), so running out of digits is not among
-them.  Branch data is computed only at flags where f or g has nonzero
-order along the curve, so a horizontal curve that is a base of neither
-function has every finite item 0 and is never refused for p | lc(h), a
-non-maximal order or an unsupported p-adic factorization; the point law
-still meets those refusals on the curves through the point, which are bases
-of f or g.
+them, and neither is a non-maximal order: its branches are the p-adic
+factors of the curve (see symbols.py).  What is left: p | lc(h) at a finite
+point of a curve of degree >= 2 and a support prime not below 2^63
+(UnsupportedOrder), a p-adic cluster outside padic's class
+(UnsupportedFactorization) and an integer rho cannot split in its budget
+(FactorizationTimeout).  Branch data is computed only at flags where f or g
+has nonzero order along the curve, so a horizontal curve that is a base of
+neither function has every finite item 0 and is never refused for p | lc(h)
+or an unsupported p-adic factorization; the point law still meets those
+refusals on the curves through the point, which are bases of f or g.
 
 Inside one verification the points share their local factorizations: each
 reduction mod p is factored once (`factor_mod_p`; the points of a curve
 over p and their branches read the same factorization of h mod p), each
 resultant of the curve with a base is taken once
 (`surface.curve_resultant`), and a monicized curve that is not squarefree
-mod p is tested for p-maximality (`dedekind_p_maximal`) and factored over
-Z_p (`padic_factor`) once per prime and precision, however many points
-lie over p.  A base that shares a factor with the curve is refused with
-NonIrreducibleBase wherever that zero resultant is taken (the prime
-support, or a branch read off the residues), not reported.  A factorization
+mod p is tested for p-maximality (`dedekind_p_maximal`, the check on the
+branches where it holds) and factored over Z_p (`padic_factor`) once per
+prime and precision, however many points lie over p.  A base that shares a
+factor with the curve is refused with NonIrreducibleBase wherever that zero
+resultant is taken (the prime support, or a branch read off the residues),
+not reported.  A factorization
 that raises is not stored.  Nothing is shared between verifications; see
 memo.py.  The horizontal law walks its points one support prime at a time
 (`points_on_horizontal` is lazy), so an inconclusive point stops the
@@ -79,12 +84,12 @@ class LawReport:
     f: str
     g: str
     items: list = field(default_factory=list)
+    verdict: str = "fail"
     exact_sum: int = None
     numeric_sum: str = None
-    verdict: str = "fail"
+    finite_part: dict = None
     reason: str = None
     note: str = None
-    finite_part: dict = None
     config: dict = None
 
     def add_item(self, place, value, branch=None, log_base=None, **extra):
@@ -96,27 +101,8 @@ class LawReport:
         self.items.append(item)
 
     def to_dict(self):
-        out = {
-            "law": self.law,
-            "subject": self.subject,
-            "f": self.f,
-            "g": self.g,
-            "items": self.items,
-            "verdict": self.verdict,
-        }
-        if self.exact_sum is not None:
-            out["exact_sum"] = self.exact_sum
-        if self.numeric_sum is not None:
-            out["numeric_sum"] = self.numeric_sum
-        if self.finite_part is not None:
-            out["finite_part"] = self.finite_part
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.note is not None:
-            out["note"] = self.note
-        if self.config is not None:
-            out["config"] = self.config
-        return out
+        """The fields in declaration order, leaving out those still None."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _config_dict(cfg):
@@ -142,8 +128,7 @@ def verify_point_law(point, f, g, config=None):
     for curve in curves_through_point(point, f, g):
         try:
             s = curve_point_symbol(
-                curve, point, f, g,
-                start_precision=cfg.start_precision, seed=cfg.seed,
+                curve, point, f, g, start_precision=cfg.start_precision
             )
         except INCONCLUSIVE_ERRORS as exc:
             report.verdict = "inconclusive"
@@ -168,7 +153,7 @@ def verify_vertical_law(p, f, g, config=None):
         config=_config_dict(cfg),
     )
     total = 0
-    for point in points_on_vertical(p, f, g, seed=cfg.seed):
+    for point in points_on_vertical(p, f, g):
         s = curve_point_symbol(fiber, point, f, g)
         d = point.degree
         report.add_item(
@@ -201,14 +186,13 @@ def verify_horizontal_law(curve, f, g, config=None):
 
     c_p = {}
     try:
-        points = points_on_horizontal(curve, f, g, seed=cfg.seed)
+        points = points_on_horizontal(curve, f, g)
         # every point lies on the curve, so no symbol is computed when it is
         # 0 at all of them
         zero = vanishes_on_curve(curve, f, g)
         for point in points:
             s = 0 if zero else curve_point_symbol(
-                curve, point, f, g,
-                start_precision=cfg.start_precision, seed=cfg.seed,
+                curve, point, f, g, start_precision=cfg.start_precision
             )
             report.add_item(
                 place=point.label(),

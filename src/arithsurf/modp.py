@@ -9,11 +9,12 @@ once, at the end of a sum, product or division, and returns a list in
 Factoring first strips the roots, with their multiplicities, by evaluating
 at every x in F_p when p <= ROOT_SCAN; a rootless cofactor of degree 2 or 3
 is irreducible.  The rest goes through squarefree decomposition (char-p
-aware; one gcd when gcd(f, f') = 1), distinct-degree splitting, then seeded
+aware; one gcd when gcd(f, f') = 1), distinct-degree splitting, then
 Cantor-Zassenhaus equal-degree splitting (trace construction for p = 2; its
-generator is built only when a block needs splitting), all on lists.  The
-distinct-degree split takes x^p by left-to-right squaring whose multiply
-step is a shift, and roots split by (x + delta)^((p-1)/2) the same way.
+generator is built only when a block needs splitting, seeded from p and the
+monic reduction), all on lists.  The distinct-degree split takes x^p by
+left-to-right squaring whose multiply step is a shift, and roots split by
+(x + delta)^((p-1)/2) the same way.
 For odd p, a monic squarefree quadratic met on the way (a squarefree
 block, a distinct-degree block of two roots, a two-root piece of the
 equal-degree split) skips the powering: Euler's criterion on its
@@ -478,13 +479,13 @@ def equal_degree_split(f, d, p, rng):
     return factors
 
 
-def factor_mod_p(h, p, seed=0, split=()):
+def factor_mod_p(h, p, split=()):
     """Factor a nonzero IntPoly (or ModPPoly) completely modulo p.
 
     Returns (unit, [(monic irreducible ModPPoly, exponent), ...]) with the
     factor list sorted by (degree, coefficients).  unit is the leading
-    coefficient in F_p of the reduction.  Deterministic for a fixed seed,
-    so a law verification factors each reduction once (see memo.py).
+    coefficient in F_p of the reduction.  The result is a function of
+    (h, p), so a law verification factors each reduction once (see memo.py).
 
     split holds integer or mod-p polynomials that may share factors with
     the reduction, such as the bases b with p | Res(h, b) on a horizontal
@@ -495,17 +496,17 @@ def factor_mod_p(h, p, seed=0, split=()):
     """
     f = ModPPoly.from_intpoly(h, p) if isinstance(h, IntPoly) else h
     unit, factors = shared(
-        ("factor_mod_p", f, p, seed), lambda: _factor_by_pieces(f, p, seed, split)
+        ("factor_mod_p", f, p), lambda: _factor_by_pieces(f, p, split)
     )
     return unit, list(factors)
 
 
-def _factor_by_pieces(f, p, seed, split):
+def _factor_by_pieces(f, p, split):
     """_factor_mod_p on f or, for p > ROOT_SCAN, on each piece that the
     gcds of the monic reduction with the polynomials in split cut it into
     (Euclid only, no powering), adding up the exponents of equal factors."""
     if not split or f.degree < 2 or p <= ROOT_SCAN:
-        return _factor_mod_p(f, p, seed)
+        return _factor_mod_p(f, p)
     pieces = [_monic(f.coeffs, p)]
     for b in split:
         bbar = _reduce(b.coeffs, p)
@@ -520,16 +521,16 @@ def _factor_by_pieces(f, p, seed, split):
                 cut.append(q)
         pieces = cut
     if len(pieces) < 2:
-        return _factor_mod_p(f, p, seed)
+        return _factor_mod_p(f, p)
     exponents = {}
     for q in pieces:
-        for irr, mult in _factor_mod_p(ModPPoly._reduced(p, q), p, seed)[1]:
+        for irr, mult in _factor_mod_p(ModPPoly._reduced(p, q), p)[1]:
             exponents[irr] = exponents.get(irr, 0) + mult
     ordered = sorted(exponents.items(), key=lambda fe: (fe[0].degree, fe[0].coeffs))
     return f.lc, tuple(ordered)
 
 
-def _factor_mod_p(f, p, seed):
+def _factor_mod_p(f, p):
     """factor_mod_p on the reduction f, with the factors as a tuple."""
     if f.is_zero:
         raise ZeroPolynomial(f"polynomial vanishes mod {p}")
@@ -556,7 +557,7 @@ def _factor_mod_p(f, p, seed):
                 result.extend((irr, mult) for irr in _split_quadratic(block, p))
                 continue
             if rng is None:
-                rng = random.Random((seed, p, tuple(fm)).__hash__() & 0x7FFFFFFF)
+                rng = random.Random((p, tuple(fm)).__hash__() & 0x7FFFFFFF)
             for irr in equal_degree_split(block, d, p, rng):
                 result.append((irr, mult))
     result.sort(key=lambda fe: (len(fe[0]), fe[0]))

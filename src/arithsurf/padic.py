@@ -253,17 +253,18 @@ def newton_slopes(h, p):
 # -- the factorization entry point ------------------------------------------
 
 
-def padic_factor(h, p, N=DEFAULT_PRECISION, seed=0):
+def padic_factor(h, p, N=DEFAULT_PRECISION):
     """Factor monic squarefree-over-Q h into irreducible factors over Z_p,
     each with certified (e, f), to precision at least p^N per factor.
 
     Raises UnsupportedFactorization for clusters outside the supported
-    class.  A law verification factors each (h, p, N) once (see memo.py).
+    class.  The result is a function of (h, p, N), so a law verification
+    factors each (h, p, N) once (see memo.py).
     """
-    return shared(("padic_factor", h, p, N, seed), lambda: _padic_factor(h, p, N, seed))
+    return shared(("padic_factor", h, p, N), lambda: _padic_factor(h, p, N))
 
 
-def _padic_factor(h, p, N, seed):
+def _padic_factor(h, p, N):
     if h.is_zero:
         raise ZeroPolynomial("cannot factor zero")
     if h.lc != 1:
@@ -272,7 +273,7 @@ def _padic_factor(h, p, N, seed):
     if disc == 0:
         raise NotExact(f"padic_factor requires squarefree input, got {h}")
     N += vp(disc, p) + 4
-    _, red_factors = factor_mod_p(h, p, seed=seed)
+    _, red_factors = factor_mod_p(h, p)
     factors = []
     clusters = []
     for pi, e in red_factors:
@@ -364,17 +365,17 @@ def _eisenstein_cluster(H, pi, p, N):
     return PadicFactor(poly, H.degree, 1, pi)
 
 
-def dedekind_p_maximal(h, p, seed=0):
+def dedekind_p_maximal(h, p):
     """Dedekind's criterion: is Z[t]/(h) maximal at p?  h monic irreducible.
 
     A law verification decides each (h, p) once (see memo.py)."""
-    return shared(("dedekind_p_maximal", h, p, seed), lambda: _dedekind_p_maximal(h, p, seed))
+    return shared(("dedekind_p_maximal", h, p), lambda: _dedekind_p_maximal(h, p))
 
 
-def _dedekind_p_maximal(h, p, seed):
+def _dedekind_p_maximal(h, p):
     if h.lc != 1:
         raise NotExact(f"the Dedekind criterion requires monic input, got {h}")
-    _, fs = factor_mod_p(h, p, seed=seed)
+    _, fs = factor_mod_p(h, p)
     gbar, hstar_bar = [1], [1]
     for pi, e in fs:
         gbar = _reduce(_mul(gbar, pi.coeffs), p)

@@ -2,8 +2,10 @@
 
 Division by the primes below SMALL_PRIME_BOUND; a cofactor below its square
 is then prime.  Any larger cofactor is tested with Miller-Rabin and, when
-composite, split by Brent's variant of Pollard rho (Brent 1980) with a
-step budget.  Primality: deterministic Miller-Rabin below 2^64 (known
+composite, for an exact k-th power (rho modulo a prime p needs about
+sqrt(p) steps, so it cannot split the square of a large prime); a composite
+that is no power is split by Brent's variant of Pollard rho (Brent 1980)
+with a step budget.  Primality: deterministic Miller-Rabin below 2^64 (known
 witness set), 64 pseudorandom rounds above.
 """
 
@@ -91,6 +93,28 @@ def _brent_rho(n, rng, budget):
     return g if g != n else None
 
 
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m):
+    """(r, k) with m = r^k for a prime k, or None.  Every prime factor of m
+    is at least SMALL_PRIME_BOUND > 2^9, so k <= log2(m) / 9."""
+    for k in _SMALL_PRIMES:
+        if 9 * k > m.bit_length():
+            return None
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factor_integer(n, budget=2_000_000):
     """Factor a nonzero integer; returns (sign, [(prime, exponent), ...]).
 
@@ -113,14 +137,16 @@ def factor_integer(n, budget=2_000_000):
         # up to its square root.
         factors[n] = 1
         n = 1
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (cofactor, its exponent in n)
     rng = None  # seeded on first use: most inputs never reach rho
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, e = stack.pop()
         if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            stack.append((power[0], power[1] * e))
             continue
         if rng is None:
             rng = random.Random(0x5EED)
@@ -132,6 +158,6 @@ def factor_integer(n, budget=2_000_000):
             d = None
         if d is None:
             raise FactorizationTimeout(f"rho budget exhausted on {m}")
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, e))
+        stack.append((m // d, e))
     return sign, sorted(factors.items())

@@ -435,7 +435,7 @@ def curves_through_point(point, f, g):
     return out
 
 
-def points_on_vertical(p, f, g, seed=0):
+def points_on_vertical(p, f, g):
     """Support of f and g on the fiber over p: the mod-p irreducible factors
     of the bases plus the fiber-infinity point."""
     infinity = ClosedPoint(p)  # checks p before any factoring
@@ -445,7 +445,7 @@ def points_on_vertical(p, f, g, seed=0):
             bbar = ModPPoly.from_intpoly(b, p)
             if bbar.degree < 1:
                 continue
-            _, fs = factor_mod_p(bbar, p, seed=seed)
+            _, fs = factor_mod_p(bbar, p)
             for pi, _ in fs:
                 residues.add(pi)
     points = [ClosedPoint._of_factor(p, pi) for pi in residues]
@@ -503,7 +503,7 @@ def _horizontal_support(curve, f, g):
     return sorted(primes), resultants
 
 
-def points_on_horizontal(curve, f, g, seed=0):
+def points_on_horizontal(curve, f, g):
     """Closed points of a horizontal curve in the support of f or g, as an
     iterator in ClosedPoint.sort_key order.
 
@@ -523,10 +523,10 @@ def points_on_horizontal(curve, f, g, seed=0):
     for p in primes:
         if p >= PRIME_COORD_BOUND:
             raise UnsupportedOrder(f"support prime {p} is not below 2^63")
-    return _points_over(curve.h, primes, resultants, seed)
+    return _points_over(curve.h, primes, resultants)
 
 
-def _points_over(h, primes, resultants, seed):
+def _points_over(h, primes, resultants):
     """The points of h = 0 over each prime in turn (primes sorted).
 
     resultants maps each base b != h to Res(h, b).  The bases b with
@@ -539,7 +539,7 @@ def _points_over(h, primes, resultants, seed):
         hbar = ModPPoly.from_intpoly(h, p)
         if hbar.degree >= 1:
             split = [b for b, res in resultants.items() if res % p == 0]
-            _, fs = factor_mod_p(hbar, p, seed=seed, split=split)
+            _, fs = factor_mod_p(hbar, p, split=split)
             points.extend(ClosedPoint._of_factor(p, pi) for pi, _ in fs)
         if h.lc % p == 0:
             points.append(ClosedPoint(p))

@@ -33,10 +33,16 @@ through its reduction mod p:
     branches.  Res(h, b) is the one `prime_support_on_horizontal` computed.
     A degree-one curve is the case deg(x) = 1 with a single point over p.
   * otherwise (a non-squarefree reduction, or a base meeting two points
-    over p) each p-adic factor of hm = monicize(h) is a branch, and nu2
-    comes from resultants against the factor's coefficient lift, known to
-    more digits than any v_p(Res(h, b)); padic works out the digits its
-    own factorization needs on top of that.
+    over p) each p-adic factor of hm = monicize(h) over the point is a
+    branch, whether or not Z[t]/(h) is maximal at p: the primes of the
+    ring of integers over p are the p-adic factors of hm (Neukirch, ANT
+    II.8.2), and padic certifies each one's (e, f).  nu2 comes from
+    resultants against the factor's coefficient lift, known to more digits
+    than any v_p(Res(h, b)); padic works out the digits its own
+    factorization needs on top of that.  Where Dedekind's criterion says
+    Z[t]/(h) is maximal at p, Dedekind-Kummer predicts the branches (one,
+    with e the multiplicity of the point's residue in h mod p and
+    f = deg(x)), and the factorization is checked against it.
 """
 
 from dataclasses import dataclass
@@ -225,15 +231,19 @@ def _least_precision(h, point, f, g):
     return 1 + reach
 
 
-def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
+def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION):
     """Analytic branches of the horizontal curve at the point, with the
     nu2 valuations of f and g on each branch.
 
     A squarefree reduction mod p decides the point's one branch from the
     residues (see _residue_branch); every other case factors monicize(h)
     over Z_p once, with at least start_precision digits and at least the
-    N0 of _least_precision.  Raises UnsupportedOrder for curves it cannot
-    certify (p | lc with degree >= 2, non p-maximal orders) and
+    N0 of _least_precision.  The p-adic factors over the point are its
+    branches whether or not Z[t]/(h) is maximal at p.  Where it is (a
+    squarefree reduction, or Dedekind's criterion), Dedekind-Kummer
+    fixes them: one branch with e the multiplicity of the point's residue
+    in h mod p and f = deg(x); any other answer raises NotExact.  Raises
+    UnsupportedOrder for p | lc with degree >= 2 and
     UnsupportedFactorization for clusters outside padic's class.
     """
     h = curve.h
@@ -246,7 +256,7 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
         raise UnsupportedOrder(
             f"p = {p} divides the leading coefficient of {h} (degree >= 2)"
         )
-    _, reduction = factor_mod_p(h, p, seed=seed)
+    _, reduction = factor_mod_p(h, p)
     squarefree = all(e == 1 for _, e in reduction)
     if squarefree:
         # maximal at p (Dedekind), every branch unramified
@@ -254,14 +264,11 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
         if branch is not None:
             return [branch]
     hm = h.monicize()
-    if not squarefree and not dedekind_p_maximal(hm, p, seed=seed):
-        raise UnsupportedOrder(
-            f"Z[t]/({hm}) is not maximal at {p}; branch data uncertified"
-        )
+    maximal = squarefree or dedekind_p_maximal(hm, p)
     pi_hat = _monic_point_residue(h, point)
     N = max(start_precision, _least_precision(h, point, f, g))
     branches = []
-    for factor in padic_factor(hm, p, N=N, seed=seed).factors:
+    for factor in padic_factor(hm, p, N=N).factors:
         if factor.residue != pi_hat:
             continue
         if factor.f % point.degree:
@@ -280,6 +287,13 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION, 
         )
     if not branches:
         raise NotExact(f"incident point {point.label()} carries no branch")
+    shape = [(br.e, br.f) for br in branches]
+    kummer = [(dict(reduction)[point.residue], point.degree)]
+    if maximal and shape != kummer:
+        raise NotExact(
+            f"Z[t]/({hm}) is maximal at {p}, so the branches (e, f) over "
+            f"{point.label()} are {kummer} (Dedekind-Kummer), not {shape}"
+        )
     return branches
 
 
@@ -316,7 +330,7 @@ def _leading_valuation(fn, p):
     return vp(fn.unit, p) + sum(e * vp(b.lc, p) for b, e in fn.factors)
 
 
-def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
+def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION):
     """Weighted symbol sum over the branches of the horizontal curve at x.
 
     The infinity section has one branch at each of its points, where nu2 is
@@ -338,22 +352,18 @@ def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION
         f = f if f is ONE else chart_swap(f)
         g = g if g is ONE else chart_swap(g)
     total = 0
-    for br in branch_decomposition(
-        curve, point, f, g, start_precision=start_precision, seed=seed
-    ):
+    for br in branch_decomposition(curve, point, f, g, start_precision=start_precision):
         total += br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
     return total
 
 
-def curve_point_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION, seed=0):
+def curve_point_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION):
     """nu_{C,x}(f, g): the branch-weighted rank-2 symbol at the flag."""
     if not incident(curve, point):
         raise ParseError(f"point {point} does not lie on curve {curve}")
     if curve.kind == VERTICAL:
         return vertical_flag_symbol(curve.p, point, f, g)
-    return horizontal_flag_symbol(
-        curve, point, f, g, start_precision=start_precision, seed=seed
-    )
+    return horizontal_flag_symbol(curve, point, f, g, start_precision=start_precision)
 
 
 # -- archimedean symbol -------------------------------------------------------

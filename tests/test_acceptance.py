@@ -167,7 +167,7 @@ def test_criterion_8_exact_arith():
         p = primes[rng.randrange(len(primes))]
         d = rng.randint(1, 6)
         h = ModPPoly(p, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
-        unit, fac = factor_mod_p(h, p, seed=i)
+        unit, fac = factor_mod_p(h, p)
         prod = ModPPoly(p, [unit])
         for piece, e in fac:
             if piece.lc != 1 or not is_irreducible_modp(piece):

@@ -41,6 +41,11 @@ CASES = {
                                   "--f", "1*(t^2+1)^1", "--g", "1*(t-1)^1"],
     "symbol_eisenstein": ["symbol", "--curve", "H:t^3-3*t^2-3*t+3", "--point", "3:t",
                           "--f", "1*(t^3-3*t^2-3*t+3)^1", "--g", "3*(t-3)^1"],
+    # Z[t]/(t^2+3) is not maximal at 2, and 2 is inert in Q(sqrt -3): one
+    # branch with e = 1, f = 2 and weight 2, where nu2(2) = 1 against
+    # nu1(f) = 1, so the value is 2.
+    "symbol_inert_non_maximal": ["symbol", "--curve", "H:t^2+3", "--point", "2:t+1",
+                                 "--f", "1*(t^2+3)^1", "--g", "2"],
     "selftest": ["selftest", "--seed", "42", "--cases", "2"],
 }
 

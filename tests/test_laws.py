@@ -15,6 +15,7 @@ from arithsurf.cli import main
 from arithsurf.config import RunConfig, default_config
 from arithsurf.errors import ArithsurfError, NonIrreducibleBase, ParseError, UnsupportedOrder
 from arithsurf.laws import (
+    LawReport,
     verify_horizontal_law,
     verify_point_law,
     verify_vertical_law,
@@ -44,6 +45,16 @@ def test_point_law_unsupported_is_inconclusive():
     r = verify_point_law(parse_point("2:t+1"), F("1*(2*t^2+t+1)^1"), F("3"))
     assert r.verdict == "inconclusive"
     assert "UnsupportedOrder" in r.reason
+
+
+def test_point_law_at_a_non_maximal_flag_passes():
+    # Z[t]/(t^2+3) is not maximal at 2; the fiber reads -2 (nu1(2) = 1 against
+    # the order 2 of (t+1)^2) and the inert branch of the curve +2
+    r = verify_point_law(parse_point("2:t+1"), F("1*(t^2+3)^1"), F("2"))
+    assert r.verdict == "pass" and r.exact_sum == 0
+    assert [(i["branch"], i["value"]) for i in r.items] == [("V:2", -2), ("H:t^2+3", 2)]
+    assert main(["verify", "point", "--point", "2:t+1", "--f", "1*(t^2+3)^1",
+                 "--g", "2"]) == 0
 
 
 def test_point_law_reads_an_eisenstein_curve_at_one_least_digit():
@@ -116,6 +127,18 @@ def test_report_schema_and_json():
     json.dumps(doc)  # serializable
 
 
+def test_report_prints_its_fields_in_a_fixed_order():
+    # the text format prints the keys in this order; a None field is left out
+    order = ["law", "subject", "f", "g", "items", "verdict", "exact_sum", "numeric_sum",
+             "finite_part", "reason", "note", "config"]
+    full = LawReport(*order[:4], items=[], verdict="pass", exact_sum=0, numeric_sum="0",
+                     finite_part={}, reason="r", note="n", config={})
+    assert list(full.to_dict()) == order
+    r = verify_horizontal_law(parse_curve("INF"), F("1*(2*t-1)^1"), F("2"))
+    assert list(r.to_dict()) == ["law", "subject", "f", "g", "items", "verdict",
+                                 "numeric_sum", "finite_part", "note", "config"]
+
+
 def test_randomized_all_three_laws():
     rng = random.Random(20260826)
     cfg = default_config()
@@ -174,8 +197,8 @@ def test_horizontal_law_refuses_vertical_curves():
 # sha256 over the first 600 cases of the benchmark's `laws` pool, one line per
 # case: the sorted JSON of its report, or its typed refusal
 LAW_REPORT_DIGESTS = {
-    1: "c279f516587f2d0afd4c54713c71137fb024694b540f988fc20574731498f5d2",
-    7: "e38074645e0df03026eca1af397da152590f6df12e137c8a70b08dee9ec3904c",
+    1: "1d18990fa1f273a0451bc58aefefb8fa733e7674221b76767e2d7732ae6f0e0e",
+    7: "18295a7546af64705b6c732993bff6ef024ea0643a4a02159c2dcc5f8bb8b871",
 }
 
 

@@ -33,13 +33,13 @@ def _count_bodies(monkeypatch):
     runs = Counter()
     factor_body, padic_body = modp._factor_mod_p, padic._padic_factor
 
-    def factor(f, p, seed):
-        runs["factor_mod_p", f, p, seed] += 1
-        return factor_body(f, p, seed)
+    def factor(f, p):
+        runs["factor_mod_p", f, p] += 1
+        return factor_body(f, p)
 
-    def lift(h, p, N, seed):
+    def lift(h, p, N):
         runs["padic_factor", h, p, N] += 1
-        return padic_body(h, p, N, seed)
+        return padic_body(h, p, N)
 
     monkeypatch.setattr(modp, "_factor_mod_p", factor)
     monkeypatch.setattr(padic, "_padic_factor", lift)
@@ -51,9 +51,9 @@ def test_horizontal_law_factors_once_per_prime(monkeypatch):
     asked = Counter()
     public = padic.padic_factor
 
-    def ask(h, p, N=padic.DEFAULT_PRECISION, seed=0):
+    def ask(h, p, N=padic.DEFAULT_PRECISION):
         asked[h, p, N] += 1
-        return public(h, p, N=N, seed=seed)
+        return public(h, p, N=N)
 
     monkeypatch.setattr(symbols, "padic_factor", ask)
     report = verify_horizontal_law(*CLUSTERED)
@@ -98,7 +98,7 @@ def test_nothing_is_reused_outside_a_verification(monkeypatch):
         modp.factor_mod_p(h, 257)
         padic.padic_factor(h, 257)
     # two calls of its own and two from inside padic_factor
-    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257, 0] == 4
+    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257] == 4
     assert runs["padic_factor", h, 257, padic.DEFAULT_PRECISION] == 2
     assert memo._MEMO.get() is None
 
@@ -118,8 +118,8 @@ def test_factor_lists_are_fresh_and_errors_are_not_stored(monkeypatch):
         return second
 
     assert len(verify()) == 4
-    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257, 0] == 1
-    assert runs["factor_mod_p", modp.ModPPoly(5), 5, 0] == 2
+    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257] == 1
+    assert runs["factor_mod_p", modp.ModPPoly(5), 5] == 2
 
 
 def test_memo_is_reset_after_a_verification_that_raises(monkeypatch):
@@ -139,7 +139,7 @@ def test_memo_is_reset_after_a_verification_that_raises(monkeypatch):
         verify_horizontal_law(parse_curve("V:5"), F("2"), F("3"))
     assert memo._MEMO.get() is None
     modp.factor_mod_p(h, 257)
-    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257, 0] == 2
+    assert runs["factor_mod_p", modp.ModPPoly(257, h.coeffs), 257] == 2
 
 
 def _population(seed, cases):

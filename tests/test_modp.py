@@ -33,7 +33,7 @@ def test_factor_round_trip(pi, data):
     p = PRIMES[pi]
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     h = rand_poly(rng, p, rng.randint(1, 6))
-    unit, fac = factor_mod_p(h, p, seed=7)
+    unit, fac = factor_mod_p(h, p)
     prod = ModPPoly(p, [unit])
     for pi_poly, e in fac:
         assert pi_poly.lc == 1
@@ -46,14 +46,14 @@ def test_factor_round_trip(pi, data):
 def test_factor_fixture_split():
     # t^2+1 mod 5 = (t+2)(t+3)
     h = ModPPoly.from_intpoly(parse_intpoly("t^2+1"), 5)
-    _, fac = factor_mod_p(h, 5, seed=0)
+    _, fac = factor_mod_p(h, 5)
     assert sorted(str(f.to_intpoly()) for f, _ in fac) == ["t+2", "t+3"]
     assert all(e == 1 for _, e in fac)
 
 
 def test_factor_fixture_inert():
     h = ModPPoly.from_intpoly(parse_intpoly("t^2+1"), 3)
-    _, fac = factor_mod_p(h, 3, seed=0)
+    _, fac = factor_mod_p(h, 3)
     assert len(fac) == 1 and fac[0][1] == 1
     assert fac[0][0].degree == 2
 
@@ -61,15 +61,15 @@ def test_factor_fixture_inert():
 def test_factor_fixture_ramified():
     # t^2+1 = (t+1)^2 mod 2
     h = ModPPoly.from_intpoly(parse_intpoly("t^2+1"), 2)
-    _, fac = factor_mod_p(h, 2, seed=0)
+    _, fac = factor_mod_p(h, 2)
     assert len(fac) == 1
     assert str(fac[0][0].to_intpoly()) == "t+1" and fac[0][1] == 2
 
 
 def test_factor_seed_determinism():
     h = ModPPoly.from_intpoly(parse_intpoly("t^6+t^3+2*t+5"), 13)
-    a = factor_mod_p(h, 13, seed=123)
-    b = factor_mod_p(h, 13, seed=123)
+    a = factor_mod_p(h, 13)
+    b = factor_mod_p(h, 13)
     assert a == b
 
 
@@ -193,9 +193,9 @@ def test_linear_and_constant_inputs_skip_the_pipeline(monkeypatch):
 
     monkeypatch.setattr(modp, "squarefree_decomposition", pipeline)
     f = ModPPoly(7, [3, 5])  # 5t + 3 = 5 (t + 2) mod 7
-    assert modp._factor_mod_p(f, 7, 0) == (5, ((ModPPoly(7, [2, 1]), 1),))
+    assert modp._factor_mod_p(f, 7) == (5, ((ModPPoly(7, [2, 1]), 1),))
     assert factor_mod_p(f, 7) == (5, [(ModPPoly(7, [2, 1]), 1)])
-    assert modp._factor_mod_p(ModPPoly(7, [4]), 7, 0) == (4, ())
+    assert modp._factor_mod_p(ModPPoly(7, [4]), 7) == (4, ())
 
 
 def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
@@ -248,7 +248,7 @@ def test_factor_mod_p_matches_sympy(p):
         expected = sorted(
             ([int(c) % p for c in reversed(sympy.Poly(g, t).all_coeffs())], e) for g, e in factors
         )
-        unit, got = factor_mod_p(f, p, seed=3)
+        unit, got = factor_mod_p(f, p)
         assert unit == int(lc) % p, f
         assert [(list(pi.coeffs), e) for pi, e in got] == sorted(expected, key=lambda fe: (len(fe[0]), fe)), f
         if f.degree >= 2:
@@ -268,7 +268,7 @@ SPLIT_INPUTS = (
 
 @pytest.mark.parametrize("h, p, expected", SPLIT_INPUTS)
 def test_split_inputs_keep_their_factors(h, p, expected):
-    unit, got = factor_mod_p(parse_intpoly(h), p, seed=5)
+    unit, got = factor_mod_p(parse_intpoly(h), p)
     assert unit == 1 and [(list(pi.coeffs), e) for pi, e in got] == expected
 
 
@@ -303,14 +303,15 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
     assert seeds == []
     # above ROOT_SCAN, two roots split by a square root and draw nothing
     assert modp.ROOT_SCAN < 401
-    assert factor_mod_p(parse_intpoly("t^2+1"), 401, seed=4)[1] == [
+    assert factor_mod_p(parse_intpoly("t^2+1"), 401)[1] == [
         (ModPPoly(401, [20, 1]), 1), (ModPPoly(401, [381, 1]), 1)]
     assert seeds == []
-    # three roots need an equal-degree draw: the generator is seeded as before, once
+    # three roots need an equal-degree draw: the generator is seeded once, from p
+    # and the monic coefficients
     fm = (395, 11, 395, 1)  # (t-1)(t-2)(t-3) mod 401
-    assert factor_mod_p(ModPPoly(401, fm), 401, seed=4)[1] == [
+    assert factor_mod_p(ModPPoly(401, fm), 401)[1] == [
         (ModPPoly(401, [398, 1]), 1), (ModPPoly(401, [399, 1]), 1), (ModPPoly(401, [400, 1]), 1)]
-    assert seeds == [(4, 401, fm).__hash__() & 0x7FFFFFFF]
+    assert seeds == [(401, fm).__hash__() & 0x7FFFFFFF]
 
 
 # -- square roots and the pieces cut by a base -----------------------------------
@@ -382,8 +383,8 @@ def test_split_factorization_matches_unsplit_and_sympy(p):
         hbar, bbar = ModPPoly.from_intpoly(h, p), ModPPoly.from_intpoly(b, p)
         piece = gcd_modp(hbar, bbar)
         assert 1 <= piece.degree
-        unsplit = factor_mod_p(h, p, seed=3)
-        assert factor_mod_p(h, p, seed=3, split=[b]) == unsplit, (h, b)
+        unsplit = factor_mod_p(h, p)
+        assert factor_mod_p(h, p, split=[b]) == unsplit, (h, b)
         lc, factors = sympy.factor_list(sympy.Poly(list(reversed(h.coeffs)), t), modulus=p)
         expected = sorted(
             ([int(c) % p for c in reversed(sympy.Poly(g, t).all_coeffs())], e) for g, e in factors

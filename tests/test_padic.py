@@ -297,7 +297,7 @@ def test_eisenstein_cluster_needs_a_linear_residue():
 
 def test_dedekind_refuses_factors_that_do_not_multiply_back(monkeypatch):
     # (t+1)^2 = t^2+2t+1 is not t^2+1 mod 3
-    monkeypatch.setattr(padic, "factor_mod_p", lambda h, p, seed=0: (1, [(ModPPoly(3, [1, 1]), 2)]))
+    monkeypatch.setattr(padic, "factor_mod_p", lambda h, p: (1, [(ModPPoly(3, [1, 1]), 2)]))
     with pytest.raises(NotExact, match="multiply back"):
         dedekind_p_maximal(parse_intpoly("t^2+1"), 3)
 
@@ -337,7 +337,7 @@ def test_padic_and_surface_refusals_survive_python_O():
         "refused(UnsupportedOrder, lambda: prime_support_on_horizontal(Curve.vertical(5), one, one))\n"
         "padic._sqrt_mod_p = lambda a, p: 1\n"
         "refused(NotExact, lambda: padic.padic_unit_sqrt(2, 7, 10))\n"
-        "padic.factor_mod_p = lambda h, p, seed=0: (1, [(M(3, [1, 1]), 2)])\n"
+        "padic.factor_mod_p = lambda h, p: (1, [(M(3, [1, 1]), 2)])\n"
         "refused(NotExact, lambda: padic.dedekind_p_maximal(P('t^2+1'), 3))\n"
         "padic.padic_square_class = lambda d, p, N: ('square', 0)\n"
         "padic.padic_unit_sqrt = lambda u, p, N: 1\n"

@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithsurf import primes
+from arithsurf.intpoly import IntPoly
 from arithsurf.primes import factor_integer, is_prime
+from arithsurf.surface import make_function
 
 
 def test_is_prime_small_table():
@@ -91,3 +94,48 @@ def test_factor_integer_matches_sympy_on_mid_size_factors():
 def test_factor_integer_matches_sympy_on_fixed_inputs(n):
     assert factor_integer(n) == _reference(n)
     assert factor_integer(-n) == (-1, _reference(n)[1])
+
+
+# -- perfect powers, which rho cannot split ------------------------------------
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("n, expected", [
+    (MERSENNE_61**2, [(MERSENNE_61, 2)]),
+    ((10**12 + 39) ** 3, [(10**12 + 39, 3)]),
+    (MERSENNE_61**2 * (10**9 + 7), [(10**9 + 7, 1), (MERSENNE_61, 2)]),
+])
+def test_a_large_prime_power_is_found_as_a_power(n, expected):
+    start = time.perf_counter()
+    assert factor_integer(n) == (1, expected)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_curve_with_a_prime_square_coefficient_is_built_quickly():
+    # the irreducibility spot check factors the leading coefficient
+    start = time.perf_counter()
+    fn = make_function(1, [(IntPoly([1, 3, MERSENNE_61**2]), 1)])
+    assert fn.factors == ((IntPoly([1, 3, MERSENNE_61**2]), 1),)
+    assert time.perf_counter() - start < 1
+
+
+def test_factor_integer_matches_sympy_on_prime_powers():
+    # small and mid-size prime powers (rho finds those) times one power of a
+    # prime up to 2^61, which only the power test finds
+    rng = random.Random(20261020)
+    small = [q for q in range(2, 1000) if is_prime(q)]
+    for _ in range(40):
+        n = 1
+        for _ in range(rng.randint(0, 3)):
+            n *= rng.choice(small) ** rng.randint(1, 4)
+        for _ in range(rng.randint(0, 2)):
+            q = rng.randrange(10**3, 10**6)
+            while not is_prime(q):
+                q += 1
+            n *= q ** rng.randint(1, 3)
+        q = rng.randrange(10**9, 2**61)
+        while not is_prime(q):
+            q += 1
+        n *= q ** rng.randint(1, 5)
+        assert factor_integer(n) == _reference(n), n

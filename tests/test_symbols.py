@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from arithsurf.laws import (
     verify_vertical_law,
 )
 from arithsurf.modp import ModPPoly
-from arithsurf.padic import vp
+from arithsurf.padic import dedekind_p_maximal, vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
     HORIZONTAL,
@@ -224,8 +225,46 @@ def test_branch_decomposition_checks_the_p_adic_factors(monkeypatch):
         branch_decomposition(c, pt, f, g)
 
 
+def test_a_non_maximal_flag_reads_its_branches_off_the_p_adic_factors():
+    # Z[t]/(t^2+3) = Z[sqrt -3] is not maximal at 2, where t^2+3 = (t+1)^2;
+    # -3 = 5 mod 8, so 2 is inert in Q(sqrt -3): one branch, e = 1, f = 2,
+    # weight f / deg(x) = 2, and nu2(2) = 1 on it
+    c, pt = parse_curve("H:t^2+3"), parse_point("2:t+1")
+    assert not dedekind_p_maximal(c.h, 2)
+    f, g = F("1*(t^2+3)^1"), F("2")
+    bs = branch_decomposition(c, pt, f, g)
+    assert [(b.e, b.f, b.weight, b.nu2_g) for b in bs] == [(1, 2, 2, 1)]
+    assert curve_point_symbol(c, pt, f, g) == 2
+    # t^2+15 = (t+1)^2 mod 2 too, and -15 = 1 mod 8 splits it over Z_2 into
+    # t - r and t + r; (r - 1)(-r - 1) = 16, with one factor 2 times a unit,
+    # so nu2(t-1) is 3 on one branch and 1 on the other
+    c, g = parse_curve("H:t^2+15"), F("1*(t-1)^1")
+    assert not dedekind_p_maximal(c.h, 2)
+    bs = branch_decomposition(c, pt, F("1*(t^2+15)^1"), g)
+    assert [(b.e, b.f, b.weight) for b in bs] == [(1, 1, 1)] * 2
+    assert sorted(b.nu2_g for b in bs) == [1, 3]
+    assert curve_point_symbol(c, pt, F("1*(t^2+15)^1"), g) == 4
+    assert vp(resultant(c.h, parse_intpoly("t-1")), 2) == 4
+
+
+def test_a_maximal_flag_is_checked_against_dedekind_kummer(monkeypatch):
+    # Z[i] is maximal at 2, so the point 2:t+1 of t^2+1 = (t+1)^2 carries one
+    # branch with e = 2 and f = 1; a factorization saying otherwise is refused
+    c, pt, f, g = parse_curve("H:t^2+1"), parse_point("2:t+1"), F("1*(t^2+1)^1"), F("1*(t-1)^1")
+    assert [(b.e, b.f) for b in branch_decomposition(c, pt, f, g)] == [(2, 1)]
+    real = symbols.padic_factor
+
+    def unramified(*args, **kwargs):
+        return SimpleNamespace(factors=[replace(x, e=1) for x in real(*args, **kwargs).factors])
+
+    monkeypatch.setattr(symbols, "padic_factor", unramified)
+    with pytest.raises(NotExact, match="Dedekind-Kummer"):
+        branch_decomposition(c, pt, f, g)
+
+
 def test_answer_guards_survive_python_O():
     script = (
+        "from dataclasses import replace\n"
         "from fractions import Fraction\n"
         "from types import SimpleNamespace as NS\n"
         "from mpmath import mp\n"
@@ -259,6 +298,15 @@ def test_answer_guards_survive_python_O():
         "        continue\n"
         "    raise SystemExit('unguarded')\n"
         "symbols.curve_resultant = real_resultant\n"
+        "real_factor = symbols.padic_factor\n"
+        "symbols.padic_factor = lambda *args, **kwargs: NS(\n"
+        "    factors=[replace(x, e=1) for x in real_factor(*args, **kwargs).factors])\n"
+        "try:\n"
+        "    symbols.branch_decomposition(c, pt, F('1*(t^2+1)^1'), F('1*(t-1)^1'))\n"
+        "except ArithsurfError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('unguarded')\n"
         "symbols.padic_factor = lambda *args, **kwargs: NS(factors=[])\n"
         "roots.all_roots = lambda h, prec: [mp.mpf(1)]\n"
         "for call in (lambda: symbols.branch_decomposition(c, pt, F('3'), F('1*(t)^1')),\n"
