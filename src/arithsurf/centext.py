@@ -28,24 +28,27 @@ scans its rows once (qlinalg.coordinate_support).  No other row set is
 scanned.  pair_data of two coordinate lattices carries the decision on: the
 pair is the index tuples of the intersection and of both canonical quotient
 bases, and pd.coordinate says so.  Everything else reads the decision (the
-one test _indexed, or pd.coordinate) or runs the general Gaussian
-elimination; both give the same Fraction, so every QSqrt downstream is the
-same.
+one test _indexed, or pd.coordinate) or runs the general elimination; both
+give the same Fraction, so every QSqrt downstream is the same.
 
-On a coordinate pair a determinant between unit rows named by their indices
-is the sign of a permutation (_index_det), and the unit of (A|B) has norm
-exactly 1, so the contraction scalar reads no row.  On a coordinate triple
-the three unit norms are 1 and the contraction scalar k is a product of
-permutation signs, so k = +-1 and gamma = 1/|k| = 1: metrized contract
-multiplies by the integer k and builds no gamma.  pushforward takes its
-index path when both the pair and its image pair are coordinate: eA and eB
-are permutation signs, and fA and fB are k x k minors (k the quotient
-dimension) of the operator's sparse images of e_i (op.column).  The unit
-rows of a coordinate lattice or pair (rref_basis, I_rows, canon_*) are built
-only when something reads them.  The window oracle only ever
-builds tails span{t^a .. t^M}, so it runs no elimination, scans no row and
-builds no Fraction row; its only det calls are those minors, of size at
-most |nu(f)| + |nu(g)|.
+Every value here is a determinant of a rational matrix.  The general path
+takes each one with qlinalg's fraction-free elimination on integer rows.  On
+a coordinate pair a determinant between unit rows named by their indices is
+the sign of a permutation (_index_det), 1 at once when the two index tuples
+are equal, and the unit of (A|B) has norm exactly 1, so the contraction
+scalar reads no row.  On a coordinate triple the three unit norms are 1 and
+the contraction scalar k is a product of permutation signs, so k = +-1 and
+gamma = 1/|k| = 1: metrized contract multiplies by k only when k = -1 and
+builds no gamma.  pushforward takes its index path when both the pair and
+its image pair are coordinate: eA and eB are permutation signs, and fA and fB
+are k x k minors (k the quotient dimension) of the operator's sparse images
+of e_i (op.column).  The unit rows of a coordinate lattice or pair
+(rref_basis, I_rows, canon_*) are built only when something reads them.  The
+window oracle only ever builds tails span{t^a .. t^M}, so it runs no
+elimination, scans no row and builds no Fraction row.  Its index tuples are
+always equal, its contraction scalars are all 1, and its only det calls are
+those minors, of size at most |nu(f)| + |nu(g)|; an empty minor is 1 without
+a call (_column_det).
 
 One commutator_pairing or group_mul call is one memo scope (memo.py):
 inside it pair_data is computed once per distinct pair, keyed by the index
@@ -222,11 +225,8 @@ class QSqrt:
 
     def to_mpf(self, prec=128):
         with mp.workprec(prec):
-            return (
-                mp.mpf(self.q.numerator)
-                / self.q.denominator
-                * mp.sqrt(mp.mpf(self.r))
-            )
+            out = mp.mpf(self.q.numerator) / self.q.denominator
+            return out if self.r == 1 else out * mp.sqrt(mp.mpf(self.r))
 
     def log_abs(self, prec=128):
         if self.q == 0:
@@ -430,9 +430,13 @@ def _index_det(reps_from, reps_to, modulus):
     """quotient_det of the unit rows at reps_from in the unit rows at
     reps_to, modulo those at modulus: the sign of the permutation between
     the two index tuples, or 0 when they are not permutations of each
-    other (the matrix then has a zero or repeated row)."""
+    other (the matrix then has a zero or repeated row).  Equal tuples give
+    1 at once: no tuple repeats an index (coordinate_support refuses
+    repeats), and on the window oracle the tuples are always equal."""
     if len(reps_from) != len(reps_to):
         raise NotExact("quotient_det needs as many representatives as basis vectors")
+    if reps_from == reps_to:
+        return 1
     where = {j: k for k, j in enumerate(reps_to)}
     if any(i not in where and i not in modulus for i in reps_from):
         raise NotExact("target vector outside span of basis")
@@ -450,7 +454,10 @@ def _index_det(reps_from, reps_to, modulus):
 
 def _column_det(columns, modulus, reps_to):
     """quotient_det of sparse columns {index: entry} in the unit rows at
-    reps_to, modulo those at modulus: the minor at reps_to."""
+    reps_to, modulo those at modulus: the minor at reps_to, and 1 (the
+    empty minor) when there are no columns."""
+    if not columns:
+        return 1
     span = set(modulus).union(reps_to)
     if any(j not in span for g in columns for j in g):
         raise NotExact("target vector outside span of basis")
@@ -548,7 +555,9 @@ def contract(x, y, metrized=False):
     if not x.B.same_span(y.A):
         raise NotExact("middle lattices of the contraction disagree")
     pds, k = _contraction_scalar(x.A, x.B, y.B)
-    coord = x.coord * y.coord * k
+    coord = x.coord * y.coord
+    if k != 1:
+        coord = coord * k
     if metrized and not _indexed(x.A, x.B, y.B):
         coord = coord * _gamma(pds, k)
     return LineElement(x.A, y.B, coord)
@@ -972,8 +981,7 @@ def _particular_preimage(surj, b):
     """Some x with surj x = b (free variables set to zero)."""
     rows = len(surj)
     cols = len(surj[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(surj, b)]
-    red, piv = rref(aug)
+    red, piv = rref([tuple(row) + (bi,) for row, bi in zip(surj, b)])
     x = [Fraction(0)] * cols
     for row, p in zip(red, piv):
         if p == cols:
@@ -982,20 +990,32 @@ def _particular_preimage(surj, b):
     return tuple(x)
 
 
+def _check_lengths(name, vectors, dim):
+    if any(len(v) != dim for v in vectors):
+        raise NotExact(f"a vector of {name} has length other than {dim}")
+
+
 def gamma_sequence(seq, basis1=None, basis3=None, lifts=None):
     """Volume discrepancy of a short exact sequence of metrized spaces.
 
     gamma^2 = Gram_{V2}(inj(B1) ++ lifts(B3)) / (Gram_{V1}(B1) Gram_{V3}(B3))
     for any bases B1, B3 and any preimages; the choices cancel (tested).
+    A vector of B1, B3 or the lifts whose length is not dim V1, dim V3 or
+    dim V2, or lifts that are not one per vector of B3, are refused.
     """
     seq.validate()
     B1 = tuple(frac_vec(v) for v in basis1) if basis1 else identity_matrix(seq.V1.dim)
     B3 = tuple(frac_vec(v) for v in basis3) if basis3 else identity_matrix(seq.V3.dim)
+    _check_lengths("basis1", B1, seq.V1.dim)
+    _check_lengths("basis3", B3, seq.V3.dim)
     if rank(B1) != seq.V1.dim or rank(B3) != seq.V3.dim:
         raise NotExact("gamma_sequence needs full bases of V1 and V3")
     vecs = [matvec(seq.inj, b) for b in B1]
     if lifts is not None:
         lifts = tuple(frac_vec(v) for v in lifts)
+        _check_lengths("lifts", lifts, seq.V2.dim)
+        if len(lifts) != len(B3):
+            raise NotExact(f"{len(lifts)} lifts for {len(B3)} vectors of basis3")
         for lv, b3 in zip(lifts, B3):
             if tuple(matvec(seq.surj, lv)) != tuple(b3):
                 raise NotExact("supplied lift does not map to the basis vector")

@@ -288,6 +288,20 @@ def test_gamma_sequence_choice_independent():
         assert gamma_sequence(seq, basis1=b1, basis3=b3, lifts=lifts) == base
 
 
+@pytest.mark.parametrize("choice", [
+    {"lifts": ((0, 1, 7),)},  # a lift in Q^3, not V2 = Q^2
+    {"basis1": ((1, 9),)},  # a basis vector in Q^2, not V1 = Q
+    {"basis3": ((1, 9),)},
+    {"lifts": ()},  # no lift for the basis vector of V3
+])
+def test_gamma_sequence_refuses_vectors_of_the_wrong_length(choice):
+    """zip used to truncate them: the first three gave 5*sqrt(2),
+    1/82*sqrt(82) and 1/82*sqrt(82) on this sequence, whose gamma is 1, and
+    the last gave 1 from the Gram volume of inj(e_0) alone."""
+    with pytest.raises(NotExact):
+        gamma_sequence(split_seq(), **choice)
+
+
 def test_exact_sequence_validation():
     bad = ExactSequenceData(
         MetrizedSpace(1),
@@ -820,8 +834,9 @@ def test_oracle_takes_the_coordinate_path(monkeypatch):
 def test_oracle_builds_no_rows(monkeypatch):
     """Every determinant of the oracle comes off index tuples: no unit row
     is built, and det only sees the minors of pushforward's images, whose
-    size is a quotient dimension |nu(f)| or |nu(g)|."""
-    rows_built, det_sizes = [], []
+    size is a quotient dimension |nu(f)| or |nu(g)|, and never an empty
+    one (_column_det answers that as 1)."""
+    rows_built, det_sizes, all_sizes = [], [], []
     original_unit_rows, original_det = qlinalg.unit_rows, qlinalg.det
 
     def unit_rows(indices, n):
@@ -839,7 +854,9 @@ def test_oracle_builds_no_rows(monkeypatch):
         det_sizes.clear()
         nu_arch_oracle(f, g, window=window)
         assert max(det_sizes, default=0) <= abs(f.nu) + abs(g.nu)
+        all_sizes += det_sizes
     assert rows_built == []
+    assert 0 not in all_sizes
     assert max(det_sizes) > 0  # the last pair has a quotient to take minors on
 
 
