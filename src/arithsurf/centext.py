@@ -18,42 +18,40 @@ by (g, a)(g', a') = (gg', a o g(a')) via pushforward and metrized
 contraction; the commutator pairing of commuting g, h is the scalar of
 the four-term chain a o g(b) o h(a^-1) o b^-1 in (A|A) = R.
 
-Coordinate shape is decided once, when a Lattice is built: a lattice is
-coordinate when every basis vector is a nonzero multiple of a standard basis
-vector e_i, at distinct indices i, and it then carries those indices (coords)
-in basis order.  Lattice.on_indices builds such a lattice from its indices
-(the reference lattice span{t^0 .. t^M} of standard_lattice, the shifted
-tails of apply_lattice, coordinate sums and intersections); Lattice(n, rows)
-scans its rows once (qlinalg.coordinate_support).  No other row set is
-scanned.  pair_data of two coordinate lattices carries the decision on: the
-pair is the index tuples of the intersection and of both canonical quotient
-bases, and pd.coordinate says so.  Everything else reads the decision (the
-one test _indexed, or pd.coordinate) or runs the general elimination; both
-give the same Fraction, so every QSqrt downstream is the same.
+Tails are decided once, when a Lattice is built.  A tail is span{e_a ..
+e_(n-1)} with the ascending unit rows as basis: in the window model the
+lattice t^(m+a) R[[t]] cut at t^M.  Lattice.tail builds one from a, and only
+the reference lattice span{t^0 .. t^M} of standard_lattice, the shifted tails
+of apply_lattice and the sum or intersection of two tails are built so.
+Lattice(n, rows) always runs the elimination and scans no row for shape.
+Every tail shortcut reads that decision through one test, _indexed (or
+pd.tails, which pair_data sets from it); a false one runs the general
+elimination on the same input, and both give the same Fraction, so every
+QSqrt downstream is the same.
 
-Every value here is a determinant of a rational matrix.  The general path
-takes each one with qlinalg's fraction-free elimination on integer rows.  On
-a coordinate pair a determinant between unit rows named by their indices is
-the sign of a permutation (_index_det), 1 at once when the two index tuples
-are equal, and the unit of (A|B) has norm exactly 1, so the contraction
-scalar reads no row.  On a coordinate triple the three unit norms are 1 and
-the contraction scalar k is a product of permutation signs, so k = +-1 and
-gamma = 1/|k| = 1: metrized contract multiplies by k only when k = -1 and
-builds no gamma.  pushforward takes its index path when both the pair and
-its image pair are coordinate: eA and eB are permutation signs, and fA and fB
-are k x k minors (k the quotient dimension) of the operator's sparse images
-of e_i (op.column).  The unit rows of a coordinate lattice or pair
-(rref_basis, I_rows, canon_*) are built only when something reads them.  The
-window oracle only ever builds tails span{t^a .. t^M}, so it runs no
-elimination, scans no row and builds no Fraction row.  Its index tuples are
-always equal, its contraction scalars are all 1, and its only det calls are
-those minors, of size at most |nu(f)| + |nu(g)|; an empty minor is 1 without
-a call (_column_det).
+Every value here is a determinant of a rational matrix, taken by the general
+path with qlinalg's fraction-free elimination on integer rows.  Any two tails
+are nested, and that makes every one between tails trivial.  The data of a
+tail pair (a, b) is three index ranges: the intersection starts at max(a, b),
+and the canonical quotient bases are e_a .. e_(max-1) and e_b .. e_(max-1),
+one of them empty, so the unit of (A|B) has norm exactly 1.  On three tails
+with smallest tail D, each of s, dA, dC in _contraction_scalar compares two
+bases of one quotient (B/D, A/D or C/D), both the ascending unit rows down to
+D, so s = dA = dC = 1 and k = 1; with the three unit norms 1, gamma = 1 too,
+and metrized contract builds no gamma.  pushforward on a tail pair whose
+image pair is one takes the canonical quotient rows as bottom
+representatives, so eA = eB = 1, and fA, fB are k x k minors (k the quotient
+dimension) of the operator's sparse images of e_i (op.column).  The unit rows
+of a tail or a tail pair (rref_basis, I_rows, canon_*) are built only when
+something reads them.  The window oracle only ever builds tails, so it runs
+no elimination and builds no Fraction row; its only det calls are those
+minors, of size at most |nu(f)| + |nu(g)|, and an empty minor is 1 without a
+call (_column_det).
 
-One commutator_pairing or group_mul call is one memo scope (memo.py):
-inside it pair_data is computed once per distinct pair, keyed by the index
-tuples of a coordinate pair and by the rref bases otherwise.  Outside such
-a call nothing is shared.
+One commutator_pairing or group_mul call is one memo scope (memo.py): inside
+it pair_data is computed once per distinct pair, keyed by the starts of a
+tail pair and by the rref bases otherwise.  Outside such a call nothing is
+shared.
 
 The oracle runs on the exact window of f and g (auto_window): the smallest
 window holding every degree its chain touches.  A smaller window is refused
@@ -78,7 +76,6 @@ from .errors import (
 from .laurent import LaurentPoly
 from .memo import shared, verification
 from .qlinalg import (
-    coordinate_support,
     det,
     dot,
     frac_vec,
@@ -255,46 +252,44 @@ _ZERO = Fraction(0)
 
 
 def _indexed(*lattices):
-    """Are all these lattices coordinate, as decided when each was built?
-    Every index-set path of this module is taken through this one test, so
-    a false one runs the general elimination on the same input."""
-    return all(L.coords is not None for L in lattices)
+    """Are all these lattices tails, as decided when each was built?  Every
+    tail shortcut of this module is taken through this one test, so a false
+    one runs the general elimination on the same input."""
+    return all(L.start is not None for L in lattices)
+
+
+def _check_ambient(A, B):
+    if A.n != B.n:
+        raise NotExact(f"lattices in Q^{A.n} and Q^{B.n}")
 
 
 class Lattice:
     """Subspace of Q^n with a chosen (ordered, independent) basis.
 
-    coords is the index i of each basis vector, in basis order, when every
-    basis vector is a nonzero multiple of e_i, else None.  Such a lattice is
-    its index set: pivots are the sorted indices, rref_basis is the unit
-    vectors at them, with no elimination run, and rows are built only when
-    read.  This is decided here and nowhere else: a basis given as rows is
-    scanned for that shape (coordinate_support), and Lattice.on_indices
-    builds the lattice from its indices and scans nothing."""
+    Lattice(n, basis) reduces its basis once (rref) for the pivots and the
+    canonical basis.  Lattice.tail(n, a) is the tail span{e_a .. e_(n-1)}
+    with basis the ascending unit rows: start is a, pivots are a .. n-1,
+    and its rows are built only when read.  start is None on every lattice
+    built from rows, whatever its span: the tail shortcuts are for lattices
+    built as tails (_indexed).  Two lattices, or an operator and a lattice,
+    of different ambient dimensions are refused with NotExact on both paths."""
 
-    __slots__ = ("n", "coords", "pivots", "_basis", "_rref_basis")
+    __slots__ = ("n", "start", "pivots", "_basis", "_rref_basis")
 
     def __init__(self, n, basis):
-        self.n = n
+        self.n, self.start = n, None
         self._basis = tuple(frac_vec(v) for v in basis)
         if any(len(v) != n for v in self._basis):
             raise NotExact(f"lattice basis vector of length other than {n}")
-        self.coords = coordinate_support(self._basis)
-        if self.coords is not None:
-            self.pivots = tuple(sorted(self.coords))
-            self._rref_basis = None
-            return
         self._rref_basis, self.pivots = rref(self._basis)
         if len(self._rref_basis) != len(self._basis):
             raise NotExact("lattice basis is linearly dependent")
 
     @classmethod
-    def on_indices(cls, n, indices):
-        """span{e_i : i in indices} with basis the unit rows in the given
-        order, which must be ascending and free of repeats."""
-        indices = tuple(indices)
+    def tail(cls, n, start):
+        """span{e_start .. e_(n-1)}, 0 <= start <= n."""
         L = cls.__new__(cls)
-        L.n, L.coords, L.pivots = n, indices, indices
+        L.n, L.start, L.pivots = n, start, tuple(range(start, n))
         L._basis = L._rref_basis = None
         return L
 
@@ -314,7 +309,7 @@ class Lattice:
 
     def same_span(self, other):
         if _indexed(self, other):
-            return self.n == other.n and self.pivots == other.pivots
+            return self.n == other.n and self.start == other.start
         return self.n == other.n and self.rref_basis == other.rref_basis
 
     def __eq__(self, other):
@@ -332,16 +327,17 @@ def zero_lattice(n):
 
 
 def lattice_sum(A, B):
+    _check_ambient(A, B)
     if _indexed(A, B):
-        return Lattice.on_indices(A.n, sorted(set(A.pivots).union(B.pivots)))
+        return Lattice.tail(A.n, min(A.start, B.start))
     return Lattice(A.n, sum_space(A.rref_basis, B.rref_basis))
 
 
 def lattice_intersection(A, B):
-    pd = pair_data(A, B)
-    if pd.coordinate:
-        return Lattice.on_indices(A.n, pd.I_pivots)
-    return Lattice(A.n, pd.I_rows)
+    _check_ambient(A, B)
+    if _indexed(A, B):
+        return Lattice.tail(A.n, max(A.start, B.start))
+    return Lattice(A.n, pair_data(A, B).I_rows)
 
 
 def _complement(rows, pivots, excluded_pivots):
@@ -353,26 +349,29 @@ def _complement(rows, pivots, excluded_pivots):
 class PairData:
     """Intersection and canonical quotient bases for an ordered pair;
     canon_first spans first/(first cap second) etc., both made of rref rows
-    with pivots first_pivots and second_pivots.  coordinate records that
-    both lattices are coordinate (PairData.on_indices): the pair is then its
-    three index tuples, and every row is the unit row at its pivot, built
-    the first time a row is read."""
+    with pivots first_pivots and second_pivots.  tails records that both
+    lattices are tails (PairData.of_tails): the pair is then its three index
+    ranges, and every row is the unit row at its pivot, built the first time
+    a row is read."""
 
-    __slots__ = ("n", "I_pivots", "first_pivots", "second_pivots", "coordinate", "_rows")
+    __slots__ = ("n", "I_pivots", "first_pivots", "second_pivots", "tails", "_rows")
 
     def __init__(self, I_rows, I_pivots, canon_first, canon_second,
                  first_pivots=(), second_pivots=()):
         self.I_pivots, self.first_pivots, self.second_pivots = (
             I_pivots, first_pivots, second_pivots)
-        self.coordinate = False
+        self.tails = False
         self._rows = (tuple(I_rows), tuple(canon_first), tuple(canon_second))
 
     @classmethod
-    def on_indices(cls, n, I_pivots, first_pivots, second_pivots):
+    def of_tails(cls, n, a, b):
+        """The tails from a and from b are nested: their intersection is the
+        tail from max(a, b), and the quotients run from a and b up to it."""
+        top = max(a, b)
         pd = cls.__new__(cls)
         pd.n, pd.I_pivots, pd.first_pivots, pd.second_pivots = (
-            n, I_pivots, first_pivots, second_pivots)
-        pd.coordinate, pd._rows = True, None
+            n, range(top, n), range(a, top), range(b, top))
+        pd.tails, pd._rows = True, None
         return pd
 
     def _rows_at(self, k):
@@ -389,17 +388,12 @@ class PairData:
 def pair_data(A, B):
     """The PairData of (A, B), computed once per pair inside one
     commutator_pairing or group_mul (memo.py)."""
+    _check_ambient(A, B)
     if _indexed(A, B):
-        return shared(("pair_data", A.n, A.pivots, B.pivots), lambda: _index_pair_data(A, B))
+        return shared(("pair_data", A.n, A.start, B.start),
+                      lambda: PairData.of_tails(A.n, A.start, B.start))
     return shared(("pair_data", A.n, A.rref_basis, B.rref_basis),
                   lambda: _general_pair_data(A, B))
-
-
-def _index_pair_data(A, B):
-    in_A, in_B = set(A.pivots), set(B.pivots)
-    return PairData.on_indices(A.n, tuple(i for i in A.pivots if i in in_B),
-                               tuple(i for i in A.pivots if i not in in_B),
-                               tuple(i for i in B.pivots if i not in in_A))
 
 
 def _general_pair_data(A, B):
@@ -424,32 +418,6 @@ def quotient_det(modulus_rows, reps_from, reps_to):
     k = len(modulus_rows)
     basis = tuple(modulus_rows) + reps_to
     return det(tuple(row[k:] for row in solve_coords(basis, reps_from)))
-
-
-def _index_det(reps_from, reps_to, modulus):
-    """quotient_det of the unit rows at reps_from in the unit rows at
-    reps_to, modulo those at modulus: the sign of the permutation between
-    the two index tuples, or 0 when they are not permutations of each
-    other (the matrix then has a zero or repeated row).  Equal tuples give
-    1 at once: no tuple repeats an index (coordinate_support refuses
-    repeats), and on the window oracle the tuples are always equal."""
-    if len(reps_from) != len(reps_to):
-        raise NotExact("quotient_det needs as many representatives as basis vectors")
-    if reps_from == reps_to:
-        return 1
-    where = {j: k for k, j in enumerate(reps_to)}
-    if any(i not in where and i not in modulus for i in reps_from):
-        raise NotExact("target vector outside span of basis")
-    perm = [where.get(i) for i in reps_from]
-    if None in perm or len(set(perm)) != len(perm):
-        return 0
-    sign = 1
-    for k in range(len(perm)):
-        while perm[k] != k:  # one transposition puts perm[k] in its place
-            j = perm[k]
-            perm[k], perm[j] = perm[j], j
-            sign = -sign
-    return sign
 
 
 def _column_det(columns, modulus, reps_to):
@@ -492,9 +460,9 @@ def _canonical_norm(pd):
     quotient basis over that of the A-side one, both projected orthogonally
     off I = A cap B.  The volume squared of X projected off I is
     Gram(I + X) / Gram(I), so the ratio is Gram(I + B-side) / Gram(I +
-    A-side).  For a coordinate pair those bases are unit rows on indices
-    outside I, and for A = B they are empty, so it is exactly 1."""
-    if pd.coordinate or not (pd.canon_first or pd.canon_second):
+    A-side).  For a tail pair those bases are unit rows on indices outside
+    I, and for A = B they are empty, so it is exactly 1."""
+    if pd.tails or not (pd.canon_first or pd.canon_second):
         return ONE
     volA2 = gram_det(pd.I_rows + pd.canon_first)
     volB2 = gram_det(pd.I_rows + pd.canon_second)
@@ -550,7 +518,7 @@ def contract(x, y, metrized=False):
     Algebraic: canonical wedge bookkeeping through the common sublattice
     D = A cap B cap C.  metrized=True rescales by the volume discrepancy
     gamma = (|x| |y|) / |alpha(x tensor y)| so the result has norm
-    |x| |y|; on a coordinate triple gamma = 1 (see _contraction_scalar).
+    |x| |y|; on three tails gamma = 1 (see _contraction_scalar).
     """
     if not x.B.same_span(y.A):
         raise NotExact("middle lattices of the contraction disagree")
@@ -567,21 +535,14 @@ def _contraction_scalar(A, B, C):
     """The pair data of (A, B), (B, C), (A, C) and the scalar k with
     alpha(unit of (A|B) tensor unit of (B|C)) = k * unit of (A|C).
 
-    On a coordinate triple k is the integer +-1: each of s, dA, dC compares
-    two orderings of one index set (B, A or C less D), so each is a
-    permutation sign, and k = s dC / dA = s dC dA."""
-    pdAB = pair_data(A, B)
-    pdBC = pair_data(B, C)
-    pdAC = pair_data(A, C)
+    On three tails k = 1: they are nested, so with D the smallest of them
+    each of s, dA, dC compares two bases of one quotient (B/D, A/D or C/D),
+    and both are the ascending unit rows down to D."""
+    pds = pair_data(A, B), pair_data(B, C), pair_data(A, C)
+    if _indexed(A, B, C):
+        return pds, 1
+    pdAB, pdBC, pdAC = pds
     # pair x's B-side wedge against y's dual B-side wedge, all relative to D
-    if pdAB.coordinate and pdBC.coordinate:
-        D = set(pdAB.I_pivots).intersection(C.pivots)
-        jAB, jBC, jAC = (tuple(i for i in pd.I_pivots if i not in D)
-                         for pd in (pdAB, pdBC, pdAC))
-        s = _index_det(pdAB.second_pivots + jAB, pdBC.first_pivots + jBC, D)
-        dA = _index_det(pdAB.first_pivots + jAB, pdAC.first_pivots + jAC, D)
-        dC = _index_det(pdBC.second_pivots + jBC, pdAC.second_pivots + jAC, D)
-        return (pdAB, pdBC, pdAC), s * dC * dA
     D_rows = intersection(pdAB.I_rows, C.rref_basis)
     D = set(rref(D_rows)[1] if D_rows else ())
     J_AB, J_BC, J_AC = (_complement(pd.I_rows, pd.I_pivots, D)[0]
@@ -589,7 +550,7 @@ def _contraction_scalar(A, B, C):
     s = quotient_det(D_rows, pdAB.canon_second + J_AB, pdBC.canon_first + J_BC)
     dA = quotient_det(D_rows, pdAB.canon_first + J_AB, pdAC.canon_first + J_AC)
     dC = quotient_det(D_rows, pdBC.canon_second + J_BC, pdAC.canon_second + J_AC)
-    return (pdAB, pdBC, pdAC), Fraction(s) * dC / dA
+    return pds, Fraction(s) * dC / dA
 
 
 def _gamma(pds, k):
@@ -776,13 +737,17 @@ def apply_lattice(op, L):
     induced maps on quotients, never in the subspace itself.  (Mapping the
     generators one by one and truncating would instead build a strictly
     smaller subspace whose phantom top quotient cancels the unit's
-    contribution to every pairing.)  L is such a tail exactly when its
-    rref pivots, i.e. its coordinate indices, are range(n - dim, n).  Other
-    lattices are mapped vector by vector, with WindowTooSmall raised on any
-    overflow.  A tail may shift up to start at t^(M+1), where it is empty
-    in the window; one starting higher has a quotient against the other
-    lattices that reaches above t^M, so it is refused too."""
+    contribution to every pairing.)  L spans such a tail exactly when its
+    rref pivots are range(n - dim, n), and the image is then built as a
+    tail (Lattice.tail).  Other lattices are mapped vector by vector, with
+    WindowTooSmall raised on any overflow.  A tail may shift up to start at
+    t^(M+1), where it is empty in the window; one starting higher has a
+    quotient against the other lattices that reaches above t^M, so it is
+    refused too.  An operator on a space of another dimension than L's is
+    refused with NotExact."""
     n = L.n
+    if op.n != n:
+        raise NotExact(f"an operator on Q^{op.n} applied to a lattice in Q^{n}")
     start = n - L.dim
     if isinstance(op, LaurentMultOperator) and L.pivots == tuple(range(start, n)):
         m, M = op.window
@@ -797,7 +762,7 @@ def apply_lattice(op, L):
                 f"shifted tail t^{m + new_start} above window top {M}",
                 minimal_window=(m, m + new_start - 1),
             )
-        return Lattice.on_indices(n, range(new_start, n))
+        return Lattice.tail(n, new_start)
     return Lattice(n, [op.apply(v) for v in L.basis])
 
 
@@ -808,49 +773,35 @@ def pushforward(op, x):
     The canonical-coordinate conversion runs through low-degree quotient
     representatives taken from the lattices' own bases in basis order, so
     window truncation at the top of the lattices never touches the
-    determinants.  When (A, B) and (op A, op B) are both coordinate pairs,
-    eA and eB are permutation signs and fA, fB minors of op's columns.
+    determinants.  When (A, B) and (op A, op B) are both tail pairs, the
+    bottom representatives of (A, B) are its canonical quotient rows, so eA
+    = eB = 1, and fA, fB are minors of op's columns; op then shifts both
+    tails alike, which keeps the quotient dimensions.
     """
     A, B = x.A, x.B
     pd = pair_data(A, B)
     A2 = apply_lattice(op, A)
     B2 = apply_lattice(op, B)
     pd2 = pair_data(A2, B2)
-    if pd.coordinate and pd2.coordinate:
-        # the bottom representatives c_i e_i: each scale c_i multiplies eA
-        # (or eB) and fA (or fB) alike and cancels, so the unit rows stand in
-        I = set(pd.I_pivots)
-        botA = tuple(i for i in A.coords if i not in I)
-        botB = tuple(i for i in B.coords if i not in I)
-        eA = _index_det(botA, pd.first_pivots, I)
-        eB = _index_det(botB, pd.second_pivots, I)
-        gA = tuple(map(op.column, botA))
-        gB = tuple(map(op.column, botB))
-        _check_quotient_dims(pd2, gA, gB)
+    if pd.tails and pd2.tails:
+        gA = tuple(map(op.column, pd.first_pivots))
+        gB = tuple(map(op.column, pd.second_pivots))
         fA = _column_det(gA, pd2.I_pivots, pd2.first_pivots)
         fB = _column_det(gB, pd2.I_pivots, pd2.second_pivots)
-    else:
-        botA = _bottom_reps(A, pd.I_rows)
-        botB = _bottom_reps(B, pd.I_rows)
-        eA = quotient_det(pd.I_rows, botA, pd.canon_first)
-        eB = quotient_det(pd.I_rows, botB, pd.canon_second)
-        gA = tuple(map(op.apply, botA))
-        gB = tuple(map(op.apply, botB))
-        _check_quotient_dims(pd2, gA, gB)
-        fA = quotient_det(pd2.I_rows, gA, pd2.canon_first)
-        fB = quotient_det(pd2.I_rows, gB, pd2.canon_second)
+        return LineElement(A2, B2, x.coord * (Fraction(fB) / fA))
+    botA = _bottom_reps(A, pd.I_rows)
+    botB = _bottom_reps(B, pd.I_rows)
+    eA = quotient_det(pd.I_rows, botA, pd.canon_first)
+    eB = quotient_det(pd.I_rows, botB, pd.canon_second)
+    gA = tuple(map(op.apply, botA))
+    gB = tuple(map(op.apply, botB))
+    if len(pd2.first_pivots) != len(gA) or len(pd2.second_pivots) != len(gB):
+        raise WindowTooSmall("quotient dimensions changed under truncation; enlarge the window")
+    fA = quotient_det(pd2.I_rows, gA, pd2.canon_first)
+    fB = quotient_det(pd2.I_rows, gB, pd2.canon_second)
     # x = coord (canonA)^* (canonB) = c_bot (botA)^* (botB): c_bot = coord * eA / eB
     c_bot = x.coord * (Fraction(eA) / eB)
     return LineElement(A2, B2, c_bot * (Fraction(fB) / fA))
-
-
-def _check_quotient_dims(pd2, gA, gB):
-    """Refuse images of the bottom representatives that no longer match
-    the quotient dimensions of the image pair."""
-    if len(pd2.first_pivots) != len(gA) or len(pd2.second_pivots) != len(gB):
-        raise WindowTooSmall(
-            "quotient dimensions changed under truncation; enlarge the window"
-        )
 
 
 # -- the central extension -----------------------------------------------------
@@ -1053,7 +1004,7 @@ def prop_b_check(g, h, A, B, prec=128):
 
 def standard_lattice(window):
     """The reference lattice A = span(t^0 .. t^M) of the window [m, M],
-    built from its indices."""
+    built as a tail."""
     m, M = window
     if m > 0 or M < 0:
         raise WindowTooSmall(
@@ -1061,7 +1012,7 @@ def standard_lattice(window):
             minimal_window=(min(0, m), max(0, M)),
         )
     n = M - m + 1
-    return Lattice.on_indices(n, range(-m, n))
+    return Lattice.tail(n, -m)
 
 
 def mult_operator(f, window):

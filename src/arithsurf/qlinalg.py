@@ -98,22 +98,6 @@ def identity_matrix(n):
     return unit_rows(range(n), n)
 
 
-def coordinate_support(rows):
-    """The index i of each row, in row order, when every row is c * e_i
-    with c != 0 and the indices i are distinct (a rescaled subset of the
-    standard basis, so the rows are independent and span a coordinate
-    subspace); None for any other row set."""
-    out = []
-    seen = set()
-    for row in rows:
-        nonzero = [i for i, x in enumerate(row) if x]
-        if len(nonzero) != 1 or nonzero[0] in seen:
-            return None
-        seen.add(nonzero[0])
-        out.append(nonzero[0])
-    return tuple(out)
-
-
 # -- the kernel ------------------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from .centext import (
     prop_b_check,
 )
 from .config import default_config
-from .errors import DegeneratePosition, NotExact, WindowTooSmall
+from .errors import DegeneratePosition, NotExact, ParseError, WindowTooSmall
 from .intpoly import parse_intpoly
 from .laurent import LaurentPoly
 from .laws import verify_horizontal_law, verify_point_law, verify_vertical_law
@@ -287,6 +287,8 @@ def suite_prop_b(cases, seed, max_dim=8):
 
 
 def run_all(cases, seed, config=None):
+    if cases < 0:
+        raise ParseError(f"a case count must be nonnegative, not {cases}")
     cfg = config or default_config()
     return [
         suite_point_law(cases, seed, config=cfg),

@@ -82,3 +82,64 @@ def test_laws_workload_calls_every_law_layer(monkeypatch):
         except ArithsurfError:
             pass
     assert [layer for layer in layers if not calls[layer]] == []
+
+
+PROBES = ("_is_coordinate", "_probe_pair_data", "_probe_rref", "_probe_pairing")
+
+
+def _probes():
+    """The traced benchmark's probe functions, compiled from their
+    definitions in run.py without running the rest of it."""
+    tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+    defs = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in PROBES]
+    assert sorted(node.name for node in defs) == sorted(PROBES)
+    namespace = {}
+    exec(compile(ast.Module(body=defs, type_ignores=[]), str(RUN_PY), "exec"), namespace)
+    return namespace
+
+
+class _Counts:
+    """The benchmark tracer's count(), keeping every call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def count(self, name, k=1):
+        self.seen.append((name, k))
+
+
+def test_bench_probes_read_tails_general_lattices_and_pairings(monkeypatch):
+    """`--trace 1` runs these probes on the arguments of pair_data, rref and
+    commutator_pairing; here they run on the same calls of an oracle pairing
+    (every lattice a tail) and of a sum and intersection of general
+    lattices, so an attribute they read that the package renames fails."""
+    from arithsurf import centext, qlinalg
+
+    probes = _probes()
+    tracer = _Counts()
+    for module, name, probe in ((centext, "pair_data", "_probe_pair_data"),
+                                (qlinalg, "rref", "_probe_rref"),
+                                (centext, "rref", "_probe_rref"),
+                                (centext, "commutator_pairing", "_probe_pairing")):
+        def probed(*args, _fn=getattr(module, name), _probe=probes[probe]):
+            _probe(tracer, args)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, probed)
+
+    window = (-1, 2)
+    g, h = (centext.mult_operator(arithsurf.parse_laurent(text), window)
+            for text in ("t + 3*t^2", "2*t^-1"))
+    centext.commutator_pairing(g, h, centext.standard_lattice(window))
+    A = centext.Lattice(3, [(1, 1, 0), (0, 0, 2)])
+    B = centext.Lattice(3, [(0, 1, 1)])
+    centext.lattice_sum(A, B)
+    centext.lattice_intersection(A, B)
+
+    counts = Counter((name, k) for name, k in tracer.seen if name != "rref.cells")
+    assert counts[("pairing.dim", 4)] == 1
+    assert counts[("pair_data.coordinate", True)] > 0
+    assert counts[("pair_data.coordinate", False)] == 1
+    assert ("rref.cells", 6) in tracer.seen  # the basis of A, 2 x 3
+    assert probes["_is_coordinate"](centext.standard_lattice(window))
+    assert not probes["_is_coordinate"](A)

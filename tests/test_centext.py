@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -134,19 +133,20 @@ def test_contract_scalar_and_nested():
 
 
 def test_gamma_is_one_on_coordinate_triples(monkeypatch):
-    """On a coordinate triple the unit norms are 1 and k = +-1, so gamma = 1,
-    and metrized contract multiplies by k without building gamma."""
+    """On three tails the unit norms are 1 and k = 1, so gamma = 1, and
+    metrized contract builds no gamma."""
     rng = random.Random(26)
     triples = []
     for _ in range(60):
         n = rng.randint(1, 7)
-        A, B, C = (Lattice(n, coordinate_rows(rng, n)) for _ in range(3))
+        A, B, C = (Lattice.tail(n, rng.randint(0, n)) for _ in range(3))
         assert gamma_discrepancy(A, B, C) == 1
+        assert centext._contraction_scalar(A, B, C)[1] == 1
         x, y = LineElement(A, B, Q(rng.randint(1, 9), 4)), LineElement(B, C, Q(-3, 5))
         triples.append((x, y, contract(x, y).coord))
 
     def unused(*args):
-        raise AssertionError("metrized contract built gamma on a coordinate triple")
+        raise AssertionError("metrized contract built gamma on three tails")
 
     monkeypatch.setattr(centext, "_gamma", unused)
     monkeypatch.setattr(centext, "_canonical_norm", unused)
@@ -592,7 +592,7 @@ def test_prop_b_gate_is_exact(monkeypatch):
     assert not ok and abs(lhs - rhs) < 1e-9
 
 
-# -- coordinate subspaces against the general path -------------------------------
+# -- tails against the general path ---------------------------------------------
 
 
 def rand_laurent(rng, nu_range=(-2, 2)):
@@ -641,14 +641,14 @@ def test_coordinate_path_matches_general_path(monkeypatch):
             out.append((p.q, p.r))
         return out
 
-    triples = [(n, [coordinate_rows(rng, n) for _ in range(3)], rand_operator(rng, n),
+    triples = [(n, [rng.randint(0, n) for _ in range(3)], rand_operator(rng, n),
                 Q(rng.randint(1, 9), rng.randint(1, 4)))
                for n in (rng.randint(3, 8) for _ in range(150))]
 
     def index_path_results():
         out = []
-        for n, rows, op, a in triples:
-            A, B, C = (Lattice(n, r) for r in rows)
+        for n, starts, op, a in triples:
+            A, B, C = (Lattice.tail(n, start) for start in starts)
             x, y = LineElement(A, B, a), LineElement(B, C, Q(-2, 3))
             out.append((
                 outcome(lambda: centext._contraction_scalar(A, B, C)[1]),
@@ -661,30 +661,44 @@ def test_coordinate_path_matches_general_path(monkeypatch):
     fast = pairings()
     assert not rref_calls
     fast_triples = index_path_results()
-    # every stage that can refuse a coordinate pushforward is reached
+    # every stage that can refuse a pushforward of a tail pair is reached (a
+    # shift keeps the quotient dimensions, so their check is not one of them:
+    # see test_pushforward_refuses_quotients_that_change_dimension)
     refusals = {r[1] for r in fast_triples if isinstance(r[1][0], str)}
     for kind, fragment in (("WindowTooSmall", "shifted tail"),
                            ("WindowTooSmall", "product support"),
-                           ("WindowTooSmall", "quotient dimensions changed"),
                            ("NotExact", "target vector outside span")):
         assert any(k == kind and fragment in msg for k, msg, _ in refusals), fragment
     assert sum(not isinstance(r[1][0], str) for r in fast_triples) > 50
-    # some pushforwards take a coordinate pair to a non-coordinate image pair
-    assert any(pushes_off_coordinates(op, *(Lattice(n, r) for r in rows[:2]))
-               for n, rows, op, _ in triples)
+    # some pushforwards take a tail pair to an image pair of other lattices
+    assert any(pushes_off_tails(op, *(Lattice.tail(n, start) for start in starts[:2]))
+               for n, starts, op, _ in triples)
     force_general_path(monkeypatch)
     assert pairings() == fast
     assert rref_calls
     assert index_path_results() == fast_triples
 
 
-def pushes_off_coordinates(op, A, B):
-    """Is (A, B) a coordinate pair whose image under op is not?"""
+def test_pushforward_refuses_quotients_that_change_dimension(monkeypatch):
+    """span{e_1} from rows lies in the tail span{e_1, e_2} of Q^3 with a
+    1-dimensional quotient; mult-(t^-1 + 1) maps it to span{e_0 + e_1} and
+    shifts the tail to all of Q^3, a 2-dimensional quotient."""
+    A, B = Lattice(3, [e(1, 3)]), Lattice.tail(3, 1)
+    op = mult_operator(parse_laurent("t^-1 + 1"), (0, 2))
+    for general in (False, True):
+        if general:
+            force_general_path(monkeypatch)
+        with pytest.raises(WindowTooSmall, match="quotient dimensions changed"):
+            pushforward(op, LineElement(A, B, 1))
+
+
+def pushes_off_tails(op, A, B):
+    """Is (A, B) a tail pair whose image under op is not?"""
     try:
         images = apply_lattice(op, A), apply_lattice(op, B)
     except WindowTooSmall:
         return False
-    return centext.pair_data(A, B).coordinate and not centext.pair_data(*images).coordinate
+    return centext.pair_data(A, B).tails and not centext.pair_data(*images).tails
 
 
 def outcome(compute):
@@ -709,18 +723,6 @@ class RotatedImages(LaurentMultOperator):
 
     def column(self, i):
         return super().column((i - 1) % self.n)
-
-
-def coordinate_rows(rng, n):
-    """Scaled unit rows in shuffled order: a tail a third of the time
-    (empty and full included), else any index set."""
-    if rng.random() < 1 / 3:
-        indices = list(range(rng.randint(0, n), n))
-    else:
-        indices = rng.sample(range(n), rng.randint(0, n))
-    rows = list(scaled_unit_rows(rng, indices, n))
-    rng.shuffle(rows)
-    return rows
 
 
 def rand_operator(rng, n):
@@ -862,13 +864,13 @@ def test_oracle_builds_no_rows(monkeypatch):
 
 def record_pair_data(monkeypatch):
     """A list that gets (pair key, PairData) for every pair_data call, the
-    key by index tuples on a coordinate pair and by rref bases otherwise."""
+    key by the starts of a tail pair and by rref bases otherwise."""
     calls = []
     original = centext.pair_data
 
     def recorded(A, B):
         pd = original(A, B)
-        key = (A.pivots, B.pivots) if pd.coordinate else (A.rref_basis, B.rref_basis)
+        key = (A.start, B.start) if pd.tails else (A.rref_basis, B.rref_basis)
         calls.append(((A.n,) + key, pd))
         return pd
 
@@ -893,16 +895,15 @@ def test_pair_data_is_shared_within_one_pairing_only(monkeypatch):
         nu_arch_oracle(f, g, window=window)
         assert shares_per_pair(calls)
     # group_mul is a scope of its own, on the general path too
-    rng = random.Random(27)
+    window = (-4, 4)
+    op, A = mult_operator(parse_laurent("2*t - 3*t^2"), window), standard_lattice(window)
     for general in (False, True):
         if general:
             force_general_path(monkeypatch)
-        op = scaled_permutation(rng, 4)
-        A = Lattice(4, [e(0, 4), e(1, 4)])
         calls.clear()
         group_mul(argl_lift(op, A, Q(2)), argl_lift(op, A, Q(-3)))
         assert shares_per_pair(calls)
-        assert all(pd.coordinate != general for _, pd in calls)
+        assert all(pd.tails != general for _, pd in calls)
     # outside a pairing nothing is shared
     A, B = Lattice(3, [e(0, 3)]), Lattice(3, [e(1, 3)])
     assert centext.pair_data(A, B) is not centext.pair_data(A, B)
@@ -914,28 +915,15 @@ def test_pair_data_is_shared_within_one_pairing_only(monkeypatch):
     assert len({id(pd) for _, pd in calls}) == len(calls) > len(set(keys))
 
 
-def record_scans(monkeypatch):
-    """A list that gets the qualified name of the caller of each row scan
-    for coordinate shape."""
-    scans = []
-    original = centext.coordinate_support
-
-    def recorded(rows):
-        scans.append(sys._getframe(1).f_code.co_qualname)
-        return original(rows)
-
-    monkeypatch.setattr(centext, "coordinate_support", recorded)
-    return scans
-
-
 def test_oracle_rescans_no_rows_of_known_shape(monkeypatch):
-    """The reference lattice and the shifted tails come with their index
-    sets and pair_data carries them on, so the oracle scans no row: the one
-    scan, in Lattice.__init__, is for bases given as rows."""
-    scans = record_scans(monkeypatch)
+    """The reference lattice and the shifted tails are built as tails and
+    pair_data carries them on, so the oracle reduces no row: the one
+    elimination of a lattice, in Lattice.__init__, is for bases given as
+    rows."""
+    rref_calls = count_rref(monkeypatch)
     for f, g, window in oracle_pairs():
         nu_arch_oracle(f, g, window=window)
-    assert scans == []
+    assert rref_calls == []
 
 
 def prop_slice():
@@ -979,21 +967,27 @@ def prop_slice():
 
 def test_prop_slice_matches_general_path(monkeypatch):
     """Prop A, Prop B and gamma_sequence give the same exact values on the
-    general path, and only lattice construction scans rows."""
-    scans = record_scans(monkeypatch)
+    general path."""
     fast = prop_slice()
-    assert scans and set(scans) == {"Lattice.__init__"}
     force_general_path(monkeypatch)
     assert prop_slice() == fast
 
 
-def test_lattices_on_indices_match_scanned_ones():
-    for n, indices in ((5, ()), (5, (0, 2, 3)), (7, tuple(range(2, 7)))):
-        built = Lattice.on_indices(n, indices)
-        scanned = Lattice(n, [e(i, n) for i in indices])
+def test_tails_match_lattices_built_from_rows():
+    """A tail has the basis, rref basis and pivots of the lattice built from
+    its unit rows; only the one built as a tail is a tail, also when the
+    rows are scaled unit rows in another order."""
+    rng = random.Random(28)
+    for n, start in ((5, 5), (5, 0), (7, 2), (1, 1)):
+        built = Lattice.tail(n, start)
+        from_rows = Lattice(n, [e(i, n) for i in range(start, n)])
         for attr in ("basis", "rref_basis", "pivots"):
-            assert getattr(built, attr) == getattr(scanned, attr)
-        assert built.coords == scanned.coords == indices
+            assert getattr(built, attr) == getattr(from_rows, attr)
+        assert built.pivots == tuple(range(start, n)) and built.start == start
+        rows = list(scaled_unit_rows(rng, range(start, n), n))
+        rng.shuffle(rows)
+        assert Lattice(n, rows).start is None and from_rows.start is None
+        assert built == from_rows == Lattice(n, rows)
     A = standard_lattice((-3, 4))
     assert A.pivots == tuple(range(3, 8)) and A.same_span(window_lattice(parse_laurent("1"), (-3, 4))[1])
     for window, minimal in (((2, 6), (0, 6)), ((-5, -1), (-5, 0))):
@@ -1011,6 +1005,47 @@ def test_lattice_rejects_malformed_bases():
     for dependent in ([e(0, 3), (Q(2), Q(0), Q(0))], [e(0, 3), (Q(0),) * 3]):
         with pytest.raises(NotExact):
             Lattice(3, dependent)
+
+
+def other_ambients():
+    """Pairs of lattices in Q^3 and Q^4: built from rows, and built as tails."""
+    return ((Lattice(3, [e(0, 3)]), Lattice(4, [e(0, 4)])),
+            (Lattice.tail(3, 2), Lattice.tail(4, 3)),
+            (Lattice.tail(3, 0), Lattice.tail(4, 0)))
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_pair_data_refuses_lattices_of_other_ambients(monkeypatch, general):
+    if general:
+        force_general_path(monkeypatch)
+    for A, B in other_ambients():
+        with pytest.raises(NotExact, match=r"Q\^3 and Q\^4"):
+            centext.pair_data(A, B)
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_sum_and_intersection_refuse_lattices_of_other_ambients(monkeypatch, general):
+    if general:
+        force_general_path(monkeypatch)
+    for A, B in other_ambients():
+        for combine in (lattice_sum, lattice_intersection):
+            with pytest.raises(NotExact, match=r"Q\^3 and Q\^4"):
+                combine(A, B)
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_operators_on_another_ambient_are_refused(monkeypatch, general):
+    """mult-t on the window (0, 3) acts on Q^4, and the reference lattice of
+    (0, 4) lies in Q^5."""
+    if general:
+        force_general_path(monkeypatch)
+    g, h = (mult_operator(parse_laurent(text), (0, 3)) for text in ("t", "2"))
+    A = standard_lattice((0, 4))
+    with pytest.raises(NotExact, match=r"operator on Q\^4 applied to a lattice in Q\^5"):
+        apply_lattice(g, A)
+    with pytest.raises(NotExact, match=r"operator on Q\^4"):
+        commutator_pairing(g, h, A)
+    assert commutator_pairing(g, h, standard_lattice((0, 3))) == QSqrt(Q(1, 2))
 
 
 def test_quotient_det_rejects_count_mismatch():

@@ -177,6 +177,11 @@ def test_selftest_zero_cases(capsys):
     assert "point-law 0/0" in out
 
 
+def test_selftest_refuses_negative_cases(capsys):
+    code, out, err = run(capsys, "selftest", "--cases", "-1")
+    assert code == 2 and not out and "ParseError" in err and "-1" in err
+
+
 def test_selftest_small_run(capsys):
     code, out, _ = run(capsys, "--format", "json", "selftest", "--cases", "2", "--seed", "7")
     assert code == 0

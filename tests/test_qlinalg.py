@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from arithsurf.errors import NotExact
 from arithsurf.qlinalg import (
-    coordinate_support,
     det,
     frac_vec,
     gram_det,
@@ -20,7 +19,6 @@ from arithsurf.qlinalg import (
     rref,
     solve_coords,
     sum_space,
-    unit_rows,
 )
 
 Q = Fraction
@@ -140,15 +138,6 @@ def test_gram_det_off_a_subspace_is_the_projected_volume():
 def test_matvec_matches_manual():
     m = [frac_vec([1, 2]), frac_vec([3, 4])]
     assert matvec(m, frac_vec([5, 6])) == (Q(17), Q(39))
-
-
-def test_coordinate_support():
-    rows = frac_vec((0, 2, 0)), frac_vec((Q(-1, 2), 0, 0))
-    assert coordinate_support(rows) == (1, 0)
-    assert coordinate_support(()) == ()
-    assert coordinate_support(unit_rows((2, 0), 3)) == (2, 0)
-    for bad in ([(0, 0, 0)], [(1, 1, 0)], [(0, 1, 0), (0, 3, 0)]):
-        assert coordinate_support([frac_vec(r) for r in bad]) is None
 
 
 def test_det_refuses_non_square_matrices():
