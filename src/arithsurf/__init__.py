@@ -74,7 +74,8 @@ from .surface import (
     ClosedPoint,
     Curve,
     FactoredRationalFunction,
-    chart_swap,
+    SWAP,
+    act,
     constant_function,
     curves_through_point,
     format_function,

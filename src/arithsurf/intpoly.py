@@ -129,23 +129,25 @@ class IntPoly:
     def primitive_part(self):
         return self.content_primitive()[1]
 
-    def reverse(self):
-        """t^deg * self(1/t); strips any factor t first is NOT done here,
-        so the constant coefficient must be nonzero to preserve the degree."""
-        return IntPoly(tuple(reversed(self.coeffs)))
+    def substitute(self, a, e, c, d):
+        """(c t + d)^deg * self((a t + e)/(c t + d)) for integers a, e, c, d.
 
-    def shift(self, a):
-        """self(t + a) for integer a."""
-        out = IntPoly()
-        lin = IntPoly([a, 1])
-        for c in reversed(self.coeffs):
-            out = out * lin + IntPoly([c])
-        return out
-
-    def scale_arg(self, c):
-        """c^deg * self(t/c): coefficient a_i becomes a_i * c^(deg-i)."""
-        d = self.degree
-        return IntPoly([a * c ** (d - i) for i, a in enumerate(self.coeffs)])
+        Homogeneous Horner from the top coefficient b_deg down:
+        acc <- acc * (a t + e) + b_i * (c t + d)^(deg - i).  The degree
+        drops exactly when self vanishes at a/c, the image of t = infinity
+        (at 0 for the reversal (0, 1, 1, 0))."""
+        cs = self.coeffs
+        if not cs:
+            return self
+        n = len(cs) - 1
+        acc, power = [cs[-1]] + [0] * n, [1] + [0] * n  # power = (c t + d)^k
+        for k, b in enumerate(reversed(cs[:-1]), 1):
+            for j in range(k, 0, -1):
+                power[j] = d * power[j] + c * power[j - 1]
+                acc[j] = e * acc[j] + a * acc[j - 1] + b * power[j]
+            power[0] *= d
+            acc[0] = e * acc[0] + b * power[0]
+        return IntPoly(acc)
 
     def monicize(self):
         """lc^(deg-1) * self(t/lc): the classical monic normalization.

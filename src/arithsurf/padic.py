@@ -354,7 +354,7 @@ def _eisenstein_cluster(H, pi, p, N):
         raise NotExact(f"the Eisenstein shift needs a linear residue, got {pi}")
     r = (-pi[0]) % p  # the residue root
     m = p**N
-    shifted = IntPoly([c % m for c in H.coeffs]).shift(r)
+    shifted = IntPoly([c % m for c in H.coeffs]).substitute(1, r, 0, 1)
     cs = [c % m for c in shifted.coeffs]
     if any(c % p for c in cs[:-1]):
         return None

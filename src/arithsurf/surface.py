@@ -14,13 +14,15 @@ exponent, since INF = t^-1 as a function.
 Curves are: Vertical(p) (the fiber over p), Horizontal(h) (the closure of
 h = 0 on the generic fiber), and the infinity section.  Closed points are
 (p, pi) with pi monic irreducible mod p, or (p, infinity) on each fiber.
-The second coordinate chart s = 1/t is reached through chart_swap, an
-involution on functions, curves and points.  It is used in two places: the
-infinity section becomes H:t with both functions swapped (affine_chart) for
-its prime support, its points and its horizontal law, and symbols reads a
-horizontal curve h at its point at infinity (p | lc(h)) as a finite flag.
-The fiber and the infinity section are read at a point at infinity without
-it, by counting degrees and valuations (see symbols).
+A coordinate change t = (a s + e)/(c s + d) in GL_2(Z) is an automorphism
+of P^1 over Z, and act(sigma, .) applies it to functions, curves and
+points.  The second chart s = 1/t is act(SWAP, .), an involution.  It is
+used in two places: the infinity section becomes H:t with both functions
+swapped (affine_chart) for its prime support, its points and its
+horizontal law, and symbols reads a horizontal curve h at its point at
+infinity (p | lc(h)) as a finite flag.  The fiber and the infinity section
+are read at a point at infinity without it, by counting degrees and
+valuations (see symbols).
 """
 
 import math
@@ -339,68 +341,58 @@ def incident(curve, point):
     return (hbar % point.residue).is_zero
 
 
-# -- the second chart ---------------------------------------------------------
+# -- coordinate changes --------------------------------------------------------
+
+SWAP = (0, 1, 1, 0)  # t = 1/s: the second chart
 
 
-def chart_swap_poly(h):
-    """Reverse a primitive irreducible base != t; returns (reversed, sign)."""
-    if h == T:
-        raise ParseError("the base t has no reversal: the second chart maps it to INF")
-    if h[0] == 0:
-        raise NonIrreducibleBase(f"base {h} != t vanishes at the origin, so t divides it")
-    rev = h.reverse()
-    if rev.lc < 0:
-        return -rev, -1
-    return rev, 1
-
-
-def chart_swap(f):
-    """The function in the chart s = 1/t; an involution.
-
-    t maps to INF (exponent bookkeeping through the t-power), every other
-    base h to its normalized reversal t^deg(h) * h(1/t).
-    """
-    unit = f.unit
-    e_t = 0
-    new_factors = []
-    for b, e in f.factors:
-        if b == T:
-            e_t = e
-            continue
-        rev, sign = chart_swap_poly(b)
-        if sign < 0 and e % 2:
-            unit = -unit
-        new_factors.append((rev, e))
-    e_t_new = -e_t - sum(e * b.degree for b, e in f.factors if b != T)
-    if e_t_new:
-        new_factors.append((T, e_t_new))
-    return make_function(unit, new_factors, check=False)
-
-
-def chart_swap_curve(curve):
-    if curve.kind == VERTICAL:
-        return curve
-    if curve.kind == INFINITY_SECTION:
-        return Curve.horizontal(T)
-    if curve.h == T:
-        return Curve.infinity()
-    rev, _ = chart_swap_poly(curve.h)
-    return Curve(HORIZONTAL, h=rev)
-
-
-def chart_swap_point(point):
-    p = point.p
-    if point.at_infinity:
-        return ClosedPoint(p, ModPPoly(p, (0, 1)))
-    pi = point.residue
-    if pi == ModPPoly(p, (0, 1)):
-        return ClosedPoint(p)
-    if pi[0] == 0:
+def _moved(b, sigma, p=None):
+    """b^sigma = (c t + d)^deg(b) * b((a t + e)/(c t + d)), reduced mod p
+    when p is given.  Its degree drops where b vanishes at the image a/c of
+    t = infinity: a linear b moves to infinity, and a b of degree >= 2 has
+    a linear factor there, so it is refused."""
+    moved = b.substitute(*sigma)
+    if p is not None:
+        moved = ModPPoly.from_intpoly(moved, p)
+    if b.degree >= 2 and moved.degree < b.degree:
+        a, _, c, _ = sigma
+        where = f" mod {p}" if p is not None else ""
         raise NonIrreducibleBase(
-            f"residue {pi.to_intpoly()} != t vanishes at the origin mod {p}, so t divides it"
+            f"{b} of degree {b.degree} vanishes at t = {Fraction(a, c)}{where}, "
+            f"where s = infinity lands, so {IntPoly([-a, c]).primitive_part()} divides it"
         )
-    rev = ModPPoly(p, tuple(reversed(pi.coeffs)))
-    return ClosedPoint(p, rev.monic())
+    return moved
+
+
+def act(sigma, x):
+    """The coordinate change t = (a s + e)/(c s + d), sigma = (a, e, c, d)
+    in GL_2(Z), on a function, a curve or a closed point; for sigma then
+    tau, act(tau, act(sigma, x)) == act(sigma . tau, x) (matrix product).
+
+    A function's base b becomes b^sigma (see _moved) and the function picks
+    up (c s + d)^(-sum e deg b).  t = infinity is the curve c s + d = 0, and
+    stays the infinity section when c = 0; a residue pi mod p becomes
+    pi^sigma mod p, made monic, and the point at infinity when its degree
+    drops to 0.  A fiber is fixed.  Raises NonIrreducibleBase for a base,
+    curve or residue of degree >= 2 whose degree drops."""
+    a, e, c, d = sigma
+    if a * d - e * c not in (1, -1):
+        raise ParseError(f"{sigma} is not in GL_2(Z)")
+    if isinstance(x, FactoredRationalFunction):
+        factors = [(_moved(b, sigma), k) for b, k in x.factors]
+        factors.append((IntPoly([d, c]), -sum(k * b.degree for b, k in x.factors)))
+        return make_function(x.unit, factors, check=False)
+    if isinstance(x, ClosedPoint):
+        p = x.p
+        if x.at_infinity:
+            pi = ModPPoly(p, (d, c))
+        else:
+            pi = _moved(x.residue.to_intpoly(), sigma, p)
+        return ClosedPoint(p, pi.monic() if pi.degree >= 1 else None)
+    if x.kind == VERTICAL:
+        return x
+    h = IntPoly([d, c]) if x.kind == INFINITY_SECTION else _moved(x.h, sigma)
+    return Curve.infinity() if h.degree < 1 else Curve(HORIZONTAL, h=h.primitive_part())
 
 
 def affine_chart(curve, f, g):
@@ -408,7 +400,7 @@ def affine_chart(curve, f, g):
     the infinity section becomes H:t in s = 1/t, with f and g swapped, and
     any other curve stays as it is."""
     if curve.kind == INFINITY_SECTION:
-        return chart_swap_curve(curve), chart_swap(f), chart_swap(g)
+        return act(SWAP, curve), act(SWAP, f), act(SWAP, g)
     return curve, f, g
 
 

@@ -19,10 +19,11 @@ Vertical flags are exact and immediate: nu2 is an order of vanishing mod
 p, at the fiber-infinity point the order at t = infinity, -sum e deg(b mod
 p).  The infinity section is read by counting too: nu1 = -sum e deg(b), and
 at (p, infinity) nu2 is v_p of the leading coefficient at t = infinity.  So
-the second chart s = 1/t is used only for a horizontal curve h at its point
-at infinity (p | lc(h)), where the chart-swapped flag is finite and needs
-branch data.  A horizontal curve h = 0 with p prime to lc(h) is read at x
-through its reduction mod p:
+a coordinate change is made only for a horizontal curve h at its point at
+infinity (p | lc(h)): the symbol is intrinsic, and act(SWAP, .) moves the
+flag into the second chart s = 1/t, where it is finite and needs branch
+data.  A horizontal curve h = 0 with p prime to lc(h) is read at x through
+its reduction mod p:
 
   * when h is squarefree mod p, Z[t]/(h) is maximal at p and every branch
     is unramified, so x carries one branch of residue degree deg(x).  For
@@ -63,9 +64,8 @@ from .surface import (
     HORIZONTAL,
     INFINITY_SECTION,
     VERTICAL,
-    chart_swap,
-    chart_swap_curve,
-    chart_swap_point,
+    SWAP,
+    act,
     curve_resultant,
     horizontal_order,
     incident,
@@ -138,12 +138,7 @@ def _monic_point_residue(h, point):
     cbar = h.lc % p
     if cbar == 0:
         raise UnsupportedOrder(f"p = {p} divides the leading coefficient of {h}")
-    pi = point.residue
-    d = pi.degree
-    coeffs = tuple(
-        (pi[j] * pow(cbar, d - j, p)) % p for j in range(d + 1)
-    )
-    return ModPPoly(p, coeffs)
+    return ModPPoly.from_intpoly(point.residue.to_intpoly().substitute(1, 0, 0, cbar), p)
 
 
 def _restriction_valuation(fn, h, factor, N):
@@ -163,7 +158,7 @@ def _restriction_valuation(fn, h, factor, N):
     for b, e in fn.factors:
         if b == h:
             continue
-        B = b.scale_arg(lc) if lc != 1 else b
+        B = b.substitute(1, 0, 0, lc) if lc != 1 else b
         res = resultant(lift, B)
         if res == 0 or vp(res, p) >= N:
             raise NotExact(f"resultant of {b} with a branch of {h} reaches the precision {N}")
@@ -238,12 +233,16 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION):
     A squarefree reduction mod p decides the point's one branch from the
     residues (see _residue_branch); every other case factors monicize(h)
     over Z_p once, with at least start_precision digits and at least the
-    N0 of _least_precision.  The p-adic factors over the point are its
-    branches whether or not Z[t]/(h) is maximal at p.  Where it is (a
-    squarefree reduction, or Dedekind's criterion), Dedekind-Kummer
-    fixes them: one branch with e the multiplicity of the point's residue
-    in h mod p and f = deg(x); any other answer raises NotExact.  Raises
-    UnsupportedOrder for p | lc with degree >= 2 and
+    N0 of _least_precision.  The floor start_precision changes no nu2, but
+    it makes the points of h over one prime ask padic_factor for the same
+    N (their N0 differ, and are mostly below it), so the memo factors h
+    over Z_p once per prime; without it, the two points of t^3-t-2 over 2
+    would factor it over Z_2 at N = 1 and again at N = 3.  The p-adic factors
+    over the point are its branches whether or not Z[t]/(h) is maximal at
+    p.  Where it is (a squarefree reduction, or Dedekind's criterion),
+    Dedekind-Kummer fixes them: one branch with e the multiplicity of the
+    point's residue in h mod p and f = deg(x); any other answer raises
+    NotExact.  Raises UnsupportedOrder for p | lc with degree >= 2 and
     UnsupportedFactorization for clusters outside padic's class.
     """
     h = curve.h
@@ -335,8 +334,8 @@ def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION
 
     The infinity section has one branch at each of its points, where nu2 is
     _leading_valuation.  A horizontal curve is read at its point at infinity
-    in the second chart; nu1 is the same in both charts, so it is taken
-    before the chart swap."""
+    in the second chart, moved there by act(SWAP, .); nu1 is the same in
+    both charts, so it is taken before the move."""
     nu1_f = horizontal_order(f, curve)
     nu1_g = horizontal_order(g, curve)
     if not nu1_g:
@@ -348,9 +347,9 @@ def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION
     if curve.kind == INFINITY_SECTION:
         return det2(nu1_f, nu1_g, _leading_valuation(f, point.p), _leading_valuation(g, point.p))
     if point.at_infinity:
-        curve, point = chart_swap_curve(curve), chart_swap_point(point)
-        f = f if f is ONE else chart_swap(f)
-        g = g if g is ONE else chart_swap(g)
+        curve, point = act(SWAP, curve), act(SWAP, point)
+        f = f if f is ONE else act(SWAP, f)
+        g = g if g is ONE else act(SWAP, g)
     total = 0
     for br in branch_decomposition(curve, point, f, g, start_precision=start_precision):
         total += br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)

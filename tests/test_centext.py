@@ -767,50 +767,47 @@ def rand_combination(rng, rows, n):
 
 
 def test_quotient_helpers_on_scaled_unit_rows(monkeypatch):
-    """Scaled unit rows c_j * e_(i_j): a vector's coordinate on one is its
-    i_j-th entry over c_j, a vector off their span is refused, bottom
-    representatives are the lattice's own rows whose index I does not take,
-    in basis order, and a line element's norm is a ratio of products of |c|,
-    on the index path and on the general one."""
+    """Two tails A and B built as tails, I = A cap B, and scaled unit rows
+    c_j * e_j on the indices of A and of B outside I: a vector's coordinate
+    on one is its j-th entry over c_j, a vector off A is refused, the bottom
+    representatives of A over I are A's unit rows below I, in basis order,
+    and a line element of (A|B) with the scaled rows as representatives has
+    norm prod |c| on B's side over prod |c| on A's.  The line element is
+    built on the tail path, and again under force_general_path, whose pair
+    data is not a tail pair."""
     rng = random.Random(21)
     cases = []
-    for _ in range(40):
+    for _ in range(60):
         n = rng.randint(2, 7)
-        order = rng.sample(range(n), n)
-        k = rng.randint(0, n - 1)
-        q = rng.randint(1, n - k)
-        extra = rng.randint(0, n - k - q)
-        I_rows = scaled_unit_rows(rng, order[:k], n)
-        bA = scaled_unit_rows(rng, order[k:k + q], n)
-        bB = scaled_unit_rows(rng, order[k + q:k + q + extra], n)
-        reps_from = tuple(rand_combination(rng, I_rows + bA, n) for _ in range(q))
-        L_rows = list(I_rows + bA)
-        rng.shuffle(L_rows)
-        outside = reps_from[:-1] + (tuple(Q(1) for _ in range(n)),)
-        cases.append((n, I_rows, bA, bB, reps_from, L_rows, outside))
+        a, b = rng.randint(0, n - 1), rng.randint(0, n)
+        top = max(a, b)
+        I_rows = unit_rows(range(top, n), n)
+        bA, bB = scaled_unit_rows(rng, range(a, top), n), scaled_unit_rows(rng, range(b, top), n)
+        reps_from = tuple(rand_combination(rng, I_rows + bA, n) for _ in bA)
+        cases.append((Lattice.tail(n, a), Lattice.tail(n, b), I_rows, bA, bB, reps_from))
 
     def scale(row):
         return next(x for x in row if x)
 
-    def results():
-        for n, I_rows, bA, bB, reps_from, L_rows, outside in cases:
-            on = [row.index(scale(row)) for row in bA]
+    def results(tails):
+        for A, B, I_rows, bA, bB, reps_from in cases:
             assert quotient_det(I_rows, reps_from, bA) == det(
-                tuple(tuple(v[i] / scale(row) for i, row in zip(on, bA)) for v in reps_from))
-            if n > len(I_rows) + len(bA):
+                tuple(tuple(v[A.start + i] / scale(row) for i, row in enumerate(bA))
+                      for v in reps_from))
+            if bA and A.start:
+                outside = reps_from[:-1] + (tuple(Q(1) for _ in range(A.n)),)
                 with pytest.raises(NotExact, match="target vector outside span"):
                     quotient_det(I_rows, outside, bA)
-            assert centext._bottom_reps(Lattice(n, L_rows), I_rows) == tuple(
-                row for row in L_rows if row not in I_rows)
-            x = line_element(Lattice(n, I_rows + bA), Lattice(n, I_rows + bB), 1,
-                             repsA=bA, repsB=bB)
+            assert centext._bottom_reps(A, I_rows) == unit_rows(range(A.start, A.start + len(bA)), A.n)
+            assert centext.pair_data(A, B).tails is tails
+            x = line_element(A, B, 1, repsA=bA, repsB=bB)
             volume = math.prod(abs(scale(row)) for row in bB) / math.prod(
                 abs(scale(row)) for row in bA)
             assert x.norm() == QSqrt(volume)
 
-    results()
+    results(True)
     force_general_path(monkeypatch)
-    results()
+    results(False)
 
 
 def oracle_pairs():

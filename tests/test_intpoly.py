@@ -101,10 +101,14 @@ def test_monicize_preserves_roots():
 
 def test_reverse_and_scale():
     h = parse_intpoly("2*t^3 + 3*t + 5")
-    assert h.reverse() == parse_intpoly("5*t^3 + 3*t^2 + 2")
-    # scale_arg(c) = c^deg * h(t/c)
-    assert h.scale_arg(2) == parse_intpoly("2*t^3 + 12*t + 40")
-    assert h.shift(1) == parse_intpoly("2*t^3+6*t^2+9*t+10")
+    # substitute(a, e, c, d) = (c t + d)^deg * h((a t + e)/(c t + d))
+    assert h.substitute(0, 1, 1, 0) == parse_intpoly("5*t^3 + 3*t^2 + 2")  # reversal
+    assert h.substitute(1, 0, 0, 2) == parse_intpoly("2*t^3 + 12*t + 40")  # 2^3 h(t/2)
+    assert h.substitute(1, 1, 0, 1) == parse_intpoly("2*t^3+6*t^2+9*t+10")  # h(t+1)
+    # (t+1)^3 h((2t-1)/(t+1)) = 2(2t-1)^3 + 3(2t-1)(t+1)^2 + 5(t+1)^3; h(-1) = 0
+    # and (2t-1)/(t+1) = -1 at t = 0
+    assert h.substitute(2, -1, 1, 1) == parse_intpoly("27*t^3 + 27*t")
+    assert IntPoly().substitute(0, 1, 1, 0).is_zero
 
 
 def test_content_primitive():

@@ -310,7 +310,7 @@ def test_padic_and_surface_refusals_survive_python_O():
         "from arithsurf.intpoly import parse_intpoly as P\n"
         "from arithsurf.modp import ModPPoly as M\n"
         "from arithsurf.surface import ClosedPoint, Curve, FactoredRationalFunction as FRF\n"
-        "from arithsurf.surface import chart_swap_point, chart_swap_poly, prime_support_on_horizontal\n"
+        "from arithsurf.surface import SWAP, act, prime_support_on_horizontal\n"
         "def refused(error, call):\n"
         "    try:\n"
         "        call()\n"
@@ -331,9 +331,9 @@ def test_padic_and_surface_refusals_survive_python_O():
         "refused(NotExact, lambda: padic.padic_factor(P('t^2+2*t+1'), 3))\n"
         "refused(ParseError, lambda: FRF(Fraction(1), ((P('5*t+5'), 1),)))\n"
         "refused(ParseError, lambda: FRF(Fraction(1), ((P('3'), 1),)))\n"
-        "refused(ParseError, lambda: chart_swap_poly(P('t')))\n"
-        "refused(NonIrreducibleBase, lambda: chart_swap_poly(P('t^2+t')))\n"
-        "refused(NonIrreducibleBase, lambda: chart_swap_point(ClosedPoint._of_factor(5, M(5, (0, 0, 1)))))\n"
+        "refused(ParseError, lambda: act((2, 0, 0, 1), one))\n"
+        "refused(NonIrreducibleBase, lambda: act(SWAP, FRF(Fraction(1), ((P('t^2+t'), 1),))))\n"
+        "refused(NonIrreducibleBase, lambda: act(SWAP, ClosedPoint._of_factor(5, M(5, (0, 0, 1)))))\n"
         "refused(UnsupportedOrder, lambda: prime_support_on_horizontal(Curve.vertical(5), one, one))\n"
         "padic._sqrt_mod_p = lambda a, p: 1\n"
         "refused(NotExact, lambda: padic.padic_unit_sqrt(2, 7, 10))\n"

@@ -19,10 +19,9 @@ from arithsurf.padic import vp
 from arithsurf.surface import (
     ClosedPoint,
     Curve,
+    SWAP,
     FactoredRationalFunction,
-    chart_swap,
-    chart_swap_point,
-    chart_swap_poly,
+    act,
     constant_function,
     curves_through_point,
     format_function,
@@ -175,13 +174,13 @@ def test_chart_swap_involution():
     rng = random.Random(23)
     for _ in range(60):
         f = rand_function(rng)
-        assert chart_swap(chart_swap(f)) == f
+        assert act(SWAP, act(SWAP, f)) == f
 
 
 def test_chart_swap_degree_bookkeeping():
     # t <-> INF: swapping t^2+1 gives (squared INF pole) * swapped base
     f = parse_function("1 * (t^2+1)^1")
-    sw = chart_swap(f)
+    sw = act(SWAP, f)
     assert sw.exponent_of(parse_intpoly("t^2+1")) == 1  # reverse of t^2+1 is itself
     # INF exponent: -(e_t + sum e_i deg) = -(0 + 2) = -2 encoded on t... the
     # infinity marker carries into the t-exponent of the swapped chart
@@ -280,16 +279,22 @@ def test_factored_function_refuses_bases_that_are_not_primitive():
     # the normalizing constructors still build valid functions
     f = make_function(Fraction(1), [(parse_intpoly("5*t+5"), 1), (parse_intpoly("-t^2-1"), 2)])
     assert f.unit == 5 and f.exponent_of(parse_intpoly("t+1")) == 1
-    assert f.inv().inv() == f and chart_swap(chart_swap(f)) == f
+    assert f.inv().inv() == f and act(SWAP, act(SWAP, f)) == f
 
 
 def test_chart_swap_refuses_bases_and_residues_divisible_by_t():
-    with pytest.raises(ParseError, match="INF"):
-        chart_swap_poly(parse_intpoly("t"))
-    with pytest.raises(NonIrreducibleBase, match="origin"):
-        chart_swap_poly(parse_intpoly("t^2+t"))
-    with pytest.raises(NonIrreducibleBase, match="origin"):
-        chart_swap_point(ClosedPoint._of_factor(5, ModPPoly(5, (0, 0, 1))))
+    # t itself moves to infinity; a base or residue of degree >= 2 that t
+    # divides would drop degree, so it is refused
+    assert act(SWAP, Curve.horizontal(parse_intpoly("t"))) == Curve.infinity()
+    assert act(SWAP, parse_point("5:t")) == ClosedPoint(5)
+    with pytest.raises(NonIrreducibleBase, match="so t divides it"):
+        act(SWAP, FactoredRationalFunction(Fraction(1), ((parse_intpoly("t^2+t"), 1),)))
+    with pytest.raises(NonIrreducibleBase, match="so t divides it"):
+        act(SWAP, Curve(surface.HORIZONTAL, h=parse_intpoly("t^2+t")))
+    with pytest.raises(NonIrreducibleBase, match="mod 5, .* so t divides it"):
+        act(SWAP, ClosedPoint._of_factor(5, ModPPoly(5, (0, 0, 1))))
+    with pytest.raises(ParseError, match="GL_2"):
+        act((2, 0, 0, 1), parse_function("1 * (t^2+1)^1"))
 
 
 def test_prime_support_refuses_vertical_curves():

@@ -20,25 +20,24 @@ from arithsurf.errors import (
     ParseError,
     UnsupportedOrder,
 )
-from arithsurf.intpoly import IntPoly, parse_intpoly, resultant
+from arithsurf.intpoly import IntPoly, parse_intpoly, resultant, spot_check_irreducible
 from arithsurf.laws import (
     INCONCLUSIVE_ERRORS,
     verify_horizontal_law,
     verify_point_law,
     verify_vertical_law,
 )
-from arithsurf.modp import ModPPoly
+from arithsurf.modp import ModPPoly, random_monic_irreducible
 from arithsurf.padic import dedekind_p_maximal, vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
     HORIZONTAL,
     INFINITY_SECTION,
     VERTICAL,
+    SWAP,
     ClosedPoint,
     Curve,
-    chart_swap,
-    chart_swap_curve,
-    chart_swap_point,
+    act,
     curves_through_point,
     horizontal_order,
     make_function,
@@ -489,8 +488,7 @@ def _full_symbol(curve, point, f, g):
         (a, b), (c, d) = rank2_vertical(f, curve.p, point), rank2_vertical(g, curve.p, point)
         return det2(a, c, b, d)
     if curve.kind == INFINITY_SECTION or point.at_infinity:
-        return _full_symbol(chart_swap_curve(curve), chart_swap_point(point),
-                            chart_swap(f), chart_swap(g))
+        return _full_symbol(*(act(SWAP, x) for x in (curve, point, f, g)))
     nu1_f, nu1_g = horizontal_order(f, curve), horizontal_order(g, curve)
     return sum(br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
                for br in branch_decomposition(curve, point, f, g))
@@ -618,8 +616,8 @@ def test_the_counts_at_a_point_at_infinity_equal_the_second_chart():
     for i in range(900):
         p = COUNT_PRIMES[i % len(COUNT_PRIMES)]
         f, g = _counted_function(rng, p), _counted_function(rng, p)
-        x, origin = ClosedPoint(p), chart_swap_point(ClosedPoint(p))
-        sf, sg = chart_swap(f), chart_swap(g)
+        x, origin = ClosedPoint(p), act(SWAP, ClosedPoint(p))
+        sf, sg = act(SWAP, f), act(SWAP, g)
         # the fiber: the order at t = infinity of f mod p, -sum e deg(b mod p)
         fiber = rank2_vertical(f, p, x)
         assert fiber == rank2_vertical(sf, p, origin)
@@ -642,16 +640,14 @@ def test_the_counts_at_a_point_at_infinity_equal_the_second_chart():
 
 def test_the_counts_swap_no_chart(monkeypatch):
     calls = Counter()
+    real = surface.act
 
-    def counting(name, real):
-        def count(*args):
-            calls[name] += 1
-            return real(*args)
-        return count
+    def count(sigma, x):
+        calls[type(x).__name__] += 1
+        return real(sigma, x)
 
     for module in (surface, symbols):
-        for name in ("chart_swap", "chart_swap_curve", "chart_swap_point"):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(module, "act", count)
     cases = _wider_law_cases(7, 1500)
     vertical = [case for case in cases if case[0] is verify_vertical_law]
     for verify, p, f, g in vertical:
@@ -668,8 +664,9 @@ def test_the_counts_swap_no_chart(monkeypatch):
             except INCONCLUSIVE_ERRORS:  # only an H:b flag has branch data to refuse
                 outcome = "inconclusive"
             if curve.kind == HORIZONTAL:
-                # an H:b flag with p | lc(b) still takes its branches in s = 1/t
-                assert calls["chart_swap_curve"] == calls["chart_swap_point"] == 1
+                # an H:b flag with p | lc(b) still takes its branches in s = 1/t:
+                # one move of the curve and one of the point
+                assert calls["Curve"] == calls["ClosedPoint"] == 1, calls
             else:
                 assert not calls, (curve, x, f, g)
             flags[curve.kind, outcome] += 1
@@ -681,8 +678,8 @@ def test_the_counts_swap_no_chart(monkeypatch):
 def test_a_base_divisible_by_t_is_counted_at_infinity():
     # t^5+t = t (t^4+1) passes the degree <= 4 spot check; the second chart
     # refuses it, and the counts read the sum of t and t^4+1
-    with pytest.raises(NonIrreducibleBase, match="origin"):
-        chart_swap(F("1*(t^5+t)^1"))
+    with pytest.raises(NonIrreducibleBase, match="t = 0, where s = infinity lands, so t divides it"):
+        act(SWAP, F("1*(t^5+t)^1"))
     for p in (2, 3, 5):
         x = ClosedPoint(p)
         f, parts = F(f"{p} * (t^5+t)^1"), (F(f"{p} * (t)^1"), F("1*(t^4+1)^1"))
@@ -691,3 +688,96 @@ def test_a_base_divisible_by_t_is_counted_at_infinity():
             assert value == sum(curve_point_symbol(curve, x, part, g) for part in parts)
             assert value != 0
         assert verify_point_law(x, f, F(f"{p} * (t)^1")).exact_sum == 0
+
+
+# -- coordinate changes: the symbol is intrinsic ---------------------------------
+
+# t -> t + 1, t -> -t and t -> 1/t generate GL_2(Z)
+GENERATORS = ((1, 1, 0, 1), (-1, 0, 0, 1), SWAP)
+
+
+def _matmul(s, t):
+    a, e, c, d = s
+    a2, e2, c2, d2 = t
+    return (a * a2 + e * c2, a * e2 + e * d2, c * a2 + d * c2, c * e2 + d * d2)
+
+
+def _random_word(rng):
+    """A random product of one to three generators."""
+    sigma = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 3)):
+        sigma = _matmul(sigma, rng.choice(GENERATORS))
+    return sigma
+
+
+def test_act_composes_as_the_matrix_product():
+    """act(tau, act(sigma, x)) == act(sigma . tau, x), since act(sigma, f) is
+    f((a s + e)/(c s + d)); SWAP is an involution; -1 acts trivially.  On
+    functions, horizontal curves, the infinity section, fibers and points."""
+    rng = random.Random(26)
+    moved = set()
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        bases, n = [], rng.randint(0, 3)
+        while len(bases) < n:
+            b = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [rng.choice((1, 2, 3))])
+            if spot_check_irreducible(b) and b.primitive_part() == b:
+                bases.append(b)
+        xs = [make_function(Fraction(rng.randint(1, 30), rng.randint(1, 30)),
+                            [(b, rng.choice((-2, -1, 1, 2))) for b in bases])]
+        xs += [Curve.horizontal(b) for b in bases] + [Curve.infinity(), Curve.vertical(p)]
+        xs += [ClosedPoint(p), ClosedPoint(p, random_monic_irreducible(p, rng.randint(1, 3), rng))]
+        sigma, tau = _random_word(rng), _random_word(rng)
+        for x in xs:
+            assert act(tau, act(sigma, x)) == act(_matmul(sigma, tau), x), (sigma, tau, x)
+            assert act(SWAP, act(SWAP, x)) == x
+            assert act((-1, 0, 0, -1), x) == x
+            moved.add((type(x).__name__, act(sigma, x) != x))
+    assert len(moved) == 6, moved
+
+
+def test_the_symbol_is_invariant_under_coordinate_changes():
+    """nu_{sC, sx}(sf, sg) = nu_{C, x}(f, g) for random words s in the three
+    generators, three per flag, on every flag of the point-law cases of the
+    `laws` pool.  A law checks a sum; this checks each flag on its own.  A
+    moved flag may fall outside what the symbol decides (a point at
+    infinity may move to a finite point with p | lc); those are counted."""
+    rng = random.Random(26)
+    seen = Counter()
+    for _, x, f, g in _wider_law_cases(7, 3000, ("point",)):
+        for curve in curves_through_point(x, f, g):
+            try:
+                value = curve_point_symbol(curve, x, f, g)
+            except INCONCLUSIVE_ERRORS:
+                continue
+            for _ in range(3):
+                sigma = _random_word(rng)
+                moved = [act(sigma, y) for y in (curve, x, f, g)]
+                try:
+                    assert curve_point_symbol(*moved) == value, (curve, x, f, g, moved)
+                except INCONCLUSIVE_ERRORS:
+                    seen["moved inconclusive"] += 1
+                    continue
+                seen["equal"] += 1
+                seen[curve.kind, value != 0, x.at_infinity, moved[1].at_infinity] += 1
+    assert seen["equal"] > 4000 and seen["moved inconclusive"] < 200, seen
+    for kind in (VERTICAL, HORIZONTAL):
+        # finite flags moved to infinity and flags at infinity moved to finite
+        assert seen[kind, True, False, True] and seen[kind, True, True, False], seen
+    assert seen[INFINITY_SECTION, True, True, False], seen
+
+
+def test_a_horizontal_flag_at_infinity_moves_to_a_finite_one():
+    # 2 | lc(2t^2+t+1): the flag at 2:inf is read at 2:s of s^2+s+2 = s (s+1)
+    # mod 2, one unramified branch, where the root theta = 0 mod 2 has
+    # v(theta) = v(-2 / (theta+1)) = 1.  By hand, with nu1(f) = m and
+    # nu1(g) = 0 the symbol is m nu2(g) in s: 2 gives v(2) = 1; 2t becomes
+    # 2/s, so v(2) - v(theta) = 0; (t+1) t^-3 becomes (s+1) s^2, so 2.
+    curve, x = parse_curve("H:2*t^2+t+1"), parse_point("2:inf")
+    assert act(SWAP, curve) == parse_curve("H:t^2+t+2")
+    assert act(SWAP, x) == parse_point("2:t")
+    for f, g, value in (("1*(2*t^2+t+1)^1", "2", 1), ("1*(2*t^2+t+1)^1", "2*(t)^1", 0),
+                        ("3*(2*t^2+t+1)^2", "1*(t+1)^1*(t)^-3", 4)):
+        f, g = F(f), F(g)
+        assert curve_point_symbol(curve, x, f, g) == value
+        assert curve_point_symbol(act(SWAP, curve), act(SWAP, x), act(SWAP, f), act(SWAP, g)) == value
