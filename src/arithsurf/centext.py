@@ -38,20 +38,25 @@ one of them empty, so the unit of (A|B) has norm exactly 1.  On three tails
 with smallest tail D, each of s, dA, dC in _contraction_scalar compares two
 bases of one quotient (B/D, A/D or C/D), both the ascending unit rows down to
 D, so s = dA = dC = 1 and k = 1; with the three unit norms 1, gamma = 1 too,
-and metrized contract builds no gamma.  pushforward on a tail pair whose
-image pair is one takes the canonical quotient rows as bottom
-representatives, so eA = eB = 1, and fA, fB are k x k minors (k the quotient
-dimension) of the operator's sparse images of e_i (op.column).  The unit rows
-of a tail or a tail pair (rref_basis, I_rows, canon_*) are built only when
-something reads them.  The window oracle only ever builds tails, so it runs
-no elimination and builds no Fraction row; its only det calls are those
-minors, of size at most |nu(f)| + |nu(g)|, and an empty minor is 1 without a
-call (_column_det).
+and contract on three tails just multiplies the coordinates.  pushforward on
+a tail pair whose image pair is one takes the canonical quotient rows as
+bottom representatives, so eA = eB = 1, and fA, fB are k x k minors (k the
+quotient dimension) of the operator's sparse images of e_i (op.column).  A
+multiplication keeps its coefficients as integers over one denominator D, so
+its columns are D times the images, the minors are integer determinants that
+det takes without rescaling, and the coordinate is scaled once by
+D^(kA - kB).  The unit rows of a tail or a tail pair (rref_basis, I_rows,
+canon_*) are built only when something reads them.  The window oracle only
+ever builds tails, so it runs no elimination and builds no Fraction row; its
+only det calls are those minors, of size at most |nu(f)| + |nu(g)|, and an
+empty minor is 1 without a call (_column_det).  Its coordinates are rational,
+and QSqrt multiplies and divides them without reducing a square part.
 
 One commutator_pairing or group_mul call is one memo scope (memo.py): inside
-it pair_data is computed once per distinct pair, keyed by the starts of a
-tail pair and by the rref bases otherwise.  Outside such a call nothing is
-shared.
+it the pair data of a general pair is computed once per distinct pair, keyed
+by the rref bases.  The memo holds general pairs only: a tail pair's data is
+its three index ranges, built on each call for less than a memo lookup
+costs.  Outside such a call nothing is shared.
 
 The oracle runs on the exact window of f and g (auto_window): the smallest
 window holding every degree its chain touches.  A smaller window is refused
@@ -165,16 +170,24 @@ class QSqrt:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if self.r == 1:
+                return _rational(self.q * other)
             return QSqrt(self.q * other, self.r)
+        if self.r == 1 == other.r:
+            return _rational(self.q * other.q)
         return QSqrt(self.q * other.q, self.r * other.r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if self.r == 1:
+                return _rational(self.q / other)
             return QSqrt(self.q / other, self.r)
         if other.q == 0:
             raise ZeroDivisionError("division by zero QSqrt")
+        if self.r == 1 == other.r:
+            return _rational(self.q / other.q)
         # 1/sqrt(r) = sqrt(r)/r
         return QSqrt(self.q / (other.q * other.r), self.r * other.r)
 
@@ -229,13 +242,21 @@ class QSqrt:
         if self.q == 0:
             raise ZeroPolynomial("log of zero")
         with mp.workprec(prec):
-            val = abs(self.to_mpf(prec))
-            return mp.log(val)
+            if self.r == 1:
+                return mp.log(mp.mpf(abs(self.q.numerator)) / self.q.denominator)
+            return mp.log(abs(self.to_mpf(prec)))
 
     def __repr__(self):
         if self.r == 1:
             return str(self.q)
         return f"{self.q}*sqrt({self.r})"
+
+
+def _rational(q):
+    """QSqrt(q) for a Fraction q: r = 1 needs no square reduction."""
+    out = QSqrt.__new__(QSqrt)
+    out.q, out.r = q, 1
+    return out
 
 
 ONE = QSqrt(1)
@@ -386,12 +407,12 @@ class PairData:
 
 
 def pair_data(A, B):
-    """The PairData of (A, B), computed once per pair inside one
+    """The PairData of (A, B).  A tail pair is its three index ranges, built
+    on each call; a general pair is computed once per pair inside one
     commutator_pairing or group_mul (memo.py)."""
     _check_ambient(A, B)
     if _indexed(A, B):
-        return shared(("pair_data", A.n, A.start, B.start),
-                      lambda: PairData.of_tails(A.n, A.start, B.start))
+        return PairData.of_tails(A.n, A.start, B.start)
     return shared(("pair_data", A.n, A.rref_basis, B.rref_basis),
                   lambda: _general_pair_data(A, B))
 
@@ -422,14 +443,17 @@ def quotient_det(modulus_rows, reps_from, reps_to):
 
 def _column_det(columns, modulus, reps_to):
     """quotient_det of sparse columns {index: entry} in the unit rows at
-    reps_to, modulo those at modulus: the minor at reps_to, and 1 (the
-    empty minor) when there are no columns."""
+    reps_to, modulo those at modulus, for the index ranges reps_to and
+    modulus of a tail pair, which together span the tail from reps_to's
+    start: the minor at reps_to, and 1 (the empty minor) when there are no
+    columns.  Integer columns give an integer minor, which det takes
+    without rescaling."""
     if not columns:
         return 1
-    span = set(modulus).union(reps_to)
+    span = range(reps_to.start, modulus.stop)
     if any(j not in span for g in columns for j in g):
         raise NotExact("target vector outside span of basis")
-    return det(tuple(tuple(g.get(j, _ZERO) for j in reps_to) for g in columns))
+    return det(tuple(tuple(g.get(j, 0) for j in reps_to) for g in columns))
 
 
 def _bottom_reps(L, I_rows):
@@ -471,16 +495,16 @@ def _canonical_norm(pd):
     return QSqrt.sqrt(volB2) / QSqrt.sqrt(volA2)
 
 
-@dataclass
 class LineElement:
     """Element of (A|B), coordinate relative to the canonical wedge basis."""
 
-    A: Lattice
-    B: Lattice
-    coord: QSqrt
+    __slots__ = ("A", "B", "coord")
 
-    def __post_init__(self):
-        self.coord = _as_qsqrt(self.coord)
+    def __init__(self, A, B, coord):
+        self.A, self.B, self.coord = A, B, _as_qsqrt(coord)
+
+    def __repr__(self):
+        return f"LineElement({self.A!r}, {self.B!r}, {self.coord!r})"
 
     def norm(self):
         return abs(self.coord) * line_norm(self.A, self.B)
@@ -518,15 +542,20 @@ def contract(x, y, metrized=False):
     Algebraic: canonical wedge bookkeeping through the common sublattice
     D = A cap B cap C.  metrized=True rescales by the volume discrepancy
     gamma = (|x| |y|) / |alpha(x tensor y)| so the result has norm
-    |x| |y|; on three tails gamma = 1 (see _contraction_scalar).
+    |x| |y|; on three tails k = gamma = 1 (see _contraction_scalar), and the
+    coordinates just multiply.
     """
     if not x.B.same_span(y.A):
         raise NotExact("middle lattices of the contraction disagree")
+    if _indexed(x.A, x.B, y.B):
+        _check_ambient(x.A, x.B)
+        _check_ambient(x.B, y.B)
+        return LineElement(x.A, y.B, x.coord * y.coord)
     pds, k = _contraction_scalar(x.A, x.B, y.B)
     coord = x.coord * y.coord
     if k != 1:
         coord = coord * k
-    if metrized and not _indexed(x.A, x.B, y.B):
+    if metrized:
         coord = coord * _gamma(pds, k)
     return LineElement(x.A, y.B, coord)
 
@@ -641,7 +670,10 @@ def beta_map(x, y, metrized=True):
 
 class DenseOperator:
     """Invertible linear map on Q^n given by a matrix (acting on column
-    coordinate vectors; rows are the images' coefficients)."""
+    coordinate vectors; rows are the images' coefficients).  Its entries
+    are kept as Fractions, over the denominator 1."""
+
+    denominator = 1
 
     def __init__(self, matrix):
         self.matrix = tuple(tuple(map(Fraction, row)) for row in matrix)
@@ -651,7 +683,7 @@ class DenseOperator:
         return matvec(self.matrix, v)
 
     def column(self, i):
-        """The image of e_i as {index: nonzero entry}."""
+        """denominator times the image of e_i, as {index: nonzero entry}."""
         return {j: row[i] for j, row in enumerate(self.matrix) if row[i]}
 
     def compose(self, other):
@@ -670,7 +702,9 @@ class DenseOperator:
 class LaurentMultOperator:
     """Multiplication by a fixed Laurent polynomial on the window span
     of t^m .. t^M.  Composition is exact (multiply the polynomials);
-    application raises WindowTooSmall when the product leaves the window."""
+    application raises WindowTooSmall when the product leaves the window.
+    The coefficients of f are kept as integers over one denominator, the
+    lcm of theirs, so its columns are integer vectors."""
 
     def __init__(self, f, window):
         if f.is_zero:
@@ -679,7 +713,10 @@ class LaurentMultOperator:
         self.window = tuple(window)
         m, M = self.window
         self.n = M - m + 1
-        self._terms = tuple(sorted(f.coeffs.items()))
+        self.nu = f.nu
+        terms = sorted(f.coeffs.items())
+        self.denominator = D = math.lcm(*(c.denominator for _, c in terms))
+        self._terms = tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
 
     def _check_window(self, lo, hi):
         """Refuse f times a vector with support [lo, hi] leaving the window."""
@@ -699,10 +736,11 @@ class LaurentMultOperator:
             for i in support:
                 for k, c in self._terms:
                     out[i + k] += c * v[i]
-        return tuple(out)
+        D = self.denominator
+        return tuple(out) if D == 1 else tuple(x / D for x in out)
 
     def column(self, i):
-        """The image of e_i as {index: nonzero entry}."""
+        """denominator times the image of e_i, as {index: nonzero integer}."""
         self._check_window(i, i)
         return {i + k: c for k, c in self._terms}
 
@@ -751,7 +789,7 @@ def apply_lattice(op, L):
     start = n - L.dim
     if isinstance(op, LaurentMultOperator) and L.pivots == tuple(range(start, n)):
         m, M = op.window
-        new_start = start + op.f.nu
+        new_start = start + op.nu
         if new_start < 0:
             raise WindowTooSmall(
                 f"shifted tail t^{m + new_start} below window bottom {m}",
@@ -776,7 +814,9 @@ def pushforward(op, x):
     determinants.  When (A, B) and (op A, op B) are both tail pairs, the
     bottom representatives of (A, B) are its canonical quotient rows, so eA
     = eB = 1, and fA, fB are minors of op's columns; op then shifts both
-    tails alike, which keeps the quotient dimensions.
+    tails alike, which keeps the quotient dimensions.  The columns are D =
+    op.denominator times the images, so the kA x kA and kB x kB minors carry
+    D^kA and D^kB, and the coordinate is scaled once by D^(kA - kB).
     """
     A, B = x.A, x.B
     pd = pair_data(A, B)
@@ -788,7 +828,12 @@ def pushforward(op, x):
         gB = tuple(map(op.column, pd.second_pivots))
         fA = _column_det(gA, pd2.I_pivots, pd2.first_pivots)
         fB = _column_det(gB, pd2.I_pivots, pd2.second_pivots)
-        return LineElement(A2, B2, x.coord * (Fraction(fB) / fA))
+        shift = len(gA) - len(gB)
+        if shift > 0:
+            fB *= op.denominator ** shift
+        elif shift < 0:
+            fA *= op.denominator ** -shift
+        return LineElement(A2, B2, x.coord * Fraction(fB, fA))
     botA = _bottom_reps(A, pd.I_rows)
     botB = _bottom_reps(B, pd.I_rows)
     eA = quotient_det(pd.I_rows, botA, pd.canon_first)

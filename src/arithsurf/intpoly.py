@@ -153,11 +153,11 @@ class IntPoly:
         """lc^(deg-1) * self(t/lc): the classical monic normalization.
 
         The result is monic with integer coefficients and defines the same
-        number field; the root map is theta -> lc * theta.
+        number field; the root map is theta -> lc * theta.  It is
+        substitute(1, 0, 0, lc) = lc^deg * self(t/lc) divided by lc, exactly.
         """
-        d = self.degree
         c = self.lc
-        return IntPoly([a * c ** (d - 1 - i) for i, a in enumerate(self.coeffs[:-1])] + [1])
+        return IntPoly([a // c for a in self.substitute(1, 0, 0, c).coeffs])
 
     def __repr__(self):
         return f"IntPoly({format_intpoly(self)!r})"

@@ -8,8 +8,9 @@ Res(h, b) of the curve with the bases give the prime support of a
 horizontal law and then the branch valuations at its points, so they are
 shared too.  On the central-extension side, the contractions and
 pushforwards of one commutator pairing or group multiplication keep
-asking for the pair data of the same few lattice pairs, so those are
-shared within one such call (centext.pair_data).
+asking for the pair data of the same few lattice pairs, so the data of a
+general pair is shared within one such call (centext.pair_data); a pair of
+tails is three index ranges, built on each call for less than a lookup.
 
 `verification` gives each call of a function it wraps (a law verifier,
 centext.commutator_pairing, centext.group_mul) a fresh memo in a context

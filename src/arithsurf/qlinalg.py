@@ -1,17 +1,18 @@
 """Dense exact linear algebra over Q.
 
 Vectors are tuples of rationals (Fractions or ints), matrices tuples of row
-tuples; every result is made of Fractions.  All elimination runs on one
-fraction-free kernel over integer rows.  On entry each row is scaled to
-integers by the lcm of its denominators, which changes no span and scales a
-determinant by the product of those lcms; rows of unequal length are refused
-there.  Elimination is then Bareiss's: each step multiplies by the new pivot
-and divides exactly by the previous one, so every entry stays an integer
-minor of the input and no entry is ever a fraction (Bareiss, Math. Comp. 22
-(1968); Cohen, GTM 138, Alg. 2.2.6).  det is that elimination; rref is its
-Gauss-Jordan form, which divides each row by its pivot once, at the end.  The
-kernel uses only *, - and exact //, so it runs unchanged over any integral
-domain with exact division.
+tuples; every result is made of Fractions, except that det of a matrix of
+ints is an int.  All elimination runs on one fraction-free kernel over
+integer rows.  On entry each row is scaled to integers by the lcm of its
+denominators, which changes no span and scales a determinant by the product
+of those lcms; rows of unequal length are refused there.  det takes a matrix
+of ints as it is, without rescaling.  Elimination is then Bareiss's: each
+step multiplies by the new pivot and divides exactly by the previous one, so
+every entry stays an integer minor of the input and no entry is ever a
+fraction (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, Alg. 2.2.6).  det
+is that elimination; rref is its Gauss-Jordan form, which divides each row by
+its pivot once, at the end.  The kernel uses only *, - and exact //, so it
+runs unchanged over any integral domain with exact division.
 """
 
 import math
@@ -173,10 +174,14 @@ def rank(rows):
 
 
 def det(m):
-    """Determinant of a square rational matrix (Bareiss on its integer rows)."""
+    """Determinant of a square rational matrix (Bareiss on its integer rows):
+    an int for rows of ints, taken without rescaling, and a Fraction
+    otherwise."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotExact(f"determinant of a non-square matrix with {n} rows")
+    if m and all(type(x) is int for r in m for x in r):
+        return _bareiss(list(m))
     rows, scales = _integer_rows(m)
     return Fraction(_bareiss(rows), math.prod(scales))
 

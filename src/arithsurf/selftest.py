@@ -5,6 +5,7 @@ Each suite draws its population from an explicit random.Random(seed) so a
 the acceptance tests share these generators.
 """
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -73,7 +74,21 @@ class SuiteResult:
             line += f" ({self.inconclusive} inconclusive)"
         if self.failed:
             line += f" [{self.failed} FAILED]"
-        return line
+        return line + f" in {self.elapsed:.3f} s"
+
+
+def _timed(suite):
+    """Record each run's wall time (time.perf_counter) in its result's
+    elapsed."""
+
+    @functools.wraps(suite)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        res = suite(*args, **kwargs)
+        res.elapsed = time.perf_counter() - t0
+        return res
+
+    return timed
 
 
 def random_function(rng, bases=POINT_LAW_BASES, max_exp=3, unit_bound=50):
@@ -99,39 +114,37 @@ def random_point(rng, primes=POINT_PRIMES):
     return ClosedPoint(p, random_monic_irreducible(p, d, rng))
 
 
+@_timed
 def suite_point_law(cases, seed, config=None, n_points=50):
     cfg = config or default_config()
     rng = random.Random(seed)
     res = SuiteResult("point-law")
-    t0 = time.time()
     points = [random_point(rng) for _ in range(min(n_points, max(cases, 1)))]
     for i in range(cases):
         f, g = random_pair(rng)
         rep = verify_point_law(points[i % len(points)], f, g, config=cfg)
         res.record(rep.verdict, f"{rep.subject} f={rep.f} g={rep.g}")
-    res.elapsed = time.time() - t0
     return res
 
 
+@_timed
 def suite_vertical_law(cases, seed, config=None, primes=VERTICAL_PRIMES):
     cfg = config or default_config()
     rng = random.Random(seed)
     res = SuiteResult("vertical-law")
-    t0 = time.time()
     for i in range(cases):
         f, g = random_pair(rng)
         p = primes[i % len(primes)]
         rep = verify_vertical_law(p, f, g, config=cfg)
         res.record(rep.verdict, f"{rep.subject} f={rep.f} g={rep.g}")
-    res.elapsed = time.time() - t0
     return res
 
 
+@_timed
 def suite_horizontal_law(cases, seed, config=None, curves=HORIZONTAL_CURVES):
     cfg = config or default_config()
     rng = random.Random(seed)
     res = SuiteResult("horizontal-law")
-    t0 = time.time()
     parsed = [parse_curve(s) for s in curves]
     for i in range(cases):
         f, g = random_pair(rng)
@@ -139,7 +152,6 @@ def suite_horizontal_law(cases, seed, config=None, curves=HORIZONTAL_CURVES):
         res.record(
             rep.verdict, f"{rep.subject} f={rep.f} g={rep.g} sum={rep.numeric_sum}"
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -156,10 +168,10 @@ def random_laurent(rng, lo_exp=-2, hi_exp=5, coeff_bound=10):
     return LaurentPoly(coeffs)
 
 
+@_timed
 def suite_oracle(cases, seed, tol=1e-9, prec=128):
     rng = random.Random(seed)
     res = SuiteResult("arch-oracle")
-    t0 = time.time()
     for _ in range(cases):
         f, g = random_laurent(rng), random_laurent(rng)
         try:
@@ -172,7 +184,6 @@ def suite_oracle(cases, seed, tol=1e-9, prec=128):
         res.record(
             "pass" if err <= tol else "fail", f"f={f} g={g} err={float(err):.3e}"
         )
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -204,12 +215,12 @@ def _random_coord(rng):
     return QSqrt(q) * QSqrt.sqrt(Fraction(root))
 
 
+@_timed
 def suite_prop_a(cases, seed):
     """Group laws of the metrized central extension on random dense triples:
     associativity, two-sided identity, inverses, centrality of scalars."""
     rng = random.Random(seed)
     res = SuiteResult("prop-a")
-    t0 = time.time()
     for _ in range(cases):
         n = rng.randint(3, 5)
         A = _random_lattice(rng, n, n)
@@ -236,7 +247,6 @@ def suite_prop_a(cases, seed):
         c = argl_scalar(u.op, A, _random_coord(rng))
         checks.append(group_mul(c, v).elem.coord == group_mul(v, c).elem.coord)
         res.record("pass" if all(checks) else "fail", f"n={n} checks={checks}")
-    res.elapsed = time.time() - t0
     return res
 
 
@@ -270,10 +280,10 @@ def random_prop_b_instance(rng, max_dim=8):
     return g, h, A, B
 
 
+@_timed
 def suite_prop_b(cases, seed, max_dim=8):
     rng = random.Random(seed)
     res = SuiteResult("prop-b")
-    t0 = time.time()
     for _ in range(cases):
         g, h, A, B = random_prop_b_instance(rng, max_dim=max_dim)
         try:
@@ -282,7 +292,6 @@ def suite_prop_b(cases, seed, max_dim=8):
             res.record("inconclusive")
             continue
         res.record("pass" if passed else "fail", f"lhs={lhs} rhs={rhs}")
-    res.elapsed = time.time() - t0
     return res
 
 

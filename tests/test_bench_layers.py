@@ -1,11 +1,12 @@
 """The benchmark's traced layers must name functions that exist, and the
-`laws` workload must reach each layer its smoke test expects it to call.
+`laws` and `oracle` workloads must reach each layer they are expected to call.
 
 `arithbench/run.py --trace 1` wraps each `module.fn` listed in its LAYERS
 and SETUP_LAYERS tuples; a function deleted or moved in the package would
 break it.  `arithbench/test_smoke.py` requires calls on each of its
 LAW_LAYERS in a traced 48-case seed-7 `laws` run, which the tier-1 suite
-does not run; the same check runs here in-process.  The tuples are read with
+does not run; the same check runs here in-process, and one on the layers
+that a seeded `oracle` pool reaches (ORACLE_LAYERS).  The tuples are read with
 `ast`, without importing the benchmark.
 """
 
@@ -49,13 +50,15 @@ def test_bench_layer_resolves(layer):
     assert callable(getattr(importlib.import_module(f"arithsurf.{module}"), fn, None))
 
 
-def test_laws_workload_calls_every_law_layer(monkeypatch):
+def _workloads():
     spec = importlib.util.spec_from_file_location("arithbench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    pool = workloads.law_pool(arithsurf, workloads.Draws("laws", 7), 48)
-    call, _ = workloads.law_runner(arithsurf)
-    layers = _tuples(SMOKE_PY, ("LAW_LAYERS",))
+    return workloads
+
+
+def _layer_calls(monkeypatch, layers, call, pool):
+    """Calls on each layer while `call` runs the pool's cases in-process."""
     calls = Counter()
     modules = [m for n, m in list(sys.modules.items())
                if n == "arithsurf" or n.startswith("arithsurf.")]
@@ -81,7 +84,35 @@ def test_laws_workload_calls_every_law_layer(monkeypatch):
             call(case)
         except ArithsurfError:
             pass
+    return calls
+
+
+def test_laws_workload_calls_every_law_layer(monkeypatch):
+    workloads = _workloads()
+    pool = workloads.law_pool(arithsurf, workloads.Draws("laws", 7), 48)
+    call, _ = workloads.law_runner(arithsurf)
+    layers = _tuples(SMOKE_PY, ("LAW_LAYERS",))
+    calls = _layer_calls(monkeypatch, layers, call, pool)
     assert [layer for layer in layers if not calls[layer]] == []
+
+
+# The oracle's traced layers.  Every lattice of the oracle is a tail, so of
+# the smoke test's LATTICE_LAYERS it reaches neither centext.gamma_discrepancy
+# nor centext.line_norm (contraction scalar and unit norms are 1 on tails) nor
+# qlinalg.rref, qlinalg.solve_coords, qlinalg.intersection or qlinalg.gram_det
+# (no elimination runs on tails): the smoke test's `oracle` check reads 0 on
+# those six.
+ORACLE_LAYERS = ("centext.commutator_pairing", "centext.pushforward", "centext.contract",
+                 "centext.pair_data", "centext.apply_lattice", "qlinalg.det")
+
+
+def test_oracle_workload_calls_every_oracle_layer(monkeypatch):
+    assert set(ORACLE_LAYERS) < set(_tuples(SMOKE_PY, ("LATTICE_LAYERS",)))
+    workloads = _workloads()
+    pool = workloads.oracle_pool(arithsurf, workloads.Draws("oracle", 7), 12)
+    call, judge = workloads.oracle_runner(arithsurf)
+    calls = _layer_calls(monkeypatch, ORACLE_LAYERS, lambda case: judge(case, call(case)), pool)
+    assert [layer for layer in ORACLE_LAYERS if not calls[layer]] == []
 
 
 PROBES = ("_is_coordinate", "_probe_pair_data", "_probe_rref", "_probe_pairing")

@@ -376,7 +376,8 @@ def test_apply_lattice_shifts_tails():
 def test_operator_images_are_products_and_columns():
     """LaurentMultOperator.apply is the product of Laurent polynomials, with
     the product's support and minimal window in its refusal, and column(i)
-    of either operator is apply(e_i) without its zero entries."""
+    of either operator is its denominator times apply(e_i) without the zero
+    entries, integers for a multiplication."""
     rng = random.Random(23)
     for _ in range(300):
         n, m = rng.randint(1, 7), -rng.randint(0, 4)
@@ -393,8 +394,11 @@ def test_operator_images_are_products_and_columns():
         dense = DenseOperator(rand_invertible(rng, n))
         for o in (op, dense):
             i = rng.randrange(n)
-            assert outcome(lambda: o.column(i)) == outcome(
-                lambda: {j: x for j, x in enumerate(o.apply(e(i, n))) if x})
+            column = outcome(lambda: o.column(i))
+            assert column == outcome(
+                lambda: {j: x * o.denominator for j, x in enumerate(o.apply(e(i, n))) if x})
+            if o is op and isinstance(column, dict):
+                assert all(type(x) is int for x in column.values())
 
 
 # -- commutator pairing ----------------------------------------------------------
@@ -522,6 +526,33 @@ def test_arch_oracle_matches_closed_form():
                 Q(rng.randint(-9, 9)), nu_g + rng.randint(1, 3)
             )
             assert abs(nu_arch_oracle(f, g) - nu_arch_closed(f, g)) < mp.mpf("1e-30")
+
+
+def rational_laurent(rng):
+    """A Laurent polynomial of valuation -3..3 with one to four terms whose
+    coefficients have denominators up to 7."""
+    nu = rng.randint(-3, 3)
+    return LaurentPoly({nu + k: Q(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 7))
+                        for k in [0] + rng.sample(range(1, 4), rng.randint(0, 3))})
+
+
+def test_oracle_pairing_is_the_closed_form_exactly():
+    """|<mult-f, mult-g>_A| = |f0(0)|^nu(g) / |g0(0)|^nu(f) as rationals, on
+    the exact window and on a wider one.  The coefficients have denominators,
+    so every tail minor carries a power of its operator's denominator D, and
+    each pushforward scales by D^(kA - kB) with kA - kB = +-nu."""
+    rng = random.Random(27)
+    scaled = 0
+    for _ in range(200):
+        f, g = rational_laurent(rng), rational_laurent(rng)
+        want = abs(f.bottom_coeff) ** g.nu / abs(g.bottom_coeff) ** f.nu
+        lo, hi = auto_window(f, g)
+        for window in ((lo, hi), (lo - rng.randint(1, 3), hi + rng.randint(1, 3))):
+            ops = mult_operator(f, window), mult_operator(g, window)
+            got = commutator_pairing(*ops, standard_lattice(window))
+            assert got.is_rational and abs(got.as_fraction()) == want
+        scaled += any(op.denominator > 1 and op.nu for op in ops)
+    assert scaled > 100
 
 
 # -- the central extension group -------------------------------------------------
@@ -885,22 +916,34 @@ def shares_per_pair(calls):
     return len(first) < len(calls)
 
 
+def builds_per_call(calls):
+    """Does every call return a PairData of its own?"""
+    return len({id(pd) for _, pd in calls}) == len(calls)
+
+
 def test_pair_data_is_shared_within_one_pairing_only(monkeypatch):
+    """The memo holds general pairs only: inside one pairing or group_mul
+    every call on one general pair returns the same PairData, a tail pair
+    is built on each call, and outside such a call nothing is shared."""
     calls = record_pair_data(monkeypatch)
-    for f, g, window in oracle_pairs():
-        calls.clear()
-        nu_arch_oracle(f, g, window=window)
-        assert shares_per_pair(calls)
-    # group_mul is a scope of its own, on the general path too
     window = (-4, 4)
     op, A = mult_operator(parse_laurent("2*t - 3*t^2"), window), standard_lattice(window)
     for general in (False, True):
         if general:
             force_general_path(monkeypatch)
+        repeats = False
+        for f, g, w in oracle_pairs():
+            calls.clear()
+            nu_arch_oracle(f, g, window=w)
+            assert calls and all(pd.tails != general for _, pd in calls)
+            assert shares_per_pair(calls) if general else builds_per_call(calls)
+            repeats |= len({key for key, _ in calls}) < len(calls)
+        assert repeats  # some pair is asked for twice within one pairing
+        # group_mul is a scope of its own
         calls.clear()
         group_mul(argl_lift(op, A, Q(2)), argl_lift(op, A, Q(-3)))
-        assert shares_per_pair(calls)
-        assert all(pd.tails != general for _, pd in calls)
+        assert calls and all(pd.tails != general for _, pd in calls)
+        assert shares_per_pair(calls) if general else builds_per_call(calls)
     # outside a pairing nothing is shared
     A, B = Lattice(3, [e(0, 3)]), Lattice(3, [e(1, 3)])
     assert centext.pair_data(A, B) is not centext.pair_data(A, B)
@@ -909,7 +952,7 @@ def test_pair_data_is_shared_within_one_pairing_only(monkeypatch):
     contract(x, y, metrized=True)
     contract(x, y, metrized=True)
     keys = [key for key, _ in calls]
-    assert len({id(pd) for _, pd in calls}) == len(calls) > len(set(keys))
+    assert builds_per_call(calls) and len(calls) > len(set(keys))
 
 
 def test_oracle_rescans_no_rows_of_known_shape(monkeypatch):

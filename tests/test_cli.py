@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,6 +176,21 @@ def test_selftest_zero_cases(capsys):
     code, out, _ = run(capsys, "selftest", "--cases", "0")
     assert code == 0
     assert "point-law 0/0" in out
+
+
+def test_selftest_text_prints_each_suite_time(capsys, monkeypatch):
+    """Each text line ends with the suite's wall time, read from
+    time.perf_counter: here a fake clock that steps 0.25 s per reading."""
+    from arithsurf import selftest
+
+    ticks = iter(range(100))
+    monkeypatch.setattr(selftest, "time", SimpleNamespace(perf_counter=lambda: 0.25 * next(ticks)))
+    code, out, _ = run(capsys, "selftest", "--cases", "1", "--seed", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["point-law", "vertical-law", "horizontal-law",
+                                                   "arch-oracle", "prop-a", "prop-b"]
+    assert all(line.endswith(" 1/1 in 0.250 s") for line in lines)
 
 
 def test_selftest_refuses_negative_cases(capsys):
