@@ -49,8 +49,7 @@ D^(kA - kB).  The unit rows of a tail or a tail pair (rref_basis, I_rows,
 canon_*) are built only when something reads them.  The window oracle only
 ever builds tails, so it runs no elimination and builds no Fraction row; its
 only det calls are those minors, of size at most |nu(f)| + |nu(g)|, and an
-empty minor is 1 without a call (_column_det).  Its coordinates are rational,
-and QSqrt multiplies and divides them without reducing a square part.
+empty minor is 1 without a call (_column_det).
 
 One commutator_pairing or group_mul call is one memo scope (memo.py): inside
 it the pair data of a general pair is computed once per distinct pair, keyed
@@ -170,24 +169,16 @@ class QSqrt:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if self.r == 1:
-                return _rational(self.q * other)
             return QSqrt(self.q * other, self.r)
-        if self.r == 1 == other.r:
-            return _rational(self.q * other.q)
         return QSqrt(self.q * other.q, self.r * other.r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if self.r == 1:
-                return _rational(self.q / other)
             return QSqrt(self.q / other, self.r)
         if other.q == 0:
             raise ZeroDivisionError("division by zero QSqrt")
-        if self.r == 1 == other.r:
-            return _rational(self.q / other.q)
         # 1/sqrt(r) = sqrt(r)/r
         return QSqrt(self.q / (other.q * other.r), self.r * other.r)
 
@@ -250,13 +241,6 @@ class QSqrt:
         if self.r == 1:
             return str(self.q)
         return f"{self.q}*sqrt({self.r})"
-
-
-def _rational(q):
-    """QSqrt(q) for a Fraction q: r = 1 needs no square reduction."""
-    out = QSqrt.__new__(QSqrt)
-    out.q, out.r = q, 1
-    return out
 
 
 ONE = QSqrt(1)
@@ -495,16 +479,16 @@ def _canonical_norm(pd):
     return QSqrt.sqrt(volB2) / QSqrt.sqrt(volA2)
 
 
+@dataclass(slots=True)
 class LineElement:
     """Element of (A|B), coordinate relative to the canonical wedge basis."""
 
-    __slots__ = ("A", "B", "coord")
+    A: Lattice
+    B: Lattice
+    coord: QSqrt
 
-    def __init__(self, A, B, coord):
-        self.A, self.B, self.coord = A, B, _as_qsqrt(coord)
-
-    def __repr__(self):
-        return f"LineElement({self.A!r}, {self.B!r}, {self.coord!r})"
+    def __post_init__(self):
+        self.coord = _as_qsqrt(self.coord)
 
     def norm(self):
         return abs(self.coord) * line_norm(self.A, self.B)
@@ -670,10 +654,7 @@ def beta_map(x, y, metrized=True):
 
 class DenseOperator:
     """Invertible linear map on Q^n given by a matrix (acting on column
-    coordinate vectors; rows are the images' coefficients).  Its entries
-    are kept as Fractions, over the denominator 1."""
-
-    denominator = 1
+    coordinate vectors; rows are the images' coefficients)."""
 
     def __init__(self, matrix):
         self.matrix = tuple(tuple(map(Fraction, row)) for row in matrix)
@@ -681,10 +662,6 @@ class DenseOperator:
 
     def apply(self, v):
         return matvec(self.matrix, v)
-
-    def column(self, i):
-        """denominator times the image of e_i, as {index: nonzero entry}."""
-        return {j: row[i] for j, row in enumerate(self.matrix) if row[i]}
 
     def compose(self, other):
         return DenseOperator(matmul(self.matrix, other.matrix))
@@ -713,7 +690,6 @@ class LaurentMultOperator:
         self.window = tuple(window)
         m, M = self.window
         self.n = M - m + 1
-        self.nu = f.nu
         terms = sorted(f.coeffs.items())
         self.denominator = D = math.lcm(*(c.denominator for _, c in terms))
         self._terms = tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
@@ -789,7 +765,7 @@ def apply_lattice(op, L):
     start = n - L.dim
     if isinstance(op, LaurentMultOperator) and L.pivots == tuple(range(start, n)):
         m, M = op.window
-        new_start = start + op.nu
+        new_start = start + op.f.nu
         if new_start < 0:
             raise WindowTooSmall(
                 f"shifted tail t^{m + new_start} below window bottom {m}",

@@ -111,6 +111,22 @@ def test_line_norm_fixtures():
     assert LineElement(A, C, 1).norm() == QSqrt.sqrt(Q(2))
 
 
+def test_line_elements_compare_by_value():
+    """Line elements, and group elements holding them, are equal when their
+    lattices and coordinates are, whatever the coordinate's type; like the
+    group elements they are mutable, so neither is hashable."""
+    A, B = Lattice(2, [e(0, 2)]), zero_lattice(2)
+    assert LineElement(A, B, 3) == LineElement(Lattice(2, [e(0, 2)]), B, QSqrt(Q(3)))
+    assert LineElement(A, B, 3) != LineElement(A, B, 2)
+    assert LineElement(A, B, 3) != LineElement(B, A, 3)
+    op = DenseOperator(((1, 0), (0, 1)))
+    assert argl_lift(op, A, Q(2)) == argl_lift(op, A, 2)
+    assert argl_lift(op, A, Q(2)) != argl_lift(op, A, 3)
+    for x in (LineElement(A, B, 3), argl_lift(op, A, 2)):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
 def test_line_element_custom_reps():
     # coordinate conversion: wedge(2 e1) = 2 wedge(e1)
     A = zero_lattice(2)
@@ -376,8 +392,8 @@ def test_apply_lattice_shifts_tails():
 def test_operator_images_are_products_and_columns():
     """LaurentMultOperator.apply is the product of Laurent polynomials, with
     the product's support and minimal window in its refusal, and column(i)
-    of either operator is its denominator times apply(e_i) without the zero
-    entries, integers for a multiplication."""
+    is its denominator times apply(e_i) without the zero entries, as
+    integers."""
     rng = random.Random(23)
     for _ in range(300):
         n, m = rng.randint(1, 7), -rng.randint(0, 4)
@@ -391,14 +407,12 @@ def test_operator_images_are_products_and_columns():
                 op.apply(v)
             assert f"[{product.nu}, {product.top}]" in str(exc.value)
             assert exc.value.minimal_window == (min(product.nu, m), max(product.top, m + n - 1))
-        dense = DenseOperator(rand_invertible(rng, n))
-        for o in (op, dense):
-            i = rng.randrange(n)
-            column = outcome(lambda: o.column(i))
-            assert column == outcome(
-                lambda: {j: x * o.denominator for j, x in enumerate(o.apply(e(i, n))) if x})
-            if o is op and isinstance(column, dict):
-                assert all(type(x) is int for x in column.values())
+        i = rng.randrange(n)
+        column = outcome(lambda: op.column(i))
+        assert column == outcome(
+            lambda: {j: x * op.denominator for j, x in enumerate(op.apply(e(i, n))) if x})
+        if isinstance(column, dict):
+            assert all(type(x) is int for x in column.values())
 
 
 # -- commutator pairing ----------------------------------------------------------
@@ -551,7 +565,7 @@ def test_oracle_pairing_is_the_closed_form_exactly():
             ops = mult_operator(f, window), mult_operator(g, window)
             got = commutator_pairing(*ops, standard_lattice(window))
             assert got.is_rational and abs(got.as_fraction()) == want
-        scaled += any(op.denominator > 1 and op.nu for op in ops)
+        scaled += any(op.denominator > 1 and op.f.nu for op in ops)
     assert scaled > 100
 
 

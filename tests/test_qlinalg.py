@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -297,12 +298,17 @@ def test_rref_matches_the_fraction_reference_and_sympy():
 
 
 def test_det_matches_the_fraction_reference_and_sympy():
+    """det of Fraction rows is a Fraction; det of a nonempty matrix of ints,
+    here each seeded matrix times the lcm of its denominators, is an int."""
     for m in _matrices(32, 150, square=True):
-        got = det(m)
-        assert type(got) is Fraction and got == _ref_det(m)
-        if m:
-            want = _sympy(m).det()
-            assert got == Fraction(int(want.p), int(want.q))
+        lcm = math.lcm(*(x.denominator for row in m for x in row))
+        ints = tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in m)
+        for rows, kind in ((m, Fraction), (ints, int if m else Fraction)):
+            got = det(rows)
+            assert type(got) is kind and got == _ref_det(rows)
+            if rows:
+                want = _sympy(rows).det()
+                assert got == Fraction(int(want.p), int(want.q))
 
 
 def test_matrix_inverse_matches_the_fraction_reference():
