@@ -53,9 +53,10 @@ empty minor is 1 without a call (_column_det).
 
 One commutator_pairing or group_mul call is one memo scope (memo.py): inside
 it the pair data of a general pair is computed once per distinct pair, keyed
-by the rref bases.  The memo holds general pairs only: a tail pair's data is
-its three index ranges, built on each call for less than a memo lookup
-costs.  Outside such a call nothing is shared.
+by the two lattices (a Lattice hashes its pivots and compares spans).  The
+memo holds general pairs only: a tail pair's data is its three index
+ranges, built on each call for less than a memo lookup costs.  Outside
+such a call nothing is shared.
 
 The oracle runs on the exact window of f and g (auto_window): the smallest
 window holding every degree its chain touches.  A smaller window is refused
@@ -397,8 +398,7 @@ def pair_data(A, B):
     _check_ambient(A, B)
     if _indexed(A, B):
         return PairData.of_tails(A.n, A.start, B.start)
-    return shared(("pair_data", A.n, A.rref_basis, B.rref_basis),
-                  lambda: _general_pair_data(A, B))
+    return shared(("pair_data", A, B), lambda: _general_pair_data(A, B))
 
 
 def _general_pair_data(A, B):

@@ -120,7 +120,7 @@ def cmd_symbol(args):
         print("error: need --point or --embedding", file=sys.stderr)
         return EXIT_USAGE
     point = parse_point(args.point)
-    value = curve_point_symbol(curve, point, f, g, start_precision=cfg.start_precision)
+    value = curve_point_symbol(curve, point, f, g)
     doc = {
         "curve": curve.label(),
         "point": point.label(),
@@ -131,9 +131,7 @@ def cmd_symbol(args):
     if curve.kind == HORIZONTAL and point.residue is not None:
         doc["nu1"] = {"f": horizontal_order(f, curve), "g": horizontal_order(g, curve)}
         try:
-            branches = branch_decomposition(
-                curve, point, f, g, start_precision=cfg.start_precision
-            )
+            branches = branch_decomposition(curve, point, f, g)
         except ArithsurfError as exc:
             # the value was found without branch data, which it needs only
             # where nu1(f) or nu1(g) is nonzero

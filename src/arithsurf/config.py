@@ -15,11 +15,12 @@ MIN_PREC_BITS = 53
 @dataclass(frozen=True)
 class RunConfig:
     prec_bits: int = 128  # mpmath working precision for numeric sums
-    start_precision: int = DEFAULT_PRECISION  # least p-adic digits
+    # No computation reads start_precision or seed.  The symbols work out
+    # the p-adic digits per prime, and every factorization is unique, so
+    # seed chose only which random draws ran.  Law reports still print both
+    # in their config block, and the benchmark still passes both.
+    start_precision: int = DEFAULT_PRECISION
     tolerance: float = 1e-6  # pass threshold for numeric law sums
-    # No computation reads seed: every factorization is unique, so it chose
-    # only which random draws ran.  Law reports still print it in their
-    # config block, and callers still pass it.
     seed: int = 0
 
     def __post_init__(self):

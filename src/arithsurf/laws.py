@@ -17,18 +17,19 @@
 
 Verifiers return a LawReport; points or curves whose branch data cannot be
 certified (INCONCLUSIVE_ERRORS) mark the whole report inconclusive rather
-than guessing.  The p-adic precision is worked out from the point's data
-before factoring (see symbols.py), so running out of digits is not among
-them, and neither is a non-maximal order: its branches are the p-adic
-factors of the curve (see symbols.py).  What is left: p | lc(h) at a finite
-point of a curve of degree >= 2 and a support prime not below 2^63
-(UnsupportedOrder), a p-adic cluster outside padic's class
-(UnsupportedFactorization) and an integer rho cannot split in its budget
-(FactorizationTimeout).  Branch data is computed only at flags where f or g
-has nonzero order along the curve, so a horizontal curve that is a base of
-neither function has every finite item 0 and is never refused for p | lc(h)
-or an unsupported p-adic factorization; the point law still meets those
-refusals on the curves through the point, which are bases of f or g.
+than guessing.  The p-adic precision is worked out per prime from the
+resultants of the curve with the bases before factoring (see symbols.py),
+so running out of digits is not among them, and neither is a non-maximal
+order: its branches are the p-adic factors of the curve (see symbols.py).
+What is left: p | lc(h) at a finite point of a curve of degree >= 2 and a
+support prime not below 2^63 (UnsupportedOrder), a p-adic cluster outside
+padic's class (UnsupportedFactorization) and an integer rho cannot split
+in its budget (FactorizationTimeout).  Branch data is computed only at
+flags where f or g has nonzero order along the curve, so a horizontal curve
+that is a base of neither function has every finite item 0 and is never
+refused for p | lc(h) or an unsupported p-adic factorization; the point law
+still meets those refusals on the curves through the point, which are bases
+of f or g.
 
 Inside one verification the points share their local factorizations: each
 reduction mod p is factored once (`factor_mod_p`; the points of a curve
@@ -37,12 +38,12 @@ resultant of the curve with a base is taken once
 (`surface.curve_resultant`), and a monicized curve that is not squarefree
 mod p is tested for p-maximality (`dedekind_p_maximal`, the check on the
 branches where it holds) and factored over Z_p (`padic_factor`) once per
-prime and precision, however many points lie over p.  A base that shares a
-factor with the curve is refused with NonIrreducibleBase wherever that zero
-resultant is taken (the prime support, or a branch read off the residues),
-not reported.  A factorization
-that raises is not stored.  Nothing is shared between verifications; see
-memo.py.  The horizontal law walks its points one support prime at a time
+prime, however many points lie over p.  A base that shares a factor with
+the curve is refused with NonIrreducibleBase wherever that zero resultant
+is taken (the prime support, the p-adic precision of a prime, or a branch
+read off the residues), not reported.  A factorization that raises is not
+stored.  Nothing is shared between verifications; see memo.py.  The
+horizontal law walks its points one support prime at a time
 (`points_on_horizontal` is lazy), so an inconclusive point stops the
 factoring at its prime.
 """
@@ -127,9 +128,7 @@ def verify_point_law(point, f, g, config=None):
     total = 0
     for curve in curves_through_point(point, f, g):
         try:
-            s = curve_point_symbol(
-                curve, point, f, g, start_precision=cfg.start_precision
-            )
+            s = curve_point_symbol(curve, point, f, g)
         except INCONCLUSIVE_ERRORS as exc:
             report.verdict = "inconclusive"
             report.reason = f"{curve.label()}: {type(exc).__name__}: {exc}"
@@ -191,9 +190,7 @@ def verify_horizontal_law(curve, f, g, config=None):
         # 0 at all of them
         zero = vanishes_on_curve(curve, f, g)
         for point in points:
-            s = 0 if zero else curve_point_symbol(
-                curve, point, f, g, start_precision=cfg.start_precision
-            )
+            s = 0 if zero else curve_point_symbol(curve, point, f, g)
             report.add_item(
                 place=point.label(),
                 value=s,

@@ -39,8 +39,10 @@ its reduction mod p:
     ring of integers over p are the p-adic factors of hm (Neukirch, ANT
     II.8.2), and padic certifies each one's (e, f).  nu2 comes from
     resultants against the factor's coefficient lift, known to more digits
-    than any v_p(Res(h, b)); padic works out the digits its own
-    factorization needs on top of that.  Where Dedekind's criterion says
+    than any v_p(Res(h, b)) over all the bases.  That N depends on the
+    prime only, so every point of h over p asks for the same N and h is
+    factored over Z_p once per prime; padic works out the digits its own
+    factorization needs on top of N.  Where Dedekind's criterion says
     Z[t]/(h) is maximal at p, Dedekind-Kummer predicts the branches (one,
     with e the multiplicity of the point's residue in h mod p and
     f = deg(x)), and the factorization is checked against it.
@@ -59,7 +61,7 @@ from .errors import (
 )
 from .intpoly import resultant
 from .modp import ModPPoly, factor_mod_p, multiplicity
-from .padic import DEFAULT_PRECISION, dedekind_p_maximal, padic_factor, vp
+from .padic import dedekind_p_maximal, padic_factor, vp
 from .surface import (
     HORIZONTAL,
     INFINITY_SECTION,
@@ -207,43 +209,34 @@ def _residue_branch(h, point, residues, f, g):
     return BranchData(e=1, f=point.degree, weight=1, nu2_f=nu2_f, nu2_g=nu2_g)
 
 
-def _least_precision(h, point, f, g):
-    """N0: the p-adic digits of the branches of h at the point that read the
-    nu2 of f and g on them, for p prime to lc(h).
+def _least_precision(h, p, f, g):
+    """N: the p-adic digits of the branches of h over p that read the nu2
+    of f and g on each of them, for p prime to lc(h).
 
     A branch's resultant with B divides Res(hm, B) over Z_p, and a lift
-    correct mod p^N keeps it mod p^N, so N > v_p(Res(h, b)) reads nu2(b); a
-    base the point's residue does not divide is a unit on the branch.
-    curve_resultant refuses a base through the point that shares a factor
-    with h (NonIrreducibleBase).
+    correct mod p^N keeps it mod p^N, so N > v_p(Res(h, b)) reads nu2(b).
+    N is taken over every base, not only those through one point, so it is
+    the same at every point of h over p.  curve_resultant refuses a base
+    that shares a factor with h (NonIrreducibleBase).
     """
-    p, pi = point.p, point.residue
-    reach = 0
-    for fn in (f, g):
-        for b, _ in fn.factors:
-            if b != h and not ModPPoly.from_intpoly(b, p) % pi:
-                reach = max(reach, vp(curve_resultant(h, b), p))
-    return 1 + reach
+    return 1 + max((vp(curve_resultant(h, b), p)
+                    for fn in (f, g) for b, _ in fn.factors if b != h), default=0)
 
 
-def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION):
+def branch_decomposition(curve, point, f, g):
     """Analytic branches of the horizontal curve at the point, with the
     nu2 valuations of f and g on each branch.
 
     A squarefree reduction mod p decides the point's one branch from the
     residues (see _residue_branch); every other case factors monicize(h)
-    over Z_p once, with at least start_precision digits and at least the
-    N0 of _least_precision.  The floor start_precision changes no nu2, but
-    it makes the points of h over one prime ask padic_factor for the same
-    N (their N0 differ, and are mostly below it), so the memo factors h
-    over Z_p once per prime; without it, the two points of t^3-t-2 over 2
-    would factor it over Z_2 at N = 1 and again at N = 3.  The p-adic factors
-    over the point are its branches whether or not Z[t]/(h) is maximal at
-    p.  Where it is (a squarefree reduction, or Dedekind's criterion),
-    Dedekind-Kummer fixes them: one branch with e the multiplicity of the
-    point's residue in h mod p and f = deg(x); any other answer raises
-    NotExact.  Raises UnsupportedOrder for p | lc with degree >= 2 and
-    UnsupportedFactorization for clusters outside padic's class.
+    over Z_p once per prime, at the N of _least_precision.  The p-adic
+    factors over the point are its branches whether or not Z[t]/(h) is
+    maximal at p.  Where it is (a squarefree reduction, or Dedekind's
+    criterion), Dedekind-Kummer fixes them: one branch with e the
+    multiplicity of the point's residue in h mod p and f = deg(x); any
+    other answer raises NotExact.  Raises UnsupportedOrder for p | lc with
+    degree >= 2 and UnsupportedFactorization for clusters outside padic's
+    class.
     """
     h = curve.h
     p = point.p
@@ -265,9 +258,8 @@ def branch_decomposition(curve, point, f, g, start_precision=DEFAULT_PRECISION):
     hm = h.monicize()
     maximal = squarefree or dedekind_p_maximal(hm, p)
     pi_hat = _monic_point_residue(h, point)
-    N = max(start_precision, _least_precision(h, point, f, g))
     branches = []
-    for factor in padic_factor(hm, p, N=N).factors:
+    for factor in padic_factor(hm, p, N=_least_precision(h, p, f, g)).factors:
         if factor.residue != pi_hat:
             continue
         if factor.f % point.degree:
@@ -329,7 +321,7 @@ def _leading_valuation(fn, p):
     return vp(fn.unit, p) + sum(e * vp(b.lc, p) for b, e in fn.factors)
 
 
-def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION):
+def horizontal_flag_symbol(curve, point, f, g):
     """Weighted symbol sum over the branches of the horizontal curve at x.
 
     The infinity section has one branch at each of its points, where nu2 is
@@ -351,18 +343,18 @@ def horizontal_flag_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION
         f = f if f is ONE else act(SWAP, f)
         g = g if g is ONE else act(SWAP, g)
     total = 0
-    for br in branch_decomposition(curve, point, f, g, start_precision=start_precision):
+    for br in branch_decomposition(curve, point, f, g):
         total += br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
     return total
 
 
-def curve_point_symbol(curve, point, f, g, start_precision=DEFAULT_PRECISION):
+def curve_point_symbol(curve, point, f, g):
     """nu_{C,x}(f, g): the branch-weighted rank-2 symbol at the flag."""
     if not incident(curve, point):
         raise ParseError(f"point {point} does not lie on curve {curve}")
     if curve.kind == VERTICAL:
         return vertical_flag_symbol(curve.p, point, f, g)
-    return horizontal_flag_symbol(curve, point, f, g, start_precision=start_precision)
+    return horizontal_flag_symbol(curve, point, f, g)
 
 
 # -- archimedean symbol -------------------------------------------------------

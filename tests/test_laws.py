@@ -64,8 +64,7 @@ def test_point_law_reads_an_eisenstein_curve_at_one_least_digit():
     pt, f, g = parse_point("3:t"), F("1*(t^3-3*t^2-3*t+3)^1"), F("3")
     r = verify_point_law(pt, f, g, config=RunConfig(start_precision=1))
     assert r.verdict == "pass" and r.exact_sum == 0
-    branches = branch_decomposition(parse_curve("H:t^3-3*t^2-3*t+3"), pt, f, g,
-                                    start_precision=1)
+    branches = branch_decomposition(parse_curve("H:t^3-3*t^2-3*t+3"), pt, f, g)
     assert [(b.e, b.f) for b in branches] == [(3, 1)]
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from arithsurf import memo, modp, padic, symbols
 from arithsurf.errors import UnsupportedOrder, ZeroPolynomial
-from arithsurf.intpoly import parse_intpoly
+from arithsurf.intpoly import parse_intpoly, resultant
 from arithsurf.laws import verify_horizontal_law, verify_point_law, verify_vertical_law
+from arithsurf.padic import vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
     ClosedPoint,
@@ -59,9 +60,11 @@ def test_horizontal_law_factors_once_per_prime(monkeypatch):
     report = verify_horizontal_law(*CLUSTERED)
     assert report.verdict == "pass" and report.finite_part == {"2": -1, "13": -1}
     assert runs and set(runs.values()) == {1}
-    h = CLUSTERED[0].h
-    assert asked[h, 2, padic.DEFAULT_PRECISION] == 2
-    assert runs["padic_factor", h, 2, padic.DEFAULT_PRECISION] == 1
+    h, f, g = CLUSTERED[0].h, *CLUSTERED[1:]
+    # both points over 2 ask for the one N of the prime: it reads every base
+    N = 1 + max(vp(resultant(h, b), 2) for fn in (f, g) for b, _ in fn.factors if b != h)
+    assert asked[h, 2, N] == 2 and len({key[1] for key in asked}) == len(asked)
+    assert runs["padic_factor", h, 2, N] == 1
     assert {key[2] for key in runs if key[0] == "factor_mod_p"} == {2, 3, 13}
 
 

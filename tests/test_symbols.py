@@ -12,7 +12,8 @@ import pytest
 from mpmath import mp
 
 import arithsurf
-from arithsurf import surface, symbols
+from arithsurf import padic, surface, symbols
+from arithsurf.config import RunConfig
 from arithsurf.errors import (
     ArithsurfError,
     NonIrreducibleBase,
@@ -27,7 +28,7 @@ from arithsurf.laws import (
     verify_point_law,
     verify_vertical_law,
 )
-from arithsurf.modp import ModPPoly, random_monic_irreducible
+from arithsurf.modp import random_monic_irreducible
 from arithsurf.padic import dedekind_p_maximal, vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
@@ -374,9 +375,10 @@ def test_residue_decision_changes_no_report(monkeypatch):
     # enough to decide over a thousand branches
     cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 1500, ("point", "horizontal"))
     # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0.  At a
-    # point on t^3-2 alone the base is a unit on H:t^2+1, so the law passes.
+    # point on t^3-2 alone the base is a unit on H:t^2+1, so the residue
+    # rule passes the law.
     reducible = (F("1*(t^5+t^3-2*t^2-2)^1"), F("3*(t^2+1)^1"))
-    cases.append((verify_point_law, parse_point("13:t^3+11"), *reducible))
+    alone = parse_point("13:t^3+11")
     decided = []
     gate = symbols._residue_branch
 
@@ -387,6 +389,7 @@ def test_residue_decision_changes_no_report(monkeypatch):
 
     monkeypatch.setattr(symbols, "_residue_branch", counted)
     fast = [verify(subject, f, g).to_dict() for verify, subject, f, g in cases]
+    assert verify_point_law(alone, *reducible).verdict == "pass"
     # through a root of t^2+1 the rule refuses the zero resultant, where the
     # ladder could only run out of precision
     for label in ("7:t^2+1", "11:t^2+1", "13:t+5"):
@@ -394,6 +397,10 @@ def test_residue_decision_changes_no_report(monkeypatch):
             verify_point_law(parse_point(label), *reducible)
     force_ladder(monkeypatch)
     assert [verify(subject, f, g).to_dict() for verify, subject, f, g in cases] == fast
+    # the p-adic path asks for the digits of every base over 13, and so
+    # takes the zero resultant of t^2+1 that the residue rule never reads
+    with pytest.raises(NonIrreducibleBase, match="t\\^2\\+1 shares a factor"):
+        verify_point_law(alone, *reducible)
     assert {r["verdict"] for r in fast} == {"pass", "inconclusive"}
     assert sum(ok for _, ok in decided) > 1000 and not all(ok for _, ok in decided)
     assert any(ok for degree, ok in decided if degree == 1)
@@ -434,49 +441,98 @@ def test_a_base_past_the_default_precision_is_read_exactly(monkeypatch):
     assert branch_decomposition(c, pt, b, F("5")) == exact
 
 
-def _branches_or_error(*args, **kwargs):
+def _branches_or_error(*args):
     try:
-        return branch_decomposition(*args, **kwargs)
+        return branch_decomposition(*args)
     except ArithsurfError as exc:
         return type(exc), str(exc)
 
 
 def test_each_point_is_factored_once_at_the_precision_it_needs(monkeypatch):
-    asked, flags = [], []
+    asked, flags, case = [], [], [None]
     real = symbols.padic_factor
 
     def ask(*args, **kwargs):
         asked.append(kwargs["N"])
         return real(*args, **kwargs)
 
-    def record(curve, point, f, g, **kwargs):
+    def record(curve, point, f, g):
         before = len(asked)
-        out = _branches_or_error(curve, point, f, g, **kwargs)
+        out = _branches_or_error(curve, point, f, g)
         if len(asked) > before:
-            flags.append((curve, point, f, g, asked[before:], out))
+            flags.append((case[0], curve, point, f, g, asked[before:], out))
         if isinstance(out, tuple):
             raise out[0](out[1])
         return out
 
     monkeypatch.setattr(symbols, "padic_factor", ask)
     monkeypatch.setattr(symbols, "branch_decomposition", record)
-    for verify, subject, f, g in _wider_law_cases(7, 1200, ("point", "horizontal")):
-        try:
-            verify(subject, f, g)
-        except ArithsurfError:
-            pass
-    assert len(flags) > 100
-    for curve, point, f, g, calls, out in flags:
+    cases = _wider_law_cases(7, 1200, ("point", "horizontal"))
+    runs = []
+    for config in (RunConfig(), RunConfig(start_precision=1), RunConfig(start_precision=100)):
+        flags.clear()
+        for i, (verify, subject, f, g) in enumerate(cases):
+            case[0] = i
+            try:
+                verify(subject, f, g, config=config)
+            except ArithsurfError:
+                pass
+        runs.append(list(flags))
+    # start_precision is read by nothing
+    assert runs[0] == runs[1] == runs[2] and len(runs[0]) > 100
+    per_prime = {}
+    for i, curve, point, f, g, calls, out in runs[0]:
         h, p = curve.h, point.p
-        reach = [vp(resultant(h, b), p) for fn in (f, g) for b, _ in fn.factors
-                 if b != h and not ModPPoly.from_intpoly(b, p) % point.residue]
-        # the digits that read nu2; padic adds the ones its factorization needs
-        least = 1 + max(reach, default=0)
-        assert calls == [max(20, least)]
-        for start in (1, least + 100):
+        # the digits that read nu2 on every branch over p; padic adds the
+        # ones its factorization needs
+        reach = [vp(resultant(h, b), p) for fn in (f, g) for b, _ in fn.factors if b != h]
+        assert calls == [1 + max(reach, default=0)]
+        per_prime.setdefault((i, h, p), []).append(calls[0])
+    # the points of one curve over one prime ask for one N
+    assert all(len(set(ns)) == 1 for ns in per_prime.values())
+    assert sum(len(ns) > 1 for ns in per_prime.values()) > 10
+
+
+def test_start_precision_is_read_by_nothing(monkeypatch):
+    asked, ran = [], []
+    ask, body = symbols.padic_factor, padic._padic_factor
+
+    def recorded(h, p, N):
+        asked.append((h, p, N))
+        return ask(h, p, N=N)
+
+    def counted(h, p, N):
+        ran.append((h, p, N))
+        return body(h, p, N)
+
+    monkeypatch.setattr(symbols, "padic_factor", recorded)
+    monkeypatch.setattr(padic, "_padic_factor", counted)
+    cases = _selftest_law_cases(5, 80) + _wider_law_cases(901, 800)
+    runs = []
+    for config in (RunConfig(start_precision=1), RunConfig(), RunConfig(start_precision=100)):
+        reports, calls = [], []
+        for verify, subject, f, g in cases:
             asked.clear()
-            assert _branches_or_error(curve, point, f, g, start_precision=start) == out
-            assert asked == [max(start, least)]
+            try:
+                report = verify(subject, f, g, config=config).to_dict()
+            except ArithsurfError as exc:
+                report = {"raised": type(exc).__name__, "reason": str(exc)}
+            report.pop("config", None)
+            reports.append(report)
+            calls.append(list(asked))
+        runs.append((reports, calls))
+    assert runs[0] == runs[1] == runs[2]
+    # within one verification each curve asks for one N per prime
+    calls = runs[0][1]
+    assert sum(map(len, calls)) > 50
+    assert all(len({(h, p) for h, p, _ in c}) == len(set(c)) for c in calls)
+    # t^3-t-2 is not squarefree mod 2 or mod 13, and two points over each
+    # prime read f and g: one factorization per prime, at any start_precision
+    ran.clear()
+    report = verify_horizontal_law(parse_curve("H:t^3-t-2"), F("3*(t^3-t-2)^1"),
+                                   F("1*(t+1)^1*(t^2+3)^-1"),
+                                   config=RunConfig(start_precision=1))
+    assert report.verdict == "pass" and [p for _, p, _ in ran] == [2, 13]
 
 
 # -- nu2 only where its nu1 cofactor is nonzero ---------------------------------
@@ -739,12 +795,16 @@ def test_act_composes_as_the_matrix_product():
 def test_the_symbol_is_invariant_under_coordinate_changes():
     """nu_{sC, sx}(sf, sg) = nu_{C, x}(f, g) for random words s in the three
     generators, three per flag, on every flag of the point-law cases of the
-    `laws` pool.  A law checks a sum; this checks each flag on its own.  A
-    moved flag may fall outside what the symbol decides (a point at
-    infinity may move to a finite point with p | lc); those are counted."""
+    `laws` pool and of the selftest populations.  A law checks a sum; this
+    checks each flag on its own.  A moved flag may fall outside what the
+    symbol decides (a point at infinity may move to a finite point with
+    p | lc); those are counted."""
     rng = random.Random(26)
     seen = Counter()
-    for _, x, f, g in _wider_law_cases(7, 3000, ("point",)):
+    pool = [("laws", *case[1:]) for case in _wider_law_cases(7, 3000, ("point",))]
+    pool += [("selftest", *case[1:]) for case in _selftest_law_cases(5, 400)
+             if case[0] is verify_point_law]
+    for source, x, f, g in pool:
         for curve in curves_through_point(x, f, g):
             try:
                 value = curve_point_symbol(curve, x, f, g)
@@ -758,9 +818,10 @@ def test_the_symbol_is_invariant_under_coordinate_changes():
                 except INCONCLUSIVE_ERRORS:
                     seen["moved inconclusive"] += 1
                     continue
-                seen["equal"] += 1
+                seen[source] += 1
                 seen[curve.kind, value != 0, x.at_infinity, moved[1].at_infinity] += 1
-    assert seen["equal"] > 4000 and seen["moved inconclusive"] < 200, seen
+    assert seen["moved inconclusive"] < 200, seen
+    assert seen["laws"] > 4000 and seen["selftest"] > 1500, seen
     for kind in (VERTICAL, HORIZONTAL):
         # finite flags moved to infinity and flags at infinity moved to finite
         assert seen[kind, True, False, True] and seen[kind, True, True, False], seen
