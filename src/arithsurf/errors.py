@@ -43,7 +43,9 @@ class UnsupportedOrder(ArithsurfError):
 
 
 class RootFindingDivergence(ArithsurfError):
-    """Simultaneous root iteration failed to converge within the budget."""
+    """The roots of a curve were not certified (no double start, Newton
+    stalled, or the inclusion test failed), or their split into real places
+    and pairs disagrees with the exact real-root count."""
 
 
 class EvaluationAtZero(ArithsurfError):

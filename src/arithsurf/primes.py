@@ -19,6 +19,9 @@ _SMALL_PRIMES = tuple(
     p for p in range(2, SMALL_PRIME_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1))
 )
 
+# Steps of one Brent-cycle attempt before it gives up.
+RHO_BUDGET = 2_000_000
+
 # Witnesses making Miller-Rabin deterministic for n < 2^64 (Sinclair set).
 _MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
@@ -54,10 +57,10 @@ def is_prime(n):
     return all(_miller_rabin_round(n, rng.randrange(2, n - 1)) for _ in range(64))
 
 
-def _brent_rho(n, rng, budget):
+def _brent_rho(n, rng):
     """One Brent-cycle attempt at a nontrivial factor of odd composite n.
 
-    Returns a factor or None if the budget ran out.
+    Returns a factor or None if RHO_BUDGET steps ran out.
     """
     if n % 2 == 0:
         return 2
@@ -80,7 +83,7 @@ def _brent_rho(n, rng, budget):
             g = math.gcd(q, n)
             k += m
             steps += m
-            if steps > budget:
+            if steps > RHO_BUDGET:
                 return None
         r *= 2
     if g == n:
@@ -115,11 +118,11 @@ def _perfect_power(m):
     return None
 
 
-def factor_integer(n, budget=2_000_000):
+def factor_integer(n):
     """Factor a nonzero integer; returns (sign, [(prime, exponent), ...]).
 
     The prime list is sorted; 1 factors as (1, []).  Raises
-    FactorizationTimeout when rho exceeds its step budget.
+    FactorizationTimeout when rho exceeds its step budget, RHO_BUDGET.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -152,7 +155,7 @@ def factor_integer(n, budget=2_000_000):
             rng = random.Random(0x5EED)
         d = None
         for _ in range(32):
-            d = _brent_rho(m, rng, budget)
+            d = _brent_rho(m, rng)
             if d is not None and d not in (1, m):
                 break
             d = None

@@ -6,10 +6,13 @@ irreducible polynomial into real embeddings (weight 1) and conjugate pairs
 (weight 2), which is what the archimedean side of the horizontal
 reciprocity law consumes.
 
-Certified Newton.  A short Durand-Kerner run in complex doubles
-(`_double_start`) puts every root within about 2^-50 of its size.  Newton's
-method in fixed-point integers (`_newton`) then doubles its working
-precision with each step, up to 2·prec + 32 fraction bits, and stops once a
+Certified Newton.  Fujiwara's bound gives a shift k >= 0 with every root
+of h below 2^k (`_shift`), so the monic coefficients of h(2^k s) fit in a
+double.  A short Durand-Kerner run on h(2^k s) in complex doubles
+(`_double_start`) puts every root s within about 2^-50 of 1; the start
+2^k s is a root of h to that many bits.  Newton's method on h in
+fixed-point integers (`_newton`) then doubles its working precision with
+each step, up to 2·prec + 32 fraction bits of t, and stops once a
 correction at full precision is below 2^-(prec+16); where some part of a
 root kept by the cleanup below has fewer than 2·prec + 16 significant bits,
 it adds the bits missing and steps once more.  Since h is real, Newton runs
@@ -21,17 +24,10 @@ each estimate z as Gaussian integers, n|h(z)| <= r|h'(z)| for r = 2^-2prec
 puts a root within r of z, because h'/h(z) is the sum of 1/(z - ζ) over the
 n roots ζ.  When the n disks are also pairwise disjoint, each holds exactly
 one root, and that root is simple.  The estimates are then rounded to
-prec + 32 bits and cleaned up as mpmath's polyroots does (|z|, Im z or Re z
-below its eps is chopped), so on every curve the tests compare they equal a
-cold polyroots call bit for bit.
-
-Fallback.  mpmath's polyroots runs when there is no double start (the
-monic coefficients do not fit in a double, or the double run ends with a
-start that is not finite or not pairwise distinct), when Newton stalls, or
-when the certificate fails, as it must on a repeated root and may on a
-tight cluster.  Its Durand-Kerner run at
-2·prec + 32 bits starts from the double start after one Newton step, when
-that step can be taken, and its own error estimate is refused above 2^-prec.
+prec + 32 bits, and |z|, Im z or Re z below eps = 2^-(prec+31) is chopped.
+There is no second root finder: where the double start, Newton or the
+certificate fails, as it must on a repeated root, all_roots raises
+RootFindingDivergence.
 
 Real-root count.  Roots closer to the real axis than 2^-(prec/2) are taken
 as real.  That split is checked against the exact number of real roots,
@@ -64,14 +60,21 @@ _START_BITS = 50
 _MARGIN_BITS = 16
 
 
-def _double_start(h):
-    """Durand-Kerner roots of h in complex doubles, from polyroots' own
-    generic start; None when they cannot seed the multiprecision run."""
-    d = h.degree
-    try:
-        monic = [c / h.lc for c in reversed(h.coeffs)]
-    except OverflowError:
-        return None
+def _shift(h):
+    """A k >= 0 with every root ζ of h below 2^k: Fujiwara's bound
+    |ζ| <= 2·max_j |a_(n-j)/a_n|^(1/j), each term read off bit lengths,
+    |a_(n-j)/a_n| < 2^(len a_(n-j) - len a_n + 1)."""
+    top = abs(h.lc).bit_length()
+    # 1 + ceil((len a_(n-j) - top + 1)/j)
+    return max([0] + [1 - (top - 1 - abs(c).bit_length()) // j
+                      for j, c in enumerate(reversed(h.coeffs[:-1]), 1) if c])
+
+
+def _double_start(g):
+    """Durand-Kerner roots of g in complex doubles, from the generic start
+    of the powers of 0.4 + 0.9i; None when they cannot seed Newton."""
+    d = g.degree
+    monic = [c / g.lc for c in reversed(g.coeffs)]
     z = [(0.4 + 0.9j) ** k for k in range(d)]
     try:
         for _ in range(_DOUBLE_SWEEPS):
@@ -118,22 +121,6 @@ def _newton(cs, z, bits):
     return out, largest
 
 
-def _newton_step(h, z, bits):
-    """One Newton step from the complex doubles z, in fixed point with
-    `bits` fraction bits; it squares the error of a double start.  Returns
-    the new estimates as pairs for `_newton`, or None when a double does not
-    fit, the step cannot be taken or the results are not pairwise distinct."""
-    one = 1 << bits
-    try:
-        fixed = [(int(r.real * one), int(r.imag * one)) for r in z]
-    except OverflowError:
-        return None
-    stepped = _newton(list(reversed(h.coeffs)), fixed, bits)
-    if stepped is None or len(set(stepped[0])) < len(z):
-        return None
-    return stepped[0]
-
-
 def _certified(cs, z, bits, prec):
     """Whether the disks of radius r = 2^-2prec about the fixed-point
     estimates z (pairs with `bits` fraction bits) each hold a root of the
@@ -158,11 +145,26 @@ def _certified(cs, z, bits, prec):
                for (a, b), (c, d) in itertools.combinations(z, 2))
 
 
-def _newton_roots(h, start, prec):
-    """Newton from the double start at doubling precision, then the
-    certificate: the certified estimates, as pairs, and their fraction bits;
-    None when Newton stalls within its step budget or the certificate
-    fails."""
+def _fixed(v, bits):
+    """floor(v·2^bits) for a double v, exactly, however large bits is."""
+    p, q = v.as_integer_ratio()
+    return (p << bits) // q
+
+
+def _widths(top):
+    """Newton's working precisions, last first: from `top` fraction bits,
+    each about half the one after it, down to twice the bits of a start."""
+    widths = [top]
+    while widths[-1] > 2 * _START_BITS:
+        widths.append(widths[-1] // 2 + _MARGIN_BITS)
+    return widths
+
+
+def _newton_roots(h, k, start, prec):
+    """Newton on h from the double start s of h(2^k s) at doubling
+    precision, then the certificate: the certified estimates, as pairs, and
+    their fraction bits; None when Newton stalls within its step budget or
+    the certificate fails."""
     # h is real, so its roots are real or conjugate pairs.  A start nearer
     # its own mirror image than any other start seeds a real root, kept
     # exactly real; of each pair, Newton runs on the upper root only.
@@ -173,25 +175,23 @@ def _newton_roots(h, start, prec):
     if len(reals) + 2 * len(uppers) != n:
         return None
     full = 2 * prec + 32
-    widths = [full]
-    while widths[-1] > 2 * _START_BITS:
-        widths.append(widths[-1] // 2 + _MARGIN_BITS)
-    bits = widths.pop()
-    z = _newton_step(h, reals + uppers, bits)
-    if z is None:
-        return None
+    widths = _widths(full)
+    # the widths count fraction bits of t = 2^k s, so a start s takes k more
+    bits = wide = widths.pop()
+    z = [(_fixed(r.real, bits + k), _fixed(r.imag, bits + k)) for r in reals + uppers]
     cs = list(reversed(h.coeffs))
-    wide = bits
-    for _ in range(len(widths) + 2):
-        if widths:
-            wide = widths.pop()
+    # a start good to 2^(k-50) takes the doublings of a ladder to full + k
+    for _ in range(len(_widths(full + k)) + 2):
         z = [(x << wide - bits, y << wide - bits) for x, y in z]
         bits = wide
         stepped = _newton(cs, z, bits)
         if stepped is None:
             return None
         z, largest = stepped
-        if widths or largest > 1 << 2 * (bits - prec - _MARGIN_BITS):
+        if widths:
+            wide = widths.pop()
+            continue
+        if largest > 1 << 2 * (bits - prec - _MARGIN_BITS):
             continue
         # a part of a root far below its size, such as a real part of
         # 10^-40 beside an imaginary part of 1, takes more fraction bits
@@ -205,8 +205,8 @@ def _newton_roots(h, start, prec):
 
 
 def _cleanup(z, bits, prec):
-    """polyroots' cleanup of fixed-point estimates z: |z|, Im z or Re z below
-    mp.eps at prec + 32 bits is set to 0."""
+    """Fixed-point estimates z with |z|, Im z or Re z below eps =
+    2^-(prec+31), the epsilon of prec + 32 bits, set to 0."""
     eps = 1 << bits - prec - 31
     out = []
     for x, y in z:
@@ -221,50 +221,27 @@ def _cleanup(z, bits, prec):
 
 
 def _rounded(z, bits, prec):
-    """The fixed-point estimates z as polyroots returns its roots: cleaned
-    up, sorted by (|Im z|, Re z) and rounded to prec + 32 bits."""
+    """The fixed-point estimates z cleaned up, sorted by (|Im z|, Re z) and
+    rounded to mpc numbers of prec + 32 bits."""
     z = sorted(_cleanup(z, bits, prec), key=lambda w: (abs(w[1]), w[0]))
     wide = prec + 32
     return [mp.make_mpc((from_man_exp(x, -bits, wide, "n"), from_man_exp(y, -bits, wide, "n")))
             for x, y in z]
 
 
-def _polyroots(h, start, prec):
-    """mpmath's polyroots at 2·prec + 32 bits, from the double start after
-    one Newton step when there is one; its error estimate is refused above
-    2^-prec."""
-    with mp.workprec(prec + 32):
-        if start is not None:
-            bits = 2 * prec + 32
-            stepped = _newton_step(h, start, bits)
-            start = ([mp.mpc(mp.mpf((a, -bits)), mp.mpf((b, -bits))) for a, b in stepped]
-                     if stepped else [mp.mpc(r) for r in start])
-        coeffs = [mp.mpf(c) for c in reversed(h.coeffs)]
-        try:
-            roots, err = mp.polyroots(
-                coeffs, maxsteps=200, extraprec=prec, error=True, roots_init=start
-            )
-        except mp.NoConvergence as exc:
-            raise RootFindingDivergence(str(exc)) from None
-        if err > mp.mpf(2) ** (-prec):
-            raise RootFindingDivergence(
-                f"root error {err} above 2^-{prec} for {h}"
-            )
-        return [mp.mpc(r) for r in roots]
-
-
 def all_roots(h, prec=DEFAULT_PREC_BITS):
-    """All complex roots of h (with multiplicity), as mpc numbers at
-    prec + 32 bits: each within 2^-2prec of its own simple root, certified,
-    before rounding.  Where that certificate fails, polyroots' roots, with
-    an error estimate of at most 2^-prec."""
+    """All complex roots of h, as mpc numbers at prec + 32 bits, each within
+    2^-2prec of its own simple root, certified, before rounding.  The double
+    start runs on h(2^k s), k from `_shift`.  RootFindingDivergence where
+    there is no certificate, as on a repeated root."""
     if h.degree < 1:
         raise ZeroPolynomial("constant polynomial has no roots")
-    start = _double_start(h)
-    found = start and _newton_roots(h, start, prec)
-    if found:
-        return _rounded(*found, prec)
-    return _polyroots(h, start, prec)
+    k = _shift(h)
+    start = _double_start(h.substitute(1 << k, 0, 0, 1))
+    found = start and _newton_roots(h, k, start, prec)
+    if not found:
+        raise RootFindingDivergence(f"no certified roots of {h} at 2^-{2 * prec}")
+    return _rounded(*found, prec)
 
 
 def _sign_changes(signs):

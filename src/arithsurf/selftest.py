@@ -39,6 +39,12 @@ POINT_LAW_BASES = tuple(
 VERTICAL_PRIMES = (2, 3, 5, 7, 101)
 HORIZONTAL_CURVES = ("H:t", "H:t-2", "H:t^2+1", "H:t^2-2", "H:t^3-2")
 POINT_PRIMES = (2, 3, 5, 7, 11, 13)
+# exponents of a random function's bases lie in [-FUNCTION_MAX_EXP,
+# FUNCTION_MAX_EXP] \ {0}; its unit is a/b with 0 < |a|, b <= UNIT_BOUND
+FUNCTION_MAX_EXP = 3
+UNIT_BOUND = 50
+# entries of the rows of a random lattice lie in [-LATTICE_BOUND, LATTICE_BOUND]
+LATTICE_BOUND = 3
 
 
 @dataclass
@@ -91,13 +97,13 @@ def _timed(suite):
     return timed
 
 
-def random_function(rng, bases=POINT_LAW_BASES, max_exp=3, unit_bound=50):
-    ks = rng.sample(range(len(bases)), rng.randint(1, 3))
-    exps = [e for e in range(-max_exp, max_exp + 1) if e]
-    factors = tuple((bases[k], rng.choice(exps)) for k in sorted(ks))
+def random_function(rng):
+    ks = rng.sample(range(len(POINT_LAW_BASES)), rng.randint(1, 3))
+    exps = [e for e in range(-FUNCTION_MAX_EXP, FUNCTION_MAX_EXP + 1) if e]
+    factors = tuple((POINT_LAW_BASES[k], rng.choice(exps)) for k in sorted(ks))
     unit = Fraction(
-        rng.choice([x for x in range(-unit_bound, unit_bound + 1) if x]),
-        rng.randint(1, unit_bound),
+        rng.choice([x for x in range(-UNIT_BOUND, UNIT_BOUND + 1) if x]),
+        rng.randint(1, UNIT_BOUND),
     )
     return make_function(unit, factors)
 
@@ -106,8 +112,8 @@ def random_pair(rng):
     return random_function(rng), random_function(rng)
 
 
-def random_point(rng, primes=POINT_PRIMES):
-    p = rng.choice(primes)
+def random_point(rng):
+    p = rng.choice(POINT_PRIMES)
     if rng.random() < 0.1:
         return ClosedPoint(p, None)  # fiber infinity
     d = rng.choice((1, 1, 1, 2))
@@ -128,24 +134,24 @@ def suite_point_law(cases, seed, config=None, n_points=50):
 
 
 @_timed
-def suite_vertical_law(cases, seed, config=None, primes=VERTICAL_PRIMES):
+def suite_vertical_law(cases, seed, config=None):
     cfg = config or default_config()
     rng = random.Random(seed)
     res = SuiteResult("vertical-law")
     for i in range(cases):
         f, g = random_pair(rng)
-        p = primes[i % len(primes)]
+        p = VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)]
         rep = verify_vertical_law(p, f, g, config=cfg)
         res.record(rep.verdict, f"{rep.subject} f={rep.f} g={rep.g}")
     return res
 
 
 @_timed
-def suite_horizontal_law(cases, seed, config=None, curves=HORIZONTAL_CURVES):
+def suite_horizontal_law(cases, seed, config=None):
     cfg = config or default_config()
     rng = random.Random(seed)
     res = SuiteResult("horizontal-law")
-    parsed = [parse_curve(s) for s in curves]
+    parsed = [parse_curve(s) for s in HORIZONTAL_CURVES]
     for i in range(cases):
         f, g = random_pair(rng)
         rep = verify_horizontal_law(parsed[i % len(parsed)], f, g, config=cfg)
@@ -197,10 +203,10 @@ def _random_invertible(rng, n, bound=4):
             return M
 
 
-def _random_lattice(rng, n, d, bound=3):
+def _random_lattice(rng, n, d):
     while True:
         rows = [
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+            tuple(Fraction(rng.randint(-LATTICE_BOUND, LATTICE_BOUND)) for _ in range(n))
             for _ in range(d)
         ]
         try:

@@ -31,7 +31,7 @@ its reduction mod p:
     global resultant (Dedekind-Kummer; the local intersection number): 0
     when the point's residue does not divide b mod p, and
     v_p(Res(h, b)) / deg(x) when it does, because b is a unit on the other
-    branches.  Res(h, b) is the one `prime_support_on_horizontal` computed.
+    branches.  Res(h, b) is the memoized `surface.curve_resultant`.
     A degree-one curve is the case deg(x) = 1 with a single point over p.
   * otherwise (a non-squarefree reduction, or a base meeting two points
     over p) each p-adic factor of hm = monicize(h) over the point is a

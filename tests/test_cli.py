@@ -290,15 +290,25 @@ def test_precision_at_the_floor_runs(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("curve", [
-    # a conjugate pair +-i 10^-50 that the numeric split would call real
+    # a conjugate pair +-i 10^-50, which Newton's first width rounds to 0
     f"H:{10**100}*t^2+1",
-    # polyroots does not converge
-    f"H:t^2+{10**400}",
+    # Mignotte (Eisenstein at 2): two real roots near 10^-40, 10^-120 apart,
+    # closer than any certificate disk of radius 2^-256 keeps apart
+    "H:t^4-2*(10^40*t-1)^2",
 ])
 def test_root_finding_refusal_exits_4(capsys, curve):
     code, out, err = run(capsys, "--format", "json", "symbol", "--curve", curve,
                          "--embedding", "1", "--f", "1*(t-1)^1", "--g", "2")
     assert code == 4 and not out and "RootFindingDivergence" in err
+
+
+def test_roots_beyond_a_double_get_their_place(capsys):
+    # a coefficient of 10^400: the double start runs on h(2^666 s)
+    code, out, _ = run(capsys, "--format", "json", "symbol", "--curve", f"H:t^2+{10**400}",
+                       "--embedding", "0", "--f", "1*(t-1)^1", "--g", "2")
+    doc = json.loads(out)
+    assert code == 0 and doc["place"] == "pair" and doc["weight"] == 2
+    assert doc["theta"] == "(0.0 + 1.0e+200j)"
 
 
 def test_evaluation_below_resolution_exits_4(capsys):

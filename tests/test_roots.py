@@ -109,26 +109,35 @@ WARM_EDGES = [
     T**4 - 10**20 * T**2 + 1,
     T**4 - 2 * (100 * T - 1) ** 2,  # Mignotte: two close real roots
 ]
-# start values that are not finite, or coefficients that are not doubles
-FALLBACK_EDGES = [T**2 - 10**300 * T + 1, T**2 + 10**400]
-# a double start too large for the fixed-point Newton step
-UNPOLISHED = T - 10**300
+# roots of 10^300: unscaled, the double start of the first is not finite and
+# that of the second overflows a fixed-point double.  A cold polyroots call
+# answers both, and refuses t^2 + 10^400.
+SCALED_EDGES = [T**2 - 10**300 * T + 1, T - 10**300]
+
+
+def _start(h):
+    """The shift and the double start that all_roots takes."""
+    k = roots._shift(h)
+    return k, roots._double_start(h.substitute(1 << k, 0, 0, 1))
 
 
 def test_warm_start_matches_cold_polyroots_bit_for_bit():
-    curves = _random_curves(200) + WARM_EDGES
-    for h in curves:
-        assert roots._newton_step(h, roots._double_start(h), 288) is not None, h
-    for h in curves + FALLBACK_EDGES + [UNPOLISHED]:
+    for h in _random_curves(200) + WARM_EDGES + SCALED_EDGES:
         assert _warm_roots(h, 128) == _cold_roots(h, 128), h
 
 
-def test_fallback_curves_take_the_cold_start():
-    for h in FALLBACK_EDGES:
-        assert roots._double_start(h) is None, h
-    assert roots._newton_step(UNPOLISHED, roots._double_start(UNPOLISHED), 288) is None
-    assert _warm_roots(T**2 + 10**400, 128) is RootFindingDivergence
-    assert len(archimedean_places(T**2 - 10**300 * T + 1)) == 2
+def test_edge_curves_take_the_scaled_start():
+    for h in SCALED_EDGES + [T**2 + 10**400]:
+        k, start = _start(h)
+        # every root of h is below 2^k, and Fujiwara's bound is within 2^3
+        assert k > 600 and start is not None and 1 / 8 < max(abs(r) for r in start) < 1, h
+    assert _cold_roots(T**2 + 10**400, 128) is RootFindingDivergence
+    places = archimedean_places(T**2 + 10**400)
+    assert [(p.weight, p.is_real) for p in places] == [(2, False)]
+    with mp.workprec(128 + 32):
+        assert places[0].theta == mp.mpc(0, 10**200)
+    places = archimedean_places(T**2 - 10**300 * T + 1)
+    assert [float(p.theta) for p in places] == [0.0, 1e300]
 
 
 def _wide_curves(count, seed):
@@ -164,9 +173,7 @@ SMALL_PARTS = [10**45 * T - 1, 10**80 * T**2 - 2 * 10**40 * T + 10**80 + 1]
 
 
 @pytest.mark.parametrize("prec", [53, 64, 200, 1024])
-def test_certified_roots_match_cold_polyroots_at_every_precision(monkeypatch, prec):
-    # the cold reference calls mp.polyroots itself, so only the fallback is shut
-    monkeypatch.setattr(roots, "_polyroots", _no_polyroots)
+def test_certified_roots_match_cold_polyroots_at_every_precision(prec):
     for h in _random_curves(50, seed=prec) + _wide_curves(10, seed=prec) + SMALL_PARTS:
         assert _warm_roots(h, prec) == _cold_roots(h, prec), h
 
@@ -179,32 +186,44 @@ def test_law_curves_never_reach_polyroots(monkeypatch):
         assert sum(p.weight for p in places) == h.degree, h
 
 
-def test_fallback_curves_still_reach_polyroots(monkeypatch):
-    calls = []
-    polyroots = mp.polyroots
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return polyroots(*args, **kwargs)
-
-    monkeypatch.setattr(mp, "polyroots", counted)
+def test_edge_curves_never_reach_polyroots(monkeypatch):
+    monkeypatch.setattr(mp, "polyroots", _no_polyroots)
     repeated = (T**2 - 2) ** 2
-    outcomes = {}
-    for h in FALLBACK_EDGES + [UNPOLISHED, repeated]:
-        calls.clear()
-        outcomes[h] = _warm_roots(h, 128)
-        assert len(calls) == 1, h
-    # the same outcome as before the certificate: the warm polyroots run on
-    # the repeated root refuses, while a cold one would return four roots
-    assert outcomes[repeated] is RootFindingDivergence
-    assert outcomes[T**2 + 10**400] is RootFindingDivergence
+    outcomes = {h: _warm_roots(h, 128) for h in SCALED_EDGES + [T**2 + 10**400, repeated]}
+    # no certificate holds on a repeated root, though a cold polyroots call
+    # would return four roots
+    assert outcomes.pop(repeated) is RootFindingDivergence
+    assert RootFindingDivergence not in outcomes.values()
+
+
+# t^d - a is irreducible when a is no p-th power for a prime p | d and, for
+# 4 | d, not -4 times a fourth power (Capelli); 2·10^m is neither for any m
+CAPELLI = [(d, sign, m) for d in (2, 3, 5) for sign in (1, -1)
+           for m in (0, 10, 100, 200, 301, 400)]
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_scaled_roots_match_the_closed_form(prec):
+    for d, sign, m in CAPELLI:
+        h = T**d - sign * 2 * 10**m
+        k, start = _start(h)
+        z, bits = roots._newton_roots(h, k, start, prec)
+        assert len(z) == d and roots._certified(list(reversed(h.coeffs)), z, bits, prec), h
+        places = archimedean_places(h, prec)
+        assert sum(p.weight for p in places) == d, h
+        with mp.workprec(2 * prec + 64):
+            rho = mp.root(mp.mpf(2) * mp.mpf(10) ** m, d)
+            # the roots are rho·ζ with ζ^d = sign
+            exact = [rho * mp.expjpi(mp.mpf(2 * j + (sign < 0)) / d) for j in range(d)]
+            for p in places:
+                assert min(abs(p.theta - e) for e in exact) <= rho * mp.mpf(2) ** -prec, (h, p)
 
 
 def test_certificate_is_exact():
     prec = 128
     for h in (T**2 - 2, T**3 - 2, 3 * T**4 - 5 * T + 1):
         cs = list(reversed(h.coeffs))
-        z, bits = roots._newton_roots(h, roots._double_start(h), prec)
+        z, bits = roots._newton_roots(h, *_start(h), prec)
         assert roots._certified(cs, z, bits, prec), h
         (x, y), rest = z[0], z[1:]
         # 2^-200 off the root is outside the disk of radius r = 2^-256
@@ -242,6 +261,6 @@ def test_real_root_count_agrees_with_the_places():
 
 
 def test_places_refuse_a_pair_inside_the_real_tolerance():
-    # roots +-i 10^-50 sit below 2^-64 and polyroots even rounds them to 0
-    with pytest.raises(RootFindingDivergence, match="has 0 real roots"):
+    # roots +-i 10^-50 round to 0 at Newton's first width, where h' vanishes
+    with pytest.raises(RootFindingDivergence, match="no certified roots"):
         archimedean_places(10**100 * T**2 + 1)
