@@ -231,7 +231,9 @@ def pseudo_rem(a, b):
 def resultant(a, b):
     """Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots of a.
 
-    Subresultant PRS (Cohen, Alg. 3.3.7); exact over Z.
+    Subresultant PRS (Cohen, Alg. 3.3.7); exact over Z.  A linear side
+    b1 t + b0 against a of degree n takes the closed form
+    (-1)^n sum a_i (-b0)^i b1^(n-i), up to the sign of the swap.
     """
     if a.is_zero or b.is_zero:
         raise ZeroPolynomial("resultant of zero polynomial")
@@ -242,6 +244,11 @@ def resultant(a, b):
         a, b = b, a
     if b.degree == 0:
         return s * b.lc**a.degree
+    if b.degree == 1:  # the closed form, by homogeneous Horner
+        (b0, b1), acc, power = b.coeffs, 0, 1
+        for c in reversed(a.coeffs):
+            acc, power = acc * -b0 + c * power, power * b1
+        return s * (-acc if a.degree & 1 else acc)
     ca, a1 = a.content_primitive()
     cb, b1 = b.content_primitive()
     t = ca**b.degree * cb**a.degree
@@ -433,22 +440,21 @@ def intpoly_of_laurent(f, position):
 
 
 def format_intpoly(h):
-    if h.is_zero:
+    """h as text, read off its coefficients alone: h may be an IntPoly or a
+    ModPPoly, which prints as its lift into [0, p)."""
+    cs = h.coeffs
+    if not cs:
         return "0"
     parts = []
-    for i in range(h.degree, -1, -1):
-        c = h[i]
-        if c == 0:
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
             continue
         mag = abs(c)
         if i == 0:
             body = str(mag)
-        elif i == 1:
-            body = "t" if mag == 1 else f"{mag}t"
         else:
-            body = f"t^{i}" if mag == 1 else f"{mag}t^{i}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
+            var = "t" if i == 1 else f"t^{i}"
+            body = var if mag == 1 else f"{mag}{var}"
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts)

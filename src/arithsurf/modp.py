@@ -4,15 +4,18 @@ All arithmetic runs on one kernel of plain coefficient lists, low to high
 (`_reduce`, `_add`, `_sub`, `_mul`, `_rem`, `_divmod`, `_powmod`, `_gcd`).
 Inputs may hold any integers; a kernel function reduces each coefficient
 once, at the end of a sum, product or division, and returns a list in
-[0, m) with no trailing zeros.  `padic` lifts on the same kernel mod p^k.
+[0, m) with no trailing zeros.  `padic` lifts on the same kernel mod p^k,
+and `surface.incident` and `symbols.rank2_vertical` divide by a point's
+monic residue on it, with no ModPPoly built.
 
-Factoring first strips the roots, with their multiplicities, by evaluating
-at every x in F_p when p <= ROOT_SCAN; a rootless cofactor of degree 2 or 3
-is irreducible.  The rest goes through squarefree decomposition (char-p
-aware; one gcd when gcd(f, f') = 1), distinct-degree splitting, then
-Cantor-Zassenhaus equal-degree splitting (trace construction for p = 2; its
-generator is built only when a block needs splitting, seeded from p and the
-monic reduction), all on lists.  The distinct-degree split takes x^p by
+Factoring first strips the roots when p <= ROOT_SCAN: it evaluates at every
+x in F_p and takes each root off by synthetic division by t - x for as long
+as it divides; a rootless cofactor of degree 2 or 3 is irreducible.  The
+rest goes through squarefree decomposition (char-p aware; one gcd when
+gcd(f, f') = 1), distinct-degree splitting, then Cantor-Zassenhaus
+equal-degree splitting (trace construction for p = 2; its generator is
+built only when a block needs splitting, seeded from p and the monic
+reduction), all on lists.  The distinct-degree split takes x^p by
 left-to-right squaring whose multiply step is a shift, and roots split by
 (x + delta)^((p-1)/2) the same way.
 For odd p, a monic squarefree quadratic met on the way (a squarefree
@@ -315,15 +318,16 @@ def pow_mod(base, e, mod):
 # -- factorization, on coefficient lists over F_p ------------------------------
 
 # Primes up to which factoring first finds the roots by evaluating at every
-# x in F_p, where that is cheaper than the powering and splitting it saves.
-# The measured crossover is near 330 for random reductions of degree 2-4 and
-# near 500 for those of the law checks, whose support primes divide a
-# resultant and so often carry a root.  The law figure was measured while
-# those roots still went through the equal-degree split; since the curve's
-# gcd with a base and the square-root split find them, the crossover may
-# lie lower, but 400 stays until it is measured again.  Above the bound
-# factor_mod_p also cuts the reduction by its split polynomials.
-ROOT_SCAN = 400
+# x in F_p and takes them off by synthetic division, where that is cheaper
+# than the powering and splitting it saves.  Timed both ways (best of 5 per
+# reduction; Python 3.11, 2-vCPU x86-64 VM), the crossover is near 150: on
+# the 5978 reductions with 60 <= p <= 3000 that the `laws` pools at seeds
+# 901 and 1 factor, the scan takes 0.89x the time of the powering for p in
+# [80, 120), 0.96x in [120, 160), 1.11x in [160, 200) and 2.07x in
+# [360, 400); on random monic reductions of degree 2-4, 0.90x, 1.02x, 1.14x
+# and 2.02x.  Above the bound factor_mod_p also cuts the reduction by its
+# split polynomials.
+ROOT_SCAN = 150
 
 
 def squarefree_decomposition(f, p):
@@ -380,7 +384,8 @@ def _shift_pow(delta, e, f, p):
 
 def _strip_roots(f, p):
     """The linear factors (t - x, multiplicity) of monic f over F_p, found
-    by evaluating f at every x in F_p, and the rootless cofactor."""
+    by evaluating f at every x in F_p and taken off by Horner passes, and
+    the rootless cofactor."""
     vals = [1] * p  # f is monic
     for c in reversed(f[:-1]):
         vals = [(v * x + c) % p for x, v in enumerate(vals)]
@@ -388,13 +393,16 @@ def _strip_roots(f, p):
     for x, v in enumerate(vals):
         if v:
             continue
-        lin, mult = [-x % p, 1], 0
-        while True:
-            q, r = _divmod(f, lin, p)
-            if r:
+        mult = 0
+        while True:  # synthetic division by t - x, while x stays a root
+            q, acc = [], 0
+            for c in reversed(f):
+                acc = (acc * x + c) % p
+                q.append(acc)
+            if q.pop():
                 break
-            f, mult = q, mult + 1
-        linear.append((lin, mult))
+            f, mult = q[::-1], mult + 1
+        linear.append(([-x % p, 1], mult))
     return linear, f
 
 
@@ -585,19 +593,6 @@ def is_irreducible_modp(f):
     for _ in range(n):
         hn = _powmod(hn, p, fm, p)
     return not _rem(_sub(hn, x, p), fm, 1, p)
-
-
-def multiplicity(f, pi):
-    """Largest k with pi^k | f (both over the same F_p)."""
-    if f.is_zero:
-        raise ZeroPolynomial("multiplicity in zero polynomial")
-    mod = f._divisor(pi)
-    cs, k = f.coeffs, 0
-    while True:
-        cs, rem = _divmod(cs, mod, f.p)
-        if rem:
-            return k
-        k += 1
 
 
 def random_monic_irreducible(p, d, rng):

@@ -52,7 +52,10 @@ DEFAULT_PRECISION = 20
 def vp(n, p):
     """p-adic valuation of a nonzero integer (or Fraction)."""
     if isinstance(n, Fraction):
-        return vp(n.numerator, p) - vp(n.denominator, p)
+        num, den = n.numerator, n.denominator
+        if num % p and den % p:
+            return 0
+        return vp(num, p) - vp(den, p)
     if n == 0:
         raise ZeroPolynomial("valuation of zero")
     v = 0

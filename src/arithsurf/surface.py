@@ -41,7 +41,7 @@ from .intpoly import (
 )
 from .laurent import Parser
 from .memo import shared
-from .modp import ModPPoly, factor_mod_p, is_irreducible_modp
+from .modp import ModPPoly, _reduce, _rem, factor_mod_p, is_irreducible_modp
 from .padic import vp
 from .primes import factor_integer, is_prime
 
@@ -277,7 +277,7 @@ class ClosedPoint:
     def label(self):
         if self.at_infinity:
             return f"{self.p}:inf"
-        return f"{self.p}:{format_intpoly(self.residue.to_intpoly())}"
+        return f"{self.p}:{format_intpoly(self.residue)}"
 
     def sort_key(self):
         return (self.p, 1 if self.at_infinity else 0, self.degree,
@@ -335,10 +335,8 @@ def incident(curve, point):
     h = curve.h
     if point.at_infinity:
         return h.lc % point.p == 0
-    hbar = ModPPoly.from_intpoly(h, point.p)
-    if hbar.degree < 1:
-        return False
-    return (hbar % point.residue).is_zero
+    hbar = _reduce(h.coeffs, point.p)
+    return len(hbar) > 1 and not _rem(hbar, point.residue.coeffs, 1, point.p)
 
 
 # -- coordinate changes --------------------------------------------------------

@@ -15,11 +15,13 @@ function whose nu2 is multiplied by 0 is replaced by the constant ONE.  A
 horizontal flag still refuses a skipped function's base that shares a
 factor with the curve (NonIrreducibleBase).
 
-Vertical flags are exact and immediate: nu2 is an order of vanishing mod
-p, at the fiber-infinity point the order at t = infinity, -sum e deg(b mod
-p).  The infinity section is read by counting too: nu1 = -sum e deg(b), and
-at (p, infinity) nu2 is v_p of the leading coefficient at t = infinity.  So
-a coordinate change is made only for a horizontal curve h at its point at
+Vertical flags are exact and immediate: nu2 is an order of vanishing mod p,
+counted by dividing each base mod p by the point's residue on modp's list
+kernel while it divides, so a fiber's flags factor nothing; at the
+fiber-infinity point it is the order at t = infinity, -sum e deg(b mod p).
+The infinity section is read by counting too: nu1 = -sum e deg(b), and at
+(p, infinity) nu2 is v_p of the leading coefficient at t = infinity.  So a
+coordinate change is made only for a horizontal curve h at its point at
 infinity (p | lc(h)): the symbol is intrinsic, and act(SWAP, .) moves the
 flag into the second chart s = 1/t, where it is finite and needs branch
 data.  A horizontal curve h = 0 with p prime to lc(h) is read at x through
@@ -60,7 +62,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .intpoly import resultant
-from .modp import ModPPoly, factor_mod_p, multiplicity
+from .modp import ModPPoly, _reduce, _rem, factor_mod_p
 from .padic import dedekind_p_maximal, padic_factor, vp
 from .surface import (
     HORIZONTAL,
@@ -90,19 +92,25 @@ def rank2_vertical(f, p, point):
     """(nu1, nu2) of f at the flag (fiber over p, point).
 
     nu1 = v_p(unit); nu2 = order at the point of the mod-p reduction of
-    p^-nu1 f.  At the fiber-infinity point that is the order at t = infinity,
-    -sum e * deg(b mod p).
+    p^-nu1 f: each base mod p is divided by the point's monic residue, on
+    modp's list kernel, for as long as it divides.  At the fiber-infinity
+    point nu2 is the order at t = infinity, -sum e * deg(b mod p).
     """
     nu1 = vertical_order(f, p)
     nu2 = 0
     for b, e in f.factors:
-        bbar = ModPPoly.from_intpoly(b, p)
-        if bbar.is_zero:
+        bbar = _reduce(b.coeffs, p)
+        if not bbar:
             raise NotExact(f"base {b} vanishes mod {p}, but a primitive polynomial cannot")
         if point.at_infinity:
-            nu2 -= e * bbar.degree
-        elif bbar.degree >= 1:
-            nu2 += e * multiplicity(bbar, point.residue)
+            nu2 -= e * (len(bbar) - 1)
+        elif len(bbar) > 1:
+            pi = point.residue.coeffs  # monic
+            while True:
+                quo = [0] * max(0, len(bbar) - len(pi) + 1)
+                if _rem(bbar, pi, 1, p, quo):
+                    break
+                bbar, nu2 = quo, nu2 + e
     return nu1, nu2
 
 

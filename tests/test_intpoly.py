@@ -23,6 +23,7 @@ from arithsurf.intpoly import (
     spot_check_irreducible,
     squarefree_part,
 )
+from arithsurf.modp import ModPPoly
 from arithsurf.qlinalg import det
 
 small_polys = st.lists(
@@ -38,6 +39,13 @@ def test_basic_arithmetic():
     assert (a - a).is_zero
     assert a.evaluate(2) == 5
     assert a.evaluate(Fraction(1, 2)) == Fraction(5, 4)
+
+
+def test_format_reads_coefficients_alone():
+    # a residue prints as its lift into [0, p), with no IntPoly built
+    for cs in ((3, 0, 1), (0, 4, 4), (6,), (0, 1)):
+        assert format_intpoly(ModPPoly(7, cs)) == format_intpoly(IntPoly(cs))
+    assert format_intpoly(IntPoly([-5, 0, -1, 12])) == "12t^3-t^2-5"
 
 
 def test_parse_format_round_trip():
@@ -69,6 +77,23 @@ def _resultant_sylvester(a, b):
 @settings(max_examples=150, deadline=None)
 def test_resultant_matches_sylvester(a, b):
     assert resultant(a, b) == _resultant_sylvester(a, b)
+
+
+def test_linear_resultant_matches_sylvester():
+    """The closed form with a linear side, in both argument orders, with
+    negative leading coefficients and coefficients up to 10^30."""
+    rng = random.Random(30)
+    for bound in (9, 10**6, 10**30):
+        for _ in range(40):
+            lin = IntPoly([rng.randint(-bound, bound), rng.choice((-1, 1)) * rng.randint(1, bound)])
+            other = IntPoly([rng.randint(-bound, bound) for _ in range(rng.randint(1, 6))]
+                            + [rng.choice((-1, 1)) * rng.randint(1, bound)])
+            for a, b in ((lin, other), (other, lin)):
+                assert resultant(a, b) == _resultant_sylvester(a, b), (a, b)
+    # Res(t+4, 2t^3+4t^2+7t+9) = 2(-4)^3 + 4(-4)^2 + 7(-4) + 9 = -83
+    a, b = parse_intpoly("t+4"), parse_intpoly("2t^3+4t^2+7t+9")
+    assert resultant(a, b) == _resultant_sylvester(a, b) == -83
+    assert resultant(b, a) == 83  # (-1)^(1*3) Res(a, b)
 
 
 @given(small_polys, small_polys, small_polys)

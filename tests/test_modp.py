@@ -15,7 +15,6 @@ from arithsurf.modp import (
     factor_mod_p,
     gcd_modp,
     is_irreducible_modp,
-    multiplicity,
     pow_mod,
     random_monic_irreducible,
 )
@@ -74,12 +73,41 @@ def test_factor_seed_determinism():
 
 
 def test_multiplicity():
+    """A residue's multiplicity is its exponent in the factorization."""
     p = 5
     pi = ModPPoly(p, [2, 1])  # t+2
     h = pi * pi * ModPPoly(p, [3, 1])
-    assert multiplicity(h, pi) == 2
-    assert multiplicity(h, ModPPoly(p, [3, 1])) == 1
-    assert multiplicity(h, ModPPoly(p, [1, 1])) == 0
+    exponents = dict(factor_mod_p(h, p)[1])
+    assert exponents[pi] == 2
+    assert exponents[ModPPoly(p, [3, 1])] == 1
+    assert ModPPoly(p, [1, 1]) not in exponents
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13, 397))
+def test_strip_roots_matches_division(p):
+    """Synthetic division takes off each root as often as _divmod by t - x
+    does, on (t - x)^k g with g random monic and k <= 5."""
+    rng = random.Random(p)
+    for k in range(6):
+        for _ in range(8):
+            x = rng.randrange(p)
+            f = [1]
+            for _ in range(k):
+                f = modp._reduce(modp._mul(f, [-x % p, 1]), p)
+            f = modp._reduce(modp._mul(f, [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [1]), p)
+            linear, rest = modp._strip_roots(f, p)
+            expected, cofactor = [], f
+            for y in range(p):
+                lin, mult = [-y % p, 1], 0
+                while True:
+                    q, r = modp._divmod(cofactor, lin, p)
+                    if r:
+                        break
+                    cofactor, mult = q, mult + 1
+                if mult:
+                    expected.append((lin, mult))
+            assert (linear, rest) == (expected, cofactor), (f, p)
+            assert dict((lin[0], m) for lin, m in linear).get(-x % p, 0) >= k
 
 
 def test_random_monic_irreducible():
@@ -208,9 +236,10 @@ def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
 
 # -- differential test against sympy -------------------------------------------
 
-# 397 and 401 sit either side of modp.ROOT_SCAN = 400; 10007 = 3 mod 4,
+# 149 and 151 sit either side of modp.ROOT_SCAN = 150; 10007 = 3 mod 4,
 # 10037 = 5 mod 8 and 65537 = 1 mod 2^16 take different square-root paths
-DIFF_PRIMES = (2, 3, 5, 7, 101, 397, 401, 10007, 10037, 65537, 2**31 - 1, 2**61 - 1)
+DIFF_PRIMES = (2, 3, 5, 7, 101, 149, 151, 397, 401, 10007, 10037, 65537, 2**31 - 1,
+               2**61 - 1)
 
 
 def _diff_input(rng, p):

@@ -29,6 +29,8 @@ from arithsurf.padic import (
 
 
 def test_vp():
+    assert vp(Fraction(3, 7), 5) == 0  # prime to p: no recursion
+    assert vp(Fraction(-50, 7), 5) == 2 and vp(Fraction(7, 250), 5) == -3
     assert vp(12, 2) == 2
     assert vp(12, 3) == 1
     assert vp(-8, 2) == 3
