@@ -160,11 +160,6 @@ class QSqrt:
     def is_rational(self):
         return self.r == 1 or self.q == 0
 
-    def as_fraction(self):
-        if not self.is_rational:
-            raise NotExact(f"{self} is irrational")
-        return self.q
-
     def square(self):
         return self.q * self.q * self.r
 

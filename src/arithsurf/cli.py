@@ -133,8 +133,8 @@ def cmd_symbol(args):
         try:
             branches = branch_decomposition(curve, point, f, g)
         except ArithsurfError as exc:
-            # the value was found without branch data, which it needs only
-            # where nu1(f) or nu1(g) is nonzero
+            # the value was read from the tame symbol, which leaves out a
+            # function whose nu1 cofactor is 0 and is 1 when both nu1 are
             doc["branches_refused"] = f"{type(exc).__name__}: {exc}"
         else:
             doc["branches"] = [

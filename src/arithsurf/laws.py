@@ -24,12 +24,15 @@ order: its branches are the p-adic factors of the curve (see symbols.py).
 What is left: p | lc(h) at a finite point of a curve of degree >= 2 and a
 support prime not below 2^63 (UnsupportedOrder), a p-adic cluster outside
 padic's class (UnsupportedFactorization) and an integer rho cannot split
-in its budget (FactorizationTimeout).  Branch data is computed only at
-flags where f or g has nonzero order along the curve, so a horizontal curve
-that is a base of neither function has every finite item 0 and is never
-refused for p | lc(h) or an unsupported p-adic factorization; the point law
-still meets those refusals on the curves through the point, which are bases
-of f or g.
+in its budget (FactorizationTimeout).
+
+Each law builds the tame symbol d_C{f, g} = f^nu1(g) / g^nu1(f) once per
+curve (symbols.tame_symbol): once for the fiber, once for the horizontal
+curve, and once per curve through the point; the symbol at each flag is
+-nu2(d) at its point (symbols.flag_symbol).  A horizontal curve that is a base of neither
+function has d = 1, so every finite item is 0 and it is never refused for
+p | lc(h) or an unsupported p-adic factorization; the point law still meets
+those refusals on the curves through the point, which are bases of f or g.
 
 Inside one verification the points share their local factorizations: each
 reduction mod p is factored once (`factor_mod_p`; the points of a curve
@@ -39,13 +42,13 @@ resultant of the curve with a base is taken once
 mod p is tested for p-maximality (`dedekind_p_maximal`, the check on the
 branches where it holds) and factored over Z_p (`padic_factor`) once per
 prime, however many points lie over p.  A base that shares a factor with
-the curve is refused with NonIrreducibleBase wherever that zero resultant
-is taken (the prime support, the p-adic precision of a prime, or a branch
-read off the residues), not reported.  A factorization that raises is not
-stored.  Nothing is shared between verifications; see memo.py.  The
-horizontal law walks its points one support prime at a time
-(`points_on_horizontal` is lazy), so an inconclusive point stops the
-factoring at its prime.
+the curve is refused with NonIrreducibleBase, not reported: d of a
+horizontal curve is built only after every resultant of the curve with a
+base, as the prime support of a horizontal law takes them too.  A
+factorization that raises is not stored.  Nothing is shared between
+verifications; see memo.py.  The horizontal law walks its points one
+support prime at a time (`points_on_horizontal` is lazy), so an
+inconclusive point stops the factoring at its prime.
 """
 
 from dataclasses import dataclass, field
@@ -69,7 +72,7 @@ from .surface import (
     points_on_horizontal,
     points_on_vertical,
 )
-from .symbols import archimedean_symbol, curve_point_symbol, vanishes_on_curve
+from .symbols import archimedean_symbol, flag_symbol, tame_symbol
 
 INCONCLUSIVE_ERRORS = (
     UnsupportedOrder,
@@ -128,7 +131,7 @@ def verify_point_law(point, f, g, config=None):
     total = 0
     for curve in curves_through_point(point, f, g):
         try:
-            s = curve_point_symbol(curve, point, f, g)
+            s = flag_symbol(curve, point, tame_symbol(curve, f, g))
         except INCONCLUSIVE_ERRORS as exc:
             report.verdict = "inconclusive"
             report.reason = f"{curve.label()}: {type(exc).__name__}: {exc}"
@@ -152,8 +155,9 @@ def verify_vertical_law(p, f, g, config=None):
         config=_config_dict(cfg),
     )
     total = 0
+    tame = tame_symbol(fiber, f, g)
     for point in points_on_vertical(p, f, g):
-        s = curve_point_symbol(fiber, point, f, g)
+        s = flag_symbol(fiber, point, tame)
         d = point.degree
         report.add_item(
             place=point.label(), value=s, log_base=p ** d, deg=d, weighted=d * s
@@ -186,11 +190,9 @@ def verify_horizontal_law(curve, f, g, config=None):
     c_p = {}
     try:
         points = points_on_horizontal(curve, f, g)
-        # every point lies on the curve, so no symbol is computed when it is
-        # 0 at all of them
-        zero = vanishes_on_curve(curve, f, g)
+        tame = tame_symbol(curve, f, g)
         for point in points:
-            s = 0 if zero else curve_point_symbol(curve, point, f, g)
+            s = flag_symbol(curve, point, tame)
             report.add_item(
                 place=point.label(),
                 value=s,

@@ -5,8 +5,9 @@ All arithmetic runs on one kernel of plain coefficient lists, low to high
 Inputs may hold any integers; a kernel function reduces each coefficient
 once, at the end of a sum, product or division, and returns a list in
 [0, m) with no trailing zeros.  `padic` lifts on the same kernel mod p^k,
-and `surface.incident` and `symbols.rank2_vertical` divide by a point's
-monic residue on it, with no ModPPoly built.
+and `surface.incident`, `symbols.rank2_vertical` and
+`symbols._residue_branch` divide by a point's monic residue on it, with no
+ModPPoly built.
 
 Factoring first strips the roots when p <= ROOT_SCAN: it evaluates at every
 x in F_p and takes each root off by synthetic division by t - x for as long
@@ -303,16 +304,6 @@ class ModPPoly:
 
     def __repr__(self):
         return f"ModPPoly({self.p}, {self.to_intpoly()!s})"
-
-
-def gcd_modp(a, b):
-    a._check(b)
-    return ModPPoly._reduced(a.p, _gcd(a.coeffs, b.coeffs, a.p))
-
-
-def pow_mod(base, e, mod):
-    """base^e modulo mod, by square and multiply."""
-    return ModPPoly._reduced(base.p, _powmod(base.coeffs, e, base._divisor(mod), base.p))
 
 
 # -- factorization, on coefficient lists over F_p ------------------------------

@@ -8,24 +8,36 @@ The symbol of two functions is the 2x2 determinant
     nu(f, g) = nu1(f) nu2(g) - nu1(g) nu2(f),
 
 summed over the analytic branches of C at x with weights [k_i : k(x)].
-nu1 is the order along C, the same on every branch, so each nu2 is taken
-only where its nu1 cofactor is nonzero: a flag with nu1(f) = nu1(g) = 0
-has symbol 0 and no branch data is computed for it, and otherwise the
-function whose nu2 is multiplied by 0 is replaced by the constant ONE.  A
-horizontal flag still refuses a skipped function's base that shares a
-factor with the curve (NonIrreducibleBase).
+nu1 is the same at every point of C and on every branch, and nu2 is
+additive, so the symbol is minus the nu2 of one function, the tame symbol
 
-Vertical flags are exact and immediate: nu2 is an order of vanishing mod p,
-counted by dividing each base mod p by the point's residue on modp's list
-kernel while it divides, so a fiber's flags factor nothing; at the
-fiber-infinity point it is the order at t = infinity, -sum e deg(b mod p).
-The infinity section is read by counting too: nu1 = -sum e deg(b), and at
-(p, infinity) nu2 is v_p of the leading coefficient at t = infinity.  So a
-coordinate change is made only for a horizontal curve h at its point at
-infinity (p | lc(h)): the symbol is intrinsic, and act(SWAP, .) moves the
-flag into the second chart s = 1/t, where it is finite and needs branch
-data.  A horizontal curve h = 0 with p prime to lc(h) is read at x through
-its reduction mod p:
+    d_C{f, g} = f^nu1(g) / g^nu1(f),
+
+which has order 0 along C (Milnor, Introduction to Algebraic K-Theory,
+section 11; the sign (-1)^(nu1(f) nu1(g)) there is a unit that no nu2
+sees, and is left out).  tame_symbol builds d once per curve, from the
+factors of f and g; flag_symbol reads -nu2(d) at each point, with the
+valuation of that kind of curve.  When nu1(f) = nu1(g) = 0, d is the constant ONE and every
+symbol on C is 0, with no count or branch data taken.  On a horizontal
+curve every base of f and g is first checked for a factor shared with the
+curve (NonIrreducibleBase), whether or not it enters d.
+
+  * On a fiber V_p, nu2 is an order of vanishing mod p, counted by
+    dividing each base of d mod p by the point's residue on modp's list
+    kernel while it divides (rank2_vertical), so a fiber's flags factor
+    nothing; at the fiber-infinity point it is the order at t = infinity,
+    -sum e deg(b mod p).
+  * On the infinity section, nu2 at (p, infinity) is v_p of the leading
+    coefficient of d at t = infinity (_leading_valuation).
+  * On a horizontal curve h, nu2 is the branch-weighted sum of the
+    valuations of d on the branches of h at x (branch_decomposition, with
+    ONE as the second function).  At a point at infinity (p | lc(h)) the
+    symbol is intrinsic, and act(SWAP, .) moves the flag into the second
+    chart s = 1/t, where it is finite; this is the only coordinate change
+    made.
+
+A horizontal curve h = 0 with p prime to lc(h) is read at x through its
+reduction mod p:
 
   * when h is squarefree mod p, Z[t]/(h) is maximal at p and every branch
     is unramified, so x carries one branch of residue degree deg(x).  For
@@ -69,6 +81,7 @@ from .surface import (
     INFINITY_SECTION,
     VERTICAL,
     SWAP,
+    FactoredRationalFunction,
     act,
     curve_resultant,
     horizontal_order,
@@ -77,12 +90,9 @@ from .surface import (
     vertical_order,
 )
 
-# Stands in for a function whose nu2 the determinant multiplies by 0.
+# The tame symbol of two functions of order 0 along the curve; the second
+# function when one function's nu2 is read through branch_decomposition.
 ONE = make_function(1, [])
-
-
-def det2(a, b, c, d):
-    return a * d - b * c
 
 
 # -- vertical flags ----------------------------------------------------------
@@ -112,17 +122,6 @@ def rank2_vertical(f, p, point):
                     break
                 bbar, nu2 = quo, nu2 + e
     return nu1, nu2
-
-
-def vertical_flag_symbol(p, point, f, g):
-    """nu1(f) nu2(g) - nu1(g) nu2(f), taking each nu2 only where its nu1
-    cofactor is nonzero."""
-    nu1_f, nu1_g = vertical_order(f, p), vertical_order(g, p)
-    if not (nu1_f or nu1_g):
-        return 0
-    nu2_g = rank2_vertical(g, p, point)[1] if nu1_f else 0
-    nu2_f = rank2_vertical(f, p, point)[1] if nu1_g else 0
-    return det2(nu1_f, nu1_g, nu2_f, nu2_g)
 
 
 # -- horizontal flags --------------------------------------------------------
@@ -188,21 +187,26 @@ def _residue_branch(h, point, residues, f, g):
 
     nu2(b) = 0 when the point's residue does not divide b mod p, and
     v_p(Res(h, b)) / deg(x) when it is the only residue of h that does.
-    A base meeting a second point over p returns None.
+    A base meeting a second point over p returns None.  Each base is
+    reduced mod p once and divided by the monic residues on modp's list
+    kernel.
     """
     p, pi = point.p, point.residue
-    others = [r for r in residues if r != pi]
+    others = [r.coeffs for r in residues if r != pi]
+
+    def divides(residue, bbar):
+        return not _rem(list(bbar), residue, 1, p)
 
     def nu2(fn):
         total = vp(fn.unit, p)
         for b, e in fn.factors:
             if b == h:
                 continue
-            bbar = ModPPoly.from_intpoly(b, p)
-            if bbar % pi:
+            bbar = _reduce(b.coeffs, p)
+            if not divides(pi.coeffs, bbar):
                 continue  # b is a unit on the branch
             v = vp(curve_resultant(h, b), p)
-            if any(not bbar % r for r in others):
+            if any(divides(r, bbar) for r in others):
                 return None
             if v % point.degree:
                 raise NotExact(
@@ -296,73 +300,66 @@ def branch_decomposition(curve, point, f, g):
     return branches
 
 
-def _skipped(curve, fn):
-    """ONE in place of fn, whose nu2 the determinant multiplies by 0.
-
-    Branch data refuses a base of fn sharing a factor with the curve
-    (curve_resultant raises NonIrreducibleBase); the refusal is kept here.
-    Inside a law verification these are the resultants the prime support
-    already computed.  No base shares a factor with the infinity section,
-    so there is nothing to refuse on it."""
-    if curve.kind == HORIZONTAL:
-        for b, _ in fn.factors:
-            if b != curve.h:
-                curve_resultant(curve.h, b)
-    return ONE
-
-
-def vanishes_on_curve(curve, f, g):
-    """Is the horizontal curve a base of neither f nor g?  Then
-    nu1(f) = nu1(g) = 0 and the symbol is 0 at every point of the curve.
-    Before answering True it raises the refusal that _skipped keeps for
-    f and for g, as the symbol at a point would."""
-    if horizontal_order(f, curve) or horizontal_order(g, curve):
-        return False
-    _skipped(curve, f)
-    _skipped(curve, g)
-    return True
-
-
 def _leading_valuation(fn, p):
     """nu2 of fn at the flag (infinity section, p:inf): v_p of the leading
     coefficient of fn at t = infinity, unit * prod lc(b)^e."""
     return vp(fn.unit, p) + sum(e * vp(b.lc, p) for b, e in fn.factors)
 
 
-def horizontal_flag_symbol(curve, point, f, g):
-    """Weighted symbol sum over the branches of the horizontal curve at x.
+# -- the tame symbol ----------------------------------------------------------
 
-    The infinity section has one branch at each of its points, where nu2 is
-    _leading_valuation.  A horizontal curve is read at its point at infinity
-    in the second chart, moved there by act(SWAP, .); nu1 is the same in
-    both charts, so it is taken before the move."""
-    nu1_f = horizontal_order(f, curve)
-    nu1_g = horizontal_order(g, curve)
-    if not nu1_g:
-        f = _skipped(curve, f)
-    if not nu1_f:
-        g = _skipped(curve, g)
-    if not (nu1_f or nu1_g):
+
+def tame_symbol(curve, f, g):
+    """d_C{f, g} = f^nu1(g) / g^nu1(f), with nu1 the order along the curve.
+
+    Its order along C is 0, and every flag symbol on C is read from it
+    (flag_symbol).  It is built from the factors of f and g, which are
+    already canonical.  On a horizontal curve h every base b != h of f and
+    g is checked first, whether or not it enters d: curve_resultant refuses
+    one sharing a factor with h (NonIrreducibleBase).  ONE when
+    nu1(f) = nu1(g) = 0."""
+    if curve.kind == HORIZONTAL:
+        for b, _ in f.factors + g.factors:
+            if b != curve.h:
+                curve_resultant(curve.h, b)
+    if curve.kind == VERTICAL:
+        m_f, m_g = vertical_order(f, curve.p), vertical_order(g, curve.p)
+    else:
+        m_f, m_g = horizontal_order(f, curve), horizontal_order(g, curve)
+    if not (m_f or m_g):
+        return ONE
+    exponents = {b: m_g * e for b, e in f.factors}
+    for b, e in g.factors:
+        exponents[b] = exponents.get(b, 0) - m_f * e
+    factors = sorted(((b, e) for b, e in exponents.items() if e),
+                     key=lambda be: (be[0].degree, be[0].coeffs))
+    return FactoredRationalFunction(f.unit**m_g / g.unit**m_f, tuple(factors))
+
+
+def flag_symbol(curve, point, tame):
+    """nu_{C,x}(f, g) = -nu2(d) at a point x of C, for d = tame_symbol(C, f, g).
+
+    nu2 is the fiber count on V_p (rank2_vertical), the leading valuation on
+    the infinity section, and the branch-weighted sum of branch_decomposition
+    on H:h; a point at infinity of H:h is read in the second chart, where
+    act(SWAP, .) moves the flag.  d = 1 reads 0 with no count or branch
+    data taken."""
+    if tame == ONE:
         return 0
+    if curve.kind == VERTICAL:
+        return -rank2_vertical(tame, curve.p, point)[1]
     if curve.kind == INFINITY_SECTION:
-        return det2(nu1_f, nu1_g, _leading_valuation(f, point.p), _leading_valuation(g, point.p))
+        return -_leading_valuation(tame, point.p)
     if point.at_infinity:
-        curve, point = act(SWAP, curve), act(SWAP, point)
-        f = f if f is ONE else act(SWAP, f)
-        g = g if g is ONE else act(SWAP, g)
-    total = 0
-    for br in branch_decomposition(curve, point, f, g):
-        total += br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
-    return total
+        curve, point, tame = act(SWAP, curve), act(SWAP, point), act(SWAP, tame)
+    return -sum(br.weight * br.nu2_f for br in branch_decomposition(curve, point, tame, ONE))
 
 
 def curve_point_symbol(curve, point, f, g):
     """nu_{C,x}(f, g): the branch-weighted rank-2 symbol at the flag."""
     if not incident(curve, point):
         raise ParseError(f"point {point} does not lie on curve {curve}")
-    if curve.kind == VERTICAL:
-        return vertical_flag_symbol(curve.p, point, f, g)
-    return horizontal_flag_symbol(curve, point, f, g)
+    return flag_symbol(curve, point, tame_symbol(curve, f, g))
 
 
 # -- archimedean symbol -------------------------------------------------------

@@ -259,6 +259,18 @@ def test_reducible_base_at_a_non_squarefree_point_exits_2(capsys):
     assert done.returncode == 2 and "NonIrreducibleBase" in done.stderr
 
 
+def test_reducible_base_at_a_squarefree_point_exits_2(capsys):
+    # t^2+1 mod 13 is squarefree and the point lies on the t^3-2 part alone,
+    # so its branch never reads t^2+1; the flag on H:t^5+t^3-2t^2-2 still
+    # takes the zero resultant with t^2+1 before anything else, as 3:t+1,
+    # where the reduction is not squarefree, does
+    for point in ("13:t^3+11", "3:t+1"):
+        code, out, err = run(capsys, "verify", "point", "--point", point,
+                             "--f", "1*(t^5+t^3-2*t^2-2)^1", "--g", "3*(t^2+1)^1")
+        assert code == 2 and not out and "NonIrreducibleBase" in err, point
+        assert "t^2+1 shares a factor with the curve H:t^5+t^3-2t^2-2" in err, point
+
+
 def test_reducible_base_at_a_ramified_point_exits_2(capsys):
     # H:t^2-3 is ramified at 3:t, and t^5-3t^3-2t^2+6 = (t^2-3)(t^3-2) meets
     # it to every p-adic digit

@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp
 
 import arithsurf
-from arithsurf import padic, surface, symbols
+from arithsurf import laws, padic, surface, symbols
 from arithsurf.config import RunConfig
 from arithsurf.errors import (
     ArithsurfError,
@@ -28,7 +28,7 @@ from arithsurf.laws import (
     verify_point_law,
     verify_vertical_law,
 )
-from arithsurf.modp import random_monic_irreducible
+from arithsurf.modp import _reduce, factor_mod_p, random_monic_irreducible
 from arithsurf.padic import dedekind_p_maximal, vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
@@ -39,6 +39,7 @@ from arithsurf.surface import (
     ClosedPoint,
     Curve,
     act,
+    affine_chart,
     curves_through_point,
     horizontal_order,
     make_function,
@@ -53,11 +54,17 @@ from arithsurf.symbols import (
     archimedean_symbol,
     branch_decomposition,
     curve_point_symbol,
-    det2,
     rank2_vertical,
+    tame_symbol,
 )
 
 F = parse_function
+
+
+def det2(a, b, c, d):
+    """The determinant of the full symbol, the reference the tame symbol is
+    checked against."""
+    return a * d - b * c
 
 
 def test_det2():
@@ -375,8 +382,9 @@ def test_residue_decision_changes_no_report(monkeypatch):
     # enough to decide over a thousand branches
     cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 1500, ("point", "horizontal"))
     # (t^2+1)(t^3-2) passes the degree-4 spot check; Res(t^2+1, it) = 0.  At a
-    # point on t^3-2 alone the base is a unit on H:t^2+1, so the residue
-    # rule passes the law.
+    # point on t^3-2 alone the base is a unit on H:t^2+1, and the residue
+    # rule never reads t^2+1 on the flag of H:t^5+t^3-2t^2-2; the flag still
+    # takes every resultant of the curve with a base first and refuses it.
     reducible = (F("1*(t^5+t^3-2*t^2-2)^1"), F("3*(t^2+1)^1"))
     alone = parse_point("13:t^3+11")
     decided = []
@@ -389,7 +397,8 @@ def test_residue_decision_changes_no_report(monkeypatch):
 
     monkeypatch.setattr(symbols, "_residue_branch", counted)
     fast = [verify(subject, f, g).to_dict() for verify, subject, f, g in cases]
-    assert verify_point_law(alone, *reducible).verdict == "pass"
+    with pytest.raises(NonIrreducibleBase, match="t\\^2\\+1 shares a factor"):
+        verify_point_law(alone, *reducible)
     # through a root of t^2+1 the rule refuses the zero resultant, where the
     # ladder could only run out of precision
     for label in ("7:t^2+1", "11:t^2+1", "13:t+5"):
@@ -397,8 +406,7 @@ def test_residue_decision_changes_no_report(monkeypatch):
             verify_point_law(parse_point(label), *reducible)
     force_ladder(monkeypatch)
     assert [verify(subject, f, g).to_dict() for verify, subject, f, g in cases] == fast
-    # the p-adic path asks for the digits of every base over 13, and so
-    # takes the zero resultant of t^2+1 that the residue rule never reads
+    # and so does the p-adic path, whichever way the branch is read
     with pytest.raises(NonIrreducibleBase, match="t\\^2\\+1 shares a factor"):
         verify_point_law(alone, *reducible)
     assert {r["verdict"] for r in fast} == {"pass", "inconclusive"}
@@ -535,7 +543,7 @@ def test_start_precision_is_read_by_nothing(monkeypatch):
     assert report.verdict == "pass" and [p for _, p, _ in ran] == [2, 13]
 
 
-# -- nu2 only where its nu1 cofactor is nonzero ---------------------------------
+# -- the tame symbol: one function per curve ------------------------------------
 
 
 def _full_symbol(curve, point, f, g):
@@ -548,6 +556,19 @@ def _full_symbol(curve, point, f, g):
     nu1_f, nu1_g = horizontal_order(f, curve), horizontal_order(g, curve)
     return sum(br.weight * det2(nu1_f, nu1_g, br.nu2_f, br.nu2_g)
                for br in branch_decomposition(curve, point, f, g))
+
+
+def _nu1(curve, fn):
+    if curve.kind == VERTICAL:
+        return vertical_order(fn, curve.p)
+    return horizontal_order(fn, curve)
+
+
+def _tame_by_make_function(curve, f, g):
+    """f^nu1(g) / g^nu1(f), normalized by make_function."""
+    m_f, m_g = _nu1(curve, f), _nu1(curve, g)
+    factors = [(b, m_g * e) for b, e in f.factors] + [(b, -m_f * e) for b, e in g.factors]
+    return make_function(f.unit**m_g / g.unit**m_f, factors, check=False)
 
 
 def _flags(verify, subject, f, g):
@@ -565,72 +586,176 @@ def _flags(verify, subject, f, g):
     return flags
 
 
+def _value_or_refusal(symbol, *args):
+    try:
+        return symbol(*args)
+    except INCONCLUSIVE_ERRORS as exc:
+        return type(exc)
+
+
 def test_lazy_symbol_equals_the_full_determinant():
+    """-sum w nu2(d) for the tame symbol d = f^nu1(g) / g^nu1(f), which
+    curve_point_symbol reads, equals the full determinant at every flag of
+    the seed-7 slice and the selftest populations.  Where d is refused, the
+    full determinant is refused with the same error; where only the full
+    determinant is, the refused nu2 belongs to a function whose nu1 cofactor
+    is 0, so it is not in d."""
     rng = random.Random(12)
     cases = _selftest_law_cases(5, 80) + _wider_law_cases(7, 600)
     cases += [(verify_vertical_law, VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)], *random_pair(rng))
               for i in range(80)]
-    compared, gained = Counter(), 0
+    compared, refused, gained = Counter(), Counter(), 0
     for case in cases:
         f, g = case[2:]
         for curve, point in _flags(*case):
-            try:
-                full = _full_symbol(curve, point, f, g)
-            except INCONCLUSIVE_ERRORS:
-                try:
-                    gained += curve_point_symbol(curve, point, f, g) == 0
-                except INCONCLUSIVE_ERRORS:
-                    pass
-                continue
-            assert curve_point_symbol(curve, point, f, g) == full, (curve, point, f, g)
-            compared[curve.kind, full != 0] += 1
-    # every kind of curve, with zero and nonzero symbols, and flags the full
-    # determinant leaves undecided that the lazy one decides
+            tame = tame_symbol(curve, f, g)
+            assert tame == _tame_by_make_function(curve, f, g), (curve, f, g)
+            full = _value_or_refusal(_full_symbol, curve, point, f, g)
+            value = _value_or_refusal(curve_point_symbol, curve, point, f, g)
+            if isinstance(value, type):
+                assert full is value, (curve, point, f, g)
+                refused[value.__name__] += 1
+            elif isinstance(full, type):
+                assert not (_nu1(curve, f) and _nu1(curve, g)), (curve, point, f, g)
+                gained += value == 0
+            else:
+                assert value == full, (curve, point, f, g)
+                compared[curve.kind, full != 0] += 1
+    # every kind of curve, with zero and nonzero symbols, flags both refuse,
+    # and flags the full determinant leaves undecided that d decides
     assert len(compared) == 6 and min(compared.values()) > 5, compared
-    assert gained > 50, gained
+    assert sum(refused.values()) > 20 and gained > 50, (refused, gained)
+
+
+def test_the_vertical_law_is_the_degree_of_a_divisor():
+    """On a fiber V_p, d mod p is a rational function on P^1 over F_p, and the
+    vertical law says that its divisor has degree 0: the sum of
+    deg(x) ord_x(d mod p) over the closed points, t = infinity included.
+    ord_x is read off factor_mod_p of each base of d, and each symbol of the
+    law is -ord_x."""
+    rng = random.Random(31)
+    seen = Counter()
+    for i in range(150):
+        p = VERTICAL_PRIMES[i % len(VERTICAL_PRIMES)]
+        f, g = random_pair(rng)
+        if rng.random() < 0.5:  # put p in the units
+            f = f * make_function(p ** rng.randint(1, 2), [])
+        tame = tame_symbol(Curve.vertical(p), f, g)
+        divisor = Counter()
+        for b, e in tame.factors:
+            bbar = _reduce(b.coeffs, p)
+            divisor[None] -= e * (len(bbar) - 1)  # the order at t = infinity
+            if len(bbar) > 1:
+                for pi, k in factor_mod_p(b, p)[1]:
+                    divisor[pi] += e * k
+        assert sum((1 if pi is None else pi.degree) * n for pi, n in divisor.items()) == 0
+        report = verify_vertical_law(p, f, g)
+        assert report.exact_sum == 0
+        for item, x in zip(report.items, points_on_vertical(p, f, g)):
+            assert item["value"] == -divisor[x.residue], (p, f, g, x)
+        seen[bool(tame.factors), any(divisor.values())] += 1
+    assert seen[True, True] > 30 and seen[False, False] > 10, seen
 
 
 def test_no_nu2_is_taken_for_a_zero_cofactor(monkeypatch):
-    branch_calls, rank2_calls = [], []
-    branches, rank2 = symbols.branch_decomposition, symbols.rank2_vertical
+    """d carries no base of a function whose nu1 cofactor is 0; a curve with
+    nu1(f) = nu1(g) = 0 takes no branch data or fiber count; a vertical law
+    takes nu1 of f and of g once per fiber, not once per point."""
+    built, branch_calls, rank2_calls, orders = [], [], [], []
+    tame, branches, rank2, order = (laws.tame_symbol, symbols.branch_decomposition,
+                                    symbols.rank2_vertical, symbols.vertical_order)
 
-    def count_branches(curve, point, f, g, **kwargs):
+    def record_tame(curve, f, g):
+        d = tame(curve, f, g)
+        built.append((curve, d))
+        return d
+
+    def count_branches(curve, point, f, g):
         branch_calls.append((f, g))
-        return branches(curve, point, f, g, **kwargs)
+        return branches(curve, point, f, g)
 
     def count_rank2(fn, p, point):
         rank2_calls.append(fn)
         return rank2(fn, p, point)
 
+    def count_order(fn, p):
+        orders.append(fn)
+        return order(fn, p)
+
+    monkeypatch.setattr(laws, "tame_symbol", record_tame)
     monkeypatch.setattr(symbols, "branch_decomposition", count_branches)
     monkeypatch.setattr(symbols, "rank2_vertical", count_rank2)
+    monkeypatch.setattr(symbols, "vertical_order", count_order)
     seen = Counter()
     for verify, subject, f, g in _wider_law_cases(7, 600):
-        branch_calls.clear()
-        rank2_calls.clear()
-        verify(subject, f, g)
+        for calls in (built, branch_calls, rank2_calls, orders):
+            calls.clear()
+        report = verify(subject, f, g)
+        for curve, d in built:
+            m_f, m_g = _nu1(curve, f), _nu1(curve, g)
+            bases = {b for b, _ in d.factors}
+            if not m_g:
+                assert bases <= {b for b, _ in g.factors}, (curve, f, g, d)
+            if not m_f:
+                assert bases <= {b for b, _ in f.factors}, (curve, f, g, d)
+            seen["one cofactor 0", bool(m_f) != bool(m_g)] += 1
         if verify is verify_horizontal_law:
             m_f, m_g = f.exponent_of(subject.h), g.exponent_of(subject.h)
             if not (m_f or m_g):
                 assert branch_calls == []
-            # a point at infinity passes the chart-swapped functions
+            # the tame symbol, or its move to s = 1/t at a point at infinity,
+            # with ONE in place of the second function
             for bf, bg in branch_calls:
-                assert (bf is symbols.ONE) == (m_g == 0) and (bg is symbols.ONE) == (m_f == 0)
+                assert bg is symbols.ONE and bf in (built[0][1], act(SWAP, built[0][1]))
             seen["horizontal", bool(m_f or m_g), bool(branch_calls)] += 1
         elif verify is verify_vertical_law:
             v_f, v_g = vertical_order(f, subject), vertical_order(g, subject)
             if not (v_f or v_g):
                 assert rank2_calls == []
-            assert v_g or not any(fn is f for fn in rank2_calls)
-            assert v_f or not any(fn is g for fn in rank2_calls)
+            assert sum(fn is f for fn in orders) == sum(fn is g for fn in orders) == 1
+            assert len(rank2_calls) in (0, len(report.items)), report.items
             seen["vertical", bool(v_f or v_g), bool(rank2_calls)] += 1
+            seen["vertical points", len(report.items) > 1] += 1
     assert {("horizontal", False, False), ("horizontal", True, True),
             ("vertical", False, False), ("vertical", True, True)} <= set(seen), seen
+    assert seen["one cofactor 0", True] > 50 and seen["vertical points", True] > 50, seen
+
+
+def test_a_law_builds_one_tame_symbol_per_curve(monkeypatch):
+    """d is built once for the fiber of a vertical law, once for the curve of
+    a horizontal law, and once per curve through the point of a point law."""
+    built = []
+    tame = laws.tame_symbol
+
+    def record(curve, f, g):
+        built.append(curve)
+        return tame(curve, f, g)
+
+    monkeypatch.setattr(laws, "tame_symbol", record)
+    seen = Counter()
+    for verify, subject, f, g in _wider_law_cases(7, 600):
+        built.clear()
+        try:
+            report = verify(subject, f, g)
+        except ArithsurfError:
+            continue
+        if verify is verify_vertical_law:
+            curves = [Curve.vertical(subject)]
+        elif verify is verify_horizontal_law:
+            curves = [affine_chart(subject, f, g)[0]]
+        else:
+            curves = curves_through_point(subject, f, g)
+        # an inconclusive law stops at the curve or point it cannot decide
+        assert built == curves or report.verdict == "inconclusive" and built == curves[:len(built)]
+        seen[verify.__name__, report.verdict != "inconclusive", len(report.items) > 1] += 1
+    for name in ("verify_vertical_law", "verify_horizontal_law", "verify_point_law"):
+        assert seen[name, True, True] > 50, seen
 
 
 def test_a_skipped_function_still_refuses_a_base_sharing_a_factor_with_the_curve():
     # (t^2+1)(t^3-2) passes the degree-4 spot check and meets every point of
-    # H:t^2+1.  Its nu2 is never computed here, with nu1(f) = 0 or nu1(g) = 0.
+    # H:t^2+1.  It is not in d with nu1(f) = 0 or nu1(g) = 0, and every
+    # resultant of the curve with a base is taken before d is built.
     c, pt = parse_curve("H:t^2+1"), parse_point("3:t^2+1")
     for f in ("1*(t^5+t^3-2*t^2-2)^1", "1*(t^2+1)^1*(t^5+t^3-2*t^2-2)^1"):
         with pytest.raises(NonIrreducibleBase, match="H:t\\^2\\+1"):
