@@ -149,16 +149,6 @@ class IntPoly:
             acc[0] = e * acc[0] + b * power[0]
         return IntPoly(acc)
 
-    def monicize(self):
-        """lc^(deg-1) * self(t/lc): the classical monic normalization.
-
-        The result is monic with integer coefficients and defines the same
-        number field; the root map is theta -> lc * theta.  It is
-        substitute(1, 0, 0, lc) = lc^deg * self(t/lc) divided by lc, exactly.
-        """
-        c = self.lc
-        return IntPoly([a // c for a in self.substitute(1, 0, 0, c).coeffs])
-
     def __repr__(self):
         return f"IntPoly({format_intpoly(self)!r})"
 

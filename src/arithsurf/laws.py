@@ -37,9 +37,9 @@ those refusals on the curves through the point, which are bases of f or g.
 Inside one verification the points share their local factorizations: each
 reduction mod p is factored once (`factor_mod_p`; the points of a curve
 over p and their branches read the same factorization of h mod p), each
-resultant of the curve with a base is taken once
-(`surface.curve_resultant`), and a monicized curve that is not squarefree
-mod p is tested for p-maximality (`dedekind_p_maximal`, the check on the
+resultant of two polynomials is taken once, in either order
+(`surface.curve_resultant`), and a curve that is not squarefree mod p is
+tested for p-maximality (`dedekind_p_maximal`, the check on the
 branches where it holds) and factored over Z_p (`padic_factor`) once per
 prime, however many points lie over p.  A base that shares a factor with
 the curve is refused with NonIrreducibleBase, not reported: d of a

@@ -3,10 +3,10 @@
 All the closed points of a curve h over one prime p take their local
 data from the same factorizations of the curve polynomial: h mod p gives
 the points over p and, when it is squarefree, their branches; when it is
-not, the monicized curve is factored over Z_p too.  The resultants
-Res(h, b) of the curve with the bases give the prime support of a
-horizontal law and then the branch valuations at its points, so they are
-shared too.  On the central-extension side, the contractions and
+not, h itself is factored over Z_p too.  The resultants Res(h, b) of the
+curve with the bases give the prime support of a horizontal law and then
+the branch valuations at its points, so they are shared too, Res(b, h)
+in the same entry.  On the central-extension side, the contractions and
 pushforwards of one commutator pairing or group multiplication keep
 asking for the pair data of the same few lattice pairs, so the data of a
 general pair is shared within one such call (centext.pair_data); a pair of

@@ -1,8 +1,9 @@
 """p-adic polynomial factorization at desk scale.
 
-Supported inputs: monic squarefree h in Z[t].  The reduction mod p splits
-h into clusters, one per irreducible factor pi^e of h mod p, Hensel-lifted
-to a working precision; each cluster is then handled on its own:
+Supported inputs: squarefree h in Z[t] with p prime to lc(h), so that
+h / lc(h) is monic over Z_p with the same roots.  The reduction mod p
+splits h into clusters, one per irreducible factor pi^e of h mod p, lifted
+as factors of h / lc(h) to a working precision; each is then handled alone:
 
   * multiplicity 1          -> unramified factor (e = 1), which is every
                                factor when h is squarefree mod p,
@@ -18,7 +19,7 @@ machinery is deliberately out of scope.
 Hensel lifting, the Bezout pairs it starts from and the Dedekind test run
 on the coefficient-list kernel of `modp` (mod p, then mod p^k), reducing
 once per sum, product or division.  The residues of the factors stay the
-ModPPoly objects that `factor_mod_p` returns.
+ModPPoly objects that `factor_mod_p(h, p)` returns: those of h's points.
 
 `padic_factor(h, p, N)` works out that precision itself: it lifts to
 N + v_p(disc h) + 4 digits.  Each cluster's discriminant divides disc(h)
@@ -256,9 +257,16 @@ def newton_slopes(h, p):
 # -- the factorization entry point ------------------------------------------
 
 
+def _monic_mod(h, p, m):
+    """The coefficients of h / lc(h) mod m, a power of p; p | lc(h) is refused."""
+    if h.lc % p == 0:
+        raise NotExact(f"p = {p} divides the leading coefficient of {h}")
+    return [c * pow(h.lc, -1, m) % m for c in h.coeffs]
+
+
 def padic_factor(h, p, N=DEFAULT_PRECISION):
-    """Factor monic squarefree-over-Q h into irreducible factors over Z_p,
-    each with certified (e, f), to precision at least p^N per factor.
+    """Factor h / lc(h), h squarefree over Q and p prime to lc(h), over Z_p
+    into irreducibles with certified (e, f), each known to at least p^N.
 
     Raises UnsupportedFactorization for clusters outside the supported
     class.  The result is a function of (h, p, N), so a law verification
@@ -270,12 +278,11 @@ def padic_factor(h, p, N=DEFAULT_PRECISION):
 def _padic_factor(h, p, N):
     if h.is_zero:
         raise ZeroPolynomial("cannot factor zero")
-    if h.lc != 1:
-        raise NotExact(f"padic_factor requires monic input, got {h}")
     disc = discriminant(h)
     if disc == 0:
         raise NotExact(f"padic_factor requires squarefree input, got {h}")
     N += vp(disc, p) + 4
+    monic = _monic_mod(h, p, p**N)
     _, red_factors = factor_mod_p(h, p)
     factors = []
     clusters = []
@@ -284,7 +291,7 @@ def _padic_factor(h, p, N):
         for _ in range(e):
             cl = _reduce(_mul(cl, pi.coeffs), p)
         clusters.append((pi, e, cl))
-    lifted = hensel_lift_list(h.coeffs, [cl for _, _, cl in clusters], p, N)
+    lifted = hensel_lift_list(monic, [cl for _, _, cl in clusters], p, N)
     for (pi, e, _), cs in zip(clusters, lifted):
         cluster_poly = IntPoly(cs)
         if e == 1:
@@ -300,8 +307,9 @@ def _padic_factor(h, p, N):
             if fac is not None:
                 factors.append(fac)
                 continue
+        base = f"({pi.to_intpoly()})" if pi[0] else "t"  # (t+1)^3, not t+1^3
         raise UnsupportedFactorization(
-            f"cluster {pi.to_intpoly()}^{e} of degree {D} at p={p} is outside "
+            f"cluster {base}^{e} of degree {D} at p={p} is outside "
             "the supported class (no Montes/Round-4 ladder)"
         )
     factors.sort(key=lambda f: (f.residue.degree, f.residue.coeffs, f.e))
@@ -369,23 +377,22 @@ def _eisenstein_cluster(H, pi, p, N):
 
 
 def dedekind_p_maximal(h, p):
-    """Dedekind's criterion: is Z[t]/(h) maximal at p?  h monic irreducible.
+    """Dedekind's criterion on h / lc(h): is Z[t]/(h) maximal at p?  h irreducible.
 
     A law verification decides each (h, p) once (see memo.py)."""
     return shared(("dedekind_p_maximal", h, p), lambda: _dedekind_p_maximal(h, p))
 
 
 def _dedekind_p_maximal(h, p):
-    if h.lc != 1:
-        raise NotExact(f"the Dedekind criterion requires monic input, got {h}")
+    monic = _monic_mod(h, p, p * p)
     _, fs = factor_mod_p(h, p)
     gbar, hstar_bar = [1], [1]
     for pi, e in fs:
         gbar = _reduce(_mul(gbar, pi.coeffs), p)
         for _ in range(e - 1):
             hstar_bar = _reduce(_mul(hstar_bar, pi.coeffs), p)
-    # F = (g_lift * hstar_lift - h) / p over Z, with the lifts in [0, p)
-    diff = [x - y for x, y in zip_longest(_mul(gbar, hstar_bar), h.coeffs, fillvalue=0)]
+    # F = (g_lift * hstar_lift - h / lc) / p mod p, with the lifts in [0, p)
+    diff = [x - y for x, y in zip_longest(_mul(gbar, hstar_bar), monic, fillvalue=0)]
     if any(c % p for c in diff):
         raise NotExact(f"the factors mod {p} do not multiply back to {h}")
     common = _gcd(gbar, hstar_bar, p)

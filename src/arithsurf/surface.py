@@ -446,11 +446,15 @@ def points_on_vertical(p, f, g):
 
 def curve_resultant(h, b):
     """Res(h, b), computed once per law verification (see memo.py): the
-    prime support and the branch valuations read the same value.
+    prime support and the branch valuations read the same value.  Res(b, h)
+    reads the same entry, as Res(b, h) = (-1)^(deg h deg b) Res(h, b).
 
     Raises NonIrreducibleBase when b shares a factor with h (a zero
     resultant): one of the two is reducible."""
-    res = shared(("resultant", h, b), lambda: resultant(h, b))
+    first, second = (h, b) if h.coeffs <= b.coeffs else (b, h)
+    res = shared(("resultant", first, second), lambda: resultant(first, second))
+    if first is not h and h.degree * b.degree % 2:
+        res = -res
     if res == 0:
         raise NonIrreducibleBase(
             f"base {b} shares a factor with the curve H:{format_intpoly(h)}, "

@@ -48,9 +48,9 @@ reduction mod p:
     branches.  Res(h, b) is the memoized `surface.curve_resultant`.
     A degree-one curve is the case deg(x) = 1 with a single point over p.
   * otherwise (a non-squarefree reduction, or a base meeting two points
-    over p) each p-adic factor of hm = monicize(h) over the point is a
-    branch, whether or not Z[t]/(h) is maximal at p: the primes of the
-    ring of integers over p are the p-adic factors of hm (Neukirch, ANT
+    over p) each p-adic factor of h over the point is a branch, whether or
+    not Z[t]/(h) is maximal at p: lc(h) is a unit of Z_p, the primes of the
+    ring of integers over p are the factors of h over Z_p (Neukirch, ANT
     II.8.2), and padic certifies each one's (e, f).  nu2 comes from
     resultants against the factor's coefficient lift, known to more digits
     than any v_p(Res(h, b)) over all the bases.  That N depends on the
@@ -74,7 +74,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .intpoly import resultant
-from .modp import ModPPoly, _reduce, _rem, factor_mod_p
+from .modp import _reduce, _rem, factor_mod_p
 from .padic import dedekind_p_maximal, padic_factor, vp
 from .surface import (
     HORIZONTAL,
@@ -138,37 +138,22 @@ class BranchData:
     nu2_g: int
 
 
-def _monic_point_residue(h, point):
-    """The residue of a branch of monicize(h) over the given point of h.
-
-    Under y = lc * t a point pi of h corresponds to the monic irreducible
-    pi_hat(y) = cbar^deg(pi) * pi(y / cbar) mod p.  Requires p not | lc."""
-    p = point.p
-    cbar = h.lc % p
-    if cbar == 0:
-        raise UnsupportedOrder(f"p = {p} divides the leading coefficient of {h}")
-    return ModPPoly.from_intpoly(point.residue.to_intpoly().substitute(1, 0, 0, cbar), p)
-
-
 def _restriction_valuation(fn, h, factor, N):
     """Valuation on the branch field of the restriction of fn to the branch,
     with the exponent of h itself already stripped from fn.
 
-    fn(theta) with theta a root of factor (as a factor of monicize(h)):
-    for each base b, w(b(theta)) = v_p(Res(factor_lift, B)) / f, where
-    B(y) = lc^deg(b) * b(y/lc) and p does not divide lc.  The factor is
-    known mod p^N, and N exceeds every such valuation (_least_precision),
-    so a valuation of N or more breaks that bound.
+    fn(theta) with theta a root of factor, a monic factor of h over Z_p:
+    for each base b, w(b(theta)) = v_p(Res(factor_lift, b)) / f.  The
+    factor is known mod p^N, and N exceeds every such valuation
+    (_least_precision), so a valuation of N or more breaks that bound.
     """
     p = factor.poly.p
-    lc = h.lc
     lift = factor.poly.to_intpoly()
     total = Fraction(factor.e) * vp(fn.unit, p)
     for b, e in fn.factors:
         if b == h:
             continue
-        B = b.substitute(1, 0, 0, lc) if lc != 1 else b
-        res = resultant(lift, B)
+        res = resultant(lift, b)
         if res == 0 or vp(res, p) >= N:
             raise NotExact(f"resultant of {b} with a branch of {h} reaches the precision {N}")
         w_num = vp(res, p)
@@ -225,7 +210,7 @@ def _least_precision(h, p, f, g):
     """N: the p-adic digits of the branches of h over p that read the nu2
     of f and g on each of them, for p prime to lc(h).
 
-    A branch's resultant with B divides Res(hm, B) over Z_p, and a lift
+    A branch's resultant with b divides Res(h, b) over Z_p, and a lift
     correct mod p^N keeps it mod p^N, so N > v_p(Res(h, b)) reads nu2(b).
     N is taken over every base, not only those through one point, so it is
     the same at every point of h over p.  curve_resultant refuses a base
@@ -240,8 +225,8 @@ def branch_decomposition(curve, point, f, g):
     nu2 valuations of f and g on each branch.
 
     A squarefree reduction mod p decides the point's one branch from the
-    residues (see _residue_branch); every other case factors monicize(h)
-    over Z_p once per prime, at the N of _least_precision.  The p-adic
+    residues (see _residue_branch); every other case factors h over Z_p
+    once per prime, at the N of _least_precision.  The p-adic
     factors over the point are its branches whether or not Z[t]/(h) is
     maximal at p.  Where it is (a squarefree reduction, or Dedekind's
     criterion), Dedekind-Kummer fixes them: one branch with e the
@@ -267,12 +252,10 @@ def branch_decomposition(curve, point, f, g):
         branch = _residue_branch(h, point, [pi for pi, _ in reduction], f, g)
         if branch is not None:
             return [branch]
-    hm = h.monicize()
-    maximal = squarefree or dedekind_p_maximal(hm, p)
-    pi_hat = _monic_point_residue(h, point)
+    maximal = squarefree or dedekind_p_maximal(h, p)
     branches = []
-    for factor in padic_factor(hm, p, N=_least_precision(h, p, f, g)).factors:
-        if factor.residue != pi_hat:
+    for factor in padic_factor(h, p, N=_least_precision(h, p, f, g)).factors:
+        if factor.residue != point.residue:
             continue
         if factor.f % point.degree:
             raise NotExact(
@@ -294,7 +277,7 @@ def branch_decomposition(curve, point, f, g):
     kummer = [(dict(reduction)[point.residue], point.degree)]
     if maximal and shape != kummer:
         raise NotExact(
-            f"Z[t]/({hm}) is maximal at {p}, so the branches (e, f) over "
+            f"Z[t]/({h}) is maximal at {p}, so the branches (e, f) over "
             f"{point.label()} are {kummer} (Dedekind-Kummer), not {shape}"
         )
     return branches

@@ -115,33 +115,6 @@ def test_discriminant_fixtures():
     assert discriminant(parse_intpoly("t^3-2")) == -108
 
 
-def test_monicize_preserves_roots():
-    # lc^(d-1) h(t/lc) is monic with the roots scaled by lc
-    h = parse_intpoly("2*t^2 - t - 6")  # roots 2, -3/2
-    m = h.monicize()
-    assert m.lc == 1
-    assert m.evaluate(4) == 0  # 2*2
-    assert m.evaluate(-3) == 0  # 2*(-3/2)
-
-
-def test_monicize_matches_the_scaling_formula():
-    """monicize, now a substitution, is lc^(deg-1) h(t/lc) coefficient by
-    coefficient: a_i lc^(deg-1-i) below the top and 1 at it, also for a
-    negative lc and at degree 0; the zero polynomial has no lc."""
-    rng = random.Random(29)
-    cases = [IntPoly([5]), IntPoly([-3]), IntPoly([4, -6]), IntPoly([1, 0, -7])]
-    while len(cases) < 300:
-        cs = [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))]
-        cases.append(IntPoly(cs + [rng.choice([-7, -3, -2, -1, 1, 2, 5, 12])]))
-    for h in cases:
-        d, c = h.degree, h.lc
-        want = IntPoly([a * c ** (d - 1 - i) for i, a in enumerate(h.coeffs[:-1])] + [1])
-        assert h.monicize() == want
-    assert any(h.lc < 0 for h in cases) and any(h.degree == 0 for h in cases)
-    with pytest.raises(ZeroPolynomial):
-        IntPoly([]).monicize()
-
-
 def test_reverse_and_scale():
     h = parse_intpoly("2*t^3 + 3*t + 5")
     # substitute(a, e, c, d) = (c t + d)^deg * h((a t + e)/(c t + d))
@@ -267,8 +240,8 @@ def test_spot_check_matches_sympy_on_quartics():
 
 
 def test_zero_poly_guard():
-    with pytest.raises(ZeroPolynomial):
-        IntPoly(()).monicize()
+    with pytest.raises(ZeroPolynomial, match="no leading coefficient"):
+        IntPoly(()).lc
 
 
 # -- answer guards, typed so that python -O keeps them ---------------------------

@@ -135,14 +135,12 @@ def test_point_law_factors_only_bases_through_the_point(law_slice, monkeypatch):
             call(case)
         except ArithsurfError:
             pass
-        # only the horizontal flags factor, each its curve mod p, or the
-        # monicized curve on the p-adic path, once; in the second chart at a
-        # point at infinity
+        # only the horizontal flags factor, each its own curve mod p, once,
+        # also on the p-adic path; in the second chart at a point at infinity
         curves = [c for c in curves_through_point(point, f, g) if c.kind == HORIZONTAL]
         if point.at_infinity:
             curves = [act(SWAP, c) for c in curves]
-        through = {ModPPoly.from_intpoly(h, point.p)
-                   for c in curves for h in (c.h, c.h.monicize())}
+        through = {ModPPoly.from_intpoly(c.h, point.p) for c in curves}
         assert set(runs.values()) <= {1}
         assert {bbar for bbar, _ in runs} <= through
         total += sum(runs.values())

@@ -196,8 +196,8 @@ def test_horizontal_law_refuses_vertical_curves():
 # sha256 over the first 600 cases of the benchmark's `laws` pool, one line per
 # case: the sorted JSON of its report, or its typed refusal
 LAW_REPORT_DIGESTS = {
-    1: "1d18990fa1f273a0451bc58aefefb8fa733e7674221b76767e2d7732ae6f0e0e",
-    7: "18295a7546af64705b6c732993bff6ef024ea0643a4a02159c2dcc5f8bb8b871",
+    1: "884c88ef1c60528f3455995c44a995da82a530743fcf1768ebc9655074d812e1",
+    7: "e87d50f5127cebd7429c2a33b7b9005bf3b538255216c45c013c11020082f3ea",
 }
 
 

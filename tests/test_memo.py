@@ -6,14 +6,15 @@ from collections import Counter
 
 import pytest
 
-from arithsurf import memo, modp, padic, symbols
-from arithsurf.errors import UnsupportedOrder, ZeroPolynomial
+from arithsurf import memo, modp, padic, surface, symbols
+from arithsurf.errors import NonIrreducibleBase, UnsupportedOrder, ZeroPolynomial
 from arithsurf.intpoly import parse_intpoly, resultant
 from arithsurf.laws import verify_horizontal_law, verify_point_law, verify_vertical_law
 from arithsurf.padic import vp
 from arithsurf.selftest import HORIZONTAL_CURVES, VERTICAL_PRIMES, random_pair, random_point
 from arithsurf.surface import (
     ClosedPoint,
+    curve_resultant,
     parse_curve,
     parse_function,
     points_on_horizontal,
@@ -27,6 +28,10 @@ SPLIT = (parse_curve("H:t^4+1"), F("3*(t^4+1)^1"), F("1*(t^2+2)^1*(t+4)^-1"))
 # t^3-t-2 = t (t+1)^2 mod 2 is not squarefree: both of its points over 2 take
 # the p-adic factorization; the support is {2, 3, 13}
 CLUSTERED = (parse_curve("H:t^3-t-2"), F("3*(t^3-t-2)^1"), F("1*(t+1)^1*(t^2+3)^-1"))
+# 2t^2+4t+5 = 2 (t+1)^2 mod 3, and its points over 2 lie at infinity, where
+# the second chart's 5s^2+4s+2 = s^2 mod 2: non-monic and not squarefree mod
+# p at both, so both points are factored over Z_p; the support is {2, 3, 7}
+NON_MONIC = (parse_curve("H:2*t^2+4*t+5"), F("1*(2*t^2+4*t+5)^1"), F("1*(t-2)^1"))
 
 
 def _count_bodies(monkeypatch):
@@ -80,6 +85,50 @@ def test_unramified_points_take_no_p_adic_factorization(monkeypatch):
     report = verify_horizontal_law(parse_curve("H:t^2+1"), F("2*(t^2+1)^1"), F("1*(t-1)^1"))
     assert report.verdict == "pass"
     assert [key[2] for key in runs if key[0] == "padic_factor"] == [2]
+
+
+def test_a_non_monic_curve_is_factored_as_itself(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    report = verify_horizontal_law(*NON_MONIC)
+    assert report.verdict == "pass" and report.finite_part == {"2": -1, "3": 1, "7": 1}
+    # at each prime the curve of the point's chart is reduced once and that
+    # same polynomial is factored over Z_p once: nothing else
+    h, s = NON_MONIC[0].h, parse_intpoly("5*t^2+4*t+2")
+    assert set(runs.values()) == {1}
+    assert {key[:3] for key in runs} == {
+        ("factor_mod_p", modp.ModPPoly.from_intpoly(s, 2), 2), ("padic_factor", s, 2),
+        ("factor_mod_p", modp.ModPPoly.from_intpoly(h, 3), 3), ("padic_factor", h, 3),
+        ("factor_mod_p", modp.ModPPoly.from_intpoly(h, 7), 7),
+    }
+
+
+def test_a_resultant_is_taken_once_per_unordered_pair(monkeypatch):
+    calls = []
+    monkeypatch.setattr(surface, "resultant", lambda a, b: calls.append(1) or resultant(a, b))
+    P = parse_intpoly
+    # odd x odd degrees, where Res(b, h) = -Res(h, b), and even x odd
+    pairs = [(P("t^3+t+1"), P("2*t+3")), (P("t^3+t+1"), P("t^3-2")),
+             (P("t^2+1"), P("3*t^3+t-1")), (P("t^2+1"), P("t-5")), (P("t^4+1"), P("t^2+3"))]
+    for h, b in pairs:
+        for x, y in ((h, b), (b, h)):
+            calls.clear()
+            both = memo.verification(lambda: (curve_resultant(x, y), curve_resultant(y, x)))()
+            assert both == (resultant(x, y), resultant(y, x)) and len(calls) == 1
+    assert any(resultant(h, b) == -resultant(b, h) for h, b in pairs)
+    # a shared factor is refused with each call's own curve and base named
+    h, b = P("t^2+3*t+2"), P("t+1")
+
+    def refusals():
+        out = []
+        for x, y in ((h, b), (b, h)):
+            with pytest.raises(NonIrreducibleBase) as info:
+                curve_resultant(x, y)
+            out.append(str(info.value))
+        return out
+
+    assert memo.verification(refusals)() == [
+        f"base {y} shares a factor with the curve H:{x}, so one of them is reducible"
+        for x, y in ((h, b), (b, h))]
 
 
 def test_inconclusive_verification_stops_factoring_at_the_failing_prime(monkeypatch):
@@ -149,7 +198,7 @@ def _population(seed, cases):
     """Seeded point, vertical and horizontal law instances."""
     rng = random.Random(seed)
     # beyond the selftest curves: several points over a prime, a non-monic
-    # curve (monicized before the p-adic factorization) and a cubic
+    # curve (factored over Z_p as itself) and a cubic
     extra = ("H:t^4+1", "H:5*t^2+t+3", "H:t^3+t+1")
     curves = [parse_curve(s) for s in HORIZONTAL_CURVES + extra]
     out = []

@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from functools import reduce
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from arithsurf import padic
 from arithsurf.errors import NotExact, UnsupportedFactorization, ZeroPolynomial
-from arithsurf.intpoly import IntPoly, parse_intpoly
+from arithsurf.intpoly import IntPoly, discriminant, parse_intpoly, resultant
 from arithsurf.modp import ModPPoly, factor_mod_p
 from arithsurf.padic import (
     PadicFactorization,
@@ -114,12 +116,67 @@ def test_dedekind_guard():
     assert dedekind_p_maximal(parse_intpoly("t^3-2"), 5)
 
 
-def test_non_monic_input_is_refused():
+def test_p_dividing_the_leading_coefficient_is_refused():
+    # lc = 2 is a unit of Z_3, so 2t^2+1 factors at 3, but not at 2
     h = parse_intpoly("2*t^2+1")
-    with pytest.raises(NotExact, match="monic"):
-        padic_factor(h, 3)
-    with pytest.raises(NotExact, match="monic"):
-        dedekind_p_maximal(h, 3)
+    assert [(fct.e, fct.f) for fct in padic_factor(h, 3).factors] == [(1, 1), (1, 1)]
+    assert dedekind_p_maximal(h, 3)
+    with pytest.raises(NotExact, match="divides the leading coefficient"):
+        padic_factor(h, 2)
+    with pytest.raises(NotExact, match="divides the leading coefficient"):
+        dedekind_p_maximal(h, 2)
+
+
+def _monicized(h):
+    """lc^(d-1) h(t/lc): monic over Z, with the roots scaled by lc."""
+    d, c = h.degree, h.lc
+    return IntPoly([a * c ** (d - 1 - i) for i, a in enumerate(h.coeffs[:-1])] + [1])
+
+
+def _branches(fac, bases):
+    """(e, f, w(b(theta)) for each base) per factor, w from Res(lift, b)."""
+    return sorted((fct.e, fct.f, tuple(Fraction(vp(resultant(fct.poly.to_intpoly(), b), fac.p),
+                                                fct.f) for b in bases))
+                  for fct in fac.factors)
+
+
+def test_a_non_monic_curve_factors_as_its_monicization_does():
+    """Over Z_p with p prime to lc(h), h and lc^(d-1) h(t/lc) have the same
+    branches: the same (e, f), and on each the same valuation of every base
+    b, read through b itself on h and through lc^deg(b) b(y/lc) on the copy.
+    Both are p-maximal or neither, and h's lifted factors multiply to
+    h / lc mod p^N."""
+    rng = random.Random(32)
+    seen = Counter()
+    while seen["factored"] < 400:
+        p, d = rng.choice((2, 3, 5, 7)), rng.randint(1, 5)
+        lc = rng.choice([c for c in range(-12, 13) if c % p and abs(c) > 1])
+        h = IntPoly([rng.randint(-30, 30) for _ in range(d)] + [lc])
+        if h.degree < 1 or discriminant(h) == 0:
+            continue
+        hm = _monicized(h)
+        assert dedekind_p_maximal(h, p) == dedekind_p_maximal(hm, p)
+        bases = [IntPoly([rng.randint(-9, 9) for _ in range(k)] + [rng.randint(1, 5)])
+                 for k in (1, 2)]
+        bases = [b for b in bases if resultant(h, b)]
+        N = 1 + max((vp(resultant(h, b), p) for b in bases), default=0)
+        try:
+            fac = padic_factor(h, p, N)
+        except UnsupportedFactorization:
+            with pytest.raises(UnsupportedFactorization):
+                padic_factor(hm, p, N)
+            seen["unsupported"] += 1
+            continue
+        scaled = [IntPoly([a * lc ** (b.degree - i) for i, a in enumerate(b.coeffs)])
+                  for b in bases]
+        assert _branches(fac, bases) == _branches(padic_factor(hm, p, N), scaled)
+        m = p ** min(fct.poly.N for fct in fac.factors)
+        inv = pow(lc, -1, m)
+        product = reduce(mul, (ModPPoly(m, fct.poly.coeffs) for fct in fac.factors))
+        assert product == ModPPoly(m, [c * inv for c in h.coeffs])
+        seen["factored"] += 1
+        seen["ramified"] += any(fct.e > 1 for fct in fac.factors)
+    assert seen["unsupported"] > 10 and seen["ramified"] > 40
 
 
 def test_non_maximal_quadratic_still_resolved():
@@ -173,6 +230,13 @@ def test_any_precision_gives_the_shape_of_the_default(p, low, N):
 def test_a_repeated_factor_is_refused():
     with pytest.raises(NotExact, match="squarefree"):
         padic_factor(parse_intpoly("t^2+2*t+1"), 3)
+
+
+def test_an_unsupported_cluster_is_named_with_parentheses():
+    # t^3+t^2+3t-1 = (t+1)^3 mod 2, and no rule certifies the cubic cluster;
+    # "t+1^3" would read as t+1
+    with pytest.raises(UnsupportedFactorization, match=r"cluster \(t\+1\)\^3 of degree 3 at p=2"):
+        padic_factor(parse_intpoly("t^3+t^2+3*t-1"), 2)
 
 
 # -- answer guards of the Hensel lift, typed so that python -O keeps them ------

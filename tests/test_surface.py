@@ -254,8 +254,8 @@ def test_answer_guards_survive_python_O():
         "from arithsurf.surface import ClosedPoint, FactoredRationalFunction, parse_point\n"
         "calls = [\n"
         "    (ZeroPolynomial, lambda: FactoredRationalFunction(Fraction(0), ())),\n"
-        "    (NotExact, lambda: padic_factor(P('2*t^2+1'), 3)),\n"
-        "    (NotExact, lambda: dedekind_p_maximal(P('2*t^2+1'), 3)),\n"
+        "    (NotExact, lambda: padic_factor(P('2*t^2+1'), 2)),\n"
+        "    (NotExact, lambda: dedekind_p_maximal(P('2*t^2+1'), 2)),\n"
         "    (ParseError, lambda: parse_point('5:2*t+1')),\n"
         "    (ParseError, lambda: ClosedPoint(5, ModPPoly(7, (1, 1)))),\n"
         "]\n"

@@ -190,9 +190,12 @@ def test_rank2_vertical_refuses_a_base_vanishing_mod_p():
         rank2_vertical(f, 5, parse_point("5:t"))
 
 
-def test_monic_point_residue_needs_p_prime_to_the_leading_coefficient():
-    with pytest.raises(UnsupportedOrder):
-        symbols._monic_point_residue(parse_intpoly("2*t^2+1"), parse_point("2:t+1"))
+def test_branch_decomposition_needs_p_prime_to_the_leading_coefficient():
+    # 2t^2+t+1 = t+1 mod 2: the point 2:t+1 is finite, but lc = 2 is no unit
+    # of Z_2, so its branches are not those of a monic factor over Z_2
+    c, pt = parse_curve("H:2*t^2+t+1"), parse_point("2:t+1")
+    with pytest.raises(UnsupportedOrder, match="leading coefficient"):
+        branch_decomposition(c, pt, F("2"), F("1*(t)^1"))
 
 
 def test_restriction_valuation_refuses_a_norm_valuation_off_f():
@@ -222,8 +225,7 @@ def test_branch_decomposition_checks_the_p_adic_factors(monkeypatch):
     c, pt = parse_curve("H:t^4+t^3+t^2-2"), parse_point("2:t^2+t+1")
     f, g = F("2"), F("1*(t)^1")
     assert [(b.e, b.f) for b in branch_decomposition(c, pt, f, g)] == [(1, 2)]
-    pi_hat = symbols._monic_point_residue(c.h, pt)
-    wrong_degree = SimpleNamespace(factors=[SimpleNamespace(residue=pi_hat, e=2, f=1)])
+    wrong_degree = SimpleNamespace(factors=[SimpleNamespace(residue=pt.residue, e=2, f=1)])
     monkeypatch.setattr(symbols, "padic_factor", lambda *args, **kwargs: wrong_degree)
     with pytest.raises(NotExact, match="not a multiple"):
         branch_decomposition(c, pt, f, g)
@@ -288,7 +290,10 @@ def test_answer_guards_survive_python_O():
         "calls = [\n"
         "    lambda: symbols.rank2_vertical(bad, 5, parse_point('5:t')),\n"
         "    lambda: symbols.rank2_vertical(bad, 5, parse_point('5:inf')),\n"
-        "    lambda: symbols._monic_point_residue(P('2*t^2+1'), parse_point('2:t+1')),\n"
+        "    lambda: symbols.branch_decomposition(\n"
+        "        parse_curve('H:2*t^2+t+1'), pt, F('2'), F('1*(t)^1')),\n"
+        "    lambda: symbols.padic_factor(P('2*t^2+t+1'), 2),\n"
+        "    lambda: symbols.dedekind_p_maximal(P('2*t^2+t+1'), 2),\n"
         "    lambda: symbols._restriction_valuation(F('1*(t-7)^1'), h, factor, 20),\n"
         "    lambda: symbols.branch_decomposition(c, parse_point('5:t'), F('2'), F('3')),\n"
         "    lambda: verify_horizontal_law(parse_curve('V:5'), F('2'), F('3')),\n"
