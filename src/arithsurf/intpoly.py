@@ -200,29 +200,33 @@ def pseudo_rem(a, b):
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b, in Z[t]."""
     if b.is_zero:
         raise ZeroPolynomial("pseudo-division by zero")
-    delta = a.degree - b.degree
-    if delta < 0:
-        return a
-    r = list(a.coeffs)
-    blc = b.lc
-    d = b.degree
-    for k in range(delta, -1, -1):
-        top = r[k + d]
-        for i in range(len(r)):
-            r[i] *= blc
-        # r <- blc*r - top*(t^k * b); kills the coefficient at k+d exactly.
-        for i, bc in enumerate(b.coeffs):
+    return IntPoly(_pseudo_rem(a.coeffs, b.coeffs, b.lc))
+
+
+def _pseudo_rem(a, b, lc):
+    """pseudo_rem on coefficient lists, low to high: lc^(deg a - deg b + 1)
+    * a modulo b, trimmed, where lc is the leading coefficient of b that
+    the division scales by."""
+    r = list(a)
+    d = len(b) - 1
+    for k in range(len(r) - 1 - d, -1, -1):
+        top = r[-1]
+        r = [c * lc for c in r]
+        # r <- lc*r - top*(t^k * b); kills the coefficient at k+d exactly.
+        for i, bc in enumerate(b):
             r[k + i] -= top * bc
-        if r[k + d]:
-            raise NotExact(f"pseudo-division by {b} left a leading term")
-    return IntPoly(r[:d])
+        if r.pop():
+            raise NotExact(f"pseudo-division by {IntPoly(b)} left a leading term")
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def resultant(a, b):
     """Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots of a.
 
-    Subresultant PRS (Cohen, Alg. 3.3.7); exact over Z.  A linear side
-    b1 t + b0 against a of degree n takes the closed form
+    Subresultant PRS (Cohen, Alg. 3.3.7) on coefficient lists; exact over
+    Z.  A linear side b1 t + b0 against a of degree n takes the closed form
     (-1)^n sum a_i (-b0)^i b1^(n-i), up to the sign of the swap.
     """
     if a.is_zero or b.is_zero:
@@ -243,21 +247,21 @@ def resultant(a, b):
     cb, b1 = b.content_primitive()
     t = ca**b.degree * cb**a.degree
     g = h = 1
-    A, B = a1, b1
+    A, B = a1.coeffs, b1.coeffs
     while True:
-        dA, dB = A.degree, B.degree
+        dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if (dA & 1) and (dB & 1):
             s = -s
-        R = pseudo_rem(A, B)
+        R = _pseudo_rem(A, B, B[-1])
         A = B
-        if R.is_zero:
+        if not R:
             return 0
         div = g * h**delta
-        if any(c % div for c in R.coeffs):
+        if any(c % div for c in R):
             raise NotExact(f"subresultant remainder not divisible by {div}")
-        B = IntPoly([c // div for c in R.coeffs])
-        g = A.lc
+        B = [c // div for c in R]
+        g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
@@ -266,11 +270,12 @@ def resultant(a, b):
             if num % den:
                 raise NotExact(f"subresultant coefficient {num} not divisible by {den}")
             h = num // den
-        if B.degree == 0:
+        if len(B) == 1:
             break
     # Closing step: Res = s * t * lc(B)^deg(A) / h^(deg(A) - 1).
-    num = B.lc ** A.degree
-    den = h ** (A.degree - 1) if A.degree >= 1 else 1
+    dA = len(A) - 1
+    num = B[-1] ** dA
+    den = h ** (dA - 1) if dA >= 1 else 1
     if den == 0 or num % den:
         raise NotExact(f"subresultant bookkeeping broke: {num} / {den}")
     return s * t * (num // den)

@@ -9,21 +9,26 @@ and `surface.incident`, `symbols.rank2_vertical` and
 `symbols._residue_branch` divide by a point's monic residue on it, with no
 ModPPoly built.
 
-Factoring first strips the roots when p <= ROOT_SCAN: it evaluates at every
-x in F_p and takes each root off by synthetic division by t - x for as long
-as it divides; a rootless cofactor of degree 2 or 3 is irreducible.  The
-rest goes through squarefree decomposition (char-p aware; one gcd when
-gcd(f, f') = 1), distinct-degree splitting, then Cantor-Zassenhaus
+A quadratic at odd p is decided by its discriminant: a double root when
+it vanishes, else Euler's criterion, and the roots from a Tonelli-Shanks
+square root, one integer `pow` or a few.  Otherwise factoring first strips
+the roots when p <= ROOT_SCAN: it evaluates at every x in F_p (at degree
+3 or 4 in one pass, one unrolled Horner per x) and takes each root off by
+synthetic division by t - x for as long as it divides.  A rootless
+cofactor of degree 2 or 3 is irreducible; one of degree 4 is irreducible
+or the product of two irreducible quadratics, which an O(p) search over
+the constant term of one of them finds.  So a reduction of degree <= 4 at
+p <= ROOT_SCAN is factored in closed form, with no powering and no draw.
+The rest goes through squarefree decomposition (char-p aware; one gcd
+when gcd(f, f') = 1), distinct-degree splitting, then Cantor-Zassenhaus
 equal-degree splitting (trace construction for p = 2; its generator is
 built only when a block needs splitting, seeded from p and the monic
 reduction), all on lists.  The distinct-degree split takes x^p by
 left-to-right squaring whose multiply step is a shift, and roots split by
-(x + delta)^((p-1)/2) the same way.
-For odd p, a monic squarefree quadratic met on the way (a squarefree
-block, a distinct-degree block of two roots, a two-root piece of the
-equal-degree split) skips the powering: Euler's criterion on its
-discriminant decides it, and the roots come from a Tonelli-Shanks square
-root, one integer `pow` or a few.
+(x + delta)^((p-1)/2) the same way.  For odd p, a monic squarefree
+quadratic met on the way (a squarefree block, a distinct-degree block of
+two roots, a two-root piece of the equal-degree split) skips the powering
+the same way, by its discriminant.
 
 `factor_mod_p` takes an optional `split`, polynomials that may share
 factors with the reduction (a horizontal curve's bases b with
@@ -310,15 +315,18 @@ class ModPPoly:
 
 # Primes up to which factoring first finds the roots by evaluating at every
 # x in F_p and takes them off by synthetic division, where that is cheaper
-# than the powering and splitting it saves.  Timed both ways (best of 5 per
-# reduction; Python 3.11, 2-vCPU x86-64 VM), the crossover is near 150: on
-# the 5978 reductions with 60 <= p <= 3000 that the `laws` pools at seeds
-# 901 and 1 factor, the scan takes 0.89x the time of the powering for p in
-# [80, 120), 0.96x in [120, 160), 1.11x in [160, 200) and 2.07x in
-# [360, 400); on random monic reductions of degree 2-4, 0.90x, 1.02x, 1.14x
-# and 2.02x.  Above the bound factor_mod_p also cuts the reduction by its
-# split polynomials.
-ROOT_SCAN = 150
+# than the powering and splitting it saves; a reduction of degree <= 4 then
+# needs no powering at all.  Timed both ways through _factor_by_pieces with
+# each reduction's own split (best of 5 per reduction; Python 3.11, 2-vCPU
+# x86-64 VM), the crossover is near 450: on the 5014 factorizations of
+# degree >= 2 with 60 <= p <= 3000 that the `laws` pools at seeds 901 and 1
+# run, the scan takes 0.32x the time of the powering for p in [100, 150),
+# 0.51x in [150, 200), 0.79x in [300, 350), 0.88x in [350, 400), 0.97x in
+# [400, 450), 1.08x in [450, 500) and 1.89x in [800, 1000).  The bound
+# stops at 400, below 401, the first prime on the powering side in the
+# tests.  Above the bound factor_mod_p also cuts the reduction by its split
+# polynomials.
+ROOT_SCAN = 400
 
 
 def squarefree_decomposition(f, p):
@@ -375,15 +383,24 @@ def _shift_pow(delta, e, f, p):
 
 def _strip_roots(f, p):
     """The linear factors (t - x, multiplicity) of monic f over F_p, found
-    by evaluating f at every x in F_p and taken off by Horner passes, and
-    the rootless cofactor."""
-    vals = [1] * p  # f is monic
-    for c in reversed(f[:-1]):
-        vals = [(v * x + c) % p for x, v in enumerate(vals)]
+    by evaluating f at every x in F_p and taken off by synthetic division,
+    and the rootless cofactor.  At degree 3 or 4 each x takes one unrolled
+    Horner and one reduction; otherwise, one pass over F_p per coefficient
+    (a quadratic reaches it only at p = 2)."""
+    n = len(f) - 1
+    if n == 3:
+        c0, c1, c2 = f[:3]
+        roots = [x for x in range(p) if not (((x + c2) * x + c1) * x + c0) % p]
+    elif n == 4:
+        c0, c1, c2, c3 = f[:4]
+        roots = [x for x in range(p) if not ((((x + c3) * x + c2) * x + c1) * x + c0) % p]
+    else:
+        vals = [1] * p  # f is monic
+        for c in reversed(f[:-1]):
+            vals = [(v * x + c) % p for x, v in enumerate(vals)]
+        roots = [x for x, v in enumerate(vals) if not v]
     linear = []
-    for x, v in enumerate(vals):
-        if v:
-            continue
+    for x in roots:
         mult = 0
         while True:  # synthetic division by t - x, while x stays a root
             q, acc = [], 0
@@ -395,6 +412,49 @@ def _strip_roots(f, p):
             f, mult = q[::-1], mult + 1
         linear.append(([-x % p, 1], mult))
     return linear, f
+
+
+def _factor_quadratic(g, p):
+    """The factors (monic irreducible, multiplicity) of a monic quadratic g
+    over F_p, p odd: (t + b/2)^2 when its discriminant vanishes, else
+    those of _split_quadratic."""
+    c, b = g[0], g[1]
+    if (b * b - 4 * c) % p == 0:
+        return [([b * (p + 1) // 2 % p, 1], 2)]
+    return [(irr, 1) for irr in _split_quadratic(g, p)]
+
+
+def _quadratic_pair(g, p):
+    """The factors (monic irreducible, multiplicity) of a monic quartic g
+    over F_p with no root in F_p: g itself, or the quadratics q1 = t^2+at+b
+    and q2 = t^2+ct+d with q1*q2 = g, which are irreducible as g has no root.
+
+    bd = c0, a+c = c3, ad+bc = c1 and b+d+ac = c2.  Each b in F_p^x fixes
+    d = c0/b; the pair {b, d} is tried once, at b <= d.  For d != b,
+    a = (c1 - b*c3)/(d - b) is forced, and c2 is checked with the division
+    cleared; for d = b, c1 = b*c3 and a(c3 - a) = c2 - 2b over F_p."""
+    c0, c1, c2, c3 = g[:4]
+    for b in range(1, p):
+        d = c0 * pow(b, -1, p) % p
+        if d < b:
+            continue
+        num = c1 - b * c3
+        if d != b:
+            e = d - b
+            if ((b + d - c2) * e * e + num * c3 * e - num * num) % p:
+                continue
+            a = num * pow(e, -1, p) % p
+        elif num % p:
+            continue
+        else:
+            a = next((a for a in range(p) if (a * (c3 - a) + 2 * b - c2) % p == 0), None)
+            if a is None:
+                continue
+        q1, q2 = [b, a, 1], [d, (c3 - a) % p, 1]
+        if _reduce(_mul(q1, q2), p) != list(g):
+            raise NotExact(f"({IntPoly(q1)})({IntPoly(q2)}) is not {IntPoly(g)} mod {p}")
+        return [(q1, 2)] if q1 == q2 else [(q, 1) for q in sorted((q1, q2))]
+    return [(g, 1)]
 
 
 def _split_quadratic(g, p):
@@ -538,10 +598,15 @@ def _factor_mod_p(f, p):
         return unit, ((f.monic(), 1),) if f.degree == 1 else ()
     fm = _monic(f.coeffs, p)
     result, rest = [], fm
-    if p <= ROOT_SCAN:
+    if p > 2 and len(fm) == 3:  # a quadratic, decided by its discriminant
+        result, rest = _factor_quadratic(fm, p), [1]
+    elif p <= ROOT_SCAN:
         result, rest = _strip_roots(fm, p)
         if len(rest) in (3, 4):  # no roots, degree 2 or 3: irreducible
             result.append((rest, 1))
+            rest = [1]
+        elif len(rest) == 5:  # no roots, degree 4: irreducible or two quadratics
+            result.extend(_quadratic_pair(rest, p))
             rest = [1]
     rng = None  # built at the first split that draws
     for g, mult in squarefree_decomposition(rest, p) if len(rest) > 1 else ():

@@ -6,7 +6,8 @@ composite, for an exact k-th power (rho modulo a prime p needs about
 sqrt(p) steps, so it cannot split the square of a large prime); a composite
 that is no power is split by Brent's variant of Pollard rho (Brent 1980)
 with a step budget.  Primality: deterministic Miller-Rabin below 2^64 (known
-witness set), 64 pseudorandom rounds above.
+witness sets: three witnesses below 4 759 123 141, seven above), 64
+pseudorandom rounds above 2^64.
 """
 
 import math
@@ -22,7 +23,11 @@ _SMALL_PRIMES = tuple(
 # Steps of one Brent-cycle attempt before it gives up.
 RHO_BUDGET = 2_000_000
 
-# Witnesses making Miller-Rabin deterministic for n < 2^64 (Sinclair set).
+# Witnesses making Miller-Rabin deterministic for n < 4 759 123 141
+# (Jaeschke 1993; that bound, 48 781 * 97 561, is the least strong
+# pseudoprime to all three) and for n < 2^64 (Sinclair set).
+_MR_WITNESSES_32 = (2, 7, 61)
+_MR_BOUND_32 = 4_759_123_141
 _MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
@@ -51,6 +56,8 @@ def is_prime(n):
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < _MR_BOUND_32:
+        return all(_miller_rabin_round(n, a) for a in _MR_WITNESSES_32)
     if n < 2**64:
         return all(_miller_rabin_round(n, a) for a in _MR_WITNESSES_64)
     rng = random.Random(0xC0FFEE ^ n)

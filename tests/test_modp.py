@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -237,7 +238,7 @@ def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
 
 # -- differential test against sympy -------------------------------------------
 
-# 149 and 151 sit either side of modp.ROOT_SCAN = 150; 10007 = 3 mod 4,
+# 397 and 401 sit either side of modp.ROOT_SCAN = 400; 10007 = 3 mod 4,
 # 10037 = 5 mod 8 and 65537 = 1 mod 2^16 take different square-root paths
 DIFF_PRIMES = (2, 3, 5, 7, 101, 149, 151, 397, 401, 10007, 10037, 65537, 2**31 - 1,
                2**61 - 1)
@@ -320,8 +321,8 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
 
     monkeypatch.setattr(modp, "distinct_degree_split", split)
     # t^2+1 is irreducible mod 3 and t^3+t+1 = (t+2)(t^2+t+2) mod 3 splits
-    # into factors of distinct degrees: no equal-degree split draws; below
-    # ROOT_SCAN the roots of t^2+1 = (t+2)(t+3) mod 5 are found by the scan.
+    # into factors of distinct degrees: no equal-degree split draws; the
+    # roots of t^2+1 = (t+2)(t+3) mod 5 come from its discriminant.
     # (t-1)(t^2-3) mod 401, above the bound, and the rootless
     # (t^2+1)(t^3+2t+1) mod 3 reach distinct-degree splitting, which leaves
     # each factor at its own degree
@@ -429,3 +430,80 @@ def test_split_factorization_matches_unsplit_and_sympy(p):
             seen["pieces share a factor"] += len(_gcd(piece.coeffs, cofactor.coeffs, p)) > 1
         seen["p | lc(b)"] += b.lc % p == 0
     assert all(seen.values()), seen
+
+
+# -- the closed-form path for small reductions ------------------------------------
+
+def _pipeline(f, p):
+    """(unit, factors) of f by the general pipeline called directly:
+    squarefree decomposition, distinct-degree then equal-degree split."""
+    fm = modp._monic(f.coeffs, p)
+    out = []
+    for g, mult in modp.squarefree_decomposition(fm, p):
+        for block, d in modp.distinct_degree_split(g, p):
+            out += [(irr, mult) for irr in modp.equal_degree_split(block, d, p, random.Random(p))]
+    out.sort(key=lambda fe: (len(fe[0]), fe[0]))
+    return f.lc, [(list(irr), mult) for irr, mult in out]
+
+
+def _small_reductions():
+    """Every monic polynomial of degree 2-4 over F_2, F_3, F_5 and F_7, then
+    2000 seeded ones, half with a repeated or a quadratic factor planted, at
+    each of 11, 13, 101 and 149, with a random leading coefficient."""
+    for p in (2, 3, 5, 7):
+        for d in (2, 3, 4):
+            for cs in itertools.product(range(p), repeat=d):
+                yield ModPPoly(p, list(cs) + [1]), p
+    rng = random.Random(33)
+    for p in (11, 13, 101, 149):
+        for _ in range(2000):
+            f = rand_poly(rng, p, rng.randint(2, 4))
+            if rng.random() < 0.5:
+                q = rand_poly(rng, p, rng.randint(1, 2))
+                f = q * q if rng.random() < 0.5 else q * rand_poly(rng, p, 2)
+            yield f, p
+
+
+def test_small_reductions_factor_as_the_pipeline_does():
+    assert modp.ROOT_SCAN >= 149
+    for f, p in _small_reductions():
+        unit, factors = modp._factor_mod_p(f, p)
+        assert (unit, [(list(irr.coeffs), e) for irr, e in factors]) == _pipeline(f, p), (f, p)
+        prod = ModPPoly(p, [unit])
+        for irr, e in factors:
+            for _ in range(e):
+                prod = prod * irr
+        assert prod == f, (f, p)
+
+
+def test_small_reductions_run_no_powering_and_no_split(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the general pipeline ran")
+
+    for name in ("_shift_pow", "_powmod", "squarefree_decomposition",
+                 "distinct_degree_split", "equal_degree_split"):
+        monkeypatch.setattr(modp, name, refuse)
+    monkeypatch.setattr(modp, "random", SimpleNamespace(Random=refuse))
+    rng = random.Random(34)
+    # p = 97 and 113 = 1 mod 16 take the Tonelli-Shanks loop; 397 is the
+    # largest prime the closed form covers
+    assert modp.ROOT_SCAN >= 397
+    for p in (2, 3, 5, 97, 113, 397):
+        for _ in range(300):
+            f = rand_poly(rng, p, rng.randint(2, 4))
+            if rng.random() < 0.5:
+                q = rand_poly(rng, p, rng.randint(1, 2))
+                f = q * q if rng.random() < 0.5 else q * rand_poly(rng, p, 2)
+            modp._factor_mod_p(f, p)
+    # a square of an irreducible quadratic, two of them, and an irreducible quartic
+    assert modp._factor_mod_p(ModPPoly(2, [1, 0, 1, 0, 1]), 2)[1] == ((ModPPoly(2, [1, 1, 1]), 2),)
+    assert modp._factor_mod_p(ModPPoly(3, [1, 0, 0, 0, 1]), 3)[1] == (
+        (ModPPoly(3, [2, 1, 1]), 1), (ModPPoly(3, [2, 2, 1]), 1))
+    assert modp._factor_mod_p(ModPPoly(2, [1, 1, 0, 0, 1]), 2)[1] == ((ModPPoly(2, [1, 1, 0, 0, 1]), 1),)
+
+
+def test_quadratic_pair_refuses_a_product_off_the_quartic(monkeypatch):
+    # inverses planted one off: the pair found for t^4+1 mod 3 is not a factorization
+    monkeypatch.setattr(modp, "pow", lambda b, e, m: (pow(b, e, m) + 1) % m, raising=False)
+    with pytest.raises(NotExact, match=r"\(t\^2\+1\)\(t\^2\+2\) is not t\^4\+1 mod 3"):
+        modp._quadratic_pair([1, 0, 0, 0, 1], 3)

@@ -139,3 +139,25 @@ def test_factor_integer_matches_sympy_on_prime_powers():
             q += 1
         n *= q ** rng.randint(1, 5)
         assert factor_integer(n) == _reference(n), n
+
+
+def test_three_witnesses_decide_primality_below_jaeschke_bound():
+    # 4 759 123 141 = 48 781 * 97 561 is the least strong pseudoprime to
+    # bases 2, 7 and 61 at once: the three-witness test would pass it
+    n = primes._MR_BOUND_32
+    assert n == 48781 * 97561
+    assert all(primes._miller_rabin_round(n, a) for a in primes._MR_WITNESSES_32)
+    assert not is_prime(n)
+    bound = 10**6
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for p in range(2, 1001):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    assert [n for n in range(bound) if is_prime(n)] == [n for n in range(bound) if sieve[n]]
+    rng = random.Random(4242)
+    for n in [rng.randrange(2**32 - 10**6, 2**32 + 10**6) | 1 for _ in range(3000)]:
+        seven = n in (3, 5, 7) or (
+            n % 3 and n % 5 and n % 7
+            and all(primes._miller_rabin_round(n, a) for a in primes._MR_WITNESSES_64))
+        assert is_prime(n) == bool(seven), n
