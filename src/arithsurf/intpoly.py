@@ -2,8 +2,8 @@
 
 Coefficients are stored low-to-high in a tuple with no trailing zeros;
 the zero polynomial is the empty tuple.  The variable prints as `t`.
-All arithmetic is exact over Z; division helpers that need Q return
-fractions.Fraction coefficients.
+All arithmetic is exact over Z: division is pseudo-division, and
+rational roots come back as fractions.Fraction.
 """
 
 import math
@@ -168,34 +168,6 @@ T = IntPoly([0, 1])
 ONE = IntPoly([1])
 
 
-def divmod_exact(a, b):
-    """Division in Q[t] returning Fraction-coefficient (quotient, remainder)."""
-    if b.is_zero:
-        raise ZeroPolynomial("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
-    quo = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
-    blc = Fraction(b.lc)
-    db = b.degree
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        q = rem[-1] / blc
-        quo[k] = q
-        for i, bc in enumerate(b.coeffs):
-            rem[k + i] -= q * bc
-        rem.pop()
-    return quo, rem
-
-
-def divides(b, a):
-    """True when b | a in Q[t] (equivalently in Z[t] up to content)."""
-    _, rem = divmod_exact(a, b)
-    return not any(rem)
-
-
 def pseudo_rem(a, b):
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b, in Z[t]."""
     if b.is_zero:
@@ -291,36 +263,6 @@ def discriminant(h):
     if rem:
         raise NotExact(f"Res(h, h') = {r} is not divisible by lc(h) = {h.lc}")
     return q
-
-
-def gcd_int(a, b):
-    """Polynomial gcd over Z (primitive, positive leading coefficient)."""
-    if a.is_zero:
-        return b if b.is_zero else b.primitive_part()
-    if b.is_zero:
-        return a.primitive_part()
-    ca, A = a.content_primitive()
-    cb, B = b.content_primitive()
-    c = math.gcd(abs(ca), abs(cb))
-    if A.degree < B.degree:
-        A, B = B, A
-    while not B.is_zero:
-        R = pseudo_rem(A, B)
-        A = B
-        B = R.primitive_part() if not R.is_zero else R
-    return c * A
-
-
-def squarefree_part(h):
-    """h / gcd(h, h'), primitive with positive leading coefficient."""
-    g = gcd_int(h, h.derivative())
-    quo, rem = divmod_exact(h, g)
-    if any(rem):
-        raise NotExact(f"gcd(h, h') = {g} does not divide h = {h}")
-    den = 1
-    for q in quo:
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    return IntPoly([int(q * den) for q in quo]).primitive_part()
 
 
 def _divisors(n):

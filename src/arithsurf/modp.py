@@ -22,13 +22,12 @@ p <= ROOT_SCAN is factored in closed form, with no powering and no draw.
 The rest goes through squarefree decomposition (char-p aware; one gcd
 when gcd(f, f') = 1), distinct-degree splitting, then Cantor-Zassenhaus
 equal-degree splitting (trace construction for p = 2; its generator is
-built only when a block needs splitting, seeded from p and the monic
-reduction), all on lists.  The distinct-degree split takes x^p by
-left-to-right squaring whose multiply step is a shift, and roots split by
-(x + delta)^((p-1)/2) the same way.  For odd p, a monic squarefree
-quadratic met on the way (a squarefree block, a distinct-degree block of
-two roots, a two-root piece of the equal-degree split) skips the powering
-the same way, by its discriminant.
+built only when a distinct-degree block holds more than one factor, seeded
+from p and the monic reduction), all on lists.  The distinct-degree split
+takes x^p by left-to-right squaring whose multiply step is a shift, and
+roots split by (x + delta)^((p-1)/2) the same way.  For odd p, a piece of
+two roots in the equal-degree split skips the powering the same way, by
+its discriminant.
 
 `factor_mod_p` takes an optional `split`, polynomials that may share
 factors with the reduction (a horizontal curve's bases b with
@@ -36,15 +35,16 @@ p | Res(h, b)).  Above ROOT_SCAN their gcds with the reduction cut it into
 pieces, by Euclid alone, which are factored apart and merged; the result
 and the memo key are those of factoring it whole.
 
-A ModPPoly is built only where a result leaves the module: the factors
-`factor_mod_p` returns and the results of the public operators and
-functions, which are thin wrappers over the kernel.
+A ModPPoly is a value with no arithmetic of its own: p and the reduced
+coefficients, which callers hand to the kernel.  It names a reduction (the
+memo key of `factor_mod_p`), a factor that `factor_mod_p` returns and a
+closed point's residue.
 """
 
 import random
 from itertools import zip_longest
 
-from .errors import NotExact, ParseError, ZeroPolynomial
+from .errors import NotExact, ZeroPolynomial
 from .intpoly import IntPoly
 from .memo import shared
 from .primes import factor_integer
@@ -192,12 +192,9 @@ def _pth_root(f, p):
 
 
 class ModPPoly:
-    """Polynomial with coefficients mod p, or mod p^k for Hensel lifting.
-
-    Ring operations hold for any modulus; division needs a unit leading
-    coefficient of the divisor (a monic one mod p^k), and the gcd and
-    factorization functions below need the modulus to be a prime p.
-    """
+    """Polynomial with coefficients mod p (a prime wherever the program
+    builds one), reduced into [0, p) and trimmed: a value, whose arithmetic
+    runs on the coefficient-list kernel above."""
 
     __slots__ = ("p", "coeffs")
 
@@ -254,58 +251,10 @@ class ModPPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _check(self, other):
-        if self.p != other.p:
-            raise ParseError(f"mixed characteristics: mod {self.p} and mod {other.p}")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModPPoly._reduced(self.p, _add(self.coeffs, other.coeffs, self.p))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModPPoly._reduced(self.p, _sub(self.coeffs, other.coeffs, self.p))
-
-    def __neg__(self):
-        return ModPPoly._reduced(self.p, _sub((), self.coeffs, self.p))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ModPPoly(self.p, [c * other for c in self.coeffs])
-        self._check(other)
-        return ModPPoly._reduced(self.p, _reduce(_mul(self.coeffs, other.coeffs), self.p))
-
-    __rmul__ = __mul__
-
     def monic(self):
         if self.is_zero:
             return self
         return ModPPoly._reduced(self.p, _monic(self.coeffs, self.p))
-
-    def _divisor(self, other):
-        """The checked coefficients of a divisor."""
-        if other.is_zero:
-            raise ZeroPolynomial("division by zero polynomial")
-        self._check(other)
-        return other.coeffs
-
-    def __divmod__(self, other):
-        q, r = _divmod(self.coeffs, self._divisor(other), self.p)
-        return ModPPoly._reduced(self.p, q), ModPPoly._reduced(self.p, r)
-
-    def __mod__(self, other):
-        mod = self._divisor(other)
-        rem = _rem(list(self.coeffs), mod, pow(mod[-1], -1, self.p), self.p)
-        return ModPPoly._reduced(self.p, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
     def __repr__(self):
         return f"ModPPoly({self.p}, {self.to_intpoly()!s})"
@@ -610,15 +559,9 @@ def _factor_mod_p(f, p):
             rest = [1]
     rng = None  # built at the first split that draws
     for g, mult in squarefree_decomposition(rest, p) if len(rest) > 1 else ():
-        if p > 2 and len(g) == 3:
-            result.extend((irr, mult) for irr in _split_quadratic(g, p))
-            continue
         for block, d in distinct_degree_split(g, p):
             if len(block) - 1 == d:
                 result.append((block, mult))
-                continue
-            if p > 2 and d == 1 and len(block) == 3:
-                result.extend((irr, mult) for irr in _split_quadratic(block, p))
                 continue
             if rng is None:
                 rng = random.Random((p, tuple(fm)).__hash__() & 0x7FFFFFFF)

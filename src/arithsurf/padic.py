@@ -81,15 +81,8 @@ class PadicPoly:
         if not all(0 <= c < q for c in self.coeffs):
             raise NotExact(f"coefficients {self.coeffs} are not reduced mod {self.p}^{self.N}")
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def to_intpoly(self):
         return IntPoly(self.coeffs)
-
-    def __str__(self):
-        return f"{self.to_intpoly()} (mod {self.p}^{self.N})"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """The fiber's nu2 and the factorizations the point and vertical laws make.
 
 nu2 at every finite flag of a fiber agrees with the order of the point's
-residue in each base mod p counted by repeated ModPPoly divmod, on the
+residue in each base mod p counted by repeated division mod p, on the
 benchmark's seed-7 `laws` slice and on the selftest populations; a vertical
 law factors each base reduction once, and a point law factors no more than
 its horizontal flags ask for.
@@ -64,9 +64,9 @@ def _divmod_order(fn, p, point):
     the residue in each base mod p, by repeated divmod."""
     total = 0
     for b, e in fn.factors:
-        bbar = ModPPoly.from_intpoly(b, p)
-        while bbar.degree >= 1:
-            bbar, rem = divmod(bbar, point.residue)
+        bbar = modp._reduce(b.coeffs, p)
+        while len(bbar) > 1:
+            bbar, rem = modp._divmod(bbar, point.residue.coeffs, p)
             if rem:
                 break
             total += e

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from types import SimpleNamespace
@@ -6,11 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithsurf import modp
-from arithsurf.errors import NotExact, ParseError, ZeroPolynomial
+from arithsurf.errors import NotExact
 from arithsurf.intpoly import IntPoly, parse_intpoly, resultant
 from arithsurf.modp import (
     ModPPoly,
+    _add,
+    _divmod,
+    _mul,
     _pth_root,
+    _reduce,
+    _rem,
     _split_quadratic,
     _sqrt_mod_p,
     _gcd,
@@ -19,12 +25,23 @@ from arithsurf.modp import (
     is_irreducible_modp,
     random_monic_irreducible,
 )
+from arithsurf.primes import is_prime
 
 PRIMES = (2, 3, 5, 7, 13, 101)
 
 
 def rand_poly(rng, p, d):
     return ModPPoly(p, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+
+
+def times(*fs):
+    """The product of ModPPolys with one modulus, by the list kernel."""
+    return ModPPoly(fs[0].p, functools.reduce(_mul, (f.coeffs for f in fs)))
+
+
+def expand(p, unit, factors):
+    """unit times the product of the factors mod p, each to its exponent."""
+    return times(ModPPoly(p, [unit]), *(pi for pi, e in factors for _ in range(e)))
 
 
 @given(st.integers(0, 5), st.data())
@@ -34,13 +51,10 @@ def test_factor_round_trip(pi, data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     h = rand_poly(rng, p, rng.randint(1, 6))
     unit, fac = factor_mod_p(h, p)
-    prod = ModPPoly(p, [unit])
     for pi_poly, e in fac:
         assert pi_poly.lc == 1
         assert is_irreducible_modp(pi_poly)
-        for _ in range(e):
-            prod = prod * pi_poly
-    assert prod == h
+    assert expand(p, unit, fac) == h
 
 
 def test_factor_fixture_split():
@@ -77,7 +91,7 @@ def test_multiplicity():
     """A residue's multiplicity is its exponent in the factorization."""
     p = 5
     pi = ModPPoly(p, [2, 1])  # t+2
-    h = pi * pi * ModPPoly(p, [3, 1])
+    h = times(pi, pi, ModPPoly(p, [3, 1]))
     exponents = dict(factor_mod_p(h, p)[1])
     assert exponents[pi] == 2
     assert exponents[ModPPoly(p, [3, 1])] == 1
@@ -126,13 +140,7 @@ def test_gcd_divides(pi, data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     a, b = rand_poly(rng, p, rng.randint(1, 5)), rand_poly(rng, p, rng.randint(1, 5))
     d = ModPPoly(p, _gcd(a.coeffs, b.coeffs, p))
-    assert d.lc == 1 and (a % d).is_zero and (b % d).is_zero
-
-
-def test_x_poly_and_eval():
-    x = ModPPoly(7, [0, 1])
-    assert x.evaluate(3) == 3
-    assert ((x * x + ModPPoly(7, [1])).evaluate(2)) == 5
+    assert d.lc == 1 and _divmod(a.coeffs, d.coeffs, p)[1] == _divmod(b.coeffs, d.coeffs, p)[1] == []
 
 
 # -- the list-level kernel against schoolbook arithmetic ---------------------
@@ -158,8 +166,8 @@ def _naive_pow_mod(base, e, mod):
     base = _naive_divmod(base, mod)[1]
     while e:
         if e & 1:
-            result = _naive_divmod(result * base, mod)[1]
-        base = _naive_divmod(base * base, mod)[1]
+            result = _naive_divmod(times(result, base), mod)[1]
+        base = _naive_divmod(times(base, base), mod)[1]
         e >>= 1
     return result
 
@@ -186,9 +194,9 @@ def test_division_matches_schoolbook(m):
     for _ in range(60):
         a, b = _operand(rng, m), _divisor(rng, m, p)
         q, r = _naive_divmod(a, b)
-        assert divmod(a, b) == (q, r)
-        assert a % b == r and a // b == q
-        assert q * b + r == a and r.degree < b.degree
+        assert _divmod(a.coeffs, b.coeffs, m) == (list(q.coeffs), list(r.coeffs))
+        assert _rem(list(a.coeffs), b.coeffs, pow(b.lc, -1, m), m) == list(r.coeffs)
+        assert _add(_mul(q.coeffs, b.coeffs), r.coeffs, m) == list(a.coeffs) and r.degree < b.degree
 
 
 @pytest.mark.parametrize("m", KERNEL_MODULI)
@@ -200,15 +208,6 @@ def test_pow_mod_matches_square_and_multiply(m):
         for e in (0, 1, 2, 5, p, rng.randrange(2, 10**6)):
             got = ModPPoly(m, _powmod(base.coeffs, e, mod.coeffs, m))
             assert got == _naive_pow_mod(base, e, mod), (base, e, mod)
-
-
-def test_kernel_refuses_zero_and_mixed_divisors():
-    a = ModPPoly(7, [1, 2, 3])
-    for op in (lambda b: a % b, lambda b: a // b):
-        with pytest.raises(ZeroPolynomial):
-            op(ModPPoly(7))
-        with pytest.raises(ParseError, match="mixed characteristics"):
-            op(ModPPoly(5, [1, 1]))
 
 
 def test_pth_root_rejects_a_non_pth_power():
@@ -253,14 +252,13 @@ def _diff_input(rng, p):
     room = rng.randint(1, 8)
     if p <= room and rng.random() < 0.3:  # a p-th power of a linear factor
         g = rand_poly(rng, p, 1)
-        for _ in range(p):
-            f = f * g
+        f = times(f, *[g] * p)
         room -= p
     while room:
         d = rng.randint(1, min(3, room))
         g = rand_poly(rng, p, d)
         for _ in range(rng.choice([e for e in (1, 1, 2, 3, p) if d * e <= room])):
-            f = f * g
+            f = times(f, g)
             room -= d
     return f
 
@@ -320,29 +318,31 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
         return real_split(f, p)
 
     monkeypatch.setattr(modp, "distinct_degree_split", split)
+    # q, the least prime above the bound, and n, the least non-residue mod q
+    q = next(q for q in itertools.count(modp.ROOT_SCAN + 1) if is_prime(q))
+    n = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
     # t^2+1 is irreducible mod 3 and t^3+t+1 = (t+2)(t^2+t+2) mod 3 splits
     # into factors of distinct degrees: no equal-degree split draws; the
     # roots of t^2+1 = (t+2)(t+3) mod 5 come from its discriminant.
-    # (t-1)(t^2-3) mod 401, above the bound, and the rootless
+    # (t-1)(t^2-n) mod q, above the bound, and the rootless
     # (t^2+1)(t^3+2t+1) mod 3 reach distinct-degree splitting, which leaves
     # each factor at its own degree
-    for h, p, degrees in (("t^2+1", 3, [2]), ("t^3+t+1", 3, [1, 2]),
-                          ("t^2+1", 5, [1, 1]), ("t^3-t^2-3*t+3", 401, [1, 2]),
-                          ("t^5+t^2+2*t+1", 3, [2, 3])):
-        assert [pi.degree for pi, _ in factor_mod_p(parse_intpoly(h), p)[1]] == degrees
-    assert split_primes == [401, 3]
+    for h, p, degrees in ((parse_intpoly("t^2+1"), 3, [2]), (parse_intpoly("t^3+t+1"), 3, [1, 2]),
+                          (parse_intpoly("t^2+1"), 5, [1, 1]), (IntPoly([n, -n, -1, 1]), q, [1, 2]),
+                          (parse_intpoly("t^5+t^2+2*t+1"), 3, [2, 3])):
+        assert [pi.degree for pi, _ in factor_mod_p(h, p)[1]] == degrees
+    assert split_primes == [q, 3]
     assert seeds == []
     # above ROOT_SCAN, two roots split by a square root and draw nothing
-    assert modp.ROOT_SCAN < 401
-    assert factor_mod_p(parse_intpoly("t^2+1"), 401)[1] == [
-        (ModPPoly(401, [20, 1]), 1), (ModPPoly(401, [381, 1]), 1)]
+    assert factor_mod_p(parse_intpoly("t^2-400"), q)[1] == [
+        (ModPPoly(q, [20, 1]), 1), (ModPPoly(q, [q - 20, 1]), 1)]
     assert seeds == []
     # three roots need an equal-degree draw: the generator is seeded once, from p
     # and the monic coefficients
-    fm = (395, 11, 395, 1)  # (t-1)(t-2)(t-3) mod 401
-    assert factor_mod_p(ModPPoly(401, fm), 401)[1] == [
-        (ModPPoly(401, [398, 1]), 1), (ModPPoly(401, [399, 1]), 1), (ModPPoly(401, [400, 1]), 1)]
-    assert seeds == [(401, fm).__hash__() & 0x7FFFFFFF]
+    fm = (q - 6, 11, q - 6, 1)  # (t-1)(t-2)(t-3) mod q
+    assert factor_mod_p(ModPPoly(q, fm), q)[1] == [
+        (ModPPoly(q, [q - 3, 1]), 1), (ModPPoly(q, [q - 2, 1]), 1), (ModPPoly(q, [q - 1, 1]), 1)]
+    assert seeds == [(q, fm).__hash__() & 0x7FFFFFFF]
 
 
 # -- square roots and the pieces cut by a base -----------------------------------
@@ -366,7 +366,7 @@ def test_square_roots_of_residues_and_non_residues(p):
             assert s * s % p == a
             roots = _split_quadratic(g, p)
             assert len(roots) == 2 and roots == sorted(roots)
-            assert ModPPoly(p, roots[0]) * ModPPoly(p, roots[1]) == ModPPoly(p, g)
+            assert _reduce(_mul(roots[0], roots[1]), p) == g
         else:
             with pytest.raises(NotExact, match="not a quadratic residue"):
                 _sqrt_mod_p(a, p)
@@ -390,10 +390,10 @@ def _shared_pair(rng, p):
         return ModPPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
 
     c = monic(rng.randint(1, 2))
-    hbar = c * monic(rng.randint(0, 2))
+    hbar = times(c, monic(rng.randint(0, 2)))
     if rng.random() < 0.4:
-        hbar = hbar * c
-    bbar = c * monic(rng.randint(0, 2)) * rng.randrange(1, p)
+        hbar = times(hbar, c)
+    bbar = times(c, monic(rng.randint(0, 2)), ModPPoly(p, [rng.randrange(1, p)]))
 
     def lift(a, top=0):
         return IntPoly([x + p * rng.randrange(-3, 4) for x in a.coeffs] + [p * top] * bool(top))
@@ -426,8 +426,8 @@ def test_split_factorization_matches_unsplit_and_sympy(p):
         seen["not squarefree"] += any(e > 1 for _, e in unsplit[1])
         if piece.degree < hbar.degree:
             seen["cut"] += 1
-            cofactor = hbar // piece
-            seen["pieces share a factor"] += len(_gcd(piece.coeffs, cofactor.coeffs, p)) > 1
+            cofactor = _divmod(hbar.coeffs, piece.coeffs, p)[0]
+            seen["pieces share a factor"] += len(_gcd(piece.coeffs, cofactor, p)) > 1
         seen["p | lc(b)"] += b.lc % p == 0
     assert all(seen.values()), seen
 
@@ -460,7 +460,7 @@ def _small_reductions():
             f = rand_poly(rng, p, rng.randint(2, 4))
             if rng.random() < 0.5:
                 q = rand_poly(rng, p, rng.randint(1, 2))
-                f = q * q if rng.random() < 0.5 else q * rand_poly(rng, p, 2)
+                f = times(q, q) if rng.random() < 0.5 else times(q, rand_poly(rng, p, 2))
             yield f, p
 
 
@@ -469,11 +469,7 @@ def test_small_reductions_factor_as_the_pipeline_does():
     for f, p in _small_reductions():
         unit, factors = modp._factor_mod_p(f, p)
         assert (unit, [(list(irr.coeffs), e) for irr, e in factors]) == _pipeline(f, p), (f, p)
-        prod = ModPPoly(p, [unit])
-        for irr, e in factors:
-            for _ in range(e):
-                prod = prod * irr
-        assert prod == f, (f, p)
+        assert expand(p, unit, factors) == f, (f, p)
 
 
 def test_small_reductions_run_no_powering_and_no_split(monkeypatch):
@@ -493,7 +489,7 @@ def test_small_reductions_run_no_powering_and_no_split(monkeypatch):
             f = rand_poly(rng, p, rng.randint(2, 4))
             if rng.random() < 0.5:
                 q = rand_poly(rng, p, rng.randint(1, 2))
-                f = q * q if rng.random() < 0.5 else q * rand_poly(rng, p, 2)
+                f = times(q, q) if rng.random() < 0.5 else times(q, rand_poly(rng, p, 2))
             modp._factor_mod_p(f, p)
     # a square of an irreducible quadratic, two of them, and an irreducible quartic
     assert modp._factor_mod_p(ModPPoly(2, [1, 0, 1, 0, 1]), 2)[1] == ((ModPPoly(2, [1, 1, 1]), 2),)

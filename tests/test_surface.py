@@ -242,12 +242,16 @@ def test_point_residue_validation():
         parse_point("5:2*t+1")
     with pytest.raises(ParseError, match="mod 7"):
         ClosedPoint(5, ModPPoly(7, (1, 1)))
+    with pytest.raises(NonIrreducibleBase, match=r"residue t\^2\+1 is reducible mod 5"):
+        ClosedPoint(5, ModPPoly(5, (1, 0, 1)))
+    # an unreduced residue, as the benchmark builds one, is reduced first
+    assert ClosedPoint(5, ModPPoly(5, (6, -4, 1))).label() == "5:t^2+t+1"
 
 
 def test_answer_guards_survive_python_O():
     script = (
         "from fractions import Fraction\n"
-        "from arithsurf.errors import NotExact, ParseError, ZeroPolynomial\n"
+        "from arithsurf.errors import NonIrreducibleBase, NotExact, ParseError, ZeroPolynomial\n"
         "from arithsurf.intpoly import parse_intpoly as P\n"
         "from arithsurf.modp import ModPPoly\n"
         "from arithsurf.padic import dedekind_p_maximal, padic_factor\n"
@@ -258,6 +262,7 @@ def test_answer_guards_survive_python_O():
         "    (NotExact, lambda: dedekind_p_maximal(P('2*t^2+1'), 2)),\n"
         "    (ParseError, lambda: parse_point('5:2*t+1')),\n"
         "    (ParseError, lambda: ClosedPoint(5, ModPPoly(7, (1, 1)))),\n"
+        "    (NonIrreducibleBase, lambda: ClosedPoint(5, ModPPoly(5, (1, 0, 1)))),\n"
         "]\n"
         "for error, call in calls:\n"
         "    try:\n"
