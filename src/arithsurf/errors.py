@@ -44,8 +44,8 @@ class UnsupportedOrder(ArithsurfError):
 
 class RootFindingDivergence(ArithsurfError):
     """The roots of a curve were not certified (no double start, Newton
-    stalled, or the inclusion test failed), or their split into real places
-    and pairs disagrees with the exact real-root count."""
+    stalled, or the inclusion test failed), or a certified non-real root
+    rounds onto the real axis."""
 
 
 class EvaluationAtZero(ArithsurfError):

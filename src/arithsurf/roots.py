@@ -23,17 +23,18 @@ The result is proved exactly (`_certified`).  With h and h' evaluated at
 each estimate z as Gaussian integers, n|h(z)| <= r|h'(z)| for r = 2^-2prec
 puts a root within r of z, because h'/h(z) is the sum of 1/(z - ζ) over the
 n roots ζ.  When the n disks are also pairwise disjoint, each holds exactly
-one root, and that root is simple.  The estimates are then rounded to
-prec + 32 bits, and |z|, Im z or Re z below eps = 2^-(prec+31) is chopped.
-There is no second root finder: where the double start, Newton or the
-certificate fails, as it must on a repeated root, all_roots raises
-RootFindingDivergence.
+one root, and that root is simple.  There is no second root finder: where
+the double start, Newton or the certificate fails, as it must on a repeated
+root, archimedean_places raises RootFindingDivergence.
 
-Real-root count.  Roots closer to the real axis than 2^-(prec/2) are taken
-as real.  That split is checked against the exact number of real roots,
-counted with a Sturm chain in integer arithmetic (`real_root_count`); a
-disagreement raises RootFindingDivergence instead of reporting a wrong
-place.
+Real places and pairs.  The certificate also proves the split.  A real
+estimate's disk is symmetric about the real axis, so its one root is real;
+an upper estimate's disk is disjoint from its mirror image's, so its root
+is not.  The estimates are rounded to prec + 32 bits, and |z|, Im z or Re z
+below eps = 2^-(prec+31) is chopped; an upper root chopped onto the real
+axis is refused.  The exact number of real roots, counted with a Sturm
+chain in integer arithmetic (`real_root_count`), must equal the number of
+real estimates; a disagreement raises NotExact.
 """
 
 import cmath
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .errors import RootFindingDivergence, ZeroPolynomial
+from .errors import NotExact, RootFindingDivergence, ZeroPolynomial
 from .intpoly import IntPoly, pseudo_rem
 
 DEFAULT_PREC_BITS = 128
@@ -162,9 +163,9 @@ def _widths(top):
 
 def _newton_roots(h, k, start, prec):
     """Newton on h from the double start s of h(2^k s) at doubling
-    precision, then the certificate: the certified estimates, as pairs, and
-    their fraction bits; None when Newton stalls within its step budget or
-    the certificate fails."""
+    precision, then the certificate: the certified real and upper estimates,
+    as pairs, apart, and their fraction bits; None when Newton stalls within
+    its step budget or the certificate fails."""
     # h is real, so its roots are real or conjugate pairs.  A start nearer
     # its own mirror image than any other start seeds a real root, kept
     # exactly real; of each pair, Newton runs on the upper root only.
@@ -198,8 +199,9 @@ def _newton_roots(h, k, start, prec):
         kept = _cleanup(z, bits, prec)
         least = min((abs(c).bit_length() for w in kept for c in w if c), default=full)
         if least >= full - _MARGIN_BITS:
-            z += [(x, -y) for x, y in z[len(reals):]]
-            return (z, bits) if _certified(cs, z, bits, prec) else None
+            if not _certified(cs, z + [(x, -y) for x, y in z[len(reals):]], bits, prec):
+                return None
+            return z[:len(reals)], [(x, abs(y)) for x, y in z[len(reals):]], bits
         wide = bits + full - least
     return None
 
@@ -218,30 +220,6 @@ def _cleanup(z, bits, prec):
             x = 0
         out.append((x, y))
     return out
-
-
-def _rounded(z, bits, prec):
-    """The fixed-point estimates z cleaned up, sorted by (|Im z|, Re z) and
-    rounded to mpc numbers of prec + 32 bits."""
-    z = sorted(_cleanup(z, bits, prec), key=lambda w: (abs(w[1]), w[0]))
-    wide = prec + 32
-    return [mp.make_mpc((from_man_exp(x, -bits, wide, "n"), from_man_exp(y, -bits, wide, "n")))
-            for x, y in z]
-
-
-def all_roots(h, prec=DEFAULT_PREC_BITS):
-    """All complex roots of h, as mpc numbers at prec + 32 bits, each within
-    2^-2prec of its own simple root, certified, before rounding.  The double
-    start runs on h(2^k s), k from `_shift`.  RootFindingDivergence where
-    there is no certificate, as on a repeated root."""
-    if h.degree < 1:
-        raise ZeroPolynomial("constant polynomial has no roots")
-    k = _shift(h)
-    start = _double_start(h.substitute(1 << k, 0, 0, 1))
-    found = start and _newton_roots(h, k, start, prec)
-    if not found:
-        raise RootFindingDivergence(f"no certified roots of {h} at 2^-{2 * prec}")
-    return _rounded(*found, prec)
 
 
 def _sign_changes(signs):
@@ -284,34 +262,31 @@ class ArchimedeanPlace:
 
 def archimedean_places(h, prec=DEFAULT_PREC_BITS):
     """Archimedean places of Q[t]/(h), h irreducible: one entry per real
-    root and one per conjugate pair of complex roots.  Deterministic order:
-    real places by value, then pairs by (real part, |imag|)."""
-    roots = all_roots(h, prec=prec)
-    with mp.workprec(prec + 32):
-        tol = mp.mpf(2) ** (-(prec // 2))
-        reals, uppers, lowers = [], [], []
-        for r in roots:
-            if abs(mp.im(r)) <= tol:
-                reals.append(mp.re(r))
-            elif mp.im(r) > 0:
-                uppers.append(r)
-            else:
-                lowers.append(r)
-        if len(uppers) != len(lowers):
-            raise RootFindingDivergence(
-                f"could not split roots of {h} into conjugate pairs at {prec} bits"
-            )
-        if len(reals) + 2 * len(uppers) != h.degree:
-            raise RootFindingDivergence(
-                f"found {len(reals) + 2 * len(uppers)} roots of {h}, of degree {h.degree}"
-            )
-        exact = real_root_count(h)
-        if len(reals) != exact:
-            raise RootFindingDivergence(
-                f"{len(reals)} roots of {h} within 2^-{prec // 2} of the real "
-                f"axis, but it has {exact} real roots"
-            )
-        places = [ArchimedeanPlace(t, 1, True) for t in sorted(reals)]
-        uppers.sort(key=lambda z: (mp.re(z), mp.im(z)))
-        places.extend(ArchimedeanPlace(z, 2, False) for z in uppers)
-        return places
+    root and one per conjugate pair of complex roots, each θ at prec + 32
+    bits within 2^-2prec of its root, certified, before rounding.  The
+    double start runs on h(2^k s), k from `_shift`.  RootFindingDivergence
+    where there is no certificate, as on a repeated root.  Deterministic
+    order: real places by value, then pairs by (real part, imaginary part)."""
+    if h.degree < 1:
+        raise ZeroPolynomial("constant polynomial has no roots")
+    k = _shift(h)
+    start = _double_start(h.substitute(1 << k, 0, 0, 1))
+    found = start and _newton_roots(h, k, start, prec)
+    if not found:
+        raise RootFindingDivergence(f"no certified roots of {h} at 2^-{2 * prec}")
+    reals, uppers, bits = found
+    exact = real_root_count(h)
+    if len(reals) != exact:
+        raise NotExact(f"{len(reals)} certified real roots of {h}, but {exact} by its Sturm chain")
+    uppers = _cleanup(uppers, bits, prec)
+    if not all(y for _, y in uppers):
+        raise RootFindingDivergence(f"a non-real root of {h} rounds onto the real axis")
+
+    def part(c):
+        return from_man_exp(c, -bits, prec + 32, "n")
+
+    reals = sorted(mp.make_mpf(part(x)) for x, _ in _cleanup(reals, bits, prec))
+    pairs = sorted((mp.make_mpc((part(x), part(y))) for x, y in uppers),
+                   key=lambda z: (z.real, z.imag))
+    return ([ArchimedeanPlace(t, 1, True) for t in reals]
+            + [ArchimedeanPlace(z, 2, False) for z in pairs])

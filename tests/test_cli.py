@@ -323,6 +323,16 @@ def test_roots_beyond_a_double_get_their_place(capsys):
     assert doc["theta"] == "(0.0 + 1.0e+200j)"
 
 
+def test_a_pair_near_the_real_axis_passes_the_horizontal_law(capsys):
+    # roots +-i 10^-20, within 2^-64 of the real axis, are one certified pair
+    code, out, _ = run(capsys, "--format", "json", "verify", "horizontal",
+                       "--curve", "H:10^40*t^2+1", "--f", "2", "--g", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "pass"
+    assert [i["theta"] for i in doc["items"] if i["place"].startswith("arch")] == [
+        "(0.0 + 1.0e-20j)"]
+
+
 def test_evaluation_below_resolution_exits_4(capsys):
     # theta = 10^-30 is a zero of t at 128 bits
     h = f"{10**30}*t-1"

@@ -237,10 +237,14 @@ def test_squarefree_input_is_its_own_block_after_one_gcd(monkeypatch):
 
 # -- differential test against sympy -------------------------------------------
 
-# 397 and 401 sit either side of modp.ROOT_SCAN = 400; 10007 = 3 mod 4,
-# 10037 = 5 mod 8 and 65537 = 1 mod 2^16 take different square-root paths
-DIFF_PRIMES = (2, 3, 5, 7, 101, 149, 151, 397, 401, 10007, 10037, 65537, 2**31 - 1,
-               2**61 - 1)
+# the largest prime the closed form for small reductions covers, and the
+# least prime above it, either side of modp.ROOT_SCAN
+BELOW_SCAN = next(p for p in range(modp.ROOT_SCAN, 1, -1) if is_prime(p))
+ABOVE_SCAN = next(q for q in itertools.count(modp.ROOT_SCAN + 1) if is_prime(q))
+# 10007 = 3 mod 4, 10037 = 5 mod 8 and 65537 = 1 mod 2^16 take different
+# square-root paths
+DIFF_PRIMES = (2, 3, 5, 7, 101, 149, 151, BELOW_SCAN, ABOVE_SCAN, 10007, 10037, 65537,
+               2**31 - 1, 2**61 - 1)
 
 
 def _diff_input(rng, p):
@@ -319,7 +323,7 @@ def test_random_generator_is_built_only_to_split(monkeypatch):
 
     monkeypatch.setattr(modp, "distinct_degree_split", split)
     # q, the least prime above the bound, and n, the least non-residue mod q
-    q = next(q for q in itertools.count(modp.ROOT_SCAN + 1) if is_prime(q))
+    q = ABOVE_SCAN
     n = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
     # t^2+1 is irreducible mod 3 and t^3+t+1 = (t+2)(t^2+t+2) mod 3 splits
     # into factors of distinct degrees: no equal-degree split draws; the
@@ -402,7 +406,7 @@ def _shared_pair(rng, p):
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-@pytest.mark.parametrize("p", (401, 10007, 10037, 65537, 2**31 - 1, 2**61 - 1))
+@pytest.mark.parametrize("p", (ABOVE_SCAN, 10007, 10037, 65537, 2**31 - 1, 2**61 - 1))
 def test_split_factorization_matches_unsplit_and_sympy(p):
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
@@ -481,10 +485,9 @@ def test_small_reductions_run_no_powering_and_no_split(monkeypatch):
         monkeypatch.setattr(modp, name, refuse)
     monkeypatch.setattr(modp, "random", SimpleNamespace(Random=refuse))
     rng = random.Random(34)
-    # p = 97 and 113 = 1 mod 16 take the Tonelli-Shanks loop; 397 is the
-    # largest prime the closed form covers
-    assert modp.ROOT_SCAN >= 397
-    for p in (2, 3, 5, 97, 113, 397):
+    # p = 97 and 113 = 1 mod 16 take the Tonelli-Shanks loop
+    assert modp.ROOT_SCAN >= 113
+    for p in (2, 3, 5, 97, 113, BELOW_SCAN):
         for _ in range(300):
             f = rand_poly(rng, p, rng.randint(2, 4))
             if rng.random() < 0.5:

@@ -7,13 +7,23 @@ from mpmath import mp
 
 import arithsurf
 from arithsurf import roots
-from arithsurf.errors import RootFindingDivergence
+from arithsurf.errors import NotExact, RootFindingDivergence
 from arithsurf.intpoly import T, IntPoly, discriminant, parse_intpoly, spot_check_irreducible
-from arithsurf.roots import all_roots, archimedean_places, real_root_count
+from arithsurf.roots import archimedean_places, real_root_count
+
+
+def _all_roots(h, prec=128):
+    """Every root of h, built from its places: each θ, and a pair's
+    conjugate too."""
+    out = []
+    with mp.workprec(prec + 32):
+        for p in archimedean_places(h, prec):
+            out += [p.theta] if p.is_real else [p.theta, mp.conj(p.theta)]
+    return out
 
 
 def test_all_roots_quadratic():
-    roots = all_roots(parse_intpoly("t^2+1"))
+    roots = _all_roots(parse_intpoly("t^2+1"))
     with mp.workprec(128):
         assert len(roots) == 2
         for r in roots:
@@ -59,9 +69,9 @@ def test_evaluate_poly():
 
 
 def test_archimedean_places_checks_the_root_count(monkeypatch):
-    # one real root reported for a quadratic: no split into places adds up
-    monkeypatch.setattr(roots, "all_roots", lambda h, prec: [mp.mpf(1)])
-    with pytest.raises(RootFindingDivergence):
+    # the certificate proves two real roots; a Sturm count of one disagrees
+    monkeypatch.setattr(roots, "real_root_count", lambda h: 1)
+    with pytest.raises(NotExact, match="2 certified real roots"):
         archimedean_places(parse_intpoly("t^2-2"))
 
 
@@ -69,7 +79,7 @@ def test_archimedean_places_checks_the_root_count(monkeypatch):
 
 
 def _cold_roots(h, prec):
-    """The call all_roots made before it had a warm start, with its two
+    """The call the root finder made before it had a warm start, with its two
     refusals mapped to the same error type."""
     with mp.workprec(prec + 32):
         try:
@@ -84,7 +94,7 @@ def _cold_roots(h, prec):
 
 def _warm_roots(h, prec):
     try:
-        found = all_roots(h, prec=prec)
+        found = _all_roots(h, prec)
     except RootFindingDivergence:
         return RootFindingDivergence
     return sorted((mp.re(r), mp.im(r)) for r in found)
@@ -116,9 +126,16 @@ SCALED_EDGES = [T**2 - 10**300 * T + 1, T - 10**300]
 
 
 def _start(h):
-    """The shift and the double start that all_roots takes."""
+    """The shift and the double start that archimedean_places takes."""
     k = roots._shift(h)
     return k, roots._double_start(h.substitute(1 << k, 0, 0, 1))
+
+
+def _estimates(h, prec):
+    """The certified estimates of Newton's roots of h, mirrors included, and
+    their fraction bits."""
+    reals, uppers, bits = roots._newton_roots(h, *_start(h), prec)
+    return reals + uppers + [(x, -y) for x, y in uppers], bits
 
 
 def test_warm_start_matches_cold_polyroots_bit_for_bit():
@@ -206,8 +223,7 @@ CAPELLI = [(d, sign, m) for d in (2, 3, 5) for sign in (1, -1)
 def test_scaled_roots_match_the_closed_form(prec):
     for d, sign, m in CAPELLI:
         h = T**d - sign * 2 * 10**m
-        k, start = _start(h)
-        z, bits = roots._newton_roots(h, k, start, prec)
+        z, bits = _estimates(h, prec)
         assert len(z) == d and roots._certified(list(reversed(h.coeffs)), z, bits, prec), h
         places = archimedean_places(h, prec)
         assert sum(p.weight for p in places) == d, h
@@ -223,7 +239,7 @@ def test_certificate_is_exact():
     prec = 128
     for h in (T**2 - 2, T**3 - 2, 3 * T**4 - 5 * T + 1):
         cs = list(reversed(h.coeffs))
-        z, bits = roots._newton_roots(h, *_start(h), prec)
+        z, bits = _estimates(h, prec)
         assert roots._certified(cs, z, bits, prec), h
         (x, y), rest = z[0], z[1:]
         # 2^-200 off the root is outside the disk of radius r = 2^-256
@@ -260,7 +276,40 @@ def test_real_root_count_agrees_with_the_places():
         assert real_root_count(h) == sum(p.is_real for p in places), h
 
 
-def test_places_refuse_a_pair_inside_the_real_tolerance():
-    # roots +-i 10^-50 round to 0 at Newton's first width, where h' vanishes
-    with pytest.raises(RootFindingDivergence, match="no certified roots"):
-        archimedean_places(10**100 * T**2 + 1)
+def test_places_refuse_a_pair_without_a_certificate():
+    # roots +-i 10^-50 round to 0 at Newton's first width, where h' vanishes;
+    # the double start of 10^50 t^2 + 1 lands near twice its roots +-i 10^-25,
+    # and Newton runs out of steps before the certificate holds
+    for h in (10**100 * T**2 + 1, 10**50 * T**2 + 1):
+        with pytest.raises(RootFindingDivergence, match="no certified roots"):
+            archimedean_places(h)
+
+
+# (c, b, a) for a t^2 + b t + c, with a pair of roots about 2^-64 or less
+# from the real axis: the certificate keeps each root's disk apart from its
+# mirror image's, so each is one pair
+NEAR_AXIS_PAIRS = [
+    (1, 0, 10**38),
+    (1, 0, 10**39),
+    (1, 0, 10**40),
+    (1, 0, 10**44),
+    (1, 10**20, 5 * 10**39),  # (-1 +- i) 10^-20
+]
+
+
+@pytest.mark.parametrize("cs", NEAR_AXIS_PAIRS)
+def test_a_pair_near_the_real_axis_is_one_place(cs):
+    places = archimedean_places(IntPoly(list(cs)))
+    assert [(p.weight, p.is_real) for p in places] == [(2, False)]
+    c, b, a = cs
+    with mp.workprec(320):
+        root = mp.mpc(-b, mp.sqrt(4 * a * c - b * b)) / (2 * a)
+        assert abs(places[0].theta - root) <= abs(root) * mp.mpf(2) ** -128
+
+
+def test_places_refuse_a_pair_rounded_onto_the_real_axis(monkeypatch):
+    # a certified upper root 2^-300 above the axis: its imaginary part is
+    # below the epsilon of 160 bits
+    monkeypatch.setattr(roots, "_newton_roots", lambda h, k, start, prec: ([], [(0, 1)], 300))
+    with pytest.raises(RootFindingDivergence, match="rounds onto the real axis"):
+        archimedean_places(T**2 + 1)

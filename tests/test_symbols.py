@@ -276,9 +276,8 @@ def test_answer_guards_survive_python_O():
         "from dataclasses import replace\n"
         "from fractions import Fraction\n"
         "from types import SimpleNamespace as NS\n"
-        "from mpmath import mp\n"
         "from arithsurf import roots, symbols\n"
-        "from arithsurf.errors import ArithsurfError\n"
+        "from arithsurf.errors import ArithsurfError, NotExact\n"
         "from arithsurf.intpoly import parse_intpoly as P\n"
         "from arithsurf.laws import verify_horizontal_law\n"
         "from arithsurf.qlinalg import det\n"
@@ -320,12 +319,13 @@ def test_answer_guards_survive_python_O():
         "else:\n"
         "    raise SystemExit('unguarded')\n"
         "symbols.padic_factor = lambda *args, **kwargs: NS(factors=[])\n"
-        "roots.all_roots = lambda h, prec: [mp.mpf(1)]\n"
-        "for call in (lambda: symbols.branch_decomposition(c, pt, F('3'), F('1*(t)^1')),\n"
-        "             lambda: roots.archimedean_places(P('t^2-2'))):\n"
+        "roots.real_root_count = lambda h: 1\n"
+        "for call, error in ((lambda: symbols.branch_decomposition(c, pt, F('3'), F('1*(t)^1')),\n"
+        "                     ArithsurfError),\n"
+        "                    (lambda: roots.archimedean_places(P('t^2-2')), NotExact)):\n"
         "    try:\n"
         "        call()\n"
-        "    except ArithsurfError:\n"
+        "    except error:\n"
         "        continue\n"
         "    raise SystemExit('unguarded')\n"
     )
